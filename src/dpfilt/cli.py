@@ -113,6 +113,7 @@ def cmd_sensitivity(args) -> int:
         "upper": report.upper,
         "exact": report.exact,
         "horizon_used": report.horizon_used,
+        "is_exact": report.is_exact,
         "lower_equals_exact": bool(abs(report.exact - report.lower)
                                    <= 1e-9 * max(report.exact, 1e-300)),
         "upper_equals_exact": bool(abs(report.exact - report.upper)

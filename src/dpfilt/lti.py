@@ -19,6 +19,7 @@ from .streams import EventStream
 
 STABILITY_TOL = 1e-9
 DEFAULT_GRID = 1024
+GRAMIAN_TOL = 1e-12
 
 
 def _trim(coefs) -> np.ndarray:
@@ -380,7 +381,7 @@ def freq_response(sys, N: int = DEFAULT_GRID) -> SpectrumGrid:
     return SpectrumGrid(sys.freq(grid_omega(N)))
 
 
-def observability_gramian(ss: StateSpace, tol: float = 1e-12,
+def observability_gramian(ss: StateSpace, tol: float = GRAMIAN_TOL,
                           max_iter: int = 200) -> np.ndarray:
     """Solve A^T P0 A - P0 + C^T C = 0 by fixed-point doubling."""
     if ss.n == 0:

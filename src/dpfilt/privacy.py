@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidDelta
 from .streams import EventStream
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -54,44 +52,15 @@ class PrivacySpec:
 
 def q_function(x):
     """Upper tail of the standard normal: (1/sqrt(2pi)) int_x^inf e^{-u^2/2}."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2) if np.ndim(x) \
-        else float(0.5 * erfc(x / _SQRT2))
-
-
-def _phi(x: float) -> float:
-    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return ndtr(-np.asarray(x, dtype=float)) if np.ndim(x) \
+        else float(ndtr(-x))
 
 
 def q_inverse(delta: float) -> float:
-    """Solve q_function(x) = delta by safeguarded Newton iteration.
-
-    Newton steps on the monotone tail function are bracketed by bisection
-    so the iteration cannot escape [lo, hi].
-    """
+    """Upper-tail standard-normal quantile: q_function(x) = delta."""
     if not (0.0 < delta < 1.0):
         raise InvalidDelta(f"delta must lie in (0, 1), got {delta}")
-    lo, hi = -1.0, 1.0
-    while q_function(lo) < delta:
-        lo *= 2.0
-    while q_function(hi) > delta:
-        hi *= 2.0
-    x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    for _ in range(200):
-        f = q_function(x) - delta
-        if f > 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        d = _phi(x)
-        step = f / d if d > 0.0 else 0.0
-        x_new = x + step
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)) or abs(f) <= 1e-16:
-            x = x_new
-            break
-        x = x_new
-    return float(x)
+    return float(-ndtri(delta))
 
 
 def kappa(spec: PrivacySpec) -> float:

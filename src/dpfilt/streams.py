@@ -68,4 +68,12 @@ class EventStream:
             raise ConfigError(
                 f"ragged rows in stream file {path}: every row must have "
                 f"{len(header)} values")
-        return cls(np.asarray(rows, dtype=float), list(header), dt_label)
+        data = np.asarray(rows, dtype=float)
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            r, c = bad[0]
+            raise ConfigError(
+                f"non-finite value {data[r, c]!r} in stream file {path} at "
+                f"data row {r + 1}, column {c + 1} ({header[c]!r}); every "
+                f"value must be a finite number")
+        return cls(data, list(header), dt_label)

@@ -127,6 +127,7 @@ class TestSensitivityCommand:
         doc = load_json(out)
         assert doc["bounds_consistent"]
         assert doc["lower_equals_exact"]      # diagonal target
+        assert doc["is_exact"]
 
     def test_aligned_delay_bank_hits_upper(self, tmp_path):
         bank = {"rows": 1, "cols": 2,
@@ -144,6 +145,24 @@ class TestSensitivityCommand:
         doc = load_json(out)
         assert doc["upper_equals_exact"]
         assert doc["exact"] == pytest.approx(2.0, rel=1e-9)
+        assert doc["is_exact"]                # two inputs
+
+    def test_three_input_bound_not_exact(self, tmp_path):
+        bank = {"rows": 1, "cols": 3,
+                "entries": [{"row": 0, "col": j, "num": [1.0, 0.5 * j]}
+                            for j in range(3)]}
+        fpath = tmp_path / "bank.yaml"
+        write_yaml(fpath, bank)
+        cfg = {"privacy": {"epsilon": 1.0, "delta": 0.1, "k": [1.0] * 3},
+               "filter": {"file": str(fpath)}}
+        cpath = tmp_path / "cfg.yaml"
+        write_yaml(cpath, cfg)
+        out = tmp_path / "sens.json"
+        assert main(["sensitivity", "--config", str(cpath),
+                     "--out", str(out)]) == 0
+        doc = load_json(out)
+        assert doc["bounds_consistent"]
+        assert doc["is_exact"] is False
 
 
 class TestPipeline:
@@ -303,6 +322,25 @@ class TestTamperedDesign:
         from dpfilt.errors import ConfigError
         with pytest.raises(ConfigError):
             EventStream.load_csv(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_rejected(self, tmp_path, capsys, value):
+        # regression: float() parses nan/inf, which used to flow through
+        cfg_path, _ = base_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n1.0,2.0\n3.0,{value}\n")
+        from dpfilt import EventStream
+        from dpfilt.errors import ConfigError
+        with pytest.raises(ConfigError, match=r"data row 2, column 2 \('b'\)"):
+            EventStream.load_csv(bad)
+        code = main(["simulate", "--design", str(design_path),
+                     "--source", str(bad),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestOccupancyBankCli:

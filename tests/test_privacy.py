@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 from dpfilt import (EventStream, PrivacySpec, add_noise, kappa, noise_sigma,
                     q_function, q_inverse)
@@ -60,6 +61,15 @@ class TestQInverse:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InvalidDelta):
                 q_inverse(bad)
+
+    def test_tiny_delta_relative_accuracy(self):
+        # regression: a residual stop |Q(x) - delta| <= 1e-16 returned
+        # Q^-1(1e-16) = 8.21457 instead of 8.22208, under-noising by 0.09%
+        for delta in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+            assert q_inverse(delta) == pytest.approx(
+                np.sqrt(2.0) * erfcinv(2.0 * delta), rel=1e-12)
+            assert q_function(q_inverse(delta)) == pytest.approx(delta,
+                                                                 rel=1e-12)
 
     def test_strictly_decreasing(self):
         deltas = np.linspace(0.01, 0.99, 50)

@@ -4,11 +4,17 @@ import pytest
 from dpfilt import (RationalFilter, TransferMatrix, brute_force_sensitivity,
                     diagonal_sensitivity, mimo_bounds, mimo_exact,
                     realize_state_space, simo_sensitivity)
-from dpfilt.errors import (DimensionMismatch, NotDiagonal, OracleTooLarge,
-                           UnstableSystem)
+from dpfilt.errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
+                           OracleTooLarge, UnstableSystem)
+from dpfilt.fileio import build_filter
 from dpfilt.lti import StateSpace
 
-from conftest import random_fir_matrix, random_transfer_matrix
+from conftest import (random_fir_matrix, random_rational,
+                      random_transfer_matrix)
+
+# mimo_exact on the 3x15 occupancy bank with k = 4, from the lag-stepping
+# state-space scan that preceded the FFT cross-correlation
+BANK_SENSITIVITY = 14.623372109931632
 
 
 def moving_average_20():
@@ -20,6 +26,27 @@ def moving_average_20():
 def aligned_delay_bank(taus):
     """Single-output system [z^-tau_1, ..., z^-tau_m]."""
     return TransferMatrix([[RationalFilter.delay(t) for t in taus]])
+
+
+def correlate_oracle(G, k, tol=1e-14):
+    """Independent time-domain pairwise-worst-lag value: impulse responses
+    truncated once the last 16 samples carry below tol of the energy,
+    cross terms from np.correlate over every lag."""
+    n = 256
+    while True:
+        h = G.impulse(n)
+        if np.sum(h[-16:] ** 2) <= tol * np.sum(h ** 2):
+            break
+        n *= 2
+    p, m = G.shape
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            c = sum(np.correlate(h[:, r, i], h[:, r, j], "full")
+                    for r in range(p))
+            total += k[i] * k[j] * (np.sum(h[:, :, i] ** 2) if i == j
+                                    else np.max(np.abs(c)))
+    return float(np.sqrt(total))
 
 
 def random_diag_fir(rng, m, max_lag=3):
@@ -164,6 +191,54 @@ class TestExact:
     def test_horizon_reported(self, rng):
         rep = mimo_exact(random_fir_matrix(rng, 2, 2), np.ones(2))
         assert rep.horizon_used is not None and rep.horizon_used >= 1
+
+
+class TestFftCrossCorrelation:
+    def test_occupancy_bank_pinned(self):
+        rep = mimo_exact(build_filter({"preset": "occupancy_bank"}),
+                         np.full(15, 4.0))
+        assert rep.exact == pytest.approx(BANK_SENSITIVITY, rel=1e-9)
+        assert rep.exact >= BANK_SENSITIVITY * (1 - 1e-12)
+        assert rep.lower <= rep.exact <= rep.upper
+        assert not rep.is_exact
+
+    def test_two_input_iir_matches_correlate_oracle(self, rng):
+        for _ in range(10):
+            G = random_transfer_matrix(rng, 2, 2, radius=0.85)
+            k = rng.uniform(0.5, 2.0, 2)
+            rep = mimo_exact(G, k)
+            assert rep.exact == pytest.approx(correlate_oracle(G, k),
+                                              rel=1e-9)
+            assert rep.is_exact
+
+    def test_slow_pole_stays_above_oracle(self):
+        slow = TransferMatrix(
+            [[RationalFilter([1.0], [1.0, -0.99]), RationalFilter([0.3])],
+             [RationalFilter([0.5, 0.2]), RationalFilter([1.0, 0.4],
+                                                         [1.0, 0.99])]])
+        k = np.array([1.0, 1.5])
+        rep = mimo_exact(slow, k)
+        # the oracle's truncation only lowers it; the 1e-13 allowance
+        # covers rounding in the Gramian diagonal energies (a few ulps at
+        # pole radius 0.99), which the lag-stepping scan shared
+        assert rep.exact >= correlate_oracle(slow, k) * (1 - 1e-13)
+        assert rep.horizon_used > 1024          # the tail forced doubling
+        with pytest.raises(HorizonExceeded):
+            mimo_exact(slow, k, max_horizon=1)
+
+    def test_is_exact_flag(self, rng):
+        two = random_transfer_matrix(rng, 2, 2, radius=0.7)
+        assert mimo_exact(two, np.ones(2)).is_exact
+        three = random_fir_matrix(rng, 2, 3, max_lag=2)
+        assert not mimo_exact(three, np.ones(3)).is_exact
+        diag = TransferMatrix.diagonal(
+            [random_rational(rng, radius=0.7) for _ in range(3)])
+        k = rng.uniform(0.5, 2.0, 3)
+        rep = mimo_exact(diag, k)
+        assert rep.is_exact
+        assert rep.exact == pytest.approx(diagonal_sensitivity(diag, k),
+                                          rel=1e-9)
+        assert rep.to_dict()["is_exact"] is True
 
 
 class TestBruteForce:
