@@ -8,15 +8,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as ssig
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
-from .lms import _bracket_inverse_times, as_grid
+from .lms import (_bracket_inverse_times, as_grid, mimo_fir,
+                  monic_inverse_filter)
 from .lti import (SpectrumGrid, TransferMatrix, grid_omega,
                   simulate as lti_simulate, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
-from .spectral import (MatrixFactorization, conjugate_factorization,
-                       matrix_canonical_factor)
+from .spectral import (FLOOR_HINT, MatrixFactorization,
+                       conjugate_factorization, matrix_canonical_factor)
 from .streams import EventStream
 from .zfe import MechanismDesign
 
@@ -38,18 +38,11 @@ class MonicFeedback:
         return self.p_coeffs.shape[1]
 
     def impulse(self, n: int) -> np.ndarray:
-        m = self.m
-        out = np.zeros((n, m, m))
-        K = self.p_coeffs.shape[0] - 1
-        rev = self.p_coeffs[1:][::-1] if K else np.zeros((0, m, m))
-        for t in range(n):
-            acc = np.eye(m) if t == 0 else np.zeros((m, m))
-            window = out[max(t - K, 0): t]
-            if window.shape[0]:
-                acc = acc - np.einsum("kij,kjl->il",
-                                      rev[K - window.shape[0]:], window)
-            out[t] = acc
-        return out
+        """Matrix impulse response of B, shape (n, m, m)."""
+        delta = np.zeros((n, self.m, self.m))
+        delta[:1] = np.eye(self.m)
+        return np.stack([monic_inverse_filter(self.p_coeffs, delta[:, :, c])
+                         for c in range(self.m)], axis=2)
 
     def grid(self, N: int) -> np.ndarray:
         z = np.exp(-1j * np.outer(grid_omega(N),
@@ -99,9 +92,13 @@ def df_factorizations(F, P_u, G, k, privacy: PrivacySpec,
     bracket = _bracket_inverse_times(
         Pt, np.conj(np.swapaxes(Gt, 1, 2)) @ Gt, eye)
     spec_g = Km[None, :, :] @ bracket @ Km[None, :, :]
-    Qf = matrix_canonical_factor(SpectrumGrid(spec_g))
+    Qf = matrix_canonical_factor(
+        SpectrumGrid(spec_g), hint=FLOOR_HINT,
+        name="input-side spectrum K (Pt^-1 + Gt* Gt)^-1 K")
     FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
-    Sf, T = conjugate_factorization(SpectrumGrid(FHF))
+    Sf, T = conjugate_factorization(
+        SpectrumGrid(FHF), name="target spectrum F* F",
+        hint="; F has a zero on the unit circle there, which DF cannot use")
     return Qf, Qf.pe, Sf, T
 
 
@@ -230,31 +227,23 @@ def run_df_mechanism(design: MechanismDesign, stream, seed: int,
         v = v + rng.normal(0.0, design.noise_sigma, size=v.shape)
 
     # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j}
-    taps = df.h1_taps
-    fwd = np.zeros((T, m))
-    for i in range(m):
-        for j in range(m):
-            full = ssig.fftconvolve(v[:, j], taps[:, i, j])
-            seg = full[d: d + T]
-            fwd[: seg.shape[0], i] += seg
+    fwd = mimo_fir(df.h1_taps, v, d)
 
+    # feedback term: one (m, K m) matvec per step against the flattened
+    # window of the last K rows of r = fed_back - fb_term (zero-padded)
     P = df.feedback.p_coeffs
     K = P.shape[0] - 1
-    Prev = P[1:][::-1] if K else np.zeros((0, m, m))
+    A = np.concatenate(P[1:][::-1], axis=1) if K else np.zeros((m, 0))
+    buf = np.zeros((T + K, m))
+    flat = buf.ravel()
     u_hat = np.zeros((T, m))
     u_tilde = np.zeros((T, m))
-    r = np.zeros((T, m))
+    fed_back = uc if oracle_feedback else u_hat
     for t in range(T):
-        window = r[max(t - K, 0): t]
-        if window.shape[0]:
-            fb_term = np.einsum("kij,kj->i",
-                                Prev[K - window.shape[0]:], window)
-        else:
-            fb_term = np.zeros(m)
+        fb_term = A @ flat[t * m:(t + K) * m]
         u_tilde[t] = fwd[t] + fb_term
         u_hat[t] = decision_device(u_tilde[t] + mu, df.decision_domain) - mu
-        fed_back = uc[t] if oracle_feedback else u_hat[t]
-        r[t] = fed_back - fb_term
+        buf[K + t] = fed_back[t] - fb_term
     mean_shift = design.target.dc_gain() @ mu
     y_hat = lti_simulate(design.target, u_hat) + mean_shift
     label = stream.dt_label if hasattr(stream, "dt_label") else ""

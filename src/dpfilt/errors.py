@@ -2,7 +2,8 @@
 
 Every error carries an ``exit_code`` used by the CLI:
 2 = invalid configuration or input, 3 = numerical failure,
-4 = infeasible design for the given problem data.
+4 = infeasible design for the given problem data, 5 = a stored design
+whose noise scale is below what its privacy calibration requires.
 """
 
 
@@ -84,3 +85,9 @@ class OptimizerStalled(DpfiltError):
     def __init__(self, message, best_profile=None):
         super().__init__(message)
         self.best_profile = best_profile
+
+
+class InsufficientNoise(DpfiltError):
+    """Stored noise_sigma below kappa times the recomputed sensitivity."""
+
+    exit_code = 5

@@ -8,11 +8,13 @@ import json
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientNoise
 from .lms import SmootherFilter, causal_wiener, wiener_smoother
-from .lti import RationalFilter, SpectrumGrid, TransferMatrix, freq_response
+from .lti import (RationalFilter, SpectrumGrid, TransferMatrix, freq_response,
+                  h2_norm)
 from .markov import MarkovSource, chain_spectrum, server_example
-from .privacy import PrivacySpec
+from .privacy import PrivacySpec, kappa
+from .sensitivity import diagonal_sensitivity
 from .zfe import MechanismDesign
 
 
@@ -199,11 +201,36 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
     return doc
 
 
+# Relative float slack when comparing a stored noise scale against the
+# same formula recomputed on load.
+NOISE_SLACK = 1e-9
+
+
+def check_noise(kind: str, F: TransferMatrix, G: TransferMatrix,
+                sigma: float, priv: PrivacySpec) -> None:
+    """Refuse a noise scale below kappa * sensitivity of the filter that
+    touches the data: |k|_2 ||F||_2 for output perturbation (the design
+    formula), the diagonal sensitivity of the prefilter otherwise."""
+    k = priv.k_vector()
+    if kind == "output_perturbation":
+        sens = float(np.linalg.norm(k)) * h2_norm(F)
+    else:
+        sens = diagonal_sensitivity(G, k)
+    need = kappa(priv) * sens
+    if sigma < need * (1.0 - NOISE_SLACK):
+        raise InsufficientNoise(
+            f"stored noise_sigma {sigma:.6g} is below kappa * sensitivity "
+            f"= {need:.6g} for this {kind} design; refusing to run a "
+            "design that would not meet its privacy claim")
+
+
 def design_from_dict(doc: dict) -> MechanismDesign:
     """Reconstruct a runnable design from its JSON document.
 
     Postfilters are re-derived deterministically from the stored
-    prefilter, noise scale and spectrum spec (no re-optimization).
+    prefilter, noise scale and spectrum spec (no re-optimization); the
+    stored noise scale is then checked against kappa * sensitivity
+    recomputed from the stored filters (InsufficientNoise if below).
     """
     try:
         kind = doc["kind"]
@@ -255,6 +282,7 @@ def design_from_dict(doc: dict) -> MechanismDesign:
             design.postfilter = rebuilt.postfilter
     else:
         raise ConfigError(f"unknown design kind {kind!r}")
+    check_noise(kind, F, G, sigma, priv)
     return design
 
 

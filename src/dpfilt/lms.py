@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import signal as ssig
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
@@ -21,7 +22,8 @@ from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
                   freq_response, grid_omega, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
-from .spectral import matrix_canonical_factor, scalar_spectral_factor
+from .spectral import (FLOOR_HINT, matrix_canonical_factor,
+                       scalar_spectral_factor)
 from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign
 
 _ZERO_CHANNEL_TOL = 1e-12
@@ -355,14 +357,7 @@ class SmootherFilter:
         return cls(taps=taps, half=K)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        T, m = v.shape
-        p = self.taps.shape[1]
-        y = np.zeros((T, p))
-        for i in range(p):
-            for j in range(m):
-                full = ssig.fftconvolve(v[:, j], self.taps[:, i, j])
-                y[:, i] += full[self.half: self.half + T]
-        return y
+        return mimo_fir(self.taps, v, self.half)
 
     def grid(self, N: int) -> np.ndarray:
         lags = np.arange(-self.half, self.half + 1)
@@ -370,28 +365,50 @@ class SmootherFilter:
         return np.einsum("ql,lij->qij", z, self.taps)
 
 
-def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve L e = v recursively for a monic FIR matrix polynomial L.
+def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
+             ) -> np.ndarray:
+    """Samples offset..offset+T-1 of the MIMO convolution of taps (L, p, m)
+    with v (T, m), zero past its end. Input spectra are taken once, one
+    column at a time (no padded (nfft, m) copy, no (nfft, p, m) array);
+    each output row sums its frequency-domain products, then one irfft."""
+    T, m = v.shape
+    L, p, _ = taps.shape
+    n_full = T + L - 1
+    nfft = sfft.next_fast_len(n_full, real=True)
+    V = np.empty((nfft // 2 + 1, m), dtype=complex)
+    for j in range(m):
+        V[:, j] = sfft.rfft(v[:, j], nfft)
+    y = np.zeros((T, p))
+    stop = min(offset + T, n_full)
+    for i in range(p):
+        Y = sum(sfft.rfft(taps[:, i, j], nfft) * V[:, j] for j in range(m))
+        y[: stop - offset, i] = sfft.irfft(Y, nfft)[offset:stop]
+    return y
 
-    One sliding-window contraction per step; the recursion itself is
-    inherently sequential.
+
+def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve L e = v recursively for a monic FIR matrix polynomial L
+    (coeffs (K+1, m, m), coeffs[0] = I).
+
+    With every off-diagonal tap exactly zero (independent channels, as
+    the diagonal canonical factor returns) each channel runs 1 / L_ii by
+    one lfilter call. Otherwise step t is one (m, K m) matvec against the
+    flattened window of the last K outputs in a zero-padded buffer.
     """
     T, m = v.shape
     K = coeffs.shape[0] - 1
-    e = np.zeros((T, m))
-    if K == 0:
-        e[:] = v
+    if not np.any(coeffs[:, ~np.eye(m, dtype=bool)]):
+        e = np.empty((T, m))
+        for i in range(m):
+            a = np.r_[1.0, coeffs[1:, i, i]]        # monic: ignore coeffs[0]
+            e[:, i] = ssig.lfilter([1.0], a, v[:, i])
         return e
-    rev = coeffs[1:][::-1]          # rev[j] = L_{K-j}, oldest lag first
+    A = np.concatenate(coeffs[1:][::-1], axis=1)     # oldest lag first
+    buf = np.zeros((T + K, m))
+    flat = buf.ravel()
     for t in range(T):
-        lo = max(t - K, 0)
-        window = e[lo:t]
-        if window.shape[0]:
-            e[t] = v[t] - np.einsum("kij,kj->i",
-                                    rev[K - window.shape[0]:], window)
-        else:
-            e[t] = v[t]
-    return e
+        buf[K + t] = v[t] - A @ flat[t * m:(t + K) * m]
+    return buf[K:]
 
 
 @dataclass
@@ -408,16 +425,8 @@ class CausalWienerFilter:
     anticausal_tail: float = 0.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        T, m = v.shape
-        e = monic_inverse_filter(self.l_coeffs, v)
-        d = e @ np.linalg.inv(self.pe).T
-        p = self.mc.shape[1]
-        y = np.zeros((T, p))
-        for i in range(p):
-            for j in range(m):
-                full = ssig.fftconvolve(d[:, j], self.mc[:, i, j])
-                y[:, i] += full[:T]
-        return y
+        d = monic_inverse_filter(self.l_coeffs, v) @ np.linalg.inv(self.pe).T
+        return mimo_fir(self.mc, d)
 
     def grid(self, N: int) -> np.ndarray:
         omega = grid_omega(N)
@@ -440,7 +449,8 @@ def causal_wiener(F, P_u, G, sigma: float,
     Gg = as_grid(G, N, square_side=m)
     GgH = np.conj(np.swapaxes(Gg, 1, 2))
     Pv = Gg @ Pg @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
-    fact = matrix_canonical_factor(SpectrumGrid(Pv))
+    fact = matrix_canonical_factor(SpectrumGrid(Pv), hint=FLOOR_HINT,
+                                   name="observation spectrum G P G* + s^2 I")
     Lg = fact.eval_grid(grid_omega(N))
     Pyv = Fg @ Pg @ GgH
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H

@@ -3,6 +3,7 @@ indicator streams, sampling, and the 4-state idle/busy server example."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +133,15 @@ def sample_chain(src: MarkovSource, T: int, seed: int) -> EventStream:
     rng = np.random.default_rng(seed)
     cum = np.cumsum(src.Pi, axis=0)
     cum[-1, :] = 1.0
+    # next state = first index whose cumulative probability reaches the
+    # draw (searchsorted's side='left', which bisect_left matches)
+    columns = cum.T.tolist()
     state = int(np.searchsorted(np.cumsum(p), rng.random()))
-    draws = rng.random(T)
-    states = np.empty(T, dtype=np.int64)
-    for t in range(T):
+    states = [0] * T
+    for t, draw in enumerate(rng.random(T).tolist()):
         states[t] = state
-        state = int(np.searchsorted(cum[:, state], draws[t]))
+        state = bisect_left(columns[state], draw)
+    states = np.asarray(states, dtype=np.int64)
     data = np.zeros((T, src.n_channels))
     for c, s in enumerate(src.selectors):
         data[:, c] = states == s

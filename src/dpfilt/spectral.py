@@ -19,6 +19,8 @@ from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, TransferMatrix,
                   grid_omega)
 
 LOG_FLOOR_FRAC = 1e-12
+# Remedy for a spectrum that inherits a singular input spectrum.
+FLOOR_HINT = "; add a white `spectrum.floor` to the input spectrum"
 
 
 def _two_sided(values: np.ndarray) -> np.ndarray:
@@ -223,12 +225,15 @@ def _diagonal_factor(P: SpectrumGrid, floor_frac: float
 
 def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
                             tail_tol: float = 1e-10,
-                            max_blocks: int = 4096) -> MatrixFactorization:
+                            max_blocks: int = 4096, name: str = "spectrum",
+                            hint: str = "") -> MatrixFactorization:
     """Canonical spectral factorization of a Hermitian PD grid spectrum.
 
     Diagonal spectra are dispatched to the scalar cepstral kernel; the
     general case runs Bauer's block-Toeplitz Cholesky with the bandwidth
     chosen so the discarded autocovariance tail is below tail_tol.
+    A singular sample raises NotPositiveDefinite naming the spectrum
+    (name), the worst frequency and its eigenvalue ratio, then the hint.
     """
     samples = P.samples
     m = P.shape[0]
@@ -237,9 +242,14 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     if P.hermitian_error() > 1e-8 * max(np.max(np.abs(samples)), 1e-300):
         raise NotPositiveDefinite("spectrum samples are not Hermitian")
     scale = float(np.max(np.abs(samples)))
-    if P.min_eigenvalue() <= 1e-13 * scale:
+    lam = np.linalg.eigvalsh(
+        0.5 * (samples + np.conj(np.swapaxes(samples, 1, 2)))).min(axis=1)
+    worst = int(np.argmin(lam))
+    if lam[worst] <= 1e-13 * scale:
         raise NotPositiveDefinite(
-            "spectrum has a (numerically) singular sample on the grid")
+            f"{name} has a (numerically) singular sample on the grid: "
+            f"min eigenvalue / max |P| = {lam[worst] / max(scale, 1e-300):.3g}"
+            f" at omega = {P.omega[worst]:.6g}{hint}")
     off = samples.copy()
     idx = np.arange(m)
     off[:, idx, idx] = 0.0

@@ -6,7 +6,7 @@ import yaml
 
 from dpfilt.cli import main, validate_document
 from dpfilt.config import Config
-from dpfilt.errors import ConfigError
+from dpfilt.errors import ConfigError, InsufficientNoise
 from dpfilt.fileio import (design_from_dict, load_json,
                            transfer_matrix_from_dict,
                            transfer_matrix_to_dict)
@@ -226,7 +226,7 @@ class TestPipeline:
 
 
 class TestDfRoundTrip:
-    def test_df_design_and_simulate(self, tmp_path):
+    def test_df_design_and_simulate(self, tmp_path, capsys):
         fdoc = transfer_matrix_to_dict(
             TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1]),
                                      RationalFilter([0.6, 0.3, 0.1])]))
@@ -246,6 +246,26 @@ class TestDfRoundTrip:
         assert main(["simulate", "--design", str(design_path),
                      "--trials", "2", "--steps", "4000",
                      "--report", str(report_path)]) == 0
+        # singular spectra: the error names the spectrum and the worst
+        # frequency, and suggests the floor only for the input side
+        cfg_path, _ = base_config(tmp_path, mech="df",
+                                  filter_block={"file": str(fpath)})
+        capsys.readouterr()
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 4
+        err = capsys.readouterr().err
+        assert "input-side spectrum" in err and "omega = 0" in err
+        assert "spectrum.floor" in err
+        cfg_path, _ = base_config(
+            tmp_path, mech="df",
+            spectrum={"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                      "floor": 1e-4},
+            filter_block={"preset": "markov_demo", "ma_length": 8})
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 4
+        err = capsys.readouterr().err
+        assert "target spectrum F* F" in err and "omega = 1.5708" in err
+        assert "spectrum.floor" not in err
 
 
 class TestByteDeterminism:
@@ -314,6 +334,40 @@ class TestTamperedDesign:
         code = main(["simulate", "--design", str(tampered),
                      "--report", str(tmp_path / "r.json")])
         assert code == 4      # infeasible: refuses to invert
+
+    @pytest.mark.parametrize("mech", ["zfe", "output_perturbation",
+                                      "lms_smoother", "lms_causal", "df"])
+    def test_under_noised_design_refused(self, tmp_path, capsys, mech):
+        # regression: a stored noise_sigma edited below kappa * sensitivity
+        # used to run with exit 0; untampered designs of every kind load
+        fdoc = transfer_matrix_to_dict(
+            TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1]),
+                                     RationalFilter([0.6, 0.3, 0.1])]))
+        fpath = tmp_path / "target.yaml"
+        write_yaml(fpath, fdoc)
+        cfg_path, _ = base_config(
+            tmp_path, mech=mech, filter_block={"file": str(fpath)},
+            spectrum={"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                      "floor": 1e-4})
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = load_json(design_path)
+        design = design_from_dict(doc)
+        assert design.noise_sigma == doc["noise_sigma"]
+        doc["noise_sigma"] *= 1.0 - 1e-6
+        with pytest.raises(InsufficientNoise):
+            design_from_dict(doc)
+        doc["noise_sigma"] = 1e-6
+        tampered = tmp_path / "tampered.json"
+        with open(tampered, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        code = main(["simulate", "--design", str(tampered),
+                     "--trials", "1", "--steps", "500",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 5
+        assert "InsufficientNoise" in capsys.readouterr().err
 
     def test_ragged_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -308,3 +308,82 @@ class TestSignDomain:
         assert set(np.unique(diag["u_hat"])).issubset({-1.0, 1.0})
         y = simulate(F, u)
         assert np.max(np.abs(out.data[50:] - y[50:])) < 1e-8
+
+
+def run_df_reference(design, stream, seed, oracle_feedback=False):
+    """The seed's DF closed loop (per-pair fftconvolve forward filter,
+    per-step einsum feedback), kept as the agreement reference for
+    run_df_mechanism. Returns (u_hat, u_tilde) without the mean."""
+    from scipy.signal import fftconvolve
+    df = design.postfilter
+    d = design.lookahead
+    u = stream.data
+    T, m = u.shape
+    mu = design.input_mean if design.input_mean is not None else np.zeros(m)
+    uc = u - mu[None, :]
+    v = simulate(design.prefilter, uc)
+    if design.noise_sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        v = v + rng.normal(0.0, design.noise_sigma, size=v.shape)
+    taps = df.h1_taps
+    fwd = np.zeros((T, m))
+    for i in range(m):
+        for j in range(m):
+            seg = fftconvolve(v[:, j], taps[:, i, j])[d: d + T]
+            fwd[: seg.shape[0], i] += seg
+    P = df.feedback.p_coeffs
+    K = P.shape[0] - 1
+    Prev = P[1:][::-1] if K else np.zeros((0, m, m))
+    u_hat = np.zeros((T, m))
+    u_tilde = np.zeros((T, m))
+    r = np.zeros((T, m))
+    for t in range(T):
+        window = r[max(t - K, 0): t]
+        if window.shape[0]:
+            fb_term = np.einsum("kij,kj->i",
+                                Prev[K - window.shape[0]:], window)
+        else:
+            fb_term = np.zeros(m)
+        u_tilde[t] = fwd[t] + fb_term
+        u_hat[t] = decision_device(u_tilde[t] + mu, df.decision_domain) - mu
+        fed_back = uc[t] if oracle_feedback else u_hat[t]
+        r[t] = fed_back - fb_term
+    return u_hat, u_tilde
+
+
+class TestClosedLoopAgreement:
+    """run_df_mechanism against the seed loop on the TestClosedLoop seeds:
+    decisions identical, pre-decision estimates within 1e-12 relative."""
+
+    setup_method = TestClosedLoop.setup_method
+
+    def check(self, d, u, seed):
+        for oracle in (False, True):
+            _, diag = run_df_mechanism(d, u, seed=seed,
+                                       oracle_feedback=oracle)
+            u_hat, u_tilde = run_df_reference(d, u, seed, oracle)
+            mu = d.input_mean
+            assert np.array_equal(diag["u_hat"], u_hat + mu)
+            scale = np.max(np.abs(u_tilde + mu))
+            assert np.max(np.abs(diag["u_tilde"] - (u_tilde + mu))) \
+                <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sigma,u_seed,seed", [(0.0, 4, 0),
+                                                   (0.3, 7, 8),
+                                                   (1.0, 9, 10)])
+    def test_identity_prefilter(self, sigma, u_seed, seed):
+        from dpfilt import sample_chain
+        d = design_df(self.F, self.Pu, self.pk, TransferMatrix.identity(2),
+                      sigma=sigma, lookahead=2, N=N, input_mean=self.mean)
+        self.check(d, sample_chain(self.src, 4000, seed=u_seed), seed)
+
+    @pytest.mark.parametrize("eps,lookahead", [(3.0, 24), (22.0, 8)])
+    def test_lms_prefilter(self, eps, lookahead):
+        from dpfilt import assemble_lms, sample_chain
+        pk = priv(self.k, eps=eps, delta=0.2)
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+                                  input_mean=self.mean)
+        d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
+                      sigma=lms_design.noise_sigma, lookahead=lookahead,
+                      N=N, input_mean=self.mean)
+        self.check(d, sample_chain(self.src, 20000, seed=5), 6)

@@ -388,3 +388,97 @@ class TestQuadratureVsSimulation:
                                     abs=3 * se)
         assert d.info["causal_mse_quadrature"] >= \
             d.info["smoother_mse"] - 1e-12
+
+
+def monic_inverse_reference(coeffs, v):
+    """The seed's sliding-window recursion for L e = v, kept as the
+    agreement reference for monic_inverse_filter."""
+    T, m = v.shape
+    K = coeffs.shape[0] - 1
+    e = np.zeros((T, m))
+    if K == 0:
+        e[:] = v
+        return e
+    rev = coeffs[1:][::-1]
+    for t in range(T):
+        lo = max(t - K, 0)
+        window = e[lo:t]
+        if window.shape[0]:
+            e[t] = v[t] - np.einsum("kij,kj->i",
+                                    rev[K - window.shape[0]:], window)
+        else:
+            e[t] = v[t]
+    return e
+
+
+def mimo_fir_reference(taps, v, offset):
+    """The seed's per-(i, j) fftconvolve loop, kept as the agreement
+    reference for mimo_fir."""
+    from scipy.signal import fftconvolve
+    T, m = v.shape
+    y = np.zeros((T, taps.shape[1]))
+    for i in range(taps.shape[1]):
+        for j in range(m):
+            seg = fftconvolve(v[:, j], taps[:, i, j])[offset: offset + T]
+            y[: seg.shape[0], i] += seg
+    return y
+
+
+def stable_monic_poly(rng, K, radius=0.9):
+    """Coefficients 1, a_1..a_K of a real polynomial in z^-1 whose roots
+    lie inside `radius`."""
+    roots = []
+    while len(roots) < K:
+        r = radius * np.sqrt(rng.random())
+        if K - len(roots) >= 2:
+            th = rng.uniform(0, np.pi)
+            roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+        else:
+            roots.append(r)
+    return np.real(np.poly(roots))
+
+
+def rel_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestSequentialKernelAgreement:
+    def test_monic_inverse_diagonal_bank_shape(self, rng):
+        from dpfilt.lms import monic_inverse_filter
+        K, m, T = 40, 15, 3000
+        coeffs = np.zeros((K + 1, m, m))
+        for i in range(m):
+            coeffs[:, i, i] = stable_monic_poly(rng, K)
+        v = rng.normal(size=(T, m))
+        got = monic_inverse_filter(coeffs, v)
+        assert rel_gap(got, monic_inverse_reference(coeffs, v)) <= 1e-12
+
+    def test_monic_inverse_coupled(self, rng):
+        from dpfilt.lms import monic_inverse_filter
+        K, m, T = 5, 3, 3000
+        coeffs = np.zeros((K + 1, m, m))
+        coeffs[0] = np.eye(m)
+        for k in range(1, K + 1):
+            coeffs[k] = rng.normal(scale=0.1 / k, size=(m, m))
+        # small-gain: sum of tap norms below one keeps L^-1 stable
+        assert sum(np.linalg.norm(c, 2) for c in coeffs[1:]) < 1.0
+        v = rng.normal(size=(T, m))
+        got = monic_inverse_filter(coeffs, v)
+        assert rel_gap(got, monic_inverse_reference(coeffs, v)) <= 1e-12
+
+    def test_monic_inverse_order_zero(self, rng):
+        from dpfilt.lms import monic_inverse_filter
+        v = rng.normal(size=(50, 4))
+        got = monic_inverse_filter(np.eye(4)[None], v)
+        assert np.array_equal(got, monic_inverse_reference(np.eye(4)[None],
+                                                           v))
+
+    @pytest.mark.parametrize("offset", [0, 2, 7, 40])
+    def test_mimo_fir_matches_pairwise_fftconvolve(self, rng, offset):
+        # offsets: causal postfilter, DF lookahead, smoother half-width
+        # (taps span lags -7..7), and one past the end of the taps
+        from dpfilt.lms import mimo_fir
+        taps = rng.normal(size=(15, 3, 4))
+        v = rng.normal(size=(2000, 4))
+        got = mimo_fir(taps, v, offset)
+        assert rel_gap(got, mimo_fir_reference(taps, v, offset)) <= 1e-12

@@ -167,3 +167,38 @@ class TestServerExample:
     def test_selector_validation(self):
         with pytest.raises(ConfigError):
             MarkovSource(np.eye(2), (5,))
+
+
+def sample_chain_states_reference(src, T, seed):
+    """The seed's searchsorted stepping loop, kept as the agreement
+    reference for sample_chain."""
+    p = stationary_distribution(src)
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(src.Pi, axis=0)
+    cum[-1, :] = 1.0
+    state = int(np.searchsorted(np.cumsum(p), rng.random()))
+    draws = rng.random(T)
+    states = np.empty(T, dtype=np.int64)
+    for t in range(T):
+        states[t] = state
+        state = int(np.searchsorted(cum[:, state], draws[t]))
+    return states
+
+
+class TestSamplingAgreement:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 11, 88])
+    def test_states_match_searchsorted_loop(self, seed):
+        src = server_example(0.3, 0.6)
+        states = sample_chain_states_reference(src, 20000, seed)
+        want = np.stack([states == s for s in src.selectors], axis=1)
+        got = sample_chain(src, 20000, seed)
+        assert np.array_equal(got.data, want.astype(float))
+
+    def test_states_match_on_random_chain(self, rng):
+        Pi = rng.random((5, 5)) + 0.05
+        Pi /= Pi.sum(axis=0, keepdims=True)
+        src = MarkovSource(Pi, (0, 2, 4))
+        states = sample_chain_states_reference(src, 5000, 3)
+        want = np.stack([states == s for s in src.selectors], axis=1)
+        assert np.array_equal(sample_chain(src, 5000, 3).data,
+                              want.astype(float))
