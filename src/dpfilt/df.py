@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (_bracket_inverse_times, as_grid, mimo_fir,
                   monic_inverse_filter)
-from .lti import (SpectrumGrid, TransferMatrix, grid_omega,
-                  simulate as lti_simulate, trapezoid_mean)
+from .lti import (SpectrumGrid, TransferMatrix, simulate as lti_simulate,
+                  taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization,
                        conjugate_factorization, matrix_canonical_factor)
@@ -45,10 +45,7 @@ class MonicFeedback:
                          for c in range(self.m)], axis=2)
 
     def grid(self, N: int) -> np.ndarray:
-        z = np.exp(-1j * np.outer(grid_omega(N),
-                                  np.arange(self.p_coeffs.shape[0])))
-        Pg = np.einsum("qk,kij->qij", z, self.p_coeffs)
-        return np.linalg.inv(Pg)
+        return np.linalg.inv(taps_grid(self.p_coeffs, N))
 
 
 @dataclass

@@ -19,7 +19,8 @@ from scipy import signal as ssig
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
 from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
-                  freq_response, grid_omega, trapezoid_mean)
+                  freq_response, grid_omega, taps_grid, trapezoid_mean,
+                  trapezoid_weights)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, matrix_canonical_factor,
@@ -90,10 +91,10 @@ def _tilde(Fg: np.ndarray, Pg: np.ndarray, k: np.ndarray, kap: float):
 
 def _psd_sqrt(P: np.ndarray) -> np.ndarray:
     """Batched Hermitian PSD square root (eigenvalues clipped at zero)."""
-    sym = 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
-    w, V = np.linalg.eigh(sym)
-    w = np.sqrt(np.maximum(w, 0.0))
-    return np.einsum("qij,qj,qkj->qik", V, w, np.conj(V))
+    w, V = np.linalg.eigh(0.5 * (P + np.conj(np.swapaxes(P, 1, 2))))
+    Vc = np.conj(V)
+    V *= np.sqrt(np.maximum(w, 0.0))[:, None, :]
+    return V @ np.swapaxes(Vc, 1, 2)
 
 
 def _bracket_inverse_times(Pt: np.ndarray, C: np.ndarray,
@@ -189,55 +190,53 @@ def waterfill_diagonal(F, P_u, k, privacy: PrivacySpec,
     if np.any(p_diag <= 0):
         raise NotPositiveDefinite("input spectrum must be positive")
     pt = p_diag / (kap ** 2 * (k ** 2)[None, :])
-    amp = np.sqrt(Ft_sq)
-
-    def level(lam: float) -> np.ndarray:
-        return np.maximum(0.0, amp / np.sqrt(lam) - 1.0 / pt)
-
-    lo = hi = 1.0
-    while trapezoid_mean(level(hi).sum(axis=1)) > 1.0:
-        hi *= 4.0
-    while trapezoid_mean(level(lo).sum(axis=1)) < 1.0:
-        lo /= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if trapezoid_mean(level(mid).sum(axis=1)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    lam = 0.5 * (lo + hi)
-    x = level(lam)
+    x, lam = _waterfill_level(np.sqrt(Ft_sq), pt)
     x /= trapezoid_mean(x.sum(axis=1))
-    prof = AllocationProfile(x=x, lam=float(lam))
+    prof = AllocationProfile(x=x, lam=lam)
     prof.objective = lms_objective(F, P_u, k, privacy, prof, N)
     return prof
 
 
+def _hinge_root(w: np.ndarray, p: np.ndarray, r: np.ndarray) -> float:
+    """Exact s with sum(w * max(0, p s - r)) = 1, for w > 0, p >= 0.
+
+    The sum is nondecreasing and piecewise linear in s with kinks at
+    r / p (terms with p = 0 never switch on). Sorted kinks and cumulative
+    sums of w p and w r give its value at every kink; s lies on the
+    segment that first reaches one, where the active terms are known.
+    """
+    w, p, r = w.ravel(), p.ravel(), r.ravel()
+    live = p > 0
+    w, p, r = w[live], p[live], r[live]
+    kink = r / p
+    order = np.argsort(kink)
+    kink = kink[order]
+    cwp = np.cumsum((w * p)[order])
+    cwr = np.cumsum((w * r)[order])
+    reach = kink * cwp - cwr >= 1.0
+    j = int(np.argmax(reach)) if reach.any() else kink.size
+    s = (1.0 + cwr[j - 1]) / cwp[j - 1]
+    # one Newton step with pairwise sums removes the cumulative sums'
+    # rounding, which cancellation can amplify when p s is close to r
+    on = p * s > r
+    return float(s - (np.sum(w[on] * (p[on] * s - r[on])) - 1.0)
+                 / np.sum(w[on] * p[on]))
+
+
+def _waterfill_level(amp: np.ndarray, pt: np.ndarray):
+    """Waterfilling profile x = max(0, amp / sqrt(lam) - 1 / pt) on the
+    (N+1, m) grid with the multiplier lam that makes it integrate to one;
+    returns (x, lam)."""
+    w = np.broadcast_to(trapezoid_weights(amp.shape[0] - 1)[:, None],
+                        amp.shape)
+    t = _hinge_root(w, amp, 1.0 / pt)
+    return np.maximum(0.0, amp * t - 1.0 / pt), 1.0 / t ** 2
+
+
 def _project_profile(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(weights * x) = 1}."""
-    a = weights.ravel()
-    yf = y.ravel()
-
-    def excess(mu: float) -> float:
-        return float(a @ np.maximum(0.0, yf - mu * a) - 1.0)
-
-    lo, hi = -1.0, 1.0
-    while excess(lo) < 0.0:
-        lo *= 4.0
-    while excess(hi) > 0.0:
-        hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    mu = 0.5 * (lo + hi)
-    return np.maximum(0.0, yf - mu * a).reshape(y.shape)
+    """Euclidean projection onto {x >= 0, sum(weights * x) = 1}: the
+    projection is max(0, y + s weights) with s the exact hinge root."""
+    return np.maximum(0.0, y + _hinge_root(weights, weights, -y) * weights)
 
 
 def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
@@ -262,9 +261,7 @@ def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
     R = _psd_sqrt(Pt)
     eye = np.eye(m)[None, :, :]
     idx = np.arange(m)
-    w_q = np.ones(N + 1)
-    w_q[0] = w_q[-1] = 0.5
-    w_q /= N
+    w_q = trapezoid_weights(N)
     weights = np.repeat(w_q[:, None], m, axis=1)
     RFtH = R @ np.conj(np.swapaxes(Ft, 1, 2))
 
@@ -279,23 +276,7 @@ def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
     # warm start from waterfilling on the diagonal part of the spectrum
     p_diag = np.maximum(np.real(Pg[:, idx, idx]), 1e-300)
     pt = p_diag / (kap ** 2 * (k ** 2)[None, :])
-    amp = np.sqrt(_column_tilde_sq(Fg, k, kap))
-
-    def wf_level(lam):
-        return np.maximum(0.0, amp / np.sqrt(lam) - 1.0 / pt)
-
-    lo, hi = 1.0, 1.0
-    while trapezoid_mean(wf_level(hi).sum(axis=1)) > 1.0:
-        hi *= 4.0
-    while trapezoid_mean(wf_level(lo).sum(axis=1)) < 1.0:
-        lo /= 4.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if trapezoid_mean(wf_level(mid).sum(axis=1)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    x = wf_level(0.5 * (lo + hi))
+    x, _ = _waterfill_level(np.sqrt(_column_tilde_sq(Fg, k, kap)), pt)
     x = _project_profile(x, weights)
 
     val, grad = value_grad(x)
@@ -360,9 +341,7 @@ class SmootherFilter:
         return mimo_fir(self.taps, v, self.half)
 
     def grid(self, N: int) -> np.ndarray:
-        lags = np.arange(-self.half, self.half + 1)
-        z = np.exp(-1j * np.outer(grid_omega(N), lags))
-        return np.einsum("ql,lij->qij", z, self.taps)
+        return taps_grid(self.taps, N, -self.half)
 
 
 def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
@@ -429,13 +408,8 @@ class CausalWienerFilter:
         return mimo_fir(self.mc, d)
 
     def grid(self, N: int) -> np.ndarray:
-        omega = grid_omega(N)
-        zl = np.exp(-1j * np.outer(omega, np.arange(self.l_coeffs.shape[0])))
-        Lg = np.einsum("qk,kij->qij", zl, self.l_coeffs)
-        zm = np.exp(-1j * np.outer(omega, np.arange(self.mc.shape[0])))
-        Mg = np.einsum("qk,kij->qij", zm, self.mc)
-        pe_inv = np.linalg.inv(self.pe)
-        return Mg @ pe_inv[None, :, :] @ np.linalg.inv(Lg)
+        Mg = taps_grid(self.mc, N) @ np.linalg.inv(self.pe)
+        return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
 
 def causal_wiener(F, P_u, G, sigma: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import signal
 
 from .errors import (DimensionMismatch, ImproperTransferFunction,
@@ -355,15 +356,40 @@ def grid_omega(N: int) -> np.ndarray:
     return np.arange(N + 1) * np.pi / N
 
 
+def taps_grid(taps, N: int, first_lag: int = 0) -> np.ndarray:
+    """Sum_k taps[k] exp(-j omega_q (k + first_lag)) on omega_q = q pi / N.
+
+    taps is a real array (L, ...) with tap k at lag k + first_lag; the
+    result has shape (N+1, ...). Since exp(-j omega_q 2N) = 1 on this
+    grid, the taps fold onto 2N points by lag mod 2N and one rfft of
+    length 2N gives every grid value exactly, for any L and any sign of
+    first_lag.
+    """
+    taps = np.asarray(taps, dtype=float)
+    n = 2 * N
+    L = taps.shape[0]
+    start = first_lag % n
+    wraps = -(-(start + L) // n)
+    buf = np.zeros((wraps * n,) + taps.shape[1:])
+    buf[start:start + L] = taps
+    if wraps > 1:
+        buf = buf.reshape((wraps, n) + taps.shape[1:]).sum(axis=0)
+    return sfft.rfft(buf, axis=0)
+
+
 def trapezoid_mean(values: np.ndarray) -> np.ndarray:
     """(1/2pi) * integral over [-pi, pi] of an even function sampled on the
     [0, pi] grid, by the trapezoidal rule."""
     values = np.asarray(values)
-    N = values.shape[0] - 1
+    return np.tensordot(trapezoid_weights(values.shape[0] - 1), values,
+                        axes=(0, 0))
+
+
+def trapezoid_weights(N: int) -> np.ndarray:
+    """Weights of trapezoid_mean on the N+1 grid points."""
     w = np.ones(N + 1)
     w[0] = w[-1] = 0.5
-    w = w / N
-    return np.tensordot(w, values, axes=(0, 0))
+    return w / N
 
 
 def _require_stable(sys) -> None:

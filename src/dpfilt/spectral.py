@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from .errors import (FactorizationStalled, FitFailed, NotFactorizable,
                      NotPositiveDefinite)
 from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, TransferMatrix,
-                  grid_omega)
+                  grid_omega, taps_grid)
 
 LOG_FLOOR_FRAC = 1e-12
 # Remedy for a spectrum that inherits a singular input spectrum.
@@ -166,13 +166,26 @@ class MatrixFactorization:
         return self.pe.shape[0]
 
     def eval_grid(self, omega: np.ndarray) -> np.ndarray:
-        K = self.coeffs.shape[0] - 1
-        z = np.exp(-1j * np.outer(omega, np.arange(K + 1)))
-        return np.einsum("qk,kij->qij", z, self.coeffs)
+        """L(e^{j omega}), shape (N+1, m, m), on the design grid only.
+
+        omega must be grid_omega(N) for some N (as SpectrumGrid.omega is);
+        the values come from one taps_grid FFT, and any other omega raises
+        ValueError.
+        """
+        omega = np.asarray(omega, dtype=float)
+        N = omega.size - 1
+        if omega.ndim != 1 or N < 1 or \
+                np.max(np.abs(omega - grid_omega(N))) > 1e-12:
+            raise ValueError("eval_grid needs the design grid "
+                             "omega_q = q pi / N, q = 0..N")
+        return taps_grid(self.coeffs, N)
 
     def reconstruct(self, omega: np.ndarray) -> np.ndarray:
+        """L Pe L^H on the design grid (see eval_grid)."""
         Lg = self.eval_grid(omega)
-        return np.einsum("qij,jk,qlk->qil", Lg, self.pe, np.conj(Lg))
+        LP = Lg @ self.pe
+        np.conj(Lg, out=Lg)
+        return LP @ np.swapaxes(Lg, 1, 2)
 
     def as_transfer_matrix(self) -> TransferMatrix:
         m = self.m
@@ -266,12 +279,12 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     while True:
         n = n_blocks
         T = np.zeros((n * m, n * m))
+        T4 = T.reshape(n, m, n, m)      # T4[i, :, j, :] is block (i, j)
         for d in range(min(band + 1, n)):
-            blk = R[d]
-            for i in range(d, n):
-                T[i * m:(i + 1) * m, (i - d) * m:(i - d + 1) * m] = blk
-                if d:
-                    T[(i - d) * m:(i - d + 1) * m, i * m:(i + 1) * m] = blk.T
+            i = np.arange(d, n)
+            T4[i, :, i - d, :] = R[d]
+            if d:
+                T4[i - d, :, i, :] = R[d].T
         try:
             Lc = sla.cholesky(T, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:

@@ -242,6 +242,10 @@ class TestDfRoundTrip:
                      "--out", str(design_path)]) == 0
         doc = load_json(design_path)
         assert doc["kind"] == "decision_feedback"
+        # the fit note measures the LMS prefilter the DF design reuses
+        info = doc["info"]
+        loss = info["achieved_objective"] / info["optimal_objective"] - 1.0
+        assert (f"{loss:.3g}" in capsys.readouterr().err) == (loss > 1e-3)
         report_path = tmp_path / "report.json"
         assert main(["simulate", "--design", str(design_path),
                      "--trials", "2", "--steps", "4000",
@@ -395,6 +399,58 @@ class TestTamperedDesign:
                      "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestFitNote:
+    """The prefilter fit note compares fit_tol with the MSE-level loss."""
+
+    def _design(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.yaml"
+        write_yaml(path, doc)
+        out = tmp_path / "design.json"
+        capsys.readouterr()
+        assert main(["design", "--config", str(path),
+                     "--out", str(out)]) == 0
+        return load_json(out), capsys.readouterr().err
+
+    def test_silent_on_bank_zfe(self, tmp_path, capsys):
+        doc = {
+            "grid_n": 1024,
+            "seed": 7,
+            "privacy": {"epsilon": 1.6094379124341003, "delta": 0.05,
+                        "k": [4.0] * 15},
+            "filter": {"preset": "occupancy_bank"},
+            "mechanism": {"kind": "zfe", "factor_order": 40},
+        }
+        d, err = self._design(tmp_path, capsys, doc)
+        # every channel's grid residual is above fit_tol ...
+        assert min(d["info"]["prefilter_fit_errors"]) > 1e-3
+        # ... but the MSE-level loss is not, so no note
+        assert d["theory_mse"] / d["info"]["diag_bound"] - 1.0 < 1e-3
+        assert "note:" not in err
+
+    def test_fires_on_low_order_zfe(self, tmp_path, capsys):
+        _, doc = base_config(tmp_path)
+        doc["mechanism"] = {"kind": "zfe", "factor_order": 4}
+        d, err = self._design(tmp_path, capsys, doc)
+        loss = d["theory_mse"] / d["info"]["diag_bound"] - 1.0
+        assert loss > 0.1
+        assert "note:" in err and f"{loss:.3g}" in err
+        assert "theory_mse / diag_bound - 1" in err
+
+    def test_fires_on_lms(self, tmp_path, capsys):
+        _, doc = base_config(tmp_path, mech="lms_smoother")
+        d, err = self._design(tmp_path, capsys, doc)
+        info = d["info"]
+        loss = info["achieved_objective"] / info["optimal_objective"] - 1.0
+        assert 1e-3 < loss < 0.01
+        assert "note:" in err and f"{loss:.3g}" in err
+        assert "achieved / optimal objective - 1" in err
+        assert len(info["prefilter_fit_errors"]) == 2
+        # a looser fit_tol silences it
+        doc["mechanism"]["fit_tol"] = 0.01
+        _, err = self._design(tmp_path, capsys, doc)
+        assert "note:" not in err
 
 
 class TestOccupancyBankCli:

@@ -482,3 +482,100 @@ class TestSequentialKernelAgreement:
         v = rng.normal(size=(2000, 4))
         got = mimo_fir(taps, v, offset)
         assert rel_gap(got, mimo_fir_reference(taps, v, offset)) <= 1e-12
+
+
+def psd_sqrt_reference(P):
+    sym = 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
+    w, V = np.linalg.eigh(sym)
+    w = np.sqrt(np.maximum(w, 0.0))
+    return np.einsum("qij,qj,qkj->qik", V, w, np.conj(V))
+
+
+def project_profile_bisection(y, weights):
+    """Projection onto {x >= 0, sum(weights x) = 1} by bisection on mu."""
+    a = weights.ravel()
+    yf = y.ravel()
+
+    def excess(mu):
+        return float(a @ np.maximum(0.0, yf - mu * a) - 1.0)
+
+    lo, hi = -1.0, 1.0
+    while excess(lo) < 0.0:
+        lo *= 4.0
+    while excess(hi) > 0.0:
+        hi *= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    mu = 0.5 * (lo + hi)
+    return np.maximum(0.0, yf - mu * a).reshape(y.shape)
+
+
+def waterfill_bisection(amp, pt):
+    """Waterfilling level max(0, amp / sqrt(lam) - 1 / pt) with lam
+    bisected until the profile integrates to one; returns (x, lam)."""
+    def level(lam):
+        return np.maximum(0.0, amp / np.sqrt(lam) - 1.0 / pt)
+
+    lo = hi = 1.0
+    while trapezoid_mean(level(hi).sum(axis=1)) > 1.0:
+        hi *= 4.0
+    while trapezoid_mean(level(lo).sum(axis=1)) < 1.0:
+        lo /= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if trapezoid_mean(level(mid).sum(axis=1)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    lam = 0.5 * (lo + hi)
+    return level(lam), lam
+
+
+class TestAllocationKernelAgreement:
+    """Exact and batched allocation kernels against the bisection and
+    einsum forms they replace."""
+
+    def test_psd_sqrt_matches_einsum(self, rng):
+        from dpfilt.lms import _psd_sqrt
+        A = rng.normal(size=(65, 5, 5)) + 1j * rng.normal(size=(65, 5, 5))
+        P = A @ np.conj(np.swapaxes(A, 1, 2))
+        P[:, :, 4] = P[:, 4, :] = 0.0       # singular: clipped eigenvalue
+        want = psd_sqrt_reference(P)
+        got = _psd_sqrt(P)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got @ got - P)) <= 1e-12 * np.max(np.abs(P))
+
+    @pytest.mark.parametrize("shape", [(N + 1, 1), (N + 1, 3), (1025, 15)])
+    def test_projection_matches_bisection(self, rng, shape):
+        from dpfilt.lms import _project_profile
+        w_q = np.ones(shape[0])
+        w_q[0] = w_q[-1] = 0.5
+        weights = np.repeat((w_q / (shape[0] - 1))[:, None], shape[1], axis=1)
+        for scale in (0.1, 1.0, 30.0):
+            y = scale * rng.normal(size=shape) + rng.uniform(-1, 1)
+            got = _project_profile(y, weights)
+            want = project_profile_bisection(y, weights)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.min(got) >= 0.0
+            assert abs(float((weights * got).sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 4, 15])
+    def test_waterfill_level_matches_bisection(self, rng, m):
+        from dpfilt.lms import _waterfill_level
+        amp = rng.uniform(0.0, 3.0, size=(N + 1, m))
+        amp[:, 0] *= np.abs(np.cos(OMEGA))      # a zero at omega = pi / 2
+        pt = rng.uniform(0.05, 5.0, size=(N + 1, m))
+        x, lam = _waterfill_level(amp, pt)
+        x_ref, lam_ref = waterfill_bisection(amp, pt)
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+        assert float(trapezoid_mean(x.sum(axis=1))) == pytest.approx(
+            1.0, rel=1e-12)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dpfilt import (RationalFilter, SpectrumGrid,
+from dpfilt import (MatrixFactorization, RationalFilter, SpectrumGrid,
                     fit_rational_magnitude, grid_omega,
                     matrix_canonical_factor, paley_wiener_check,
                     scalar_spectral_factor)
 from dpfilt.errors import (FitFailed, NotFactorizable,
                            NotPositiveDefinite)
+from dpfilt.lti import taps_grid
 from dpfilt.spectral import conjugate_factorization
 
 N = 1024
@@ -213,3 +214,88 @@ class TestFactorizationErrorPaths:
         P = SpectrumGrid(spectrum_from_factor(coeffs0, pe0, OMEGA))
         with pytest.raises(FactorizationStalled):
             matrix_canonical_factor(P, tol=1e-12, max_blocks=4)
+
+
+def bauer_loop_reference(samples, n, band):
+    """Bauer's coefficients and Pe at n blocks from the block-Toeplitz
+    matrix assembled one block at a time (the original assembly)."""
+    from scipy import linalg as sla
+    from dpfilt.spectral import _truncate_tail, _two_sided
+    m = samples.shape[1]
+    R = np.fft.ifft(_two_sided(samples), axis=0).real
+    T = np.zeros((n * m, n * m))
+    for d in range(min(band + 1, n)):
+        blk = R[d]
+        for i in range(d, n):
+            T[i * m:(i + 1) * m, (i - d) * m:(i - d + 1) * m] = blk
+            if d:
+                T[(i - d) * m:(i - d + 1) * m, i * m:(i + 1) * m] = blk.T
+    Lc = sla.cholesky(T, lower=True, check_finite=False)
+    row = np.stack([Lc[(n - 1) * m: n * m, (n - 1 - k) * m:(n - k) * m]
+                    for k in range(min(band + 1, n))])
+    W0 = row[0]
+    coeffs = np.einsum("kij,jl->kil", row, np.linalg.inv(W0))
+    return _truncate_tail(coeffs, 1e-13), W0 @ W0.T
+
+
+class TestGridKernelAgreement:
+    """The FFT/matmul grid kernels against the exp/einsum forms."""
+
+    @pytest.mark.parametrize("L,n_grid,first_lag", [
+        (41, 1024, 0),          # canonical factor taps
+        (527, 256, 0),          # longer than 2N: folded
+        (15, 64, -7),           # two-sided smoother, lags -7..7
+        (300, 64, -150),        # two-sided and longer than 2N
+        (5, 16, 40),            # every lag past 2N
+    ])
+    def test_taps_grid_matches_exp_sum(self, rng, L, n_grid, first_lag):
+        taps = rng.normal(size=(L, 3, 2))
+        omega = grid_omega(n_grid)
+        z = np.exp(-1j * np.outer(omega, np.arange(L) + first_lag))
+        ref = np.einsum("qk,kij->qij", z, taps)
+        got = taps_grid(taps, n_grid, first_lag)
+        assert got.shape == (n_grid + 1, 3, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_taps_grid_scalar_taps(self):
+        got = taps_grid([1.0, -0.5], 8)
+        ref = 1.0 - 0.5 * np.exp(-1j * grid_omega(8))
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_eval_grid_and_reconstruct_match_einsum(self, rng):
+        coeffs = rng.normal(scale=0.3, size=(12, 3, 3))
+        coeffs[0] = np.eye(3)
+        A = rng.normal(size=(3, 3))
+        fact = MatrixFactorization(coeffs=coeffs, pe=A @ A.T + np.eye(3))
+        Lg = fact.eval_grid(OMEGA)
+        ref = eval_mat_fir(coeffs, OMEGA)
+        assert np.max(np.abs(Lg - ref)) <= 1e-12 * np.max(np.abs(ref))
+        recon = fact.reconstruct(OMEGA)
+        want = spectrum_from_factor(coeffs, fact.pe, OMEGA)
+        assert np.max(np.abs(recon - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("omega", [
+        OMEGA + 1e-3,                       # shifted grid
+        np.linspace(0.0, 1.0, 9),           # not reaching pi
+        OMEGA[None, :],                     # not one-dimensional
+        np.array([0.0]),                    # no grid at all
+    ])
+    def test_eval_grid_off_grid_raises(self, omega):
+        fact = MatrixFactorization(coeffs=np.eye(2)[None], pe=np.eye(2))
+        with pytest.raises(ValueError):
+            fact.eval_grid(omega)
+        with pytest.raises(ValueError):
+            fact.reconstruct(omega)
+
+    def test_bauer_bitwise_equal_to_loop_assembly(self):
+        theta1 = np.array([[0.4, 0.1], [-0.2, 0.3]])
+        theta2 = np.array([[0.1, -0.05], [0.02, 0.15]])
+        pe0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        coeffs0 = np.stack([np.eye(2), theta1, theta2])
+        samples = spectrum_from_factor(coeffs0, pe0, OMEGA)
+        fact = matrix_canonical_factor(SpectrumGrid(samples))
+        assert fact.meta["bandwidth"] == 3
+        coeffs, pe = bauer_loop_reference(samples, fact.meta["blocks"],
+                                          fact.meta["bandwidth"])
+        assert np.array_equal(fact.coeffs, coeffs)
+        assert np.array_equal(fact.pe, pe)
