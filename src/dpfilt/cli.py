@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import Config
-from .errors import DpfiltError
+from .errors import ConfigError, DpfiltError
 from .fileio import (build_filter, design_from_dict, design_to_dict,
                      load_json, save_json, source_from_spec,
                      spectrum_from_spec)
@@ -87,7 +87,6 @@ def cmd_design(args) -> int:
     _apply_overrides(cfg, args)
     if args.mechanism is not None:
         from .config import MECHANISM_KINDS
-        from .errors import ConfigError
         if args.mechanism not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism {args.mechanism!r}; "
                               f"expected one of {MECHANISM_KINDS}")
@@ -147,7 +146,12 @@ def cmd_simulate(args) -> int:
     from .streams import EventStream
     doc = load_json(args.design)
     validate_document(doc, "design.schema.json")
-    if args.domain is not None and doc.get("kind") == "decision_feedback":
+    if args.domain is not None:
+        from .df import decision_op
+        if doc["kind"] != "decision_feedback":
+            raise ConfigError(f"--domain applies to decision_feedback "
+                              f"designs only; this design is {doc['kind']}")
+        decision_op(args.domain)
         doc.setdefault("info", {})["decision_domain"] = args.domain
     design = design_from_dict(doc)
     cfg = Config.from_dict(doc.get("config", {}))

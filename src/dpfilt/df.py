@@ -20,9 +20,6 @@ from .spectral import (FLOOR_HINT, MatrixFactorization,
 from .streams import EventStream
 from .zfe import MechanismDesign
 
-DECISION_DOMAINS = ("nonneg_integers", "sign", "reals")
-
-
 @dataclass
 class MonicFeedback:
     """B = P^-1 for a monic minimum-phase FIR matrix polynomial P.
@@ -123,17 +120,37 @@ def df_theory_mse(T: np.ndarray, R: np.ndarray,
     return float(kappa(privacy) ** 2 * np.trace(np.asarray(T) @ np.asarray(R)))
 
 
+def _nonneg_integers(x):
+    return np.maximum(np.rint(x, out=x), 0.0, out=x)
+
+
+def _sign(x):
+    return np.where(x >= 0.0, 1.0, -1.0)
+
+
+def _reals(x):
+    return x
+
+
+# Decision op per input domain. Each op takes a float array it may
+# overwrite and returns the decisions.
+_DECISION_OPS = {"nonneg_integers": _nonneg_integers, "sign": _sign,
+                 "reals": _reals}
+DECISION_DOMAINS = tuple(_DECISION_OPS)
+
+
+def decision_op(domain: str):
+    """The decision op of an input domain; ConfigError if unknown."""
+    try:
+        return _DECISION_OPS[domain]
+    except KeyError:
+        raise ConfigError(f"unknown decision domain: {domain};"
+                          f" expected one of {DECISION_DOMAINS}") from None
+
+
 def decision_device(x, domain: str):
     """Map raw estimates onto the admissible input domain."""
-    x = np.asarray(x, dtype=float)
-    if domain == "nonneg_integers":
-        return np.maximum(np.rint(x), 0.0)
-    if domain == "sign":
-        return np.where(x >= 0.0, 1.0, -1.0)
-    if domain == "reals":
-        return x
-    raise ConfigError(f"unknown decision domain: {domain};"
-                      f" expected one of {DECISION_DOMAINS}")
+    return decision_op(domain)(np.array(x, dtype=float))
 
 
 def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
@@ -145,8 +162,7 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     The forward filter is the Wiener smoother for B u truncated to
     lookahead d; theory_mse reports the assumed-correct-decision value.
     """
-    if decision_domain not in DECISION_DOMAINS:
-        raise ConfigError(f"unknown decision domain: {decision_domain}")
+    decision_op(decision_domain)
     if lookahead < 0:
         raise ConfigError("lookahead must be nonnegative")
     if N is None:
@@ -195,7 +211,7 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
               "assumed_correct_mse": theory})
 
 
-def run_df_mechanism(design: MechanismDesign, stream, seed: int,
+def run_df_mechanism(design: MechanismDesign, stream, seed,
                      lookahead: int | None = None,
                      oracle_feedback: bool = False):
     """Closed-loop DF simulation with actual (possibly erroneous)
@@ -206,51 +222,75 @@ def run_df_mechanism(design: MechanismDesign, stream, seed: int,
     estimate of y_t happens d steps later; alignment keeps MSE
     bookkeeping uniform across mechanisms.
 
+    A sequence of streams with a matching sequence of seeds (one per
+    trial) returns a list of such pairs. The trials run in one loop over
+    time: each step takes the feedback of every trial by one matrix
+    product, so the per-step cost is paid once, not once per trial.
+
     oracle_feedback replaces fed-back decisions by the true inputs,
     reproducing the correct-past-decisions assumption behind the
     closed-form MSE; useful only for validation, never for release.
     """
     df: DfDesign = design.postfilter
+    decide = decision_op(df.decision_domain)
     d = design.lookahead if lookahead is None else int(lookahead)
-    u = stream.data if hasattr(stream, "data") else np.atleast_2d(stream)
-    T, m = u.shape
+    single = not isinstance(stream, (list, tuple))
+    streams = [stream] if single else list(stream)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(streams):
+        raise DimensionMismatch(
+            f"{len(streams)} streams but {len(seeds)} seeds")
+    data = [np.asarray(s.data if hasattr(s, "data") else np.atleast_2d(s),
+                       dtype=float) for s in streams]
+    B = len(data)
+    T, m = data[0].shape
+    if any(x.shape != (T, m) for x in data):
+        raise DimensionMismatch("batched streams must share one shape")
     if m != design.prefilter.shape[1]:
         raise DimensionMismatch("stream channels do not match the prefilter")
     mu = design.input_mean if design.input_mean is not None else np.zeros(m)
-    uc = u - mu[None, :]
-    v = lti_simulate(design.prefilter, uc)
-    if design.noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        v = v + rng.normal(0.0, design.noise_sigma, size=v.shape)
+    # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
+    # u_tilde is built in place on top of it. Per-step arrays are
+    # time-major (T, B, m), so row t of every trial is one contiguous view.
+    u_tilde = np.empty((T, B, m))
+    for b in range(B):
+        v = lti_simulate(design.prefilter, data[b] - mu)
+        if design.noise_sigma > 0.0:
+            rng = np.random.default_rng(seeds[b])
+            v += rng.normal(0.0, design.noise_sigma, size=v.shape)
+        u_tilde[:, b] = mimo_fir(df.h1_taps, v, d)
 
-    # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j}
-    fwd = mimo_fir(df.h1_taps, v, d)
-
-    # feedback term: one (m, K m) matvec per step against the flattened
-    # window of the last K rows of r = fed_back - fb_term (zero-padded)
+    # feedback term: one (B, K m) @ (K m, m) product per step against the
+    # flattened windows of the last K rows of r = fed_back - fb_term
+    # (zero-padded), one window row per trial
     P = df.feedback.p_coeffs
     K = P.shape[0] - 1
-    A = np.concatenate(P[1:][::-1], axis=1) if K else np.zeros((m, 0))
-    buf = np.zeros((T + K, m))
-    flat = buf.ravel()
-    u_hat = np.zeros((T, m))
-    u_tilde = np.zeros((T, m))
-    fed_back = uc if oracle_feedback else u_hat
+    A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
+    flat = np.zeros((B, (T + K) * m))
+    r = flat.reshape(B, T + K, m)[:, K:]
+    u_hat = np.empty((T, B, m))
+    fed_back = np.stack(data, axis=1) - mu if oracle_feedback else u_hat
     for t in range(T):
-        fb_term = A @ flat[t * m:(t + K) * m]
-        u_tilde[t] = fwd[t] + fb_term
-        u_hat[t] = decision_device(u_tilde[t] + mu, df.decision_domain) - mu
-        buf[K + t] = fed_back[t] - fb_term
+        fb_term = flat[:, t * m:(t + K) * m] @ A
+        x = u_tilde[t]
+        x += fb_term
+        h = u_hat[t]
+        np.add(x, mu, out=h)
+        np.subtract(decide(h), mu, out=h)
+        np.subtract(fed_back[t], fb_term, out=r[:, t])
+    del flat, r                 # free the window before the outputs
+
     mean_shift = design.target.dc_gain() @ mu
-    y_hat = lti_simulate(design.target, u_hat) + mean_shift
-    label = stream.dt_label if hasattr(stream, "dt_label") else ""
-    out = EventStream(y_hat,
-                      [f"y{i + 1}" for i in range(y_hat.shape[1])], label)
-    diagnostics = {
-        "lookahead": d,
-        "u_tilde": u_tilde + mu[None, :],
-        "u_hat": u_hat + mu[None, :],
-        "decision_disagreement": float(np.mean(
-            np.any(np.abs(u_hat - u_tilde) > 1e-12, axis=1))),
-    }
-    return out, diagnostics
+    out = []
+    for b, s in enumerate(streams):
+        y_hat = lti_simulate(design.target, u_hat[:, b]) + mean_shift
+        label = s.dt_label if hasattr(s, "dt_label") else ""
+        disagree = float(np.mean(
+            np.any(np.abs(u_hat[:, b] - u_tilde[:, b]) > 1e-12, axis=1)))
+        out.append((EventStream(
+            y_hat, [f"y{i + 1}" for i in range(y_hat.shape[1])], label),
+            {"lookahead": d, "u_tilde": u_tilde[:, b], "u_hat": u_hat[:, b],
+             "decision_disagreement": disagree}))
+    u_tilde += mu                 # the diagnostics report uncentered values
+    u_hat += mu
+    return out[0] if single else out

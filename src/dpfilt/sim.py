@@ -163,7 +163,14 @@ def synthetic_occupancy_source(m: int = 15, seed: int = 7, rates=None,
 
 def run_mechanism(design: MechanismDesign, stream: EventStream,
                   seed: int) -> EventStream:
-    """Apply a designed mechanism to one input stream."""
+    """Apply a designed mechanism to one input stream.
+
+    A DF design also takes a list of streams with a list of seeds and
+    returns the list of outputs, run in one closed loop over all trials.
+    """
+    if design.kind == "decision_feedback":
+        run = run_df_mechanism(design, stream, seed)
+        return [out for out, _ in run] if isinstance(run, list) else run[0]
     u = stream.data
     m = design.target.shape[1]
     if u.shape[1] != m:
@@ -176,9 +183,6 @@ def run_mechanism(design: MechanismDesign, stream: EventStream,
             y = y + rng.normal(0.0, design.noise_sigma, size=y.shape)
         return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
                            stream.dt_label)
-    if design.kind == "decision_feedback":
-        out, _ = run_df_mechanism(design, stream, seed)
-        return out
     mu = design.input_mean if design.input_mean is not None \
         else np.zeros(m)
     v = simulate(design.prefilter, u - mu[None, :])
@@ -233,15 +237,26 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
     if T - burn - tail < 32:
         raise ConfigError(
             f"T={T} leaves no analysis window after burn-in {burn}")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    vals = []
-    for i in range(trials):
-        child = seeds[i].spawn(2)
-        u = source.sample(T, child[0])
+    children = [child.spawn(2)
+                for child in np.random.SeedSequence(seed).spawn(trials)]
+
+    def trial_mse(u: EventStream, yhat: EventStream) -> float:
         y = simulate(design.target, u.data)
-        yhat = run_mechanism(design, u, child[1])
         err = y[burn: T - tail] - yhat.data[burn: T - tail]
-        vals.append(float(np.mean(np.sum(err ** 2, axis=1))))
+        return float(np.mean(np.sum(err ** 2, axis=1)))
+
+    if design.kind == "decision_feedback":
+        # DF steps every trial in one closed loop; linear kinds run one
+        # trial at a time, so only one input stream is alive at once
+        streams = [source.sample(T, child[0]) for child in children]
+        yhats = run_mechanism(design, streams,
+                              [child[1] for child in children])
+        vals = [trial_mse(u, yhat) for u, yhat in zip(streams, yhats)]
+    else:
+        vals = []
+        for child in children:
+            u = source.sample(T, child[0])
+            vals.append(trial_mse(u, run_mechanism(design, u, child[1])))
     vals = np.asarray(vals)
     stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(vals.mean()), stderr

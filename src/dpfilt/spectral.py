@@ -211,17 +211,23 @@ def _truncate_tail(h: np.ndarray, tol: float) -> np.ndarray:
     return h[:stop]
 
 
-def _diagonal_factor(P: SpectrumGrid, floor_frac: float
-                     ) -> MatrixFactorization:
-    """Per-entry cepstral factorization for (block-free) diagonal spectra."""
+def _diagonal_factor(P: SpectrumGrid, floor_frac: float, off_peak: float,
+                     scale: float) -> MatrixFactorization:
+    """Per-entry cepstral factorization for (block-free) diagonal spectra.
+
+    off_peak is the largest off-diagonal |P_ij| and scale the largest
+    |P_ij|. The factor is diagonal, so its grid error is the larger of
+    off_peak and the per-channel max |pe_ii |g_i|^2 - P_ii|, over scale.
+    """
     m = P.shape[0]
     N = P.n_grid
-    diag = np.real(np.stack([P.samples[:, i, i] for i in range(m)], axis=1))
+    idx = np.arange(m)
+    diag = P.samples[:, idx, idx]
     max_len = 1
     taps = []
     gains = np.zeros(m)
     for i in range(m):
-        h = _cepstral_impulse(diag[:, i], floor_frac)
+        h = _cepstral_impulse(diag[:, i].real, floor_frac)
         h = _truncate_tail(h[: N], 1e-12)
         gains[i] = h[0]
         taps.append(h / h[0])
@@ -230,9 +236,10 @@ def _diagonal_factor(P: SpectrumGrid, floor_frac: float
     for i in range(m):
         coeffs[: taps[i].size, i, i] = taps[i]
     fact = MatrixFactorization(coeffs=coeffs, pe=np.diag(gains ** 2))
-    recon = fact.reconstruct(P.omega)
-    fact.grid_error = float(np.max(np.abs(recon - P.samples))
-                            / max(np.max(np.abs(P.samples)), 1e-300))
+    g = taps_grid(coeffs[:, idx, idx], N)
+    mag2 = g.real ** 2 + g.imag ** 2
+    diag_err = float(np.max(np.abs(gains ** 2 * mag2 - diag)))
+    fact.grid_error = max(diag_err, off_peak) / max(scale, 1e-300)
     return fact
 
 
@@ -266,8 +273,9 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     off = samples.copy()
     idx = np.arange(m)
     off[:, idx, idx] = 0.0
-    if m == 1 or np.max(np.abs(off)) <= 1e-14 * scale:
-        return _diagonal_factor(P, LOG_FLOOR_FRAC)
+    off_peak = float(np.max(np.abs(off)))
+    if off_peak <= 1e-14 * scale:
+        return _diagonal_factor(P, LOG_FLOOR_FRAC, off_peak, scale)
 
     N = P.n_grid
     R = np.fft.ifft(_two_sided(samples), axis=0).real

@@ -272,6 +272,52 @@ class TestDfRoundTrip:
         assert "spectrum.floor" not in err
 
 
+class TestSimulateDomain:
+    """`dpfilt simulate --domain` overrides the decision domain of a DF
+    design; an unknown domain or a non-DF design fails with exit 2."""
+
+    def design(self, tmp_path, mech):
+        fdoc = transfer_matrix_to_dict(
+            TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1]),
+                                     RationalFilter([0.6, 0.3, 0.1])]))
+        write_yaml(tmp_path / "target.yaml", fdoc)
+        cfg_path, _ = base_config(
+            tmp_path, mech=mech,
+            spectrum={"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                      "floor": 1e-4},
+            filter_block={"file": str(tmp_path / "target.yaml")})
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        return design_path
+
+    def simulate(self, tmp_path, design_path, domain):
+        return main(["simulate", "--design", str(design_path),
+                     "--trials", "2", "--steps", "2000", "--domain", domain,
+                     "--report", str(tmp_path / "report.json")])
+
+    def test_sign_on_df_design(self, tmp_path):
+        design_path = self.design(tmp_path, "df")
+        assert self.simulate(tmp_path, design_path, "sign") == 0
+        assert (tmp_path / "report.json").exists()
+
+    def test_unknown_domain(self, tmp_path, capsys):
+        design_path = self.design(tmp_path, "df")
+        capsys.readouterr()
+        assert self.simulate(tmp_path, design_path, "bogus") == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "nonneg_integers" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_df_design_rejected(self, tmp_path, capsys):
+        design_path = self.design(tmp_path, "zfe")
+        capsys.readouterr()
+        assert self.simulate(tmp_path, design_path, "sign") == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "zero_forcing" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestByteDeterminism:
     def test_markov_gen_csv_bytes(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -7,6 +7,7 @@ from dpfilt import (PrivacySpec, RationalFilter, SpectrumGrid,
                     grid_omega, kappa, optimal_feedback,
                     run_df_mechanism, server_example, simulate,
                     trapezoid_mean)
+from dpfilt.df import DECISION_DOMAINS
 from dpfilt.errors import ConfigError
 from dpfilt.spectral import MatrixFactorization
 
@@ -387,3 +388,68 @@ class TestClosedLoopAgreement:
                       sigma=lms_design.noise_sigma, lookahead=lookahead,
                       N=N, input_mean=self.mean)
         self.check(d, sample_chain(self.src, 20000, seed=5), 6)
+
+
+class TestBatchedClosedLoop:
+    """One closed loop over a batch of trials against the per-trial seed
+    loop, for real and oracle feedback: pre-decision estimates within
+    1e-12 relative and, where the decision quantizes, every trial's
+    decisions identical. On the reals the decision is the identity, so
+    u_hat is u_tilde with its rounding and is held to the same bound."""
+
+    setup_method = TestClosedLoop.setup_method
+    TRIALS = ((4, 0), (7, 8), (9, 10))      # (input seed, noise seed)
+
+    def design(self, domain):
+        # at this budget about 7% of the integer decisions are wrong
+        from dpfilt import assemble_lms
+        pk = priv(self.k, eps=10.0, delta=0.2)
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+                                  input_mean=self.mean)
+        return design_df(self.F, self.Pu, pk, lms_design.prefilter,
+                         sigma=lms_design.noise_sigma, lookahead=8,
+                         decision_domain=domain, N=N, input_mean=self.mean)
+
+    def streams(self, domain, u_seeds):
+        from dpfilt import sample_chain
+        from dpfilt.streams import EventStream
+        if domain != "sign":
+            return [sample_chain(self.src, 3000, seed=s) for s in u_seeds]
+        return [EventStream(np.where(
+            np.random.default_rng(s).random((3000, 2)) < 0.5, -1.0, 1.0))
+            for s in u_seeds]
+
+    @staticmethod
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("domain", DECISION_DOMAINS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_matches_per_trial_reference(self, domain, batch, oracle):
+        d = self.design(domain)
+        trials = self.TRIALS[:batch] if batch > 1 else self.TRIALS[1:2]
+        us = self.streams(domain, [u for u, _ in trials])
+        seeds = [s for _, s in trials]
+        runs = run_df_mechanism(d, us, seeds, oracle_feedback=oracle)
+        assert len(runs) == batch
+        same = self.close if domain == "reals" else np.array_equal
+        mu = d.input_mean
+        for u, seed, (out, diag) in zip(us, seeds, runs):
+            u_hat, u_tilde = run_df_reference(d, u, seed, oracle)
+            assert same(diag["u_hat"], u_hat + mu)
+            assert self.close(diag["u_tilde"], u_tilde + mu)
+            single, _ = run_df_mechanism(d, u, seed, oracle_feedback=oracle)
+            assert same(out.data, single.data)
+
+    def test_unknown_domain_raises_before_the_loop(self):
+        d = self.design("nonneg_integers")
+        d.postfilter.decision_domain = "complex"
+        with pytest.raises(ConfigError, match="nonneg_integers"):
+            run_df_mechanism(d, self.streams("reals", [4]), [0])
+
+    def test_seed_count_must_match(self):
+        from dpfilt.errors import DimensionMismatch
+        d = self.design("nonneg_integers")
+        with pytest.raises(DimensionMismatch):
+            run_df_mechanism(d, self.streams("reals", [4, 7]), [0])

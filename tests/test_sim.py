@@ -147,6 +147,44 @@ class TestEmpiricalMse:
         emp, se = empirical_mse(design, self.src, trials=8, T=12000, seed=4)
         assert abs(emp - design.theory_mse) < 3 * se
 
+    def test_df_batched_equals_per_trial_loop(self):
+        # empirical_mse steps every DF trial in one closed loop; the
+        # per-trial seed loop (run_df_reference) on the same SeedSequence
+        # children gives the same mean and stderr, bit for bit
+        from test_df import run_df_reference
+        from dpfilt import RationalFilter, SpectrumGrid, TransferMatrix, \
+            design_df
+        from dpfilt.sim import _margins
+        markov = server_example(0.3, 0.6)
+        Pu_raw, mean = chain_spectrum(markov, N)
+        floor = 1e-4 * float(np.max(np.abs(Pu_raw.samples)))
+        Pu = SpectrumGrid(Pu_raw.samples + floor * np.eye(2)[None, :, :])
+        f = RationalFilter([0.6, 0.3, 0.1])
+        F = TransferMatrix.diagonal([f, f])
+        # a budget at which the decisions depend on the noise: at
+        # epsilon = 1 every decision is 0 and the noise seeds would not
+        # show in the MSE
+        pk = priv(self.k, eps=10.0, delta=0.2)
+        lms_design = assemble_lms(F, Pu, pk, mode="smoother", N=N,
+                                  input_mean=mean)
+        d = design_df(F, Pu, pk, lms_design.prefilter,
+                      sigma=lms_design.noise_sigma, lookahead=8, N=N,
+                      input_mean=mean)
+        trials, T, seed = 4, 3000, 13
+        got = empirical_mse(d, self.src, trials=trials, T=T, seed=seed)
+        burn, tail = _margins(d, T)
+        vals = []
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            child = child.spawn(2)
+            u = self.src.sample(T, child[0])
+            u_hat, _ = run_df_reference(d, u, child[1])
+            y_hat = simulate(F, u_hat) + F.dc_gain() @ mean
+            err = (simulate(F, u.data) - y_hat)[burn: T - tail]
+            vals.append(float(np.mean(np.sum(err ** 2, axis=1))))
+        vals = np.asarray(vals)
+        assert got == (float(vals.mean()),
+                       float(vals.std(ddof=1) / np.sqrt(trials)))
+
     def test_too_short_run_rejected(self):
         G = design_diag_prefilter(self.F, self.k, N=N)
         design = assemble_zfe(self.F, G, self.pk, N)

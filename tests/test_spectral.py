@@ -299,3 +299,50 @@ class TestGridKernelAgreement:
                                           fact.meta["bandwidth"])
         assert np.array_equal(fact.coeffs, coeffs)
         assert np.array_equal(fact.pe, pe)
+
+
+class TestDiagonalGridError:
+    """The diagonal path's per-channel grid error equals the dense
+    max |L Pe L^H - P| / max |P| to 1e-15 (both already relative)."""
+
+    @staticmethod
+    def dense(fact, P):
+        recon = fact.reconstruct(P.omega)
+        return float(np.max(np.abs(recon - P.samples))
+                     / np.max(np.abs(P.samples)))
+
+    @staticmethod
+    def diagonal(rng, m, exact):
+        # exact: |1 + a e^{-jw}|^2 has an FIR factor, so the error sits
+        # at rounding level; otherwise the truncated factor leaves ~1e-6
+        if exact:
+            a = rng.uniform(-0.6, 0.6, m)
+            s = np.abs(1.0 + a * np.exp(-1j * OMEGA[:, None])) ** 2 \
+                * rng.uniform(0.5, 2.0, m)
+        else:
+            s = 1.2 + rng.uniform(0.1, 1.0, m) * np.cos(
+                OMEGA[:, None] + rng.uniform(0.0, np.pi, m))
+        S = np.zeros((N + 1, m, m), dtype=complex)
+        S[:, np.arange(m), np.arange(m)] = s
+        return S
+
+    @pytest.mark.parametrize("m,exact", [(1, True), (3, True), (3, False),
+                                         (15, True), (15, False)])
+    def test_matches_dense_reconstruction(self, rng, m, exact):
+        P = SpectrumGrid(self.diagonal(rng, m, exact))
+        fact = matrix_canonical_factor(P)
+        assert abs(fact.grid_error - self.dense(fact, P)) <= 1e-15
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nearly_diagonal_spectrum(self, rng, exact):
+        # off-diagonal entries just inside the 1e-14 gate take the
+        # diagonal path; the grid error then includes the dropped |P_ij|
+        S = self.diagonal(rng, 3, exact)
+        off = 9e-15 * np.max(np.abs(S)) * np.exp(1j * OMEGA)
+        S[:, 0, 2] = off
+        S[:, 2, 0] = np.conj(off)
+        P = SpectrumGrid(S)
+        fact = matrix_canonical_factor(P)
+        assert not np.any(fact.coeffs[:, 0, 2]) and "blocks" not in fact.meta
+        assert fact.grid_error >= 9e-15 * (1 - 1e-12)
+        assert abs(fact.grid_error - self.dense(fact, P)) <= 1e-15
