@@ -16,8 +16,8 @@ from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, StateSpace,
 from .markov import (MarkovSource, autocovariance, chain_spectrum,
                      demo_filter, sample_chain, server_example,
                      server_stationary, stationary_distribution)
-from .privacy import (PrivacySpec, add_noise, kappa, noise_sigma, q_function,
-                      q_inverse)
+from .privacy import (PrivacySpec, add_noise, gaussian_delta, kappa,
+                      noise_sigma, q_function, q_inverse)
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
                           diagonal_sensitivity, mimo_bounds, mimo_exact,
                           simo_sensitivity)

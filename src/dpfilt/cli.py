@@ -3,7 +3,9 @@
 Subcommands: design, sensitivity, simulate, markov-gen, report. Every
 output JSON embeds the tool version, the config echo and its hash, so a
 run is reproducible from (config, seed) alone. Exit codes: 0 success,
-2 config/input error, 3 numerical failure, 4 infeasible design.
+2 config/input error, 3 numerical failure, 4 infeasible design, 5 a
+stored design whose noise is below its privacy calibration
+(InsufficientNoise).
 """
 
 from __future__ import annotations

@@ -10,17 +10,15 @@ prefilter magnitudes x_iq integrate (trapezoidally) to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import signal as ssig
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
 from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
-                  freq_response, grid_omega, taps_grid, trapezoid_mean,
-                  trapezoid_weights)
+                  freq_response, grid_omega, next_fast_len, taps_grid,
+                  trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, matrix_canonical_factor,
@@ -28,6 +26,9 @@ from .spectral import (FLOOR_HINT, matrix_canonical_factor,
 from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign
 
 _ZERO_CHANNEL_TOL = 1e-12
+# Causal postfilter taps are cut after the last one above this fraction of
+# their peak.
+TAP_CUT = 1e-12
 
 
 @dataclass
@@ -353,41 +354,58 @@ def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
     T, m = v.shape
     L, p, _ = taps.shape
     n_full = T + L - 1
-    nfft = sfft.next_fast_len(n_full, real=True)
+    nfft = next_fast_len(n_full)
     V = np.empty((nfft // 2 + 1, m), dtype=complex)
     for j in range(m):
-        V[:, j] = sfft.rfft(v[:, j], nfft)
+        V[:, j] = np.fft.rfft(v[:, j], nfft)
     y = np.zeros((T, p))
     stop = min(offset + T, n_full)
     for i in range(p):
-        Y = sum(sfft.rfft(taps[:, i, j], nfft) * V[:, j] for j in range(m))
-        y[: stop - offset, i] = sfft.irfft(Y, nfft)[offset:stop]
+        Y = sum(np.fft.rfft(taps[:, i, j], nfft) * V[:, j] for j in range(m))
+        y[: stop - offset, i] = np.fft.irfft(Y, nfft)[offset:stop]
     return y
 
 
 def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve L e = v recursively for a monic FIR matrix polynomial L
-    (coeffs (K+1, m, m), coeffs[0] = I).
+    (coeffs (K+1, m, m), coeffs[0] = I) and v of shape (T, m).
 
-    With every off-diagonal tap exactly zero (independent channels, as
-    the diagonal canonical factor returns) each channel runs 1 / L_ii by
-    one lfilter call. Otherwise step t is one (m, K m) matvec against the
-    flattened window of the last K outputs in a zero-padded buffer.
+    Forward substitution: step t subtracts the taps applied to the last
+    (up to K) outputs, summed oldest lag first.
     """
-    T, m = v.shape
+    T = v.shape[0]
     K = coeffs.shape[0] - 1
-    if not np.any(coeffs[:, ~np.eye(m, dtype=bool)]):
-        e = np.empty((T, m))
-        for i in range(m):
-            a = np.r_[1.0, coeffs[1:, i, i]]        # monic: ignore coeffs[0]
-            e[:, i] = ssig.lfilter([1.0], a, v[:, i])
-        return e
-    A = np.concatenate(coeffs[1:][::-1], axis=1)     # oldest lag first
-    buf = np.zeros((T + K, m))
-    flat = buf.ravel()
+    rev = coeffs[1:][::-1]                           # oldest lag first
+    e = np.zeros(v.shape)
     for t in range(T):
-        buf[K + t] = v[t] - A @ flat[t * m:(t + K) * m]
-    return buf[K:]
+        lo = max(t - K, 0)
+        e[t] = v[t] - np.einsum("kij,kj->i", rev[K - (t - lo):], e[lo:t])
+    return e
+
+
+def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
+                ) -> np.ndarray:
+    """Impulse response (n, p, m) of mc * Pe^-1 L^-1, cut after its last
+    tap above TAP_CUT times its peak.
+
+    W = Mc Pe^-1 L^-1 solves W L = Mc Pe^-1, so row i of W is the monic
+    recursion in L^T run on row i of Mc Pe^-1. The horizon doubles until
+    the kept taps end in its first three quarters (or reaches 2^16).
+    """
+    r = mc @ np.linalg.inv(pe)                        # (Tc, p, m)
+    lt = np.swapaxes(l_coeffs, 1, 2)
+    n = max(256, 2 * (r.shape[0] + lt.shape[0]))
+    while True:
+        v = np.zeros((n,) + r.shape[1:])
+        v[:r.shape[0]] = r
+        w = np.stack([monic_inverse_filter(lt, v[:, i])
+                      for i in range(r.shape[1])], axis=1)
+        mags = np.abs(w).reshape(n, -1).max(axis=1)
+        keep = np.nonzero(mags > TAP_CUT * mags.max())[0]
+        stop = int(keep[-1]) + 1 if keep.size else 1
+        if stop <= n - n // 4 or n >= 1 << 16:
+            return w[:stop].copy()
+        n *= 2
 
 
 @dataclass
@@ -395,17 +413,21 @@ class CausalWienerFilter:
     """Causal Wiener postfilter [P_yv L^-*]_+ Pe^-1 L^-1 in operational form.
 
     l_coeffs holds the monic canonical factor of the observation spectrum,
-    mc the causal part of the whitened cross filter.
+    mc the causal part of the whitened cross filter, and taps the whole
+    postfilter as one causal FIR (see causal_taps), which apply runs.
     """
 
     l_coeffs: np.ndarray        # (KL+1, m, m), l_coeffs[0] = I
     pe: np.ndarray              # (m, m)
     mc: np.ndarray              # (Tc, p, m) causal taps
     anticausal_tail: float = 0.0
+    taps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.taps = causal_taps(self.mc, self.pe, self.l_coeffs)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        d = monic_inverse_filter(self.l_coeffs, v) @ np.linalg.inv(self.pe).T
-        return mimo_fir(self.mc, d)
+        return mimo_fir(self.taps, v)
 
     def grid(self, N: int) -> np.ndarray:
         Mg = taps_grid(self.mc, N) @ np.linalg.inv(self.pe)
@@ -437,7 +459,7 @@ def causal_wiener(F, P_u, G, sigma: float,
     peak = max(float(np.max(np.abs(h))), 1e-300)
     tail = float(np.max(np.abs(anti)) / peak) if anti.size else 0.0
     mags = np.abs(causal).reshape(causal.shape[0], -1).max(axis=1)
-    keep = np.nonzero(mags > 1e-12 * peak)[0]
+    keep = np.nonzero(mags > TAP_CUT * peak)[0]
     stop = int(keep[-1]) + 1 if keep.size else 1
     return CausalWienerFilter(l_coeffs=fact.coeffs, pe=fact.pe,
                               mc=causal[:stop], anticausal_tail=tail)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import signal
 
 from .errors import (DimensionMismatch, ImproperTransferFunction,
                      LyapunovFailure, UnstableSystem)
@@ -21,6 +19,12 @@ from .streams import EventStream
 STABILITY_TOL = 1e-9
 DEFAULT_GRID = 1024
 GRAMIAN_TOL = 1e-12
+# Samples per block of IirBank (raised to the largest order). A recursive
+# bank chains its blocks through a carried state, and fewer, longer blocks
+# round less along that chain; a bank of FIR filters carries nothing and
+# does the least work per sample in short blocks.
+IIR_BLOCK = 128
+FIR_BLOCK = 32
 
 
 def _trim(coefs) -> np.ndarray:
@@ -91,11 +95,14 @@ class RationalFilter:
 
     def impulse(self, n: int) -> np.ndarray:
         x = np.zeros(n)
-        x[0] = 1.0
-        return signal.lfilter(self.num, self.den, x)
+        x[:1] = 1.0
+        return self.filt(x)
 
     def filt(self, x: np.ndarray) -> np.ndarray:
-        return signal.lfilter(self.num, self.den, np.asarray(x, dtype=float))
+        """Run the filter over a 1-D signal from zero initial state."""
+        x = np.asarray(x, dtype=float)
+        return IirBank([(0, self.den, [(0, self.num)])], 1).run(
+            x[:, None])[:, 0]
 
     def cascade(self, other: "RationalFilter") -> "RationalFilter":
         return RationalFilter(np.convolve(self.num, other.num),
@@ -203,12 +210,29 @@ class TransferMatrix:
         return self.eval(1.0).real
 
     def impulse(self, n: int) -> np.ndarray:
-        """Matrix impulse response, shape (n, p, m)."""
-        out = np.zeros((n, self.p, self.m))
-        for i in range(self.p):
-            for j in range(self.m):
-                out[:, i, j] = self.entries[i][j].impulse(n)
+        """Matrix impulse response, shape (n, p, m): the bank of
+        simulate run on a unit impulse in each input column."""
+        out = np.empty((n, self.p, self.m))
+        x = np.zeros((n, self.m))
+        for j in range(self.m):
+            x[:1, j] = 1.0
+            out[:, :, j] = self.bank().run(x)
+            x[:1, j] = 0.0
         return out
+
+    def bank(self) -> "IirBank":
+        """The IirBank that runs this matrix: its nonzero entries grouped
+        by (row, denominator). Built on first use and kept, since entries
+        are not modified after construction."""
+        if "_bank" not in self.__dict__:
+            groups = {}
+            for i, row in enumerate(self.entries):
+                for j, e in enumerate(row):
+                    if not e.is_zero():
+                        groups.setdefault((i, e.den.tobytes()),
+                                          (i, e.den, []))[2].append((j, e.num))
+            self._bank = IirBank(list(groups.values()), self.p)
+        return self._bank
 
     def cascade_diag_inverse(self, g: "TransferMatrix") -> "TransferMatrix":
         """Entrywise right-division by a diagonal g: returns self * g^-1."""
@@ -374,7 +398,22 @@ def taps_grid(taps, N: int, first_lag: int = 0) -> np.ndarray:
     buf[start:start + L] = taps
     if wraps > 1:
         buf = buf.reshape((wraps, n) + taps.shape[1:]).sum(axis=0)
-    return sfft.rfft(buf, axis=0)
+    return np.fft.rfft(buf, axis=0)
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n: a fast FFT size."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power of two that lifts p35 to at least n
+            cand = p35 << max(-(-n // p35) - 1, 0).bit_length()
+            best = min(best, cand)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def trapezoid_mean(values: np.ndarray) -> np.ndarray:
@@ -520,8 +559,132 @@ def h2_norm(sys, method: str = "auto", N: int = DEFAULT_GRID) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+class IirBank:
+    """A bank of rational filters run over the columns of one signal.
+
+    Group g = (o, a, members) adds (1 / a) * sum over members (j, b) of
+    b * x[:, j] to output column o, from zero initial state, for monic
+    denominators a of order at most P.
+
+    Time runs in blocks of B >= P samples. With w the block's input
+    window (its B samples of a member column and the q - 1 before them,
+    q the group's longest numerator) and y_prev the last P outputs of the
+    block before, the recursion a * y = b * x over the block reads
+    Ta y = Bt w - Ay y_prev, Ta the lower-triangular Toeplitz matrix of a,
+    so
+
+        y_block = M w + Z y_prev,  [M | Z] = Ta^-1 [Bt | -Ay].
+
+    M and Z are built once. A run is one matmul per member over all
+    blocks at once (the Toeplitz matmul), a loop over blocks that chains
+    their last P outputs (the P-state carry), and one matmul per group
+    adding Z y_prev.
+    """
+
+    def __init__(self, groups, n_out: int):
+        groups = [(int(o), np.asarray(a, dtype=float),
+                   [(int(j), np.atleast_1d(np.asarray(b, dtype=float)))
+                    for j, b in members]) for o, a, members in groups]
+        self.n_out = n_out
+        self.out = [o for o, _, _ in groups]
+        self.cols = [[j for j, _ in members] for _, _, members in groups]
+        self.q = [max(b.size for _, b in members) for _, _, members in groups]
+        self.P = P = max((a.size - 1 for _, a, _ in groups), default=0)
+        self.Q = max(self.q, default=1)
+        G = len(groups)
+        a = np.zeros((G, P + 1))
+        for g, (_, ag, _) in enumerate(groups):
+            a[g, :ag.size] = ag
+        self.recursive = bool(np.any(a[:, 1:]))
+        self.B = B = max(IIR_BLOCK if self.recursive else FIR_BLOCK, P)
+        # Ta^-1 is the lower-triangular Toeplitz matrix of h, the first B
+        # taps of 1 / a, taken by the recursion in long double so that no
+        # rounding compounds along it
+        h = np.zeros((G, B), dtype=np.longdouble)
+        h[:, 0] = 1.0
+        a_ld = a.astype(np.longdouble)
+        for t in range(1, B):
+            k = min(t, P)
+            h[:, t] = -np.einsum("gi,gi->g", a_ld[:, 1:k + 1],
+                                 h[:, t - 1::-1][:, :k])
+        r = np.arange(B)[:, None]
+        lag = r - np.arange(B)[None, :]
+        ta_inv = np.where(lag >= 0, h.astype(float)[:, np.maximum(lag, 0)],
+                          0.0)
+        # y_prev[p] is y at t0 - P + p, so Ay[r, p] = a[r + P - p] for
+        # 1 <= r + P - p <= P
+        ai = r + P - np.arange(P)[None, :]
+        ay = np.where((ai >= 1) & (ai <= P), a[:, np.minimum(ai, P)], 0.0)
+        self.Zt = -np.swapaxes(ta_inv @ ay, 1, 2).copy()     # (G, P, B)
+        self.zt_tail = self.Zt[:, :, B - P:].copy()
+        # per member M transposed, (B + q - 1, B), so that a run multiplies
+        # the (n_blocks, B + q - 1) window matrix from the right
+        self.Mt = []
+        for g, (_, _, members) in enumerate(groups):
+            q = self.q[g]
+            lb = r + q - 1 - np.arange(B + q - 1)[None, :]
+            band = (lb >= 0) & (lb < q)
+            mts = []
+            for _, b in members:
+                bp = np.zeros(q)
+                bp[:b.size] = b
+                bt = np.where(band, bp[np.clip(lb, 0, q - 1)], 0.0)
+                mts.append((ta_inv[g] @ bt).T.copy())
+            self.Mt.append(mts)
+        self.one_to_one = self.out == list(range(n_out))
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """Outputs (T, n_out) for an input signal x of shape (T, m)."""
+        x = np.asarray(x, dtype=float)
+        T, m = x.shape
+        B, P, Q = self.B, self.P, self.Q
+        nb = -(-T // B)
+        xp = np.zeros((m, Q - 1 + nb * B))
+        xp[:, Q - 1:Q - 1 + T] = x.T
+        cur = xp[:, Q - 1:].reshape(m, nb, B)
+        s = xp.strides[1]
+        # members on all-zero columns add nothing; groups without a live
+        # member output zeros
+        live = set(np.flatnonzero(xp.any(axis=1)).tolist())
+        active = [g for g, cols in enumerate(self.cols)
+                  if not live.isdisjoint(cols)]
+        y = np.zeros((len(self.out), nb, B))
+        for g in active:
+            q = self.q[g]
+            for j, mt in zip(self.cols[g], self.Mt[g]):
+                if j not in live:
+                    continue
+                y[g] += cur[j] @ mt[q - 1:]
+                if q > 1:   # the q - 1 samples before each block
+                    past = np.lib.stride_tricks.as_strided(
+                        xp[j, Q - q:], shape=(nb, q - 1), strides=(s * B, s),
+                        writeable=False)
+                    y[g] += past @ mt[:q - 1]
+        if self.recursive and nb > 1:
+            # carry[k] = y_prev of block k: the last P outputs of block k - 1
+            tail = y[:, :, B - P:]
+            carry = np.zeros((len(self.out), nb, P))
+            for k in range(1, nb):
+                np.matmul(carry[:, k - 1:k], self.zt_tail,
+                          out=carry[:, k:k + 1])
+                carry[:, k] += tail[:, k - 1]
+            for g in active:
+                y[g] += carry[g] @ self.Zt[g]
+        if self.one_to_one:
+            return y.reshape(self.n_out, nb * B)[:, :T].T
+        out = np.zeros((self.n_out, nb * B))
+        for g, o in enumerate(self.out):
+            out[o] += y[g].reshape(-1)
+        return out[:, :T].T
+
+
 def simulate(sys, stream):
-    """Run a system over a stream (or raw array) from zero initial state."""
+    """Run a system over a stream (or raw array) from zero initial state.
+
+    Transfer-matrix entries that share a row and a denominator form one
+    IirBank group: their numerator outputs are summed before one pass of
+    the common recursion.
+    """
     arr_in = isinstance(stream, np.ndarray)
     u = np.atleast_2d(stream) if arr_in else stream.data
     if isinstance(sys, RationalFilter):
@@ -533,12 +696,7 @@ def simulate(sys, stream):
         if u.shape[1] != m:
             raise DimensionMismatch(
                 f"input has {u.shape[1]} channels, system expects {m}")
-        y = np.zeros((u.shape[0], p))
-        for i in range(p):
-            for j in range(m):
-                e = sys.entries[i][j]
-                if not e.is_zero():
-                    y[:, i] += e.filt(u[:, j])
+        y = sys.bank().run(u)
     if arr_in:
         return y
     return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],

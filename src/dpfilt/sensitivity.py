@@ -9,12 +9,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                      OracleTooLarge, UnstableSystem)
 from .lti import (GRAMIAN_TOL, RationalFilter, StateSpace, TransferMatrix,
-                  h2_norm, observability_gramian, realize_state_space)
+                  h2_norm, next_fast_len, observability_gramian,
+                  realize_state_space)
 
 
 @dataclass
@@ -133,9 +133,9 @@ def mimo_exact(G, k, tol: float = 1e-10,
                     f"cross-term tail bound {eps.max():.3g} not certified "
                     f"below {tol:g} within {max_horizon} lags")
             L = min(2 * L, max_horizon)
-    nfft = sfft.next_fast_len(2 * L - 1, real=True)
-    H = sfft.rfft(h, nfft, axis=0)                     # (nfft/2+1, p, m)
-    corr = sfft.irfft(H.conj().swapaxes(1, 2) @ H, nfft, axis=0)
+    nfft = next_fast_len(2 * L - 1)
+    H = np.fft.rfft(h, nfft, axis=0)                   # (nfft/2+1, p, m)
+    corr = np.fft.irfft(H.conj().swapaxes(1, 2) @ H, nfft, axis=0)
     sup = np.max(np.abs(corr), axis=0) + eps
     cross = float(k @ (sup - np.diag(np.diag(sup))) @ k)
     is_exact = ss.m <= 2 or (tm is not None and tm.is_diagonal())

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (FactorizationStalled, FitFailed, NotFactorizable,
                      NotPositiveDefinite)
@@ -19,6 +18,9 @@ from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, TransferMatrix,
                   grid_omega, taps_grid)
 
 LOG_FLOOR_FRAC = 1e-12
+# Largest block-Toeplitz matrix Bauer's method may allocate, in bytes; the
+# Cholesky factor is a second matrix of the same size.
+BAUER_MAX_BYTES = 256 * 2 ** 20
 # Remedy for a spectrum that inherits a singular input spectrum.
 FLOOR_HINT = "; add a white `spectrum.floor` to the input spectrum"
 
@@ -135,7 +137,8 @@ def fit_rational_magnitude(s, order: int) -> tuple[RationalFilter, float]:
     if order >= s.size:
         raise FitFailed("fit order too large for the grid")
     try:
-        a = sla.solve_toeplitz((r[:order], r[:order]), -r[1: order + 1])
+        lag = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
+        a = np.linalg.solve(r[lag], -r[1: order + 1])
     except np.linalg.LinAlgError as exc:
         raise FitFailed(f"Yule-Walker system is singular: {exc}") from exc
     den = np.concatenate([[1.0], a])
@@ -254,6 +257,8 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     chosen so the discarded autocovariance tail is below tail_tol.
     A singular sample raises NotPositiveDefinite naming the spectrum
     (name), the worst frequency and its eigenvalue ratio, then the hint.
+    A block count whose (blocks * m)^2 matrix would exceed BAUER_MAX_BYTES
+    raises FactorizationStalled before the matrix is allocated.
     """
     samples = P.samples
     m = P.shape[0]
@@ -283,9 +288,19 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     above = np.nonzero(norms > tail_tol * norms[0])[0]
     band = int(min(above[above < N].max(initial=0) + 1, N))
     n_blocks = min(max(4 * band + 16, 32), max_blocks)
-    last_row = None
+    tried = None
     while True:
         n = n_blocks
+        if 8 * (n * m) ** 2 > BAUER_MAX_BYTES:
+            raise FactorizationStalled(
+                f"{name} needs Bauer's method at {n} blocks (autocovariance "
+                f"bandwidth {band} lags, {m} channels): a "
+                f"{8 * (n * m) ** 2 / 2 ** 20:.0f} MB matrix exceeds the "
+                f"{BAUER_MAX_BYTES / 2 ** 20:.0f} MB budget"
+                + ("" if tried is None else
+                   f" (grid error {tried[1]:.2e} at {tried[0]} blocks)")
+                + "; shorten the spectrum's memory with a white "
+                "`spectrum.floor` or a lower `mechanism.factor_order`")
         T = np.zeros((n * m, n * m))
         T4 = T.reshape(n, m, n, m)      # T4[i, :, j, :] is block (i, j)
         for d in range(min(band + 1, n)):
@@ -294,7 +309,7 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
             if d:
                 T4[i - d, :, i, :] = R[d].T
         try:
-            Lc = sla.cholesky(T, lower=True, check_finite=False)
+            Lc = np.linalg.cholesky(T)
         except np.linalg.LinAlgError as exc:
             raise FactorizationStalled(
                 f"block-Toeplitz Cholesky failed at {n} blocks: {exc}"
@@ -314,6 +329,7 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
         recon = fact.reconstruct(P.omega)
         err = float(np.max(np.abs(recon - samples)) / scale)
         fact.grid_error = err
+        tried = (n, err)
         if err <= tol and drift <= 10 * tol:
             break
         if n_blocks >= max_blocks:

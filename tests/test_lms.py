@@ -579,3 +579,57 @@ class TestAllocationKernelAgreement:
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
         assert float(trapezoid_mean(x.sum(axis=1))) == pytest.approx(
             1.0, rel=1e-12)
+
+
+def iir_apply_reference(post, v):
+    """CausalWienerFilter.apply in its IIR form: the monic inverse L^-1
+    (one scipy lfilter per channel when L is diagonal, else the seed
+    loop), then Pe^-1 and the causal taps mc; the agreement reference for
+    the single-FIR apply over the full causal taps."""
+    from scipy.signal import lfilter
+    from dpfilt.lms import mimo_fir
+    L = post.l_coeffs
+    m = L.shape[1]
+    if np.any(L[:, ~np.eye(m, dtype=bool)]):
+        e = monic_inverse_reference(L, v)
+    else:
+        e = np.stack([lfilter([1.0], np.r_[1.0, L[1:, i, i]], v[:, i])
+                      for i in range(m)], axis=1)
+    return mimo_fir(post.mc, e @ np.linalg.inv(post.pe).T)
+
+
+class TestCausalTaps:
+    def test_bank_lms_causal_matches_iir_apply(self):
+        # the bank_lms_causal design: occupancy bank, i.i.d. Poisson input
+        # statistics, causal LMS at the README privacy settings
+        from dpfilt import occupancy_filter_bank
+        rates = np.array([1.4, 1.836, 1.641, 0.76, 0.88, 1.798, 0.408,
+                          1.714, 1.675, 1.149, 0.885, 0.845, 0.808, 1.112,
+                          1.207])
+        n = 1024
+        Pu = SpectrumGrid(np.repeat(np.diag(rates).astype(complex)[None],
+                                    n + 1, axis=0))
+        pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
+                         k=(4.0,) * 15)
+        d = assemble_lms(occupancy_filter_bank(), Pu, pk, mode="causal",
+                         N=n, order=40, input_mean=rates)
+        post = d.postfilter
+        rng = np.random.default_rng(5)
+        u = rng.poisson(rates, size=(6000, 15)) - rates
+        v = simulate(d.prefilter, u) \
+            + rng.normal(0.0, d.noise_sigma, size=u.shape)
+        assert rel_gap(post.apply(v), iir_apply_reference(post, v)) <= 1e-11
+        # cut by the 1e-12-of-peak rule, like mc
+        mags = np.abs(post.taps).reshape(post.taps.shape[0], -1).max(axis=1)
+        assert mags[-1] > 1e-12 * mags.max()
+
+    def test_coupled_factor_matches_iir_apply(self):
+        src = server_example(0.3, 0.6)
+        Pu, mean = chain_spectrum(src, N)
+        F = demo_filter(6)
+        d = assemble_lms(F, Pu, priv((1.0, 1.0)), mode="causal", N=N,
+                         input_mean=mean)
+        post = d.postfilter
+        assert np.any(post.l_coeffs[:, 0, 1])
+        v = np.random.default_rng(6).normal(size=(3000, 2))
+        assert rel_gap(post.apply(v), iir_apply_reference(post, v)) <= 1e-11

@@ -6,6 +6,7 @@ from dpfilt import (RationalFilter, StateSpace, TransferMatrix, freq_response,
                     realize_state_space, simulate, trapezoid_mean)
 from dpfilt.errors import (DimensionMismatch, ImproperTransferFunction,
                            UnstableSystem)
+from dpfilt.lti import ZERO_FILTER
 from dpfilt.streams import EventStream
 
 from conftest import (gramian_series_oracle, h2_impulse_oracle,
@@ -229,3 +230,133 @@ class TestStateSpaceEntryPoints:
         ss = realize_state_space(tm)
         u = rng.normal(size=(50, 2))
         assert np.max(np.abs(simulate(tm, u) - simulate(ss, u))) < 1e-10
+
+
+def lfilter_reference(tm, u):
+    """The seed's lti.simulate: one scipy lfilter call per nonzero entry,
+    summed per row; kept as the agreement reference for the IIR kernel."""
+    from scipy.signal import lfilter
+    y = np.zeros((u.shape[0], tm.p))
+    for i in range(tm.p):
+        for j in range(tm.m):
+            e = tm[i, j]
+            if not e.is_zero():
+                y[:, i] += lfilter(e.num, e.den, u[:, j])
+    return y
+
+
+def long_double_filter(num, den, x):
+    """num / den run over x by the direct recursion in long double."""
+    b = np.asarray(num, dtype=np.longdouble)
+    a = np.asarray(den, dtype=np.longdouble)
+    x = np.asarray(x, dtype=np.longdouble)
+    y = np.zeros(x.size, dtype=np.longdouble)
+    for t in range(x.size):
+        k = min(t + 1, b.size)
+        acc = np.dot(b[:k], x[t::-1][:k])
+        k = min(t, a.size - 1)
+        if k:
+            acc -= np.dot(a[1:k + 1], y[t - 1::-1][:k])
+        y[t] = acc
+    return y
+
+
+def rel_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module")
+def bank_zfe_filters():
+    """Prefilter, postfilter and target of the bank ZFE design (the
+    occupancy bank, k = 4, factor order 40, N = 1024)."""
+    from dpfilt import design_diag_prefilter, occupancy_filter_bank
+    F = occupancy_filter_bank()
+    G = design_diag_prefilter(F, np.full(15, 4.0), N=1024, order=40)
+    return {"pre": G, "post": F.cascade_diag_inverse(G), "target": F}
+
+
+class TestIirKernelAgreement:
+    @pytest.mark.parametrize("name", ["pre", "post", "target"])
+    def test_bank_zfe_filters_match_lfilter(self, bank_zfe_filters, name):
+        rng = np.random.default_rng(7)
+        tm = bank_zfe_filters[name]
+        u = rng.poisson(1.2, size=(20000, 15)).astype(float)
+        if name == "post":      # what the postfilter sees: G u + noise
+            u = lfilter_reference(bank_zfe_filters["pre"], u) \
+                + rng.normal(0.0, 3.7, size=u.shape)
+        assert rel_gap(simulate(tm, u), lfilter_reference(tm, u)) <= 1e-14
+
+    def test_random_stable_denominators(self):
+        # orders 1-8, numerators of 1-8 taps, lengths around the block
+        # edges; the gap is the larger of the two implementations' errors
+        from scipy.signal import lfilter
+        from conftest import random_poly_from_roots
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            den = random_poly_from_roots(rng, int(rng.integers(1, 9)), 0.9)
+            num = rng.normal(size=int(rng.integers(1, 9)))
+            f = RationalFilter(num, den)
+            for T in (1, 7, 127, 128, 129, 3000):
+                x = rng.normal(size=T)
+                want, got = lfilter(num, den, x), f.filt(x)
+                if rel_gap(got, want) > 1e-13:
+                    exact = long_double_filter(num, den, x)
+                    assert rel_gap(got, exact) <= rel_gap(want, exact)
+
+    def test_impulse_responses(self, bank_zfe_filters):
+        # lfilter itself is 1.4e-15 from the long-double recursion on the
+        # bank postfilter, so the tight bound is taken against the latter
+        from scipy.signal import lfilter
+        from conftest import random_poly_from_roots
+        rng = np.random.default_rng(11)
+        n = 700
+        delta = np.zeros(n)
+        delta[0] = 1.0
+        cases = []
+        for tm in bank_zfe_filters.values():
+            h = tm.impulse(n)
+            cases += [(tm[i, j], h[:, i, j]) for i in range(tm.p)
+                      for j in range(tm.m) if not tm[i, j].is_zero()]
+        for _ in range(30):
+            f = RationalFilter(rng.normal(size=int(rng.integers(1, 9))),
+                               random_poly_from_roots(
+                                   rng, int(rng.integers(1, 9)), 0.9))
+            cases.append((f, f.impulse(n)))
+        for f, h in cases:
+            assert rel_gap(h, long_double_filter(f.num, f.den, delta)) \
+                <= 1e-15
+            assert rel_gap(h, lfilter(f.num, f.den, delta)) <= 1e-13
+
+    def test_rows_group_by_denominator(self, rng):
+        # entries sharing a row and a denominator are summed before one
+        # pass of the recursion; mixed rows keep one group per denominator
+        a1, a2 = [1.0, -0.5], [1.0, 0.3, 0.2]
+        tm = TransferMatrix([
+            [RationalFilter([1.0, 2.0], a1), RationalFilter([0.5], a1),
+             RationalFilter([1.0, -1.0], a2)],
+            [RationalFilter([0.0]), RationalFilter([3.0], a2),
+             RationalFilter([1.0, 0.0, 0.25])]])
+        u = rng.normal(size=(1000, 3))
+        assert rel_gap(simulate(tm, u), lfilter_reference(tm, u)) <= 1e-14
+        bank = tm.bank()
+        assert sorted(map(len, bank.cols)) == [1, 1, 1, 2]
+
+    def test_long_numerators_and_orders_past_one_block(self, rng):
+        # a numerator longer than a block (the window reaches back over
+        # several blocks) and a denominator order above the block length
+        comb = np.zeros(201)
+        comb[[0, 200]] = [1.0, -0.5]
+        tm = TransferMatrix([
+            [RationalFilter(rng.normal(size=300)),
+             RationalFilter(rng.normal(size=300), [1.0, -0.9, 0.2])],
+            [RationalFilter(rng.normal(size=5), comb), ZERO_FILTER]])
+        u = rng.normal(size=(2000, 2))
+        assert rel_gap(simulate(tm, u), lfilter_reference(tm, u)) <= 1e-14
+        assert np.array_equal(simulate(TransferMatrix([[ZERO_FILTER]]),
+                                       u[:, :1]), np.zeros((2000, 1)))
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+        from dpfilt.lti import next_fast_len
+        assert all(next_fast_len(n) == scipy_next_fast_len(n, real=True)
+                   for n in range(1, 70001))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import erfcinv
 
-from dpfilt import (EventStream, PrivacySpec, add_noise, kappa, noise_sigma,
-                    q_function, q_inverse)
+from dpfilt import (EventStream, PrivacySpec, add_noise, gaussian_delta,
+                    kappa, noise_sigma, q_function, q_inverse)
 from dpfilt.errors import InvalidDelta
 
 # frozen oracle values (high-precision complementary-error-function series)
@@ -165,3 +165,75 @@ class TestAddNoise:
         noise = add_noise(s, 1.0, seed=3).data.ravel()
         kurt = np.mean(noise ** 4) / np.mean(noise ** 2) ** 2
         assert 2.8 < kurt < 3.2
+
+
+def scipy_gaussian_delta(eps, sigma, Delta):
+    """The analytic Gaussian profile with scipy's ndtr as the oracle."""
+    from scipy.special import ndtr
+    a, b = Delta / (2.0 * sigma), eps * sigma / Delta
+    return float(ndtr(a - b) - np.exp(eps) * ndtr(-a - b))
+
+
+DELTAS = np.logspace(-16, np.log10(0.5), 61)
+EPSILONS = (0.05, 0.5, 1.0, float(np.log(5)), 3.0, 10.0)
+
+
+class TestGaussianProfile:
+    def test_matches_scipy_oracle(self):
+        for eps in EPSILONS:
+            for ratio in (0.3, 1.0, 1.267, 3.7, 12.0):
+                want = scipy_gaussian_delta(eps, ratio * 2.5, 2.5)
+                got = gaussian_delta(eps, ratio * 2.5, 2.5)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+    def test_roadmap_values(self):
+        # delta actually met by kappa at the README, server and 1e-5 budgets
+        for eps, delta, met in ((np.log(5), 0.05, 0.0127), (1.0, 0.1, 0.0234),
+                                (1.0, 1e-5, 4.7e-7)):
+            k = kappa(PrivacySpec(epsilon=eps, delta=delta, k=(1.0,)))
+            assert gaussian_delta(eps, k, 1.0) == pytest.approx(met, rel=0.01)
+
+    def test_decreasing_in_sigma(self):
+        vals = [gaussian_delta(1.0, s, 1.0) for s in np.linspace(0.3, 6, 40)]
+        assert np.all(np.diff(vals) < 0)
+
+    def test_kappa_meets_profile(self):
+        # the calibration sigma = kappa * Delta is (eps, delta)-DP under the
+        # exact profile for every delta in [1e-16, 0.5]
+        for eps in EPSILONS:
+            for delta in DELTAS:
+                k = kappa(PrivacySpec(epsilon=eps, delta=float(delta),
+                                      k=(1.0,)))
+                for Delta in (0.25, 1.0, 14.6):
+                    assert gaussian_delta(eps, k * Delta, Delta) <= delta
+
+    def test_bench_designs_meet_profile(self, tmp_path, monkeypatch):
+        # the three benchmark designs, with Delta recomputed from the
+        # stored prefilter as the noise check on load does
+        import json
+        import os
+        from dpfilt.cli import main
+        from dpfilt.fileio import transfer_matrix_from_dict
+        from dpfilt.sensitivity import diagonal_sensitivity
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.chdir(root)
+        for w in ("bank_zfe", "bank_lms_causal", "server_df"):
+            out = tmp_path / f"{w}.json"
+            assert main(["design", "--config",
+                         f"benchmark/workloads/{w}.yaml", "--seed", "3",
+                         "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            p = doc["privacy"]
+            Delta = diagonal_sensitivity(
+                transfer_matrix_from_dict(doc["prefilter"]), p["k"])
+            assert gaussian_delta(p["epsilon"], doc["noise_sigma"], Delta) \
+                <= p["delta"]
+
+    def test_q_inverse_matches_ndtri(self):
+        from scipy.special import ndtri
+        deltas = np.concatenate([DELTAS, np.linspace(1e-6, 1 - 1e-6, 2001),
+                                 1.0 - DELTAS[DELTAS < 0.1]])
+        for delta in deltas:
+            want = -float(ndtri(delta))
+            assert abs(q_inverse(float(delta)) - want) \
+                <= 1e-15 * max(1.0, abs(want))

@@ -346,3 +346,51 @@ class TestDiagonalGridError:
         assert not np.any(fact.coeffs[:, 0, 2]) and "blocks" not in fact.meta
         assert fact.grid_error >= 9e-15 * (1 - 1e-12)
         assert abs(fact.grid_error - self.dense(fact, P)) <= 1e-15
+
+
+class TestBauerBudget:
+    @staticmethod
+    def long_memory_spectrum(m=3, pole=0.995):
+        # I + c s(w) 1 1^T with s the AR(1) spectrum of a slow pole: positive
+        # definite, coupled, and its autocovariance outlives the grid
+        s = 1.0 / np.abs(1.0 - pole * np.exp(-1j * OMEGA)) ** 2
+        S = np.eye(m)[None] + 0.01 * (s / s.max())[:, None, None] \
+            * np.ones((m, m))[None]
+        return SpectrumGrid(S.astype(complex))
+
+    def test_refused_before_allocating(self):
+        import tracemalloc
+        from dpfilt.errors import FactorizationStalled
+        from dpfilt.spectral import BAUER_MAX_BYTES
+        P = self.long_memory_spectrum()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorizationStalled) as info:
+                matrix_canonical_factor(P, name="the test spectrum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        msg = str(info.value)
+        # 4096 blocks of 3 channels: a 1152 MB matrix
+        assert "the test spectrum" in msg and "bandwidth 1024" in msg
+        assert "1152 MB" in msg
+        assert "spectrum.floor" in msg and "factor_order" in msg
+        assert peak < BAUER_MAX_BYTES // 16
+
+    def test_budget_bounds_the_block_count(self, monkeypatch):
+        import dpfilt.spectral
+        from dpfilt.errors import FactorizationStalled
+        theta = np.array([[0.4, 0.1], [-0.2, 0.3]])
+        samples = spectrum_from_factor(np.stack([np.eye(2), theta]),
+                                       np.eye(2), OMEGA)
+        fact = matrix_canonical_factor(SpectrumGrid(samples))
+        n, m = fact.meta["blocks"], 2
+        assert fact.grid_error <= 1e-6
+        # the same spectrum fits at its block count and is refused below it
+        monkeypatch.setattr(dpfilt.spectral, "BAUER_MAX_BYTES",
+                            8 * (n * m) ** 2)
+        matrix_canonical_factor(SpectrumGrid(samples))
+        monkeypatch.setattr(dpfilt.spectral, "BAUER_MAX_BYTES",
+                            8 * (n * m) ** 2 - 1)
+        with pytest.raises(FactorizationStalled, match="budget"):
+            matrix_canonical_factor(SpectrumGrid(samples))
