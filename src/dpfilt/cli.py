@@ -97,11 +97,8 @@ def cmd_design(args) -> int:
     design = _make_design(cfg)
     doc = design_to_dict(design, config_echo=cfg.to_dict(),
                          config_hash=cfg.hash())
-    if design.kind == "decision_feedback":
-        doc["info"]["decision_domain"] = \
-            design.postfilter.decision_domain
     validate_document(doc, "design.schema.json")
-    save_json(doc, args.out)
+    save_json(doc, args.out, indent=None)   # postfilter taps, compactly
     fit_tol = float(cfg.mechanism.get("fit_tol", 1e-3))
     loss = _fit_loss(design)
     if loss is not None and loss[0] > fit_tol:

@@ -12,13 +12,13 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (_bracket_inverse_times, as_grid, mimo_fir,
                   monic_inverse_filter)
-from .lti import (SpectrumGrid, TransferMatrix, simulate as lti_simulate,
-                  taps_grid, trapezoid_mean)
+from .lti import (Postfilter, SpectrumGrid, TransferMatrix,
+                  simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization,
                        conjugate_factorization, matrix_canonical_factor)
 from .streams import EventStream
-from .zfe import MechanismDesign
+from .zfe import MechanismDesign, stored_taps
 
 @dataclass
 class MonicFeedback:
@@ -37,29 +37,105 @@ class MonicFeedback:
     def impulse(self, n: int) -> np.ndarray:
         """Matrix impulse response of B, shape (n, m, m)."""
         delta = np.zeros((n, self.m, self.m))
-        delta[:1] = np.eye(self.m)
-        return np.stack([monic_inverse_filter(self.p_coeffs, delta[:, :, c])
-                         for c in range(self.m)], axis=2)
+        delta[0] = np.eye(self.m)       # column c's impulse is row c
+        return np.swapaxes(monic_inverse_filter(self.p_coeffs, delta), 1, 2)
 
     def grid(self, N: int) -> np.ndarray:
         return np.linalg.inv(taps_grid(self.p_coeffs, N))
 
 
 @dataclass
-class DfDesign:
-    """Forward filter taps (with lookahead), monic feedback, and the
-    factorization artifacts behind the assumed-correct MSE."""
+class DfDesign(Postfilter):
+    """The DF postfilter: forward filter taps (with lookahead), monic
+    feedback, the decision device of the input domain, and the target F
+    applied to the decisions. meta holds the design-time factorization
+    artifacts (Q, R, S, T) behind the assumed-correct MSE; a design
+    loaded from a document has none."""
 
     h1_taps: np.ndarray         # (T1, m, m); tap j acts on v_{t + d - j}
     lookahead: int              # d >= 0
     feedback: MonicFeedback
-    Q: MatrixFactorization
-    R: np.ndarray
-    S: MatrixFactorization
-    T: np.ndarray
-    theory_mse: float
+    target: TransferMatrix
+    input_mean: np.ndarray | None = None
     decision_domain: str = "nonneg_integers"
     meta: dict = field(default_factory=dict)
+    batched = True
+
+    def closed_loop(self, v, fed_back=None):
+        """Pre-decision estimates and decisions (u_tilde, u_hat), centered
+        and time-major (T, B, m), for a sequence of B releases v (T, m).
+        fed_back (T, B, m), the centered true inputs, replaces the
+        decisions in the feedback (oracle feedback)."""
+        decide = decision_op(self.decision_domain)
+        B = len(v)
+        T, m = v[0].shape
+        mu = self.input_mean if self.input_mean is not None \
+            else np.zeros(m)
+        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
+        # u_tilde is built in place on top of it. Per-step arrays are
+        # time-major, so row t of every trial is one contiguous view.
+        u_tilde = np.empty((T, B, m))
+        for b in range(B):
+            u_tilde[:, b] = mimo_fir(self.h1_taps, v[b], self.lookahead)
+        # feedback term: one (B, K m) @ (K m, m) product per step against
+        # the flattened windows of the last K rows of r = fed_back -
+        # fb_term (zero-padded), one window row per trial
+        P = self.feedback.p_coeffs
+        K = P.shape[0] - 1
+        A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
+        flat = np.zeros((B, (T + K) * m))
+        r = flat.reshape(B, T + K, m)[:, K:]
+        u_hat = np.empty((T, B, m))
+        if fed_back is None:
+            fed_back = u_hat
+        for t in range(T):
+            fb_term = flat[:, t * m:(t + K) * m] @ A
+            x = u_tilde[t]
+            x += fb_term
+            h = u_hat[t]
+            np.add(x, mu, out=h)
+            np.subtract(decide(h), mu, out=h)
+            np.subtract(fed_back[t], fb_term, out=r[:, t])
+        return u_tilde, u_hat
+
+    def apply(self, v):
+        """F u_hat (T, p) for one release v (T, m), or (B, T, p) for a
+        sequence of B releases run in one closed loop."""
+        single = isinstance(v, np.ndarray) and v.ndim == 2
+        y = self.outputs(self.closed_loop([v] if single else v)[1])
+        return y[0] if single else y
+
+    def outputs(self, u_hat: np.ndarray) -> np.ndarray:
+        """F u_hat (B, T, p) of centered decisions u_hat (T, B, m)."""
+        y = np.empty((u_hat.shape[1], u_hat.shape[0], self.target.shape[0]))
+        for b in range(y.shape[0]):
+            y[b] = lti_simulate(self.target, u_hat[:, b])
+        return y
+
+    def margins(self) -> tuple[int, int]:
+        return self.h1_taps.shape[0], self.lookahead
+
+    def to_doc(self) -> dict:
+        return {"h1_taps": self.h1_taps.tolist(),
+                "p_coeffs": self.feedback.p_coeffs.tolist()}
+
+    @classmethod
+    def from_doc(cls, doc, target, prefilter) -> "DfDesign":
+        """The decision domain comes from info.decision_domain, which
+        `dpfilt simulate --domain` overrides."""
+        m = target.shape[1]
+        p = stored_taps(doc, "p_coeffs", m, m)
+        if not np.array_equal(p[0], np.eye(m)):
+            raise ConfigError("postfilter p_coeffs[0] must be the identity "
+                              "(the feedback polynomial is monic)")
+        mean = doc.get("input_mean")
+        return cls(h1_taps=stored_taps(doc, "h1_taps", m, m),
+                   lookahead=int(doc.get("lookahead", 0)),
+                   feedback=MonicFeedback(p_coeffs=p), target=target,
+                   input_mean=None if mean is None
+                   else np.asarray(mean, dtype=float),
+                   decision_domain=doc.get("info", {}).get(
+                       "decision_domain", "nonneg_integers"))
 
 
 def df_factorizations(F, P_u, G, k, privacy: PrivacySpec,
@@ -196,31 +272,32 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     dropped = float(np.max(np.abs(anti[d:])) / peak) if anti.shape[0] > d \
         else 0.0
 
+    mean = None if input_mean is None \
+        else np.asarray(input_mean, dtype=float)
     design_obj = DfDesign(
-        h1_taps=taps, lookahead=d, feedback=fb, Q=Qf, R=R, S=Sf, T=T,
-        theory_mse=theory, decision_domain=decision_domain,
-        meta={"dropped_anticausal": dropped,
+        h1_taps=taps, lookahead=d, feedback=fb, target=F, input_mean=mean,
+        decision_domain=decision_domain,
+        meta={"Q": Qf, "R": R, "S": Sf, "T": T, "dropped_anticausal": dropped,
               "q_grid_error": Qf.grid_error, "s_grid_error": Sf.grid_error})
     return MechanismDesign(
         kind="decision_feedback", target=F, prefilter=G,
         noise_sigma=float(sigma), privacy=privacy, postfilter=design_obj,
-        theory_mse=theory, lookahead=d,
-        input_mean=None if input_mean is None
-        else np.asarray(input_mean, dtype=float),
+        theory_mse=theory, lookahead=d, input_mean=mean,
         info={"grid_n": N, "decision_domain": decision_domain,
               "assumed_correct_mse": theory})
 
 
 def run_df_mechanism(design: MechanismDesign, stream, seed,
-                     lookahead: int | None = None,
                      oracle_feedback: bool = False):
     """Closed-loop DF simulation with actual (possibly erroneous)
-    decisions fed back.
+    decisions fed back, with diagnostics.
 
-    Returns (stream of estimates of y_t aligned at index t, diagnostics
-    including the pre-decision input estimates). Publication of the
-    estimate of y_t happens d steps later; alignment keeps MSE
-    bookkeeping uniform across mechanisms.
+    Returns (stream of estimates of y_t aligned at index t, diagnostics:
+    the pre-decision input estimates u_tilde, the decisions u_hat and
+    decision_error_rate, the share of steps with a decision that differs
+    from the true input). Publication of the estimate of y_t happens d
+    steps later; alignment keeps MSE bookkeeping uniform across
+    mechanisms.
 
     A sequence of streams with a matching sequence of seeds (one per
     trial) returns a list of such pairs. The trials run in one loop over
@@ -232,8 +309,6 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
     closed-form MSE; useful only for validation, never for release.
     """
     df: DfDesign = design.postfilter
-    decide = decision_op(df.decision_domain)
-    d = design.lookahead if lookahead is None else int(lookahead)
     single = not isinstance(stream, (list, tuple))
     streams = [stream] if single else list(stream)
     seeds = [seed] if single else list(seed)
@@ -242,55 +317,26 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
             f"{len(streams)} streams but {len(seeds)} seeds")
     data = [np.asarray(s.data if hasattr(s, "data") else np.atleast_2d(s),
                        dtype=float) for s in streams]
-    B = len(data)
-    T, m = data[0].shape
-    if any(x.shape != (T, m) for x in data):
+    if any(x.shape != data[0].shape for x in data):
         raise DimensionMismatch("batched streams must share one shape")
-    if m != design.prefilter.shape[1]:
-        raise DimensionMismatch("stream channels do not match the prefilter")
-    mu = design.input_mean if design.input_mean is not None else np.zeros(m)
-    # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
-    # u_tilde is built in place on top of it. Per-step arrays are
-    # time-major (T, B, m), so row t of every trial is one contiguous view.
-    u_tilde = np.empty((T, B, m))
-    for b in range(B):
-        v = lti_simulate(design.prefilter, data[b] - mu)
-        if design.noise_sigma > 0.0:
-            rng = np.random.default_rng(seeds[b])
-            v += rng.normal(0.0, design.noise_sigma, size=v.shape)
-        u_tilde[:, b] = mimo_fir(df.h1_taps, v, d)
+    mu = design.mu
+    v = [design.release(x, s) for x, s in zip(data, seeds)]
+    fed_back = np.stack(data, axis=1) - mu if oracle_feedback else None
+    u_tilde, u_hat = df.closed_loop(v, fed_back)
+    del v, fed_back
+    y_hat = df.outputs(u_hat)
+    y_hat += design.target.dc_gain() @ mu
 
-    # feedback term: one (B, K m) @ (K m, m) product per step against the
-    # flattened windows of the last K rows of r = fed_back - fb_term
-    # (zero-padded), one window row per trial
-    P = df.feedback.p_coeffs
-    K = P.shape[0] - 1
-    A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
-    flat = np.zeros((B, (T + K) * m))
-    r = flat.reshape(B, T + K, m)[:, K:]
-    u_hat = np.empty((T, B, m))
-    fed_back = np.stack(data, axis=1) - mu if oracle_feedback else u_hat
-    for t in range(T):
-        fb_term = flat[:, t * m:(t + K) * m] @ A
-        x = u_tilde[t]
-        x += fb_term
-        h = u_hat[t]
-        np.add(x, mu, out=h)
-        np.subtract(decide(h), mu, out=h)
-        np.subtract(fed_back[t], fb_term, out=r[:, t])
-    del flat, r                 # free the window before the outputs
-
-    mean_shift = design.target.dc_gain() @ mu
     out = []
     for b, s in enumerate(streams):
-        y_hat = lti_simulate(design.target, u_hat[:, b]) + mean_shift
         label = s.dt_label if hasattr(s, "dt_label") else ""
-        disagree = float(np.mean(
-            np.any(np.abs(u_hat[:, b] - u_tilde[:, b]) > 1e-12, axis=1)))
+        # decide(x) - mu equals u - mu bit for bit when the decision is u
+        wrong = np.any(u_hat[:, b] != data[b] - mu, axis=1)
         out.append((EventStream(
-            y_hat, [f"y{i + 1}" for i in range(y_hat.shape[1])], label),
-            {"lookahead": d, "u_tilde": u_tilde[:, b], "u_hat": u_hat[:, b],
-             "decision_disagreement": disagree}))
+            y_hat[b], [f"y{i + 1}" for i in range(y_hat.shape[2])], label),
+            {"lookahead": df.lookahead, "u_tilde": u_tilde[:, b],
+             "u_hat": u_hat[:, b],
+             "decision_error_rate": float(np.mean(wrong))}))
     u_tilde += mu                 # the diagnostics report uncentered values
     u_hat += mu
     return out[0] if single else out

@@ -8,14 +8,24 @@ import json
 import numpy as np
 import yaml
 
+from .df import DfDesign
 from .errors import ConfigError, InsufficientNoise
-from .lms import SmootherFilter, causal_wiener, wiener_smoother
-from .lti import (RationalFilter, SpectrumGrid, TransferMatrix, freq_response,
-                  h2_norm)
+from .lms import CausalWienerFilter, SmootherFilter
+from .lti import RationalFilter, SpectrumGrid, TransferMatrix, h2_norm
 from .markov import MarkovSource, chain_spectrum, server_example
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
-from .zfe import MechanismDesign
+from .zfe import MechanismDesign, zfe_postfilter
+
+# The postfilter loader of each design kind, called as (doc, target,
+# prefilter); see lti.Postfilter.
+POSTFILTERS = {
+    "zero_forcing": lambda doc, F, G: zfe_postfilter(F, G),
+    "output_perturbation": lambda doc, F, G: TransferMatrix.identity(
+        F.shape[0]),
+    "wiener_smoother": SmootherFilter.from_doc,
+    "wiener_causal": CausalWienerFilter.from_doc,
+    "decision_feedback": DfDesign.from_doc}
 
 
 def transfer_matrix_to_dict(tm: TransferMatrix) -> dict:
@@ -194,6 +204,9 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
         "input_mean": _mean_to_list(design.input_mean),
         "info": info,
     }
+    block = design.postfilter.to_doc()
+    if block is not None:
+        doc["postfilter"] = block
     if config_echo is not None:
         doc["config"] = config_echo
     if config_hash is not None:
@@ -227,10 +240,11 @@ def check_noise(kind: str, F: TransferMatrix, G: TransferMatrix,
 def design_from_dict(doc: dict) -> MechanismDesign:
     """Reconstruct a runnable design from its JSON document.
 
-    Postfilters are re-derived deterministically from the stored
-    prefilter, noise scale and spectrum spec (no re-optimization); the
-    stored noise scale is then checked against kappa * sensitivity
-    recomputed from the stored filters (InsufficientNoise if below).
+    The postfilter is loaded from the document's `postfilter` block (ZFE
+    and output perturbation derive it exactly from the stored filters);
+    nothing is re-optimized or re-factorized. The stored noise scale is
+    then checked against kappa * sensitivity recomputed from the stored
+    filters (InsufficientNoise if below).
     """
     try:
         kind = doc["kind"]
@@ -240,55 +254,22 @@ def design_from_dict(doc: dict) -> MechanismDesign:
         priv = PrivacySpec(**doc["privacy"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design document: {exc}") from exc
-    mean = doc.get("input_mean")
-    mean = None if mean is None else np.asarray(mean, dtype=float)
-    lookahead = int(doc.get("lookahead", 0))
-    info = dict(doc.get("info", {}))
-    N = int(info.get("grid_n", 1024))
-    design = MechanismDesign(kind=kind, target=F, prefilter=G,
-                             noise_sigma=sigma, privacy=priv,
-                             theory_mse=doc.get("theory_mse"),
-                             input_mean=mean, lookahead=lookahead, info=info)
-    if kind in ("zero_forcing",):
-        from .errors import UnstableInverse
-        for i, gii in enumerate(G.diagonal_entries()):
-            if not (gii.is_stable() and gii.is_minimum_phase()):
-                raise UnstableInverse(
-                    f"stored prefilter entry {i + 1} is not stable "
-                    "minimum phase; refusing to invert")
-        design.postfilter = F.cascade_diag_inverse(G)
-    elif kind == "output_perturbation":
-        design.postfilter = TransferMatrix.identity(F.shape[0])
-    elif kind in ("wiener_smoother", "wiener_causal", "decision_feedback"):
-        spec_block = doc.get("config", {}).get("spectrum")
-        if spec_block is None:
-            raise ConfigError(
-                f"{kind} design needs the spectrum block to rebuild its "
-                "postfilter")
-        Pu, _ = spectrum_from_spec(spec_block, N, F.shape[1])
-        Fg = freq_response(F, N)
-        if kind == "wiener_smoother":
-            design.postfilter = SmootherFilter.from_grid(
-                wiener_smoother(Fg, Pu, G, sigma, N))
-        elif kind == "wiener_causal":
-            design.postfilter = causal_wiener(Fg, Pu, G, sigma, N)
-        else:
-            from .df import design_df
-            rebuilt = design_df(
-                F, Pu, priv, G, sigma, lookahead=lookahead,
-                decision_domain=info.get("decision_domain",
-                                         "nonneg_integers"),
-                N=N, input_mean=mean)
-            design.postfilter = rebuilt.postfilter
-    else:
+    if kind not in POSTFILTERS:
         raise ConfigError(f"unknown design kind {kind!r}")
+    mean = doc.get("input_mean")
+    design = MechanismDesign(
+        kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
+        postfilter=POSTFILTERS[kind](doc, F, G),
+        theory_mse=doc.get("theory_mse"),
+        input_mean=None if mean is None else np.asarray(mean, dtype=float),
+        lookahead=int(doc.get("lookahead", 0)), info=dict(doc.get("info", {})))
     check_noise(kind, F, G, sigma, priv)
     return design
 
 
-def save_json(doc: dict, path) -> None:
+def save_json(doc: dict, path, indent: int | None = 2) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 
 

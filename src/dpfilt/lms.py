@@ -10,20 +10,20 @@ prefilter magnitudes x_iq integrate (trapezoidally) to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
-from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
-                  freq_response, grid_omega, next_fast_len, taps_grid,
-                  trapezoid_mean, trapezoid_weights)
+from .lti import (DEFAULT_GRID, Postfilter, RationalFilter, SpectrumGrid,
+                  TransferMatrix, freq_response, grid_omega, next_fast_len,
+                  taps_grid, trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
-from .spectral import (FLOOR_HINT, matrix_canonical_factor,
+from .spectral import (FLOOR_HINT, _truncate_tail, matrix_canonical_factor,
                        scalar_spectral_factor)
-from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign
+from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign, stored_taps
 
 _ZERO_CHANNEL_TOL = 1e-12
 # Causal postfilter taps are cut after the last one above this fraction of
@@ -316,7 +316,7 @@ def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
 
 
 @dataclass
-class SmootherFilter:
+class SmootherFilter(Postfilter):
     """Two-sided FIR realization of a Wiener smoother grid."""
 
     taps: np.ndarray            # (2K+1, p, m), lag range [-K, K]
@@ -340,6 +340,21 @@ class SmootherFilter:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return mimo_fir(self.taps, v, self.half)
+
+    def margins(self) -> tuple[int, int]:
+        return self.half, self.half
+
+    def to_doc(self) -> dict:
+        return {"taps": self.taps.tolist(), "half": self.half}
+
+    @classmethod
+    def from_doc(cls, doc, target, prefilter) -> "SmootherFilter":
+        taps = stored_taps(doc, "taps", *target.shape)
+        half = int(doc["postfilter"].get("half", -1))
+        if taps.shape[0] != 2 * half + 1:
+            raise ConfigError(f"postfilter half {half} does not match "
+                              f"{taps.shape[0]} smoother taps")
+        return cls(taps=taps, half=half)
 
     def grid(self, N: int) -> np.ndarray:
         return taps_grid(self.taps, N, -self.half)
@@ -368,19 +383,23 @@ def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
 
 def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve L e = v recursively for a monic FIR matrix polynomial L
-    (coeffs (K+1, m, m), coeffs[0] = I) and v of shape (T, m).
+    (coeffs (K+1, m, m), coeffs[0] = I) and v of shape (T, m), or
+    (T, B, m) for B right-hand sides solved at once.
 
-    Forward substitution: step t subtracts the taps applied to the last
-    (up to K) outputs, summed oldest lag first.
+    Forward substitution: step t subtracts the taps applied to the last K
+    outputs (zero-padded), summed oldest lag first, the order in which a
+    long recursion stays closest to exact.
     """
-    T = v.shape[0]
+    x = v[:, None] if v.ndim == 2 else v
+    T, B, m = x.shape
     K = coeffs.shape[0] - 1
     rev = coeffs[1:][::-1]                           # oldest lag first
-    e = np.zeros(v.shape)
+    hist = np.zeros((T + K, B, m))
+    e = hist[K:]
     for t in range(T):
-        lo = max(t - K, 0)
-        e[t] = v[t] - np.einsum("kij,kj->i", rev[K - (t - lo):], e[lo:t])
-    return e
+        np.subtract(x[t], np.einsum("kij,kbj->bi", rev, hist[t:t + K]),
+                    out=e[t])
+    return e[:, 0].copy() if v.ndim == 2 else e.copy()
 
 
 def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
@@ -388,9 +407,10 @@ def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
     """Impulse response (n, p, m) of mc * Pe^-1 L^-1, cut after its last
     tap above TAP_CUT times its peak.
 
-    W = Mc Pe^-1 L^-1 solves W L = Mc Pe^-1, so row i of W is the monic
-    recursion in L^T run on row i of Mc Pe^-1. The horizon doubles until
-    the kept taps end in its first three quarters (or reaches 2^16).
+    W = Mc Pe^-1 L^-1 solves W L = Mc Pe^-1, so the rows of W are the
+    monic recursion in L^T run on the rows of Mc Pe^-1, all in one call.
+    The horizon doubles until the kept taps end in its first three
+    quarters (or reaches 2^16).
     """
     r = mc @ np.linalg.inv(pe)                        # (Tc, p, m)
     lt = np.swapaxes(l_coeffs, 1, 2)
@@ -398,38 +418,46 @@ def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
     while True:
         v = np.zeros((n,) + r.shape[1:])
         v[:r.shape[0]] = r
-        w = np.stack([monic_inverse_filter(lt, v[:, i])
-                      for i in range(r.shape[1])], axis=1)
-        mags = np.abs(w).reshape(n, -1).max(axis=1)
-        keep = np.nonzero(mags > TAP_CUT * mags.max())[0]
-        stop = int(keep[-1]) + 1 if keep.size else 1
-        if stop <= n - n // 4 or n >= 1 << 16:
-            return w[:stop].copy()
+        w = monic_inverse_filter(lt, v)
+        w = _truncate_tail(w, TAP_CUT)
+        if w.shape[0] <= n - n // 4 or n >= 1 << 16:
+            return w.copy()
         n *= 2
 
 
 @dataclass
-class CausalWienerFilter:
-    """Causal Wiener postfilter [P_yv L^-*]_+ Pe^-1 L^-1 in operational form.
+class CausalWienerFilter(Postfilter):
+    """Causal Wiener postfilter [P_yv L^-*]_+ Pe^-1 L^-1 as one causal FIR.
 
-    l_coeffs holds the monic canonical factor of the observation spectrum,
-    mc the causal part of the whitened cross filter, and taps the whole
-    postfilter as one causal FIR (see causal_taps), which apply runs.
+    apply runs, and the document stores, the full taps (see causal_taps).
+    The design-time parts behind them (l_coeffs, the monic canonical
+    factor of the observation spectrum; pe; mc, the causal part of the
+    whitened cross filter) exist only on a freshly designed filter.
     """
 
-    l_coeffs: np.ndarray        # (KL+1, m, m), l_coeffs[0] = I
-    pe: np.ndarray              # (m, m)
-    mc: np.ndarray              # (Tc, p, m) causal taps
+    taps: np.ndarray            # (n, p, m)
+    l_coeffs: np.ndarray | None = None      # (KL+1, m, m), l_coeffs[0] = I
+    pe: np.ndarray | None = None            # (m, m)
+    mc: np.ndarray | None = None            # (Tc, p, m) causal taps
     anticausal_tail: float = 0.0
-    taps: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.taps = causal_taps(self.mc, self.pe, self.l_coeffs)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return mimo_fir(self.taps, v)
 
+    def margins(self) -> tuple[int, int]:
+        return self.taps.shape[0], 0
+
+    def to_doc(self) -> dict:
+        return {"taps": self.taps.tolist()}
+
+    @classmethod
+    def from_doc(cls, doc, target, prefilter) -> "CausalWienerFilter":
+        return cls(taps=stored_taps(doc, "taps", *target.shape))
+
     def grid(self, N: int) -> np.ndarray:
+        """The exact frequency response, from the design-time parts."""
+        if self.mc is None:
+            raise ValueError("a loaded causal postfilter keeps only its taps")
         Mg = taps_grid(self.mc, N) @ np.linalg.inv(self.pe)
         return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
@@ -458,11 +486,10 @@ def causal_wiener(F, P_u, G, sigma: float,
     anti = h[N:]
     peak = max(float(np.max(np.abs(h))), 1e-300)
     tail = float(np.max(np.abs(anti)) / peak) if anti.size else 0.0
-    mags = np.abs(causal).reshape(causal.shape[0], -1).max(axis=1)
-    keep = np.nonzero(mags > TAP_CUT * peak)[0]
-    stop = int(keep[-1]) + 1 if keep.size else 1
-    return CausalWienerFilter(l_coeffs=fact.coeffs, pe=fact.pe,
-                              mc=causal[:stop], anticausal_tail=tail)
+    mc = _truncate_tail(causal, TAP_CUT, peak)
+    return CausalWienerFilter(taps=causal_taps(mc, fact.pe, fact.coeffs),
+                              l_coeffs=fact.coeffs, pe=fact.pe, mc=mc,
+                              anticausal_tail=tail)
 
 
 def postfilter_mse(F, P_u, G, sigma: float, H_grid,

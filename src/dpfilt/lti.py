@@ -132,8 +132,30 @@ class RationalFilter:
 ZERO_FILTER = RationalFilter([0.0])
 
 
-class TransferMatrix:
-    """A p-by-m grid of RationalFilter entries sharing the z^-1 convention."""
+class Postfilter:
+    """What a mechanism runs on its release v = G (u - mu) + noise.
+
+    apply(v) maps v (T, m) to the centered estimate (T, p); a `batched`
+    postfilter (DF) also takes a sequence of B releases, giving (B, T, p).
+    margins() is (lead, tail): the filter memory behind the Monte Carlo
+    burn-in, and the final samples that need inputs past the run. to_doc()
+    is the design document's `postfilter` block, None when the filter is
+    derived exactly from F and G, and from_doc(doc, target, prefilter)
+    loads it. A postfilter only post-processes the release, so a stored
+    one is trusted on load: tampering can cost accuracy, never privacy.
+    """
+
+    batched = False
+
+    def to_doc(self) -> dict | None:
+        return None
+
+
+class TransferMatrix(Postfilter):
+    """A p-by-m grid of RationalFilter entries sharing the z^-1 convention.
+
+    As a postfilter it runs linearly; ZFE and output perturbation use it,
+    derived exactly from F and G, so it writes no document block."""
 
     def __init__(self, entries):
         if isinstance(entries, RationalFilter):
@@ -208,6 +230,12 @@ class TransferMatrix:
 
     def dc_gain(self) -> np.ndarray:
         return self.eval(1.0).real
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return simulate(self, v)
+
+    def margins(self) -> tuple[int, int]:
+        return effective_length(self), 0
 
     def impulse(self, n: int) -> np.ndarray:
         """Matrix impulse response, shape (n, p, m): the bank of

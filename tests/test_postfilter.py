@@ -1,0 +1,215 @@
+"""Designs carry their postfilter: the `postfilter` block of the design
+document, its checks on load, and a `dpfilt simulate` that loads it
+instead of re-deriving it."""
+
+import importlib
+import json
+
+import numpy as np
+import pytest
+import yaml
+
+from dpfilt import RationalFilter, TransferMatrix
+from dpfilt.cli import _make_design, main
+from dpfilt.config import Config
+from dpfilt.errors import ConfigError
+from dpfilt.fileio import (POSTFILTERS, design_from_dict, design_to_dict,
+                           load_json, transfer_matrix_to_dict)
+
+MECHS = ("zfe", "output_perturbation", "lms_smoother", "lms_causal", "df")
+STORED = ("lms_smoother", "lms_causal", "df")
+
+
+def config(tmp_path, mech):
+    """A 2-channel server config whose target DF can use (F* F invertible
+    on the circle) and whose spectrum the floor keeps positive definite."""
+    target = tmp_path / "target.yaml"
+    f = RationalFilter([0.6, 0.3, 0.1])
+    with open(target, "w") as fh:
+        yaml.safe_dump(transfer_matrix_to_dict(
+            TransferMatrix.diagonal([f, f])), fh)
+    doc = {
+        "grid_n": 256, "seed": 7,
+        "privacy": {"epsilon": 1.0, "delta": 0.1, "k": [1.0, 1.0]},
+        "filter": {"file": str(target)},
+        "mechanism": {"kind": mech},
+        "spectrum": {"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                     "floor": 1e-4},
+        "source": {"kind": "markov_server", "alpha": 0.3, "beta": 0.6},
+        "simulate": {"trials": 2, "steps": 2000},
+    }
+    path = tmp_path / f"{mech}.yaml"
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    return path
+
+
+@pytest.fixture(scope="module")
+def designs(tmp_path_factory):
+    """mech -> (freshly designed MechanismDesign, its document after a
+    JSON round trip)."""
+    out = {}
+    for mech in MECHS:
+        cfg = Config.load(config(tmp_path_factory.mktemp(mech), mech))
+        design = _make_design(cfg)
+        doc = json.loads(json.dumps(design_to_dict(
+            design, config_echo=cfg.to_dict())))
+        out[mech] = (design, doc)
+    return out
+
+
+def releases(design, n=2, T=600):
+    rng = np.random.default_rng(3)
+    return [rng.normal(0.0, 1.0, size=(T, design.prefilter.shape[0]))
+            for _ in range(n)]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("mech", MECHS)
+    def test_loaded_postfilter_applies_bitwise_equal(self, designs, mech):
+        design, doc = designs[mech]
+        post = design.postfilter
+        loaded = POSTFILTERS[design.kind](doc, design.target,
+                                          design.prefilter)
+        assert type(loaded) is type(post)
+        assert loaded.margins() == post.margins()
+        for v in releases(design):
+            assert np.array_equal(loaded.apply(v), post.apply(v))
+        if post.batched:
+            assert np.array_equal(loaded.apply(releases(design)),
+                                  post.apply(releases(design)))
+
+    @pytest.mark.parametrize("mech", MECHS)
+    def test_block_written_only_where_needed(self, designs, mech):
+        _, doc = designs[mech]
+        assert ("postfilter" in doc) == (mech in STORED)
+
+    def test_causal_margin_is_the_applied_taps(self, designs):
+        # the burn-in lead of a causal design is the length of the taps
+        # apply runs, not of the design-time causal part mc
+        design, _ = designs["lms_causal"]
+        post = design.postfilter
+        assert post.margins() == (post.taps.shape[0], 0)
+
+
+class TestStoredChecks:
+    """from_doc checks the numbers the schema leaves alone."""
+
+    @pytest.mark.parametrize("mech,key", [("lms_smoother", "taps"),
+                                          ("lms_causal", "taps"),
+                                          ("df", "h1_taps"),
+                                          ("df", "p_coeffs")])
+    def test_non_finite(self, designs, mech, key):
+        _, doc = designs[mech]
+        doc = json.loads(json.dumps(doc))
+        doc["postfilter"][key][-1][0][0] = float("nan")
+        with pytest.raises(ConfigError, match="non-finite"):
+            design_from_dict(doc)
+
+    @pytest.mark.parametrize("mech,key", [("lms_smoother", "taps"),
+                                          ("lms_causal", "taps"),
+                                          ("df", "h1_taps"),
+                                          ("df", "p_coeffs")])
+    def test_wrong_shape(self, designs, mech, key):
+        _, doc = designs[mech]
+        doc = json.loads(json.dumps(doc))
+        doc["postfilter"][key] = [row[:1] for row in doc["postfilter"][key]]
+        with pytest.raises(ConfigError, match="shape"):
+            design_from_dict(doc)
+
+    def test_smoother_half_must_match_taps(self, designs):
+        _, doc = designs["lms_smoother"]
+        doc = json.loads(json.dumps(doc))
+        doc["postfilter"]["half"] += 1
+        with pytest.raises(ConfigError, match="half"):
+            design_from_dict(doc)
+
+    def test_non_monic_feedback(self, designs):
+        _, doc = designs["df"]
+        doc = json.loads(json.dumps(doc))
+        doc["postfilter"]["p_coeffs"][0][0][0] = 1.0 + 1e-12
+        with pytest.raises(ConfigError, match="monic"):
+            design_from_dict(doc)
+
+
+class TestSimulateLoadsStoredPostfilter:
+    def design(self, tmp_path, mech):
+        path = tmp_path / "design.json"
+        assert main(["design", "--config", str(config(tmp_path, mech)),
+                     "--out", str(path)]) == 0
+        return path
+
+    def simulate(self, tmp_path, design_path, *extra):
+        return main(["simulate", "--design", str(design_path), *extra,
+                     "--report", str(tmp_path / "report.json")])
+
+    @pytest.mark.parametrize("mech", STORED)
+    def test_old_document_fails_clearly(self, tmp_path, capsys, mech):
+        path = self.design(tmp_path, mech)
+        doc = load_json(path)
+        del doc["postfilter"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert self.simulate(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'postfilter' block" in err
+        assert "re-run `dpfilt design`" in err
+
+    @pytest.mark.parametrize("mech", STORED)
+    def test_no_factorization_on_load(self, tmp_path, monkeypatch, mech):
+        path = self.design(tmp_path, mech)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate re-derived the postfilter")
+
+        for layer, name in (("spectral", "matrix_canonical_factor"),
+                            ("lms", "matrix_canonical_factor"),
+                            ("df", "matrix_canonical_factor"),
+                            ("fileio", "spectrum_from_spec"),
+                            ("cli", "spectrum_from_spec"),
+                            ("markov", "chain_spectrum"),
+                            ("fileio", "chain_spectrum")):
+            monkeypatch.setattr(importlib.import_module(f"dpfilt.{layer}"),
+                                name, refuse)
+        assert self.simulate(tmp_path, path) == 0
+
+    def test_df_trials_run_in_run_df_mechanism(self, tmp_path, monkeypatch):
+        # every DF trial of `dpfilt simulate` runs in the one closed loop
+        # of run_df_mechanism, the function the DF diagnostics share
+        import dpfilt.sim
+        calls = []
+        run = dpfilt.sim.run_df_mechanism
+
+        def counted(design, stream, seed, **kwargs):
+            calls.append(len(stream))
+            return run(design, stream, seed, **kwargs)
+
+        monkeypatch.setattr(dpfilt.sim, "run_df_mechanism", counted)
+        assert self.simulate(tmp_path, self.design(tmp_path, "df")) == 0
+        assert calls == [2]
+
+    @pytest.mark.parametrize("mech", STORED)
+    def test_tampered_noise_still_refused(self, tmp_path, capsys, mech):
+        path = self.design(tmp_path, mech)
+        doc = load_json(path)
+        doc["noise_sigma"] *= 0.5
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert self.simulate(tmp_path, path) == 5
+        assert "InsufficientNoise" in capsys.readouterr().err
+
+    def test_domain_overrides_stored_df(self, tmp_path):
+        path = self.design(tmp_path, "df")
+        doc = load_json(path)
+        assert doc["info"]["decision_domain"] == "nonneg_integers"
+        doc["info"]["decision_domain"] = "sign"
+        assert design_from_dict(doc).postfilter.decision_domain == "sign"
+        mse = {}
+        for domain in ("nonneg_integers", "sign"):
+            assert self.simulate(tmp_path, path, "--domain", domain) == 0
+            report = load_json(tmp_path / "report.json")
+            mse[domain] = \
+                report["mechanisms"]["decision_feedback"]["empirical_mse"]
+        assert mse["sign"] != mse["nonneg_integers"]
