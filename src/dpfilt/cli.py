@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import Config
+from .config import MECHANISM_KINDS, Config
 from .errors import ConfigError, DpfiltError
 from .fileio import (build_filter, design_from_dict, design_to_dict,
                      load_json, save_json, source_from_spec,
@@ -38,7 +38,7 @@ def validate_document(doc: dict, schema_name: str) -> None:
 
 def _make_design(cfg: Config) -> MechanismDesign:
     from .df import design_df
-    from .lms import assemble_lms
+    from .lms import assemble_lms, lms_prefilter
     from .zfe import (assemble_output_perturbation, assemble_zfe,
                       design_diag_prefilter)
     F = build_filter(cfg.filter)
@@ -56,18 +56,17 @@ def _make_design(cfg: Config) -> MechanismDesign:
         mode = "smoother" if kind == "lms_smoother" else "causal"
         return assemble_lms(F, Pu, priv, mode=mode, N=N, order=order,
                             input_mean=mean)
-    # decision feedback: reuse the LMS-optimized prefilter
-    lms = assemble_lms(F, Pu, priv, mode="smoother", N=N, order=order,
-                       input_mean=mean)
+    # decision feedback around the LMS prefilter
+    G, sigma, info = lms_prefilter(F, Pu, priv, N, order)
     design = design_df(
-        F, Pu, priv, lms.prefilter, sigma=lms.noise_sigma,
+        F, Pu, priv, G, sigma=sigma,
         lookahead=int(cfg.mechanism.get("lookahead", 2)),
         decision_domain=cfg.mechanism.get("decision_domain",
                                           "nonneg_integers"),
         N=N, input_mean=mean)
     for key in ("optimal_objective", "achieved_objective",
                 "prefilter_fit_errors"):
-        design.info[key] = lms.info[key]
+        design.info[key] = info[key]
     return design
 
 
@@ -88,10 +87,6 @@ def cmd_design(args) -> int:
     cfg = Config.load(args.config)
     _apply_overrides(cfg, args)
     if args.mechanism is not None:
-        from .config import MECHANISM_KINDS
-        if args.mechanism not in MECHANISM_KINDS:
-            raise ConfigError(f"unknown mechanism {args.mechanism!r}; "
-                              f"expected one of {MECHANISM_KINDS}")
         cfg.mechanism = dict(cfg.mechanism)
         cfg.mechanism["kind"] = args.mechanism
     design = _make_design(cfg)
@@ -245,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", parents=[common],
                        help="design a mechanism from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--mechanism", default=None,
+    p.add_argument("--mechanism", default=None, choices=MECHANISM_KINDS,
                    help="override the config mechanism kind")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)

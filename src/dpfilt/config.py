@@ -24,7 +24,7 @@ _FILTER_KEYS = {"preset", "file", "forecast", "ma_length"}
 _MECHANISM_KEYS = {"kind", "factor_order", "lookahead", "decision_domain",
                    "fit_tol"}
 _SPECTRUM_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "lags",
-                  "scale", "floor", "mean", "file"}
+                  "scale", "floor", "mean"}
 _SOURCE_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "csv", "rates",
                 "period", "amplitude", "m"}
 _SIMULATE_KEYS = {"trials", "steps"}

@@ -5,18 +5,19 @@ a nonlinear decision device, and the closed-loop simulator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
-from .lms import (_bracket_inverse_times, as_grid, mimo_fir,
-                  monic_inverse_filter)
+from .lms import (TAP_CUT, _bracket_inverse_times, _tilde, as_grid,
+                  mimo_fir, monic_inverse_filter, wiener_smoother)
 from .lti import (Postfilter, SpectrumGrid, TransferMatrix,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
-from .spectral import (FLOOR_HINT, MatrixFactorization,
-                       conjugate_factorization, matrix_canonical_factor)
+from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
+                       conjugate_factorization, grid_lags,
+                       matrix_canonical_factor)
 from .streams import EventStream
 from .zfe import MechanismDesign, stored_taps
 
@@ -47,30 +48,25 @@ class MonicFeedback:
 @dataclass
 class DfDesign(Postfilter):
     """The DF postfilter: forward filter taps (with lookahead), monic
-    feedback, the decision device of the input domain, and the target F
-    applied to the decisions. meta holds the design-time factorization
-    artifacts (Q, R, S, T) behind the assumed-correct MSE; a design
-    loaded from a document has none."""
+    feedback and the decision device of the input domain. It has no
+    `apply`: run_df_mechanism runs its closed loop and applies the
+    target F to the decisions."""
 
     h1_taps: np.ndarray         # (T1, m, m); tap j acts on v_{t + d - j}
     lookahead: int              # d >= 0
     feedback: MonicFeedback
-    target: TransferMatrix
-    input_mean: np.ndarray | None = None
     decision_domain: str = "nonneg_integers"
-    meta: dict = field(default_factory=dict)
     batched = True
 
-    def closed_loop(self, v, fed_back=None):
+    def closed_loop(self, v, mu, fed_back=None):
         """Pre-decision estimates and decisions (u_tilde, u_hat), centered
-        and time-major (T, B, m), for a sequence of B releases v (T, m).
-        fed_back (T, B, m), the centered true inputs, replaces the
-        decisions in the feedback (oracle feedback)."""
+        and time-major (T, B, m), for a sequence of B releases v (T, m) of
+        inputs with public mean mu (m,). fed_back (T, B, m), the centered
+        true inputs, replaces the decisions in the feedback (oracle
+        feedback)."""
         decide = decision_op(self.decision_domain)
         B = len(v)
         T, m = v[0].shape
-        mu = self.input_mean if self.input_mean is not None \
-            else np.zeros(m)
         # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
         # u_tilde is built in place on top of it. Per-step arrays are
         # time-major, so row t of every trial is one contiguous view.
@@ -98,20 +94,6 @@ class DfDesign(Postfilter):
             np.subtract(fed_back[t], fb_term, out=r[:, t])
         return u_tilde, u_hat
 
-    def apply(self, v):
-        """F u_hat (T, p) for one release v (T, m), or (B, T, p) for a
-        sequence of B releases run in one closed loop."""
-        single = isinstance(v, np.ndarray) and v.ndim == 2
-        y = self.outputs(self.closed_loop([v] if single else v)[1])
-        return y[0] if single else y
-
-    def outputs(self, u_hat: np.ndarray) -> np.ndarray:
-        """F u_hat (B, T, p) of centered decisions u_hat (T, B, m)."""
-        y = np.empty((u_hat.shape[1], u_hat.shape[0], self.target.shape[0]))
-        for b in range(y.shape[0]):
-            y[b] = lti_simulate(self.target, u_hat[:, b])
-        return y
-
     def margins(self) -> tuple[int, int]:
         return self.h1_taps.shape[0], self.lookahead
 
@@ -128,12 +110,9 @@ class DfDesign(Postfilter):
         if not np.array_equal(p[0], np.eye(m)):
             raise ConfigError("postfilter p_coeffs[0] must be the identity "
                               "(the feedback polynomial is monic)")
-        mean = doc.get("input_mean")
         return cls(h1_taps=stored_taps(doc, "h1_taps", m, m),
                    lookahead=int(doc.get("lookahead", 0)),
-                   feedback=MonicFeedback(p_coeffs=p), target=target,
-                   input_mean=None if mean is None
-                   else np.asarray(mean, dtype=float),
+                   feedback=MonicFeedback(p_coeffs=p),
                    decision_domain=doc.get("info", {}).get(
                        "decision_domain", "nonneg_integers"))
 
@@ -157,7 +136,7 @@ def df_factorizations(F, P_u, G, k, privacy: PrivacySpec,
     gk_sq = trapezoid_mean(
         np.einsum("qij,qij->q", np.conj(Gg @ Km), Gg @ Km).real)
     Gt = (Gg @ Km) / np.sqrt(gk_sq)
-    Pt = Pg * (np.outer(1.0 / k, 1.0 / k) / kap ** 2)[None, :, :]
+    _, Pt = _tilde(Fg, Pg, k, kap)
     eye = np.eye(m)[None, :, :].astype(complex)
     bracket = _bracket_inverse_times(
         Pt, np.conj(np.swapaxes(Gt, 1, 2)) @ Gt, eye)
@@ -239,10 +218,11 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     lookahead d; theory_mse reports the assumed-correct-decision value.
     """
     decision_op(decision_domain)
-    if lookahead < 0:
-        raise ConfigError("lookahead must be nonnegative")
     if N is None:
         N = P_u.n_grid
+    if not 0 <= lookahead <= N:
+        raise ConfigError(f"lookahead must lie in [0, {N}], the grid's "
+                          "anticausal lags")
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
@@ -250,39 +230,18 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     fb = optimal_feedback(Qf, Sf)
     theory = df_theory_mse(T, R, privacy)
 
-    Pg = P_u.samples
-    m = Pg.shape[1]
-    Gg = as_grid(G, N, square_side=m)
-    GgH = np.conj(np.swapaxes(Gg, 1, 2))
-    Bg = fb.grid(N)
-    Pv = Gg @ Pg @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
-    H1g = np.conj(np.swapaxes(
-        np.linalg.solve(np.conj(np.swapaxes(Pv, 1, 2)),
-                        np.conj(np.swapaxes(Bg @ Pg @ GgH, 1, 2))), 1, 2))
-    full = np.concatenate([H1g, np.conj(H1g[-2:0:-1])], axis=0)
-    h = np.fft.ifft(full, axis=0).real
-    causal = h[:N]
-    anti = h[N:][::-1]           # lags -1, -2, ...
+    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma, N).samples)
     d = int(lookahead)
-    taps = np.concatenate([anti[:d][::-1], causal], axis=0)
-    mags = np.abs(taps).reshape(taps.shape[0], -1).max(axis=1)
-    peak = max(float(mags.max()), 1e-300)
-    keep = np.nonzero(mags > 1e-12 * peak)[0]
-    taps = taps[: (int(keep[-1]) + 1 if keep.size else 1)]
-    dropped = float(np.max(np.abs(anti[d:])) / peak) if anti.shape[0] > d \
-        else 0.0
-
-    mean = None if input_mean is None \
-        else np.asarray(input_mean, dtype=float)
-    design_obj = DfDesign(
-        h1_taps=taps, lookahead=d, feedback=fb, target=F, input_mean=mean,
-        decision_domain=decision_domain,
-        meta={"Q": Qf, "R": R, "S": Sf, "T": T, "dropped_anticausal": dropped,
-              "q_grid_error": Qf.grid_error, "s_grid_error": Sf.grid_error})
+    # lags -d..N-1, cut after the last tap above TAP_CUT of their peak
+    taps = _truncate_tail(np.concatenate([h[2 * N - d:], h[:N]]), TAP_CUT)
     return MechanismDesign(
         kind="decision_feedback", target=F, prefilter=G,
-        noise_sigma=float(sigma), privacy=privacy, postfilter=design_obj,
-        theory_mse=theory, lookahead=d, input_mean=mean,
+        noise_sigma=float(sigma), privacy=privacy,
+        postfilter=DfDesign(h1_taps=taps, lookahead=d, feedback=fb,
+                            decision_domain=decision_domain),
+        theory_mse=theory, lookahead=d,
+        input_mean=None if input_mean is None
+        else np.asarray(input_mean, dtype=float),
         info={"grid_n": N, "decision_domain": decision_domain,
               "assumed_correct_mse": theory})
 
@@ -322,9 +281,12 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
     mu = design.mu
     v = [design.release(x, s) for x, s in zip(data, seeds)]
     fed_back = np.stack(data, axis=1) - mu if oracle_feedback else None
-    u_tilde, u_hat = df.closed_loop(v, fed_back)
+    u_tilde, u_hat = df.closed_loop(v, mu, fed_back)
     del v, fed_back
-    y_hat = df.outputs(u_hat)
+    # F u_hat + F(1) mu, trial by trial
+    y_hat = np.empty((len(data), u_hat.shape[0], design.target.shape[0]))
+    for b in range(len(data)):
+        y_hat[b] = lti_simulate(design.target, u_hat[:, b])
     y_hat += design.target.dc_gain() @ mu
 
     out = []

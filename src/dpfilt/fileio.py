@@ -84,6 +84,20 @@ def build_filter(block: dict):
     raise ConfigError(f"unknown filter preset {preset!r}")
 
 
+def markov_from_spec(block: dict) -> MarkovSource:
+    """The chain of a `markov_server` (alpha/beta example) or `markov`
+    (explicit Pi + selectors) block; ConfigError naming a missing key."""
+    if block.get("kind") == "markov_server":
+        return server_example(float(block.get("alpha", 0.3)),
+                              float(block.get("beta", 0.6)))
+    try:
+        return MarkovSource(np.asarray(block["Pi"], dtype=float),
+                            tuple(block["selectors"]))
+    except KeyError as exc:
+        raise ConfigError(f"markov block is missing {exc}; it needs 'Pi' "
+                          "(the transition matrix) and 'selectors'") from exc
+
+
 def spectrum_from_spec(block: dict, N: int, m: int
                        ) -> tuple[SpectrumGrid, np.ndarray]:
     """Build the public input spectrum (and mean) from a config block.
@@ -102,16 +116,7 @@ def spectrum_from_spec(block: dict, N: int, m: int
                             N + 1, axis=0)
         mean = np.zeros(m)
     elif kind in ("markov_server", "markov"):
-        if kind == "markov_server":
-            src = server_example(float(block.get("alpha", 0.3)),
-                                 float(block.get("beta", 0.6)))
-        else:
-            try:
-                src = MarkovSource(np.asarray(block["Pi"], dtype=float),
-                                   tuple(block["selectors"]))
-            except KeyError as exc:
-                raise ConfigError(
-                    f"markov spectrum needs {exc} in the block") from exc
+        src = markov_from_spec(block)
         grid, mean = chain_spectrum(src, N)
         samples = grid.samples
         if src.n_channels != m:
@@ -151,14 +156,8 @@ def source_from_spec(block: dict, m: int):
     from .sim import FixedStreamSource, MarkovStreamSource, OccupancySource
     from .streams import EventStream
     kind = block.get("kind", "occupancy")
-    if kind == "markov_server":
-        src = server_example(float(block.get("alpha", 0.3)),
-                             float(block.get("beta", 0.6)))
-        out = MarkovStreamSource(src)
-    elif kind == "markov":
-        src = MarkovSource(np.asarray(block["Pi"], dtype=float),
-                           tuple(block["selectors"]))
-        out = MarkovStreamSource(src)
+    if kind in ("markov_server", "markov"):
+        out = MarkovStreamSource(markov_from_spec(block))
     elif kind == "occupancy":
         out = OccupancySource(m=int(block.get("m", m)),
                               rates=block.get("rates"),

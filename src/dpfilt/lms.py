@@ -21,13 +21,13 @@ from .lti import (DEFAULT_GRID, Postfilter, RationalFilter, SpectrumGrid,
                   taps_grid, trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa
 from .sensitivity import diagonal_sensitivity
-from .spectral import (FLOOR_HINT, _truncate_tail, matrix_canonical_factor,
-                       scalar_spectral_factor)
+from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
+                       matrix_canonical_factor, scalar_spectral_factor)
 from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign, stored_taps
 
 _ZERO_CHANNEL_TOL = 1e-12
-# Causal postfilter taps are cut after the last one above this fraction of
-# their peak.
+# Causal postfilter and DF forward taps are cut after the last one above
+# this fraction of their peak.
 TAP_CUT = 1e-12
 
 
@@ -325,16 +325,16 @@ class SmootherFilter(Postfilter):
     @classmethod
     def from_grid(cls, H: SpectrumGrid, tail_tol: float = 1e-10
                   ) -> "SmootherFilter":
+        """Taps over lags -K..K, K >= 1 the last lag at which the larger
+        of the lag-K and lag-(-K) taps exceeds tail_tol times the peak."""
         N = H.n_grid
-        full = np.concatenate([H.samples, np.conj(H.samples[-2:0:-1])],
-                              axis=0)
-        h = np.fft.ifft(full, axis=0).real      # lags 0..N-1, -N..-1
+        h = grid_lags(H.samples)                # lags 0..N-1, -N..-1
         mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
         peak = max(float(mags.max()), 1e-300)
-        K = 1
-        for lag in range(1, N):
-            if mags[lag] > tail_tol * peak or mags[2 * N - lag] > tail_tol * peak:
-                K = lag
+        # the larger of the lag-k and lag-(-k) taps, k = 1..N-1
+        above = np.flatnonzero(np.maximum(mags[1:N], mags[:N:-1])
+                               > tail_tol * peak)
+        K = int(above[-1]) + 1 if above.size else 1
         taps = np.concatenate([h[-K:], h[: K + 1]], axis=0)
         return cls(taps=taps, half=K)
 
@@ -480,8 +480,7 @@ def causal_wiener(F, P_u, G, sigma: float,
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H
     Mg = np.conj(np.swapaxes(
         np.linalg.solve(Lg, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
-    full = np.concatenate([Mg, np.conj(Mg[-2:0:-1])], axis=0)
-    h = np.fft.ifft(full, axis=0).real
+    h = grid_lags(Mg)
     causal = h[:N]
     anti = h[N:]
     peak = max(float(np.max(np.abs(h))), 1e-300)
@@ -514,20 +513,17 @@ def postfilter_mse(F, P_u, G, sigma: float, H_grid,
     return float(max(trapezoid_mean(integrand), 0.0))
 
 
-def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
-                 mode: str = "smoother", N: int | None = None,
-                 order: int = DEFAULT_FACTOR_ORDER,
-                 input_mean=None) -> MechanismDesign:
-    """Design the LMS mechanism: optimize the allocation profile, realize
-    the prefilter by scalar factorization, recalibrate noise from the
-    realized filter, and attach the smoother or causal postfilter.
+def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
+                  privacy: PrivacySpec, N: int | None = None,
+                  order: int = DEFAULT_FACTOR_ORDER):
+    """The LMS prefilter and its noise: optimize the allocation profile,
+    realize it by scalar factorization, and recalibrate the noise from
+    the realized filter. Returns (G, sigma, info).
 
-    The reported theory_mse (smoother mode) evaluates the objective at
-    the profile actually achieved by the FIR prefilter, so Monte Carlo
-    estimates are directly comparable.
+    info.achieved_objective is the smoother MSE at the profile the FIR
+    prefilter actually achieves, so Monte Carlo estimates are directly
+    comparable with it.
     """
-    if mode not in ("smoother", "causal"):
-        raise ConfigError(f"unknown LMS mode: {mode}")
     if N is None:
         N = P_u.n_grid
     if P_u.n_grid != N:
@@ -535,7 +531,6 @@ def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    kap = kappa(privacy)
     profile = optimize_prefilter_general(F, P_u, k, privacy, N)
 
     entries = []
@@ -552,43 +547,53 @@ def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     G = TransferMatrix.diagonal(entries)
 
     sens = diagonal_sensitivity(G, k)
-    sigma = kap * sens
     omega = grid_omega(N)
     gmag2 = np.stack([np.abs(g.freq(omega)) ** 2
                       for g in G.diagonal_entries()], axis=1)
     achieved = gmag2 * (k ** 2)[None, :]
     achieved /= trapezoid_mean(achieved.sum(axis=1))
-    achieved_profile = AllocationProfile(x=achieved)
-    achieved_profile.objective = lms_objective(
-        F, P_u, k, privacy, achieved_profile, N)
-
     info = {
         "grid_n": N,
         "optimal_objective": profile.objective,
-        "achieved_objective": achieved_profile.objective,
+        "achieved_objective": lms_objective(F, P_u, k, privacy, achieved, N),
         "prefilter_fit_errors": fit_errors,
         "sensitivity": sens,
         "factor_order": order,
     }
+    return G, kappa(privacy) * sens, info
+
+
+def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
+                 mode: str = "smoother", N: int | None = None,
+                 order: int = DEFAULT_FACTOR_ORDER,
+                 input_mean=None) -> MechanismDesign:
+    """Design the LMS mechanism: the prefilter and noise of lms_prefilter
+    with the smoother or causal postfilter attached.
+
+    The reported theory_mse (smoother mode) is the achieved objective of
+    lms_prefilter.
+    """
+    if mode not in ("smoother", "causal"):
+        raise ConfigError(f"unknown LMS mode: {mode}")
+    if N is None:
+        N = P_u.n_grid
+    G, sigma, info = lms_prefilter(F, P_u, privacy, N, order)
     Fg = freq_response(F, N)
     if mode == "smoother":
         H = wiener_smoother(Fg, P_u, G, sigma, N)
         postfilter = SmootherFilter.from_grid(H)
-        theory = achieved_profile.objective
+        theory = info["achieved_objective"]
     else:
         postfilter = causal_wiener(Fg, P_u, G, sigma, N)
-        info["smoother_mse"] = achieved_profile.objective
+        info["smoother_mse"] = info["achieved_objective"]
         info["causal_mse_quadrature"] = postfilter_mse(
             Fg, P_u, G, sigma, postfilter.grid(N), N)
         info["anticausal_tail"] = postfilter.anticausal_tail
         theory = None
-    design = MechanismDesign(
+    return MechanismDesign(
         kind="wiener_smoother" if mode == "smoother" else "wiener_causal",
         target=F, prefilter=G, noise_sigma=float(sigma), privacy=privacy,
         postfilter=postfilter, theory_mse=theory,
         input_mean=None if input_mean is None
         else np.asarray(input_mean, dtype=float),
         info=info)
-    design.info["profile"] = achieved_profile
-    design.info["optimal_profile"] = profile
-    return design

@@ -135,8 +135,9 @@ ZERO_FILTER = RationalFilter([0.0])
 class Postfilter:
     """What a mechanism runs on its release v = G (u - mu) + noise.
 
-    apply(v) maps v (T, m) to the centered estimate (T, p); a `batched`
-    postfilter (DF) also takes a sequence of B releases, giving (B, T, p).
+    apply(v) maps v (T, m) to the centered estimate (T, p). A `batched`
+    postfilter (DF) has no apply: df.run_df_mechanism runs its closed
+    loop over a sequence of releases and applies the target itself.
     margins() is (lead, tail): the filter memory behind the Monte Carlo
     burn-in, and the final samples that need inputs past the run. to_doc()
     is the design document's `postfilter` block, None when the filter is

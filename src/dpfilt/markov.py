@@ -78,11 +78,6 @@ def stationary_distribution(src: MarkovSource) -> np.ndarray:
     return p
 
 
-def stationary_mean(src: MarkovSource) -> np.ndarray:
-    p = stationary_distribution(src)
-    return p[list(src.selectors)]
-
-
 def chain_spectrum(src: MarkovSource, N: int = 1024
                    ) -> tuple[SpectrumGrid, np.ndarray]:
     """Centered z-spectrum of the indicator channels on the grid.

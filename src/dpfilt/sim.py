@@ -14,7 +14,7 @@ import numpy as np
 from .df import run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length, simulate)
-from .markov import MarkovSource, sample_chain, stationary_mean
+from .markov import MarkovSource, sample_chain
 from .privacy import PrivacySpec
 from .streams import EventStream
 from .zfe import MechanismDesign
@@ -76,11 +76,9 @@ def occupancy_filter_bank(m: int = 15, forecast: dict | None = None
 
 
 class StreamSource:
-    """Protocol-ish base: a named generator of event streams with an
-    optional public mean vector."""
+    """Protocol-ish base: a named generator of event streams."""
 
     name = "source"
-    mean: np.ndarray | None = None
 
     def sample(self, T: int, seed: int) -> EventStream:
         raise NotImplementedError
@@ -90,7 +88,6 @@ class MarkovStreamSource(StreamSource):
     def __init__(self, src: MarkovSource, name: str = "markov"):
         self.src = src
         self.name = name
-        self.mean = stationary_mean(src)
 
     def sample(self, T: int, seed: int) -> EventStream:
         return sample_chain(self.src, T, seed)
@@ -123,7 +120,6 @@ class OccupancySource(StreamSource):
         rng = np.random.default_rng(phase_seed + 1)
         self.phases = rng.uniform(0.0, 2.0 * np.pi, m)
         self.name = name
-        self.mean = self.rates.copy()
 
     def sample(self, T: int, seed: int) -> EventStream:
         rng = np.random.default_rng(seed)
@@ -140,11 +136,9 @@ class FixedStreamSource(StreamSource):
     """Wraps a fixed stream (e.g. loaded from CSV); sampling ignores the
     seed and returns the leading T rows."""
 
-    def __init__(self, stream: EventStream, name: str = "fixed",
-                 mean=None):
+    def __init__(self, stream: EventStream, name: str = "fixed"):
         self.stream = stream
         self.name = name
-        self.mean = None if mean is None else np.asarray(mean, dtype=float)
 
     def sample(self, T: int, seed: int) -> EventStream:
         if T > self.stream.length:

@@ -27,9 +27,13 @@ FLOOR_HINT = "; add a white `spectrum.floor` to the input spectrum"
 
 def _two_sided(values: np.ndarray) -> np.ndarray:
     """Extend samples on [0, pi] to the full circle by conjugate symmetry."""
-    if values.ndim == 1:
-        return np.concatenate([values, values[-2:0:-1].conj()])
     return np.concatenate([values, np.conj(values[-2:0:-1])], axis=0)
+
+
+def grid_lags(values: np.ndarray) -> np.ndarray:
+    """Real lags 0..N-1, -N..-1 (2N rows) of a conjugate-symmetric grid
+    (N+1, ...) on omega_q = q pi / N: the inverse of lti.taps_grid."""
+    return np.fft.ifft(_two_sided(values), axis=0).real
 
 
 def paley_wiener_check(s, floor_frac: float = LOG_FLOOR_FRAC,
@@ -53,10 +57,8 @@ def paley_wiener_check(s, floor_frac: float = LOG_FLOOR_FRAC,
 def _cepstral_impulse(s: np.ndarray, floor_frac: float) -> np.ndarray:
     """Full-length minimum-phase impulse response with |g|^2 = s on the grid."""
     floor = floor_frac * float(s.max())
-    logs = np.log(np.maximum(s, floor))
-    full = _two_sided(logs).real
-    L = full.size
-    cep = np.fft.ifft(full / 2.0).real
+    cep = grid_lags(np.log(np.maximum(s, floor))) / 2.0
+    L = cep.size
     fold = np.zeros(L)
     fold[0] = 1.0
     fold[1: L // 2] = 2.0
@@ -133,7 +135,7 @@ def fit_rational_magnitude(s, order: int) -> tuple[RationalFilter, float]:
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise FitFailed("spectrum must be strictly positive for the fit")
-    r = np.fft.ifft(_two_sided(s)).real
+    r = grid_lags(s)
     if order >= s.size:
         raise FitFailed("fit order too large for the grid")
     try:
@@ -201,7 +203,7 @@ class MatrixFactorization:
 
 def _det_winding(Lg: np.ndarray) -> int:
     det = np.linalg.det(Lg)
-    det_full = _two_sided(det[:, None, None])[:, 0, 0]
+    det_full = _two_sided(det)
     ang = np.unwrap(np.angle(np.concatenate([det_full, det_full[:1]])))
     return int(np.round((ang[-1] - ang[0]) / (2 * np.pi)))
 
@@ -284,7 +286,7 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
         return _diagonal_factor(P, LOG_FLOOR_FRAC, off_peak, scale)
 
     N = P.n_grid
-    R = np.fft.ifft(_two_sided(samples), axis=0).real
+    R = grid_lags(samples)
     norms = np.linalg.norm(R, axis=(1, 2))
     above = np.nonzero(norms > tail_tol * norms[0])[0]
     band = int(min(above[above < N].max(initial=0) + 1, N))

@@ -518,3 +518,45 @@ class TestOccupancyBankCli:
         ratio = d["theory_mse"] / d["info"]["diag_bound"]
         assert 1.0 - 1e-9 <= ratio <= 1.05
         assert d["info"]["optimality_gap"] >= 0.0
+
+
+class TestConfigErrorsExitTwo:
+    def test_markov_source_without_pi(self, tmp_path, capsys):
+        # the design reads only the spectrum block; simulate then builds
+        # the source and must name the missing key instead of a traceback
+        cfg_path, _ = base_config(tmp_path, source={"kind": "markov",
+                                                    "selectors": [1, 3]})
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'Pi'" in err
+
+    def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
+        cfg_path, _ = base_config(
+            tmp_path, mech="lms_smoother",
+            spectrum={"kind": "markov", "Pi": [[0.5, 0.5], [0.5, 0.5]]})
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'selectors'" in err
+
+    def test_spectrum_file_key_rejected(self, tmp_path, capsys):
+        cfg_path, _ = base_config(
+            tmp_path, mech="lms_smoother",
+            spectrum={"kind": "markov_server", "file": "x.csv"})
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown spectrum keys" in err and "'file'" in err
+
+    def test_unknown_mechanism_flag(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", str(cfg_path), "--mechanism",
+                  "magic", "--out", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'magic'" in capsys.readouterr().err

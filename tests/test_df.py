@@ -475,3 +475,73 @@ class TestDecisionErrorRate:
         assert diag["decision_error_rate"] == float(np.mean(wrong))
         assert 0.0 < diag["decision_error_rate"] < 0.5
         assert "decision_disagreement" not in diag
+
+
+def h1_taps_reference(design, P_u, N):
+    """The forward filter design_df wrote by hand before it took the
+    Wiener smoother of lms: H1 = B P_u G* (G P_u G* + s^2 I)^-1, solved
+    against the conjugate transpose of the observation spectrum, taken to
+    lags by its own two-sided ifft and cut like the causal taps."""
+    from dpfilt import freq_response
+    df = design.postfilter
+    Pg = P_u.samples
+    m = Pg.shape[1]
+    Gg = freq_response(design.prefilter, N).samples
+    GgH = np.conj(np.swapaxes(Gg, 1, 2))
+    Bg = df.feedback.grid(N)
+    Pv = Gg @ Pg @ GgH + design.noise_sigma ** 2 * np.eye(m)[None, :, :]
+    H1g = np.conj(np.swapaxes(
+        np.linalg.solve(np.conj(np.swapaxes(Pv, 1, 2)),
+                        np.conj(np.swapaxes(Bg @ Pg @ GgH, 1, 2))), 1, 2))
+    full = np.concatenate([H1g, np.conj(H1g[-2:0:-1])], axis=0)
+    h = np.fft.ifft(full, axis=0).real
+    causal = h[:N]
+    anti = h[N:][::-1]           # lags -1, -2, ...
+    d = df.lookahead
+    taps = np.concatenate([anti[:d][::-1], causal], axis=0)
+    mags = np.abs(taps).reshape(taps.shape[0], -1).max(axis=1)
+    peak = max(float(mags.max()), 1e-300)
+    keep = np.nonzero(mags > 1e-12 * peak)[0]
+    return taps[: (int(keep[-1]) + 1 if keep.size else 1)]
+
+
+class TestForwardFilterReference:
+    """design_df's forward taps, now the lms Wiener smoother of the
+    feedback grid B, against the hand-written formula they replace:
+    same length, within 1e-14 of the peak."""
+
+    setup_method = TestClosedLoop.setup_method
+    design = TestBatchedClosedLoop.design
+
+    @staticmethod
+    def check(design, P_u, N):
+        want = h1_taps_reference(design, P_u, N)
+        got = design.postfilter.h1_taps
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_epsilon_10_design(self):
+        self.check(self.design("nonneg_integers"), self.Pu, N)
+
+    def test_server_workload(self, monkeypatch):
+        import os
+        from dpfilt.cli import _make_design
+        from dpfilt.config import Config
+        from dpfilt.fileio import spectrum_from_spec
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        cfg = Config.load("benchmark/workloads/server_df.yaml")
+        Pu, _ = spectrum_from_spec(cfg.spectrum, cfg.grid_n, 2)
+        self.check(_make_design(cfg), Pu, cfg.grid_n)
+
+    def test_lookahead_bounded_by_the_grid(self):
+        # the grid holds anticausal lags -1..-N: a lookahead of N takes
+        # them all, one beyond it has no taps to take
+        G = TransferMatrix.identity(2)
+        d = design_df(self.F, self.Pu, self.pk, G, sigma=0.3, lookahead=N,
+                      N=N, input_mean=self.mean)
+        self.check(d, self.Pu, N)
+        for bad in (-1, N + 1):
+            with pytest.raises(ConfigError, match="lookahead"):
+                design_df(self.F, self.Pu, self.pk, G, sigma=0.3,
+                          lookahead=bad, N=N)

@@ -699,3 +699,64 @@ class TestBatchedMonicRecursion:
         want = np.stack([monic_inverse_reference(P, delta[:, :, c])
                          for c in range(2)], axis=2)
         assert rel_gap(fb.impulse(300), want) <= 1e-13
+
+
+def smoother_reference(H, tail_tol=1e-10):
+    """The lag loop SmootherFilter.from_grid ran before it was vectorized:
+    (taps, half)."""
+    N = H.n_grid
+    full = np.concatenate([H.samples, np.conj(H.samples[-2:0:-1])], axis=0)
+    h = np.fft.ifft(full, axis=0).real      # lags 0..N-1, -N..-1
+    mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
+    peak = max(float(mags.max()), 1e-300)
+    K = 1
+    for lag in range(1, N):
+        if mags[lag] > tail_tol * peak or mags[2 * N - lag] > tail_tol * peak:
+            K = lag
+    return np.concatenate([h[-K:], h[: K + 1]], axis=0), K
+
+
+class TestSmootherFromGrid:
+    """SmootherFilter.from_grid against the lag loop it replaced: the
+    same half and bitwise the same taps."""
+
+    @staticmethod
+    def check(H, half=None):
+        from dpfilt.lms import SmootherFilter
+        got = SmootherFilter.from_grid(H)
+        taps, K = smoother_reference(H)
+        assert got.half == K
+        assert np.array_equal(got.taps, taps)
+        if half is not None:
+            assert K == half
+
+    def test_tail_on_the_negative_side_only(self):
+        # lags -30..2: every tap beyond lag 2 is anticausal
+        from dpfilt.lti import taps_grid
+        taps = np.zeros((33, 2, 2))
+        taps[:, 0, 0] = 0.8 ** np.arange(33)[::-1]
+        taps[:, 1, 0] = 0.5 * taps[:, 0, 0]
+        self.check(SpectrumGrid(taps_grid(taps, N, -30)), half=30)
+
+    def test_all_small_tail(self):
+        # nothing beyond lag 0 reaches 1e-10 of the peak: half stays 1
+        from dpfilt.lti import taps_grid
+        taps = np.full((5, 1, 1), 1e-12)
+        taps[2] = 1.0
+        self.check(SpectrumGrid(taps_grid(taps, N, -2)), half=1)
+
+    def test_bench_bank(self):
+        # the Wiener smoother of the bank_lms_causal prefilter and noise
+        from dpfilt import occupancy_filter_bank
+        from dpfilt.lms import lms_prefilter
+        rates = np.array([1.4, 1.836, 1.641, 0.76, 0.88, 1.798, 0.408,
+                          1.714, 1.675, 1.149, 0.885, 0.845, 0.808, 1.112,
+                          1.207])
+        n = 1024
+        Pu = SpectrumGrid(np.repeat(np.diag(rates).astype(complex)[None],
+                                    n + 1, axis=0))
+        pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
+                         k=(4.0,) * 15)
+        F = occupancy_filter_bank()
+        G, sigma, _ = lms_prefilter(F, Pu, pk, n, 40)
+        self.check(wiener_smoother(F, Pu, G, sigma, n))

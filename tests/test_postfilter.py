@@ -73,11 +73,14 @@ class TestRoundTrip:
                                           design.prefilter)
         assert type(loaded) is type(post)
         assert loaded.margins() == post.margins()
+        if post.batched:
+            # DF has no apply: its closed loop runs a batch of releases
+            for a, b in zip(loaded.closed_loop(releases(design), design.mu),
+                            post.closed_loop(releases(design), design.mu)):
+                assert np.array_equal(a, b)
+            return
         for v in releases(design):
             assert np.array_equal(loaded.apply(v), post.apply(v))
-        if post.batched:
-            assert np.array_equal(loaded.apply(releases(design)),
-                                  post.apply(releases(design)))
 
     @pytest.mark.parametrize("mech", MECHS)
     def test_block_written_only_where_needed(self, designs, mech):
@@ -188,6 +191,28 @@ class TestSimulateLoadsStoredPostfilter:
         monkeypatch.setattr(dpfilt.sim, "run_df_mechanism", counted)
         assert self.simulate(tmp_path, self.design(tmp_path, "df")) == 0
         assert calls == [2]
+
+    def test_df_design_builds_no_smoother(self, tmp_path, monkeypatch):
+        # DF takes the LMS prefilter and noise from lms_prefilter and its
+        # forward filter from the one Wiener smoother of lms, which it
+        # calls once; it never realizes an LMS smoother postfilter
+        import dpfilt.df
+        import dpfilt.lms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DF design built a SmootherFilter")
+
+        calls = []
+        smoother = dpfilt.df.wiener_smoother
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return smoother(*args, **kwargs)
+
+        monkeypatch.setattr(dpfilt.lms.SmootherFilter, "from_grid", refuse)
+        monkeypatch.setattr(dpfilt.df, "wiener_smoother", counted)
+        self.design(tmp_path, "df")
+        assert calls == [1]
 
     @pytest.mark.parametrize("mech", STORED)
     def test_tampered_noise_still_refused(self, tmp_path, capsys, mech):
