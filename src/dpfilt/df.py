@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
-from .lms import (TAP_CUT, _bracket_inverse_times, _tilde, as_grid,
-                  mimo_fir, monic_inverse_filter, wiener_smoother)
+from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
+                  as_grid, monic_inverse_filter, wiener_smoother)
 from .lti import (Postfilter, SpectrumGrid, TransferMatrix,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
@@ -67,30 +67,40 @@ class DfDesign(Postfilter):
         decide = decision_op(self.decision_domain)
         B = len(v)
         T, m = v[0].shape
-        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
-        # u_tilde is built in place on top of it. Per-step arrays are
-        # time-major, so row t of every trial is one contiguous view.
+        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j},
+        # one FirBank for all trials; u_tilde is built in place on top of
+        # it. Per-step arrays are time-major, so row t of every trial is
+        # one contiguous view.
+        bank = FirBank(self.h1_taps)
         u_tilde = np.empty((T, B, m))
         for b in range(B):
-            u_tilde[:, b] = mimo_fir(self.h1_taps, v[b], self.lookahead)
+            u_tilde[:, b] = bank.run(v[b], self.lookahead)
         # feedback term: one (B, K m) @ (K m, m) product per step against
         # the flattened windows of the last K rows of r = fed_back -
-        # fb_term (zero-padded), one window row per trial
+        # fb_term (zero-padded), one window row per trial. Every per-step
+        # operand has the step's (B, m) shape, so no ufunc broadcasts.
         P = self.feedback.p_coeffs
         K = P.shape[0] - 1
         A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
         flat = np.zeros((B, (T + K) * m))
         r = flat.reshape(B, T + K, m)[:, K:]
+        item = flat.itemsize
+        windows = np.lib.stride_tricks.as_strided(
+            flat, (T, B, K * m), (m * item, flat.strides[0], item),
+            writeable=False)
+        mu = np.tile(np.asarray(mu, dtype=float), (B, 1))
+        zero = np.zeros((B, m))
+        fb_term = np.empty((B, m))
         u_hat = np.empty((T, B, m))
         if fed_back is None:
             fed_back = u_hat
         for t in range(T):
-            fb_term = flat[:, t * m:(t + K) * m] @ A
+            np.matmul(windows[t], A, out=fb_term)
             x = u_tilde[t]
             x += fb_term
             h = u_hat[t]
             np.add(x, mu, out=h)
-            np.subtract(decide(h), mu, out=h)
+            np.subtract(decide(h, zero), mu, out=h)
             np.subtract(fed_back[t], fb_term, out=r[:, t])
         return u_tilde, u_hat
 
@@ -175,20 +185,21 @@ def df_theory_mse(T: np.ndarray, R: np.ndarray,
     return float(kappa(privacy) ** 2 * np.trace(np.asarray(T) @ np.asarray(R)))
 
 
-def _nonneg_integers(x):
-    return np.maximum(np.rint(x, out=x), 0.0, out=x)
+def _nonneg_integers(x, zero):
+    return np.maximum(np.rint(x, out=x), zero, out=x)
 
 
-def _sign(x):
-    return np.where(x >= 0.0, 1.0, -1.0)
+def _sign(x, zero):
+    return np.where(x >= zero, 1.0, -1.0)
 
 
-def _reals(x):
+def _reals(x, zero):
     return x
 
 
 # Decision op per input domain. Each op takes a float array it may
-# overwrite and returns the decisions.
+# overwrite and a zero array of the same shape, and returns the
+# decisions.
 _DECISION_OPS = {"nonneg_integers": _nonneg_integers, "sign": _sign,
                  "reals": _reals}
 DECISION_DOMAINS = tuple(_DECISION_OPS)
@@ -205,7 +216,8 @@ def decision_op(domain: str):
 
 def decision_device(x, domain: str):
     """Map raw estimates onto the admissible input domain."""
-    return decision_op(domain)(np.array(x, dtype=float))
+    x = np.array(x, dtype=float)
+    return decision_op(domain)(x, np.zeros_like(x))
 
 
 def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,

@@ -339,7 +339,13 @@ class SmootherFilter(Postfilter):
         return cls(taps=taps, half=K)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return mimo_fir(self.taps, v, self.half)
+        return self.bank().run(v, self.half)
+
+    def bank(self) -> FirBank:
+        """The FirBank of the taps, built on first use and kept."""
+        if "_bank" not in self.__dict__:
+            self._bank = FirBank(self.taps)
+        return self._bank
 
     def margins(self) -> tuple[int, int]:
         return self.half, self.half
@@ -360,25 +366,57 @@ class SmootherFilter(Postfilter):
         return taps_grid(self.taps, N, -self.half)
 
 
+class FirBank:
+    """A MIMO FIR filter, taps (L, p, m), run by overlap-save block
+    convolution (Stockham 1966) with its tap spectra taken once.
+
+    Blocks are N = next_fast_len(8 L) samples long and each yields its
+    last N - L + 1 outputs. A run takes the block rffts of one input
+    channel at a time, sums the frequency-domain products over input
+    channels, and takes one batched irfft per output.
+    """
+
+    def __init__(self, taps: np.ndarray):
+        self.taps = np.asarray(taps, dtype=float)
+        L = self.taps.shape[0]
+        self.n = next_fast_len(8 * L)
+        # (p, m, n // 2 + 1): one contiguous spectrum per tap column
+        self.spectra = np.ascontiguousarray(
+            np.moveaxis(np.fft.rfft(self.taps, self.n, axis=0), 0, -1))
+
+    def run(self, v: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Samples offset..offset+T-1 of the convolution of the taps with
+        v (T, m), zero past its end."""
+        T, m = v.shape
+        L, p, _ = self.taps.shape
+        n = self.n
+        step = n - L + 1
+        nb = max(-(-T // step), 1)
+        # z[i] = v[start + i], zero outside v; block b is z[b step:][:n]
+        start = offset - L + 1
+        z = np.zeros(nb * step + L - 1)
+        lo, hi = max(start, 0), min(T, start + z.size)
+        blocks = np.lib.stride_tricks.as_strided(
+            z, (nb, n), (step * z.itemsize, z.itemsize), writeable=False)
+        X = np.empty((m, nb, n // 2 + 1), dtype=complex)
+        for j in range(m):
+            if hi > lo:
+                z[lo - start:hi - start] = v[lo:hi, j]
+            X[j] = np.fft.rfft(blocks, axis=-1)
+        y = np.empty((T, p))
+        for i in range(p):
+            Y = np.einsum("jf,jbf->bf", self.spectra[i], X)
+            y[:, i] = np.fft.irfft(Y, n, axis=-1)[:, L - 1:].ravel()[:T]
+        y[max(T + L - 1 - offset, 0):] = 0.0
+        return y
+
+
 def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
              ) -> np.ndarray:
     """Samples offset..offset+T-1 of the MIMO convolution of taps (L, p, m)
-    with v (T, m), zero past its end. Input spectra are taken once, one
-    column at a time (no padded (nfft, m) copy, no (nfft, p, m) array);
-    each output row sums its frequency-domain products, then one irfft."""
-    T, m = v.shape
-    L, p, _ = taps.shape
-    n_full = T + L - 1
-    nfft = next_fast_len(n_full)
-    V = np.empty((nfft // 2 + 1, m), dtype=complex)
-    for j in range(m):
-        V[:, j] = np.fft.rfft(v[:, j], nfft)
-    y = np.zeros((T, p))
-    stop = min(offset + T, n_full)
-    for i in range(p):
-        Y = sum(np.fft.rfft(taps[:, i, j], nfft) * V[:, j] for j in range(m))
-        y[: stop - offset, i] = np.fft.irfft(Y, nfft)[offset:stop]
-    return y
+    with v (T, m), zero past its end: FirBank(taps).run(v, offset), for
+    one-off callers. A filter run more than once keeps its FirBank."""
+    return FirBank(taps).run(v, offset)
 
 
 def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -442,7 +480,13 @@ class CausalWienerFilter(Postfilter):
     anticausal_tail: float = 0.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return mimo_fir(self.taps, v)
+        return self.bank().run(v)
+
+    def bank(self) -> FirBank:
+        """The FirBank of the taps, built on first use and kept."""
+        if "_bank" not in self.__dict__:
+            self._bank = FirBank(self.taps)
+        return self._bank
 
     def margins(self) -> tuple[int, int]:
         return self.taps.shape[0], 0

@@ -113,7 +113,12 @@ class OccupancySource(StreamSource):
             self.rates = np.full(m, float(self.rates[0]))
         if self.rates.size != m:
             raise ConfigError("rates length must match channel count")
+        if not np.all(np.isfinite(self.rates) & (self.rates >= 0.0)):
+            raise ConfigError(f"rates must be finite and nonnegative, got "
+                              f"{self.rates.tolist()}")
         self.period = int(period)
+        if self.period < 1:
+            raise ConfigError(f"period must be at least 1, got {period}")
         self.amplitude = float(amplitude)
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError("amplitude must lie in [0, 1)")
@@ -123,11 +128,19 @@ class OccupancySource(StreamSource):
 
     def sample(self, T: int, seed: int) -> EventStream:
         rng = np.random.default_rng(seed)
-        t = np.arange(T)[:, None]
-        lam = self.rates[None, :] * (
-            1.0 + self.amplitude * np.sin(
-                2.0 * np.pi * t / self.period + self.phases[None, :]))
-        data = rng.poisson(np.maximum(lam, 0.0)).astype(float)
+        if self.amplitude == 0.0:
+            data = rng.poisson(self.rates, size=(T, self.m)).astype(float)
+        else:
+            # rates * (1 + amplitude sin(2 pi t / period + phase)), built
+            # in place in one (T, m) buffer; never negative, since the
+            # rates are not and amplitude < 1
+            lam = np.add(2.0 * np.pi * np.arange(T)[:, None] / self.period,
+                         self.phases, out=np.empty((T, self.m)))
+            np.sin(lam, out=lam)
+            lam *= self.amplitude
+            lam += 1.0
+            lam *= self.rates
+            data = rng.poisson(lam).astype(float)
         return EventStream(data, [f"u{i + 1}" for i in range(self.m)],
                            dt_label="3 min")
 

@@ -535,6 +535,26 @@ class TestConfigErrorsExitTwo:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "'Pi'" in err
 
+    @pytest.mark.parametrize("bad,key", [
+        ({"rates": [-1.0, 1.0]}, "rates"),
+        ({"rates": [float("nan"), 1.0]}, "rates"),
+        ({"period": 0}, "period")],
+        ids=["negative_rate", "nan_rate", "zero_period"])
+    def test_bad_occupancy_source(self, tmp_path, capsys, bad, key):
+        # regression: a negative rate became an all-zero channel, a NaN
+        # rate ended in numpy's "lam value too large", period 0 divided
+        # by zero
+        cfg_path, _ = base_config(tmp_path,
+                                  source={"kind": "occupancy", **bad})
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(
             tmp_path, mech="lms_smoother",

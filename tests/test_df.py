@@ -545,3 +545,44 @@ class TestForwardFilterReference:
             with pytest.raises(ConfigError, match="lookahead"):
                 design_df(self.F, self.Pu, self.pk, G, sigma=0.3,
                           lookahead=bad, N=N)
+
+
+class TestServerFeedbackPrecision:
+    """The batched DF feedback (one flattened (B, K m) @ (K m, m) product
+    per step) against a long-double sequential recursion on the
+    benchmark server design (K = 118, m = 2), with oracle feedback: the
+    summation order of the product costs no accuracy that a long
+    recursion amplifies."""
+
+    def test_oracle_feedback_matches_long_double(self, monkeypatch):
+        import os
+        from dpfilt.cli import _make_design
+        from dpfilt.config import Config
+        from dpfilt.fileio import source_from_spec
+        from dpfilt.lms import mimo_fir
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        cfg = Config.load("benchmark/workloads/server_df.yaml")
+        design = _make_design(cfg)
+        df = design.postfilter
+        P = df.feedback.p_coeffs
+        K, m = P.shape[0] - 1, P.shape[1]
+        assert (K, m) == (118, 2)
+        T = 3000
+        mu = design.mu
+        uc = source_from_spec(cfg.source, m).sample(T, 1).data - mu
+        v = design.release(uc + mu, 2)
+        u_tilde, _ = df.closed_loop([v], mu, uc[:, None])
+
+        fwd = mimo_fir(df.h1_taps, v, df.lookahead).astype(np.longdouble)
+        Pl = P.astype(np.longdouble)
+        r = np.zeros((T, m), dtype=np.longdouble)
+        want = np.empty((T, m), dtype=np.longdouble)
+        for t in range(T):
+            ks = min(t, K)
+            fb = np.einsum("kij,kj->i", Pl[1:ks + 1], r[t - ks:t][::-1])
+            want[t] = fwd[t] + fb
+            r[t] = uc[t] - fb
+        want = want.astype(float)
+        assert np.max(np.abs(u_tilde[:, 0] - want)) \
+            <= 1e-12 * np.max(np.abs(want))

@@ -473,15 +473,40 @@ class TestSequentialKernelAgreement:
         assert np.array_equal(got, monic_inverse_reference(np.eye(4)[None],
                                                            v))
 
-    @pytest.mark.parametrize("offset", [0, 2, 7, 40])
-    def test_mimo_fir_matches_pairwise_fftconvolve(self, rng, offset):
+    @pytest.mark.parametrize("L,p,m,T,offset", [
         # offsets: causal postfilter, DF lookahead, smoother half-width
         # (taps span lags -7..7), and one past the end of the taps
+        pytest.param(15, 3, 4, 2000, 0, id="0"),
+        pytest.param(15, 3, 4, 2000, 2, id="2"),
+        pytest.param(15, 3, 4, 2000, 7, id="7"),
+        pytest.param(15, 3, 4, 2000, 40, id="40"),
+        # block edges of the overlap-save kernel
+        pytest.param(15, 3, 4, 10, 0, id="T_below_L"),
+        pytest.param(15, 3, 4, 10, 7, id="T_below_L_offset"),
+        pytest.param(5, 2, 3, 3000, 0, id="84_blocks"),
+        pytest.param(15, 3, 4, 2000, 14, id="offset_L_minus_1"),
+        pytest.param(15, 3, 4, 300, 100, id="offset_far_past_taps"),
+        pytest.param(31, 1, 1, 500, 0, id="siso"),
+        pytest.param(31, 1, 1, 500, 5, id="siso_offset"),
+        pytest.param(522, 3, 15, 20000, 0, id="bank_lms_causal_shape"),
+    ])
+    def test_mimo_fir_matches_pairwise_fftconvolve(self, rng, L, p, m, T,
+                                                   offset):
         from dpfilt.lms import mimo_fir
-        taps = rng.normal(size=(15, 3, 4))
-        v = rng.normal(size=(2000, 4))
+        taps = rng.normal(size=(L, p, m))
+        v = rng.normal(size=(T, m))
         got = mimo_fir(taps, v, offset)
+        assert got.shape == (T, p)
         assert rel_gap(got, mimo_fir_reference(taps, v, offset)) <= 1e-12
+
+    def test_mimo_fir_zero_past_the_full_convolution(self, rng):
+        # samples at or past T + L - 1 are exactly zero
+        from dpfilt.lms import mimo_fir
+        taps = rng.normal(size=(15, 2, 3))
+        v = rng.normal(size=(30, 3))
+        assert not np.any(mimo_fir(taps, v, 44))
+        got = mimo_fir(taps, v, 40)
+        assert np.all(got[4:] == 0.0) and np.all(got[:4] != 0.0)
 
 
 def psd_sqrt_reference(P):

@@ -82,6 +82,20 @@ class TestRoundTrip:
         for v in releases(design):
             assert np.array_equal(loaded.apply(v), post.apply(v))
 
+    def test_kept_bank_not_mutated_by_apply(self, designs):
+        # a loaded causal postfilter keeps its FirBank after the first
+        # apply; a second apply gives bitwise the same output
+        design, doc = designs["lms_causal"]
+        loaded = POSTFILTERS[design.kind](doc, design.target,
+                                          design.prefilter)
+        v = releases(design, n=1)[0]
+        first = loaded.apply(v)
+        bank = loaded.bank()
+        spectra = bank.spectra.copy()
+        assert np.array_equal(loaded.apply(v), first)
+        assert loaded.bank() is bank
+        assert np.array_equal(bank.spectra, spectra)
+
     @pytest.mark.parametrize("mech", MECHS)
     def test_block_written_only_where_needed(self, designs, mech):
         _, doc = designs[mech]

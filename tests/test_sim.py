@@ -90,6 +90,31 @@ class TestOccupancySource:
             se = np.sqrt(r * 1.2 / T)
             assert abs(s.data[:, i].mean() - r) < 3 * se + 1e-3
 
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"rates": [-1.0, 1.0]}, "rates"),
+        ({"rates": [np.nan, 1.0]}, "rates"),
+        ({"rates": [1.0, np.inf]}, "rates"),
+        ({"rates": -0.5}, "rates"),
+        ({"period": 0}, "period"),
+        ({"period": -3}, "period")],
+        ids=["negative", "nan", "inf", "negative_scalar", "zero_period",
+             "negative_period"])
+    def test_bad_inputs_fail_early(self, kwargs, key):
+        with pytest.raises(ConfigError, match=key):
+            OccupancySource(m=2, **kwargs)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.6])
+    def test_draws_match_the_rate_table(self, amplitude):
+        # the draws of the broadcast rate table rates * (1 + amplitude
+        # sin(2 pi t / period + phase)), bit for bit, on either path
+        src = OccupancySource(m=3, rates=[0.5, 1.0, 2.0], period=48,
+                              amplitude=amplitude)
+        t = np.arange(500)[:, None]
+        lam = src.rates[None, :] * (1.0 + amplitude * np.sin(
+            2.0 * np.pi * t / src.period + src.phases[None, :]))
+        want = np.random.default_rng(4).poisson(np.maximum(lam, 0.0))
+        assert np.array_equal(src.sample(500, seed=4).data, want)
+
     def test_determinism(self):
         src = synthetic_occupancy_source(m=2, seed=5)
         assert np.array_equal(src.sample(100, seed=9).data,
