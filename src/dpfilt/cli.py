@@ -15,8 +15,6 @@ import importlib.resources
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import MECHANISM_KINDS, Config
 from .errors import ConfigError, DpfiltError
@@ -54,16 +52,16 @@ def _make_design(cfg: Config) -> MechanismDesign:
     Pu, mean = spectrum_from_spec(cfg.spectrum, N, F.shape[1])
     if kind in ("lms_smoother", "lms_causal"):
         mode = "smoother" if kind == "lms_smoother" else "causal"
-        return assemble_lms(F, Pu, priv, mode=mode, N=N, order=order,
+        return assemble_lms(F, Pu, priv, mode=mode, order=order,
                             input_mean=mean)
     # decision feedback around the LMS prefilter
-    G, sigma, info = lms_prefilter(F, Pu, priv, N, order)
+    G, sigma, info = lms_prefilter(F, Pu, priv, order)
     design = design_df(
         F, Pu, priv, G, sigma=sigma,
         lookahead=int(cfg.mechanism.get("lookahead", 2)),
         decision_domain=cfg.mechanism.get("decision_domain",
                                           "nonneg_integers"),
-        N=N, input_mean=mean)
+        input_mean=mean)
     for key in ("optimal_objective", "achieved_objective",
                 "prefilter_fit_errors"):
         design.info[key] = info[key]

@@ -127,16 +127,14 @@ class DfDesign(Postfilter):
                        "decision_domain", "nonneg_integers"))
 
 
-def df_factorizations(F, P_u, G, k, privacy: PrivacySpec,
-                      N: int | None = None):
-    """Spectral factorization pair behind the DF design.
+def df_factorizations(F, P_u: SpectrumGrid, G, k, privacy: PrivacySpec):
+    """Spectral factorization pair behind the DF design, on the grid of
+    P_u.
 
     K (Pt^-1 + Gt* Gt)^-1 K = Q R Q* and F* F = S* T S, with Q, S monic
     causal and R, T positive definite.
     """
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else 1024
-    Pg = as_grid(P_u, N)
+    N, Pg = P_u.n_grid, P_u.samples
     m = Pg.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
@@ -223,26 +221,26 @@ def decision_device(x, domain: str):
 def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
               G: TransferMatrix, sigma: float, lookahead: int = 2,
               decision_domain: str = "nonneg_integers",
-              N: int | None = None, input_mean=None) -> MechanismDesign:
-    """Assemble a DF mechanism around an existing (LMS-designed) prefilter.
+              input_mean=None) -> MechanismDesign:
+    """Assemble a DF mechanism around an existing (LMS-designed) prefilter,
+    on the grid of P_u.
 
     The forward filter is the Wiener smoother for B u truncated to
     lookahead d; theory_mse reports the assumed-correct-decision value.
     """
     decision_op(decision_domain)
-    if N is None:
-        N = P_u.n_grid
+    N = P_u.n_grid
     if not 0 <= lookahead <= N:
         raise ConfigError(f"lookahead must lie in [0, {N}], the grid's "
                           "anticausal lags")
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    Qf, R, Sf, T = df_factorizations(F, P_u, G, k, privacy, N)
+    Qf, R, Sf, T = df_factorizations(F, P_u, G, k, privacy)
     fb = optimal_feedback(Qf, Sf)
     theory = df_theory_mse(T, R, privacy)
 
-    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma, N).samples)
+    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma).samples)
     d = int(lookahead)
     # lags -d..N-1, cut after the last tap above TAP_CUT of their peak
     taps = _truncate_tail(np.concatenate([h[2 * N - d:], h[:N]]), TAP_CUT)

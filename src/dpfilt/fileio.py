@@ -11,9 +11,10 @@ import yaml
 from .df import DfDesign
 from .errors import ConfigError, InsufficientNoise
 from .lms import CausalWienerFilter, SmootherFilter
-from .lti import RationalFilter, SpectrumGrid, TransferMatrix, h2_norm
+from .lti import (RationalFilter, SpectrumGrid, TransferMatrix, h2_norm,
+                  taps_grid)
 from .markov import MarkovSource, chain_spectrum, server_example
-from .privacy import PrivacySpec, kappa
+from .privacy import PrivacySpec, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .zfe import MechanismDesign, zfe_postfilter
 
@@ -131,12 +132,9 @@ def spectrum_from_spec(block: dict, N: int, m: int
             lags = lags[:, None, None]
         if lags.shape[1] != m:
             raise ConfigError("autocovariance dimension mismatch")
-        omega = np.arange(N + 1) * np.pi / N
-        samples = np.repeat(lags[0][None].astype(complex), N + 1, axis=0)
-        for kk in range(1, lags.shape[0]):
-            ph = np.exp(-1j * omega * kk)[:, None, None]
-            samples = samples + lags[kk][None] * ph \
-                + lags[kk].T[None] * np.conj(ph)
+        # sum_k R_k e^{-j omega k} + sum_{k >= 1} R_k^T e^{j omega k}
+        samples = taps_grid(lags, N) + np.conj(taps_grid(
+            np.swapaxes(lags[1:], 1, 2), N, first_lag=1))
         mean = np.zeros(m)
     else:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
@@ -161,8 +159,8 @@ def source_from_spec(block: dict, m: int):
     elif kind == "occupancy":
         out = OccupancySource(m=int(block.get("m", m)),
                               rates=block.get("rates"),
-                              period=int(block.get("period", 480)),
-                              amplitude=float(block.get("amplitude", 0.6)))
+                              period=block.get("period", 480),
+                              amplitude=block.get("amplitude", 0.6))
     elif kind == "csv":
         try:
             stream = EventStream.load_csv(block["csv"])
@@ -228,7 +226,7 @@ def check_noise(kind: str, F: TransferMatrix, G: TransferMatrix,
         sens = float(np.linalg.norm(k)) * h2_norm(F)
     else:
         sens = diagonal_sensitivity(G, k)
-    need = kappa(priv) * sens
+    need = noise_sigma(sens, priv)
     if sigma < need * (1.0 - NOISE_SLACK):
         raise InsufficientNoise(
             f"stored noise_sigma {sigma:.6g} is below kappa * sensitivity "

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
-from .lti import (DEFAULT_GRID, Postfilter, RationalFilter, SpectrumGrid,
-                  TransferMatrix, freq_response, grid_omega, next_fast_len,
-                  taps_grid, trapezoid_mean, trapezoid_weights)
-from .privacy import PrivacySpec, kappa
+from .lti import (Postfilter, RationalFilter, SpectrumGrid, TransferMatrix,
+                  freq_response, grid_omega, next_fast_len, taps_grid,
+                  trapezoid_mean, trapezoid_weights)
+from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
                        matrix_canonical_factor, scalar_spectral_factor)
@@ -113,12 +113,10 @@ def _bracket_inverse_times(Pt: np.ndarray, C: np.ndarray,
     return R @ np.linalg.solve(inner, R @ B)
 
 
-def wiener_smoother(F, P_u, G, sigma: float,
-                    N: int | None = None) -> SpectrumGrid:
-    """Non-causal linear MMSE postfilter H = F P_u G* (G P_u G* + s^2 I)^-1."""
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else DEFAULT_GRID
-    Pg = as_grid(P_u, N)
+def wiener_smoother(F, P_u: SpectrumGrid, G, sigma: float) -> SpectrumGrid:
+    """Non-causal linear MMSE postfilter H = F P_u G* (G P_u G* + s^2 I)^-1,
+    on the grid of P_u."""
+    N, Pg = P_u.n_grid, P_u.samples
     m = Pg.shape[1]
     Fg = as_grid(F, N)
     Gg = as_grid(G, N, square_side=m)
@@ -139,17 +137,19 @@ def wiener_smoother(F, P_u, G, sigma: float,
     return SpectrumGrid(H)
 
 
-def lms_objective(F, P_u, k, privacy: PrivacySpec, profile,
-                  N: int | None = None) -> float:
-    """Smoother-postfilter MSE for a feasible allocation profile."""
+def lms_objective(F, P_u: SpectrumGrid, k, privacy: PrivacySpec,
+                  profile) -> float:
+    """Smoother-postfilter MSE for a feasible allocation profile on the
+    grid of P_u."""
     x = profile.x if isinstance(profile, AllocationProfile) \
         else np.asarray(profile, dtype=float)
-    if N is None:
-        N = x.shape[0] - 1
+    if x.shape[0] != P_u.n_grid + 1:
+        raise ConfigError(f"profile grid {x.shape[0] - 1} does not match "
+                          f"the spectrum grid {P_u.n_grid}")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Pg = as_grid(P_u, N)
-    Fg = as_grid(F, N)
+    Pg = P_u.samples
+    Fg = as_grid(F, P_u.n_grid)
     Ft, Pt = _tilde(Fg, Pg, k, kap)
     m = x.shape[1]
     X = np.zeros((x.shape[0], m, m))
@@ -165,16 +165,14 @@ def _column_tilde_sq(Fg: np.ndarray, k: np.ndarray, kap: float) -> np.ndarray:
     return (kap ** 2) * (np.linalg.norm(Fg, axis=1) ** 2) * (k ** 2)[None, :]
 
 
-def waterfill_diagonal(F, P_u, k, privacy: PrivacySpec,
-                       N: int | None = None) -> AllocationProfile:
+def waterfill_diagonal(F, P_u: SpectrumGrid, k,
+                       privacy: PrivacySpec) -> AllocationProfile:
     """Closed-form allocation for uncorrelated (diagonal-spectrum) inputs.
 
     x_i(omega) = max(0, |Ft_i(omega)|_2 / sqrt(lam) - 1/pt_i(omega)), with
     the multiplier lam bisected until the profile integrates to one.
     """
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else DEFAULT_GRID
-    Pg = as_grid(P_u, N)
+    Pg = P_u.samples
     m = Pg.shape[1]
     off = Pg.copy()
     idx = np.arange(m)
@@ -183,7 +181,7 @@ def waterfill_diagonal(F, P_u, k, privacy: PrivacySpec,
         raise NotDiagonal("waterfilling requires a diagonal input spectrum")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, N)
+    Fg = as_grid(F, P_u.n_grid)
     Ft_sq = _column_tilde_sq(Fg, k, kap)
     if float(Ft_sq.max(initial=0.0)) <= 0.0:
         raise DegenerateObjective("target filter is identically zero")
@@ -194,7 +192,7 @@ def waterfill_diagonal(F, P_u, k, privacy: PrivacySpec,
     x, lam = _waterfill_level(np.sqrt(Ft_sq), pt)
     x /= trapezoid_mean(x.sum(axis=1))
     prof = AllocationProfile(x=x, lam=lam)
-    prof.objective = lms_objective(F, P_u, k, privacy, prof, N)
+    prof.objective = lms_objective(F, P_u, k, privacy, prof)
     return prof
 
 
@@ -240,8 +238,8 @@ def _project_profile(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, y + _hinge_root(weights, weights, -y) * weights)
 
 
-def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
-                               N: int | None = None, tol: float = 1e-12,
+def optimize_prefilter_general(F, P_u: SpectrumGrid, k,
+                               privacy: PrivacySpec, tol: float = 1e-12,
                                max_iter: int = 2000) -> AllocationProfile:
     """Minimize the smoother MSE over feasible diagonal allocations.
 
@@ -249,9 +247,7 @@ def optimize_prefilter_general(F, P_u, k, privacy: PrivacySpec,
     objective; the closed-form gradient is the negated diagonal of
     (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the trapezoid rule.
     """
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else DEFAULT_GRID
-    Pg = as_grid(P_u, N)
+    N, Pg = P_u.n_grid, P_u.samples
     m = Pg.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
@@ -506,12 +502,11 @@ class CausalWienerFilter(Postfilter):
         return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
 
-def causal_wiener(F, P_u, G, sigma: float,
-                  N: int | None = None) -> CausalWienerFilter:
-    """Causal Wiener postfilter via canonical factorization of P_v."""
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else DEFAULT_GRID
-    Pg = as_grid(P_u, N)
+def causal_wiener(F, P_u: SpectrumGrid, G,
+                  sigma: float) -> CausalWienerFilter:
+    """Causal Wiener postfilter via canonical factorization of P_v, on the
+    grid of P_u."""
+    N, Pg = P_u.n_grid, P_u.samples
     m = Pg.shape[1]
     Fg = as_grid(F, N)
     Gg = as_grid(G, N, square_side=m)
@@ -535,12 +530,10 @@ def causal_wiener(F, P_u, G, sigma: float,
                               anticausal_tail=tail)
 
 
-def postfilter_mse(F, P_u, G, sigma: float, H_grid,
-                   N: int | None = None) -> float:
-    """MSE of an arbitrary postfilter grid against the desired output."""
-    if N is None:
-        N = P_u.n_grid if isinstance(P_u, SpectrumGrid) else DEFAULT_GRID
-    Pg = as_grid(P_u, N)
+def postfilter_mse(F, P_u: SpectrumGrid, G, sigma: float, H_grid) -> float:
+    """MSE of an arbitrary postfilter grid against the desired output, on
+    the grid of P_u."""
+    N, Pg = P_u.n_grid, P_u.samples
     m = Pg.shape[1]
     Fg = as_grid(F, N)
     Gg = as_grid(G, N, square_side=m)
@@ -558,24 +551,19 @@ def postfilter_mse(F, P_u, G, sigma: float, H_grid,
 
 
 def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
-                  privacy: PrivacySpec, N: int | None = None,
-                  order: int = DEFAULT_FACTOR_ORDER):
-    """The LMS prefilter and its noise: optimize the allocation profile,
-    realize it by scalar factorization, and recalibrate the noise from
-    the realized filter. Returns (G, sigma, info).
+                  privacy: PrivacySpec, order: int = DEFAULT_FACTOR_ORDER):
+    """The LMS prefilter and its noise: optimize the allocation profile on
+    the grid of P_u, realize it by scalar factorization, and recalibrate
+    the noise from the realized filter. Returns (G, sigma, info).
 
     info.achieved_objective is the smoother MSE at the profile the FIR
     prefilter actually achieves, so Monte Carlo estimates are directly
     comparable with it.
     """
-    if N is None:
-        N = P_u.n_grid
-    if P_u.n_grid != N:
-        raise ConfigError("input spectrum grid does not match design grid")
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    profile = optimize_prefilter_general(F, P_u, k, privacy, N)
+    profile = optimize_prefilter_general(F, P_u, k, privacy)
 
     entries = []
     fit_errors = []
@@ -591,25 +579,24 @@ def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
     G = TransferMatrix.diagonal(entries)
 
     sens = diagonal_sensitivity(G, k)
-    omega = grid_omega(N)
+    omega = grid_omega(P_u.n_grid)
     gmag2 = np.stack([np.abs(g.freq(omega)) ** 2
                       for g in G.diagonal_entries()], axis=1)
     achieved = gmag2 * (k ** 2)[None, :]
     achieved /= trapezoid_mean(achieved.sum(axis=1))
     info = {
-        "grid_n": N,
+        "grid_n": P_u.n_grid,
         "optimal_objective": profile.objective,
-        "achieved_objective": lms_objective(F, P_u, k, privacy, achieved, N),
+        "achieved_objective": lms_objective(F, P_u, k, privacy, achieved),
         "prefilter_fit_errors": fit_errors,
         "sensitivity": sens,
         "factor_order": order,
     }
-    return G, kappa(privacy) * sens, info
+    return G, noise_sigma(sens, privacy), info
 
 
 def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
-                 mode: str = "smoother", N: int | None = None,
-                 order: int = DEFAULT_FACTOR_ORDER,
+                 mode: str = "smoother", order: int = DEFAULT_FACTOR_ORDER,
                  input_mean=None) -> MechanismDesign:
     """Design the LMS mechanism: the prefilter and noise of lms_prefilter
     with the smoother or causal postfilter attached.
@@ -619,19 +606,18 @@ def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     """
     if mode not in ("smoother", "causal"):
         raise ConfigError(f"unknown LMS mode: {mode}")
-    if N is None:
-        N = P_u.n_grid
-    G, sigma, info = lms_prefilter(F, P_u, privacy, N, order)
+    N = P_u.n_grid
+    G, sigma, info = lms_prefilter(F, P_u, privacy, order)
     Fg = freq_response(F, N)
     if mode == "smoother":
-        H = wiener_smoother(Fg, P_u, G, sigma, N)
+        H = wiener_smoother(Fg, P_u, G, sigma)
         postfilter = SmootherFilter.from_grid(H)
         theory = info["achieved_objective"]
     else:
-        postfilter = causal_wiener(Fg, P_u, G, sigma, N)
+        postfilter = causal_wiener(Fg, P_u, G, sigma)
         info["smoother_mse"] = info["achieved_objective"]
         info["causal_mse_quadrature"] = postfilter_mse(
-            Fg, P_u, G, sigma, postfilter.grid(N), N)
+            Fg, P_u, G, sigma, postfilter.grid(N))
         info["anticausal_tail"] = postfilter.anticausal_tail
         theory = None
     return MechanismDesign(

@@ -192,10 +192,6 @@ class TransferMatrix(Postfilter):
         return TransferMatrix([[filters[i] if i == j else ZERO_FILTER
                                 for j in range(m)] for i in range(m)])
 
-    @staticmethod
-    def from_rows(rows) -> "TransferMatrix":
-        return TransferMatrix(rows)
-
     def column(self, j: int) -> "TransferMatrix":
         return TransferMatrix([[self.entries[i][j]] for i in range(self.p)])
 

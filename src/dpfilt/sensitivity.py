@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                      OracleTooLarge, UnstableSystem)
-from .lti import (GRAMIAN_TOL, RationalFilter, StateSpace, TransferMatrix,
-                  h2_norm, next_fast_len, observability_gramian,
-                  realize_state_space)
+from .lti import (GRAMIAN_TOL, RationalFilter, TransferMatrix, h2_norm,
+                  next_fast_len, observability_gramian, realize_state_space)
 
 
 @dataclass

@@ -116,10 +116,20 @@ class OccupancySource(StreamSource):
         if not np.all(np.isfinite(self.rates) & (self.rates >= 0.0)):
             raise ConfigError(f"rates must be finite and nonnegative, got "
                               f"{self.rates.tolist()}")
-        self.period = int(period)
+        try:
+            whole = float(period).is_integer()
+        except (TypeError, ValueError):
+            whole = False
+        if not whole:
+            raise ConfigError(f"period must be an integer, got {period!r}")
+        self.period = int(float(period))
         if self.period < 1:
             raise ConfigError(f"period must be at least 1, got {period}")
-        self.amplitude = float(amplitude)
+        try:
+            self.amplitude = float(amplitude)
+        except (TypeError, ValueError):
+            raise ConfigError(f"amplitude must be a number, got "
+                              f"{amplitude!r}") from None
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError("amplitude must lie in [0, 1)")
         rng = np.random.default_rng(phase_seed + 1)

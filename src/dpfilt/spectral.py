@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import (FactorizationStalled, FitFailed, NotFactorizable,
                      NotPositiveDefinite)
-from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, TransferMatrix,
-                  grid_omega, taps_grid)
+from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, grid_omega,
+                  taps_grid)
 
 LOG_FLOOR_FRAC = 1e-12
 # Largest block-Toeplitz matrix Bauer's method may allocate, in bytes; the
@@ -191,14 +191,6 @@ class MatrixFactorization:
         LP = Lg @ self.pe
         np.conj(Lg, out=Lg)
         return LP @ np.swapaxes(Lg, 1, 2)
-
-    def as_transfer_matrix(self) -> TransferMatrix:
-        m = self.m
-        rows = []
-        for i in range(m):
-            rows.append([RationalFilter(self.coeffs[:, i, j])
-                         for j in range(m)])
-        return TransferMatrix(rows)
 
 
 def _det_winding(Lg: np.ndarray) -> int:

@@ -13,7 +13,7 @@ from .errors import (ConfigError, DimensionMismatch, NotFactorizable,
                      UnstableInverse)
 from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix, freq_response,
                   grid_omega, h2_norm, simulate, trapezoid_mean)
-from .privacy import PrivacySpec, kappa
+from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import scalar_spectral_factor
 
@@ -102,8 +102,7 @@ def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
 
 def column_norm_grid(F, N: int = DEFAULT_GRID) -> np.ndarray:
     """|F_i(e^{j omega})|_2 for every input column, shape (N+1, m)."""
-    Fg = F.samples if hasattr(F, "samples") else freq_response(F, N).samples
-    return np.linalg.norm(Fg, axis=1)
+    return np.linalg.norm(freq_response(F, N).samples, axis=1)
 
 
 def design_simo_prefilter(F, k1: float = 1.0, N: int = DEFAULT_GRID,
@@ -151,8 +150,7 @@ def zfe_general_lower_bound(F, k, privacy: PrivacySpec,
                             N: int = DEFAULT_GRID) -> float:
     """Nuclear-norm lower bound on the MSE of any ZFE mechanism."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    Fg = F.samples if hasattr(F, "samples") else freq_response(F, N).samples
-    FK = Fg * k[None, None, :]
+    FK = freq_response(F, N).samples * k[None, None, :]
     nuclear = np.linalg.svd(FK, compute_uv=False).sum(axis=1)
     return float(kappa(privacy) ** 2 * trapezoid_mean(nuclear) ** 2)
 
@@ -172,7 +170,7 @@ def assemble_zfe(F: TransferMatrix, G: TransferMatrix, privacy: PrivacySpec,
         raise DimensionMismatch("privacy k length must match F inputs")
     kap = kappa(privacy)
     sens = diagonal_sensitivity(G, k)
-    sigma = kap * sens
+    sigma = noise_sigma(sens, privacy)
 
     Fg = freq_response(F, N).samples
     omega = grid_omega(N)
@@ -213,7 +211,7 @@ def assemble_output_perturbation(F: TransferMatrix, privacy: PrivacySpec,
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
     sens = float(np.linalg.norm(k)) * h2_norm(F)
-    sigma = kappa(privacy) * sens
+    sigma = noise_sigma(sens, privacy)
     p = F.shape[0]
     theory_mse = p * sigma ** 2
     info = {"sensitivity": sens, "grid_n": N,

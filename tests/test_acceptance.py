@@ -157,8 +157,8 @@ def test_criterion_5_waterfilling_vs_optimizer():
         Pu = SpectrumGrid(diag)
         F = random_fir_matrix(rng, int(rng.integers(1, 4)), m, max_lag=3)
         k = pk.k_vector()
-        wf = waterfill_diagonal(F, Pu, k, pk, N)
-        pg = optimize_prefilter_general(F, Pu, k, pk, N)
+        wf = waterfill_diagonal(F, Pu, k, pk)
+        pg = optimize_prefilter_general(F, Pu, k, pk)
         worst_gap = max(worst_gap, abs(pg.objective - wf.objective)
                         / wf.objective)
         kap = kappa(pk)
@@ -184,26 +184,26 @@ def test_criterion_6_mechanism_ordering():
     F = demo_filter(8)
     pk = PrivacySpec(epsilon=1.0, delta=0.1, k=(1.0, 1.0))
     k = pk.k_vector()
-    lms_design = assemble_lms(F, Pu, pk, mode="smoother", N=N,
+    lms_design = assemble_lms(F, Pu, pk, mode="smoother",
                               input_mean=mean)
     Gz = design_diag_prefilter(F, k, N=N, order=48)
     zfe_design = assemble_zfe(F, Gz, pk, N)
     xz = np.stack([np.abs(g.freq(grid_omega(N))) ** 2
                    for g in Gz.diagonal_entries()], axis=1) * k[None, :] ** 2
     xz /= trapezoid_mean(xz.sum(axis=1))
-    val_zfe_profile = lms_objective(F, Pu, k, pk, AllocationProfile(x=xz), N)
+    val_zfe_profile = lms_objective(F, Pu, k, pk, AllocationProfile(x=xz))
     opt = lms_design.info["optimal_objective"]
     ordering = opt <= val_zfe_profile * (1 + 1e-9) \
         and val_zfe_profile <= zfe_design.theory_mse * (1 + 1e-9)
     sigma = lms_design.noise_sigma
     G = lms_design.prefilter
-    smoother = wiener_smoother(F, Pu, G, sigma, N)
-    cw = causal_wiener(F, Pu, G, sigma, N)
-    mse_s = postfilter_mse(F, Pu, G, sigma, smoother, N)
-    mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N), N)
+    smoother = wiener_smoother(F, Pu, G, sigma)
+    cw = causal_wiener(F, Pu, G, sigma)
+    mse_s = postfilter_mse(F, Pu, G, sigma, smoother)
+    mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N))
     causal_ok = mse_c >= mse_s - 1e-12
     big = SpectrumGrid(Pu.samples * 1e8 + 1e2 * np.eye(2)[None, :, :])
-    d_big = assemble_lms(F, big, pk, mode="smoother", N=N)
+    d_big = assemble_lms(F, big, pk, mode="smoother")
     limit_ratio = d_big.theory_mse / zfe_design.theory_mse
     limit_ok = abs(limit_ratio - 1.0) <= 0.01
     ok = ordering and causal_ok and limit_ok

@@ -7,7 +7,7 @@ import yaml
 from dpfilt.cli import main, validate_document
 from dpfilt.config import Config
 from dpfilt.errors import ConfigError, InsufficientNoise
-from dpfilt.fileio import (design_from_dict, load_json,
+from dpfilt.fileio import (design_from_dict, load_json, spectrum_from_spec,
                            transfer_matrix_from_dict,
                            transfer_matrix_to_dict)
 from dpfilt import RationalFilter, TransferMatrix
@@ -35,6 +35,33 @@ def base_config(tmp_path, mech="zfe", spectrum=None, source=None,
     path = tmp_path / "config.yaml"
     write_yaml(path, doc)
     return path, doc
+
+
+class TestAutocovarianceSpectrum:
+    @pytest.mark.parametrize("L,m,N", [(1, 2, 16), (4, 1, 64), (6, 3, 8),
+                                       (40, 2, 16)])
+    def test_matches_direct_sum(self, L, m, N):
+        # P(w) = sum_k R_k e^{-jwk} + sum_{k >= 1} R_k^T e^{jwk}; with
+        # L = 40 > 2N the lags wrap around the grid more than once
+        lags = np.random.default_rng(L).normal(size=(L, m, m))
+        Pu, mean = spectrum_from_spec(
+            {"kind": "autocovariance", "lags": lags.tolist()}, N, m)
+        w = np.arange(N + 1) * np.pi / N
+        want = np.zeros((N + 1, m, m), dtype=complex)
+        for k in range(L):
+            want += np.multiply.outer(np.exp(-1j * w * k), lags[k])
+            if k:
+                want += np.multiply.outer(np.exp(1j * w * k), lags[k].T)
+        np.testing.assert_allclose(Pu.samples, want, rtol=0,
+                                   atol=1e-13 * np.abs(lags).sum())
+        assert np.array_equal(mean, np.zeros(m))
+
+    def test_scalar_lags(self):
+        Pu, _ = spectrum_from_spec(
+            {"kind": "autocovariance", "lags": [2.0, 0.5]}, 8, 1)
+        w = np.arange(9) * np.pi / 8
+        np.testing.assert_allclose(Pu.samples[:, 0, 0], 2.0 + np.cos(w),
+                                   rtol=0, atol=1e-15)
 
 
 class TestConfig:
@@ -538,8 +565,12 @@ class TestConfigErrorsExitTwo:
     @pytest.mark.parametrize("bad,key", [
         ({"rates": [-1.0, 1.0]}, "rates"),
         ({"rates": [float("nan"), 1.0]}, "rates"),
-        ({"period": 0}, "period")],
-        ids=["negative_rate", "nan_rate", "zero_period"])
+        ({"period": 0}, "period"),
+        ({"period": 2.7}, "period"),
+        ({"period": "abc"}, "period"),
+        ({"amplitude": "x"}, "amplitude")],
+        ids=["negative_rate", "nan_rate", "zero_period", "fractional_period",
+             "text_period", "text_amplitude"])
     def test_bad_occupancy_source(self, tmp_path, capsys, bad, key):
         # regression: a negative rate became an all-zero channel, a NaN
         # rate ended in numpy's "lam value too large", period 0 divided

@@ -42,7 +42,7 @@ class TestFactorizations:
         G = TransferMatrix.identity(2)
         Pu = white_spectrum(2)
         pk = priv((1.0, 1.0))
-        Q, R, S, T = df_factorizations(F, Pu, G, (1.0, 1.0), pk, N)
+        Q, R, S, T = df_factorizations(F, Pu, G, (1.0, 1.0), pk)
         assert np.max(np.abs(Q.coeffs[0] - np.eye(2))) < 1e-8
         if Q.coeffs.shape[0] > 1:
             assert np.max(np.abs(Q.coeffs[1:])) < 1e-7
@@ -58,7 +58,7 @@ class TestFactorizations:
                           [:, None, None])
         k = (1.5,)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(F, Pu, G, k, pk, N)
+        Q, R, S, T = df_factorizations(F, Pu, G, k, pk)
         Fg2 = np.abs(RationalFilter([1.0, 0.5]).freq(OMEGA)) ** 2
         t_want = np.exp(trapezoid_mean(np.log(Fg2)))
         assert T[0, 0] == pytest.approx(t_want, rel=1e-6)
@@ -89,7 +89,7 @@ class TestFactorizations:
                                      RationalFilter([0.8, -0.1])])
         k = (1.0, 2.0)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(F, Pu, G, k, pk, N)
+        Q, R, S, T = df_factorizations(F, Pu, G, k, pk)
         assert Q.grid_error < 1e-5
         assert S.grid_error < 1e-5
         # explicit S* T S reconstruction of F*F
@@ -215,7 +215,7 @@ class TestClosedLoop:
     def test_noiseless_identity_prefilter_exact(self):
         G = TransferMatrix.identity(2)
         d = design_df(self.F, self.Pu, self.pk, G, sigma=0.0, lookahead=2,
-                      decision_domain="nonneg_integers", N=N,
+                      decision_domain="nonneg_integers",
                       input_mean=self.mean)
         from dpfilt import sample_chain
         u = sample_chain(self.src, 3000, seed=4)
@@ -231,11 +231,11 @@ class TestClosedLoop:
         # the anticausal truncation penalty
         pk = priv(self.k, eps=3.0, delta=0.2)
         from dpfilt import assemble_lms, sample_chain
-        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother",
                                   input_mean=self.mean)
         d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
                       sigma=lms_design.noise_sigma, lookahead=24,
-                      decision_domain="nonneg_integers", N=N,
+                      decision_domain="nonneg_integers",
                       input_mean=self.mean)
         u = sample_chain(self.src, 120000, seed=5)
         _, diag = run_df_mechanism(d, u, seed=6, oracle_feedback=True)
@@ -248,11 +248,11 @@ class TestClosedLoop:
         # published decision-aided output then beats the linear theory
         pk = priv(self.k, eps=22.0, delta=0.2)
         from dpfilt import assemble_lms, sample_chain
-        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother",
                                   input_mean=self.mean)
         d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
                       sigma=lms_design.noise_sigma, lookahead=8,
-                      decision_domain="nonneg_integers", N=N,
+                      decision_domain="nonneg_integers",
                       input_mean=self.mean)
         u = sample_chain(self.src, 120000, seed=5)
         out, diag = run_df_mechanism(d, u, seed=6)
@@ -265,7 +265,7 @@ class TestClosedLoop:
     def test_determinism(self):
         G = TransferMatrix.identity(2)
         d = design_df(self.F, self.Pu, self.pk, G, sigma=0.3, lookahead=2,
-                      N=N, input_mean=self.mean)
+                      input_mean=self.mean)
         from dpfilt import sample_chain
         u = sample_chain(self.src, 2000, seed=7)
         a, _ = run_df_mechanism(d, u, seed=8)
@@ -275,7 +275,7 @@ class TestClosedLoop:
     def test_bounded_output(self):
         G = TransferMatrix.identity(2)
         d = design_df(self.F, self.Pu, self.pk, G, sigma=1.0, lookahead=2,
-                      N=N, input_mean=self.mean)
+                      input_mean=self.mean)
         from dpfilt import sample_chain
         u = sample_chain(self.src, 20000, seed=9)
         out, _ = run_df_mechanism(d, u, seed=10)
@@ -284,10 +284,9 @@ class TestClosedLoop:
 
     def test_df_theory_leq_lms_objective_same_prefilter(self):
         from dpfilt import assemble_lms
-        lms_design = assemble_lms(self.F, self.Pu, self.pk, mode="smoother",
-                                  N=N)
+        lms_design = assemble_lms(self.F, self.Pu, self.pk, mode="smoother")
         d = design_df(self.F, self.Pu, self.pk, lms_design.prefilter,
-                      sigma=lms_design.noise_sigma, N=N)
+                      sigma=lms_design.noise_sigma)
         assert d.theory_mse <= lms_design.theory_mse * (1 + 1e-6)
 
 
@@ -304,7 +303,7 @@ class TestSignDomain:
         Pu = white_spectrum(2)
         pk = priv((1.0, 1.0))
         d = design_df(F, Pu, pk, TransferMatrix.identity(2), sigma=0.0,
-                      lookahead=2, decision_domain="sign", N=N)
+                      lookahead=2, decision_domain="sign")
         out, diag = run_df_mechanism(d, stream, seed=0)
         assert set(np.unique(diag["u_hat"])).issubset({-1.0, 1.0})
         y = simulate(F, u)
@@ -375,18 +374,18 @@ class TestClosedLoopAgreement:
     def test_identity_prefilter(self, sigma, u_seed, seed):
         from dpfilt import sample_chain
         d = design_df(self.F, self.Pu, self.pk, TransferMatrix.identity(2),
-                      sigma=sigma, lookahead=2, N=N, input_mean=self.mean)
+                      sigma=sigma, lookahead=2, input_mean=self.mean)
         self.check(d, sample_chain(self.src, 4000, seed=u_seed), seed)
 
     @pytest.mark.parametrize("eps,lookahead", [(3.0, 24), (22.0, 8)])
     def test_lms_prefilter(self, eps, lookahead):
         from dpfilt import assemble_lms, sample_chain
         pk = priv(self.k, eps=eps, delta=0.2)
-        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother",
                                   input_mean=self.mean)
         d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
                       sigma=lms_design.noise_sigma, lookahead=lookahead,
-                      N=N, input_mean=self.mean)
+                      input_mean=self.mean)
         self.check(d, sample_chain(self.src, 20000, seed=5), 6)
 
 
@@ -404,11 +403,11 @@ class TestBatchedClosedLoop:
         # at this budget about 7% of the integer decisions are wrong
         from dpfilt import assemble_lms
         pk = priv(self.k, eps=10.0, delta=0.2)
-        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother",
                                   input_mean=self.mean)
         return design_df(self.F, self.Pu, pk, lms_design.prefilter,
                          sigma=lms_design.noise_sigma, lookahead=8,
-                         decision_domain=domain, N=N, input_mean=self.mean)
+                         decision_domain=domain, input_mean=self.mean)
 
     def streams(self, domain, u_seeds):
         from dpfilt import sample_chain
@@ -464,10 +463,10 @@ class TestDecisionErrorRate:
         # not the true input
         from dpfilt import assemble_lms, sample_chain
         pk = priv(self.k, eps=10.0, delta=0.2)
-        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(self.F, self.Pu, pk, mode="smoother",
                                   input_mean=self.mean)
         d = design_df(self.F, self.Pu, pk, lms_design.prefilter,
-                      sigma=lms_design.noise_sigma, lookahead=8, N=N,
+                      sigma=lms_design.noise_sigma, lookahead=8,
                       input_mean=self.mean)
         u = sample_chain(self.src, 3000, seed=4)
         _, diag = run_df_mechanism(d, u, seed=8)
@@ -539,12 +538,12 @@ class TestForwardFilterReference:
         # them all, one beyond it has no taps to take
         G = TransferMatrix.identity(2)
         d = design_df(self.F, self.Pu, self.pk, G, sigma=0.3, lookahead=N,
-                      N=N, input_mean=self.mean)
+                      input_mean=self.mean)
         self.check(d, self.Pu, N)
         for bad in (-1, N + 1):
             with pytest.raises(ConfigError, match="lookahead"):
                 design_df(self.F, self.Pu, self.pk, G, sigma=0.3,
-                          lookahead=bad, N=N)
+                          lookahead=bad)
 
 
 class TestServerFeedbackPrecision:

@@ -9,7 +9,7 @@ from dpfilt import (AllocationProfile, PrivacySpec,
                     optimize_prefilter_general, postfilter_mse,
                     server_example, simulate, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother)
-from dpfilt.errors import DegenerateObjective, NotDiagonal
+from dpfilt.errors import ConfigError, DegenerateObjective, NotDiagonal
 from dpfilt.sensitivity import diagonal_sensitivity
 
 N = 256
@@ -47,7 +47,7 @@ class TestWienerSmoother:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5]),
                                      RationalFilter([0.7])])
         H = wiener_smoother(F, white_spectrum(2), TransferMatrix.identity(2),
-                            sigma=1e6, N=N)
+                            sigma=1e6)
         assert np.max(np.abs(H.samples)) < 1e-3
 
     def test_zero_noise_zero_forcing_limit(self, rng):
@@ -55,7 +55,7 @@ class TestWienerSmoother:
                                      RationalFilter([0.7, 0.2])])
         G = TransferMatrix.diagonal([RationalFilter([1.0, 0.3]),
                                      RationalFilter([2.0])])
-        H = wiener_smoother(F, white_spectrum(2), G, sigma=1e-8, N=N)
+        H = wiener_smoother(F, white_spectrum(2), G, sigma=1e-8)
         HG = freq_response(F.cascade_diag_inverse(G), N).samples
         assert np.max(np.abs(H.samples - HG)) < 1e-6
 
@@ -63,7 +63,7 @@ class TestWienerSmoother:
         F = TransferMatrix.diagonal([RationalFilter([1.0, -0.4])])
         sigma = 0.8
         H = wiener_smoother(F, white_spectrum(1), TransferMatrix.identity(1),
-                            sigma, N=N)
+                            sigma)
         want = freq_response(F, N).samples / (1.0 + sigma ** 2)
         assert np.max(np.abs(H.samples - want)) < 1e-12
 
@@ -78,7 +78,7 @@ class TestObjective:
         design = assemble_zfe(F, G, pk, N)
         prof = zfe_profile(G, k)
         big = SpectrumGrid(white_spectrum(2).samples * 1e8)
-        val = lms_objective(F, big, k, pk, prof, N)
+        val = lms_objective(F, big, k, pk, prof)
         assert val == pytest.approx(design.theory_mse, rel=0.01)
 
     def test_zero_profile_is_output_power(self):
@@ -87,7 +87,7 @@ class TestObjective:
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.5 + np.sin(OMEGA) ** 2])
         k = (1.0, 1.0)
         prof = AllocationProfile(x=np.zeros((N + 1, 2)))
-        val = lms_objective(F, Pu, k, priv(k), prof, N)
+        val = lms_objective(F, Pu, k, priv(k), prof)
         Fg = freq_response(F, N).samples
         power = trapezoid_mean(np.einsum(
             "qij,qjl,qil->q", Fg, Pu.samples, np.conj(Fg)).real)
@@ -98,16 +98,24 @@ class TestObjective:
         F2 = TransferMatrix.diagonal([RationalFilter([2.0, 1.0])])
         Pu = diag_spectrum([1.0 + 0.3 * np.cos(OMEGA)])
         prof = AllocationProfile(x=np.ones((N + 1, 1)))
-        a = lms_objective(F, Pu, (1.0,), priv((1.0,)), prof, N)
-        b = lms_objective(F2, Pu, (1.0,), priv((1.0,)), prof, N)
+        a = lms_objective(F, Pu, (1.0,), priv((1.0,)), prof)
+        b = lms_objective(F2, Pu, (1.0,), priv((1.0,)), prof)
         assert np.sqrt(b) == pytest.approx(2 * np.sqrt(a), rel=1e-10)
+
+    def test_profile_off_the_spectrum_grid_rejected(self):
+        # the grid comes from P_u; a profile sampled on another grid is
+        # refused by name, not by a broadcasting error
+        F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5])])
+        prof = AllocationProfile(x=np.ones((N // 2 + 1, 1)))
+        with pytest.raises(ConfigError, match="profile grid"):
+            lms_objective(F, white_spectrum(1), (1.0,), priv((1.0,)), prof)
 
 
 class TestWaterfilling:
     def test_single_channel_constant(self):
         F = TransferMatrix.diagonal([RationalFilter([1.5])])
         Pu = diag_spectrum([np.full(N + 1, 2.0)])
-        prof = waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)), N)
+        prof = waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)))
         assert np.allclose(prof.x, 1.0, atol=1e-9)
         prof.validate()
 
@@ -115,7 +123,7 @@ class TestWaterfilling:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5]),
                                      RationalFilter([0.4, 0.3])])
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.4 * np.sin(OMEGA)])
-        prof = waterfill_diagonal(F, Pu, (1.0, 2.0), priv((1.0, 2.0)), N)
+        prof = waterfill_diagonal(F, Pu, (1.0, 2.0), priv((1.0, 2.0)))
         assert abs(prof.normalization() - 1.0) < 1e-10
 
     def test_kkt_stationarity(self):
@@ -124,7 +132,7 @@ class TestWaterfilling:
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.4 * np.sin(OMEGA)])
         k = (1.0, 2.0)
         pk = priv(k)
-        prof = waterfill_diagonal(F, Pu, k, pk, N)
+        prof = waterfill_diagonal(F, Pu, k, pk)
         kap = kappa(pk)
         Fg = freq_response(F, N).samples
         Ft2 = kap ** 2 * np.linalg.norm(Fg, axis=1) ** 2 \
@@ -144,7 +152,7 @@ class TestWaterfilling:
                                      RationalFilter([0.4, 0.3])])
         k = (1.0, 2.0)
         Pu = diag_spectrum([np.full(N + 1, 1e8), np.full(N + 1, 1e8)])
-        prof = waterfill_diagonal(F, Pu, k, priv(k), N)
+        prof = waterfill_diagonal(F, Pu, k, priv(k))
         # x_i should be proportional to |Ft_i|_2, the ZFE magnitude rule
         Fg = freq_response(F, N).samples
         shape = np.linalg.norm(Fg, axis=1) * np.asarray(k)[None, :]
@@ -158,13 +166,13 @@ class TestWaterfilling:
                                dtype=complex)[None], N + 1, axis=0)
         F = TransferMatrix.identity(2)
         with pytest.raises(NotDiagonal):
-            waterfill_diagonal(F, SpectrumGrid(P), (1, 1), priv((1, 1)), N)
+            waterfill_diagonal(F, SpectrumGrid(P), (1, 1), priv((1, 1)))
 
     def test_zero_target_rejected(self):
         F = TransferMatrix.diagonal([RationalFilter([0.0])])
         Pu = diag_spectrum([np.ones(N + 1)])
         with pytest.raises(DegenerateObjective):
-            waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)), N)
+            waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)))
 
 
 class TestGeneralOptimizer:
@@ -179,16 +187,16 @@ class TestGeneralOptimizer:
                                  RationalFilter(rng.normal(size=3))]])
             k = tuple(rng.uniform(0.5, 2.0, 2))
             pk = priv(k)
-            wf = waterfill_diagonal(F, Pu, k, pk, N)
-            pg = optimize_prefilter_general(F, Pu, k, pk, N)
+            wf = waterfill_diagonal(F, Pu, k, pk)
+            pg = optimize_prefilter_general(F, Pu, k, pk)
             assert pg.objective == pytest.approx(wf.objective, rel=1e-4)
 
     def test_single_channel_exact(self, rng):
         Pu = diag_spectrum([1.5 + np.cos(OMEGA) ** 2])
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.7, 0.2])])
         pk = priv((1.3,))
-        wf = waterfill_diagonal(F, Pu, (1.3,), pk, N)
-        pg = optimize_prefilter_general(F, Pu, (1.3,), pk, N)
+        wf = waterfill_diagonal(F, Pu, (1.3,), pk)
+        pg = optimize_prefilter_general(F, Pu, (1.3,), pk)
         assert pg.objective == pytest.approx(wf.objective, rel=1e-6)
 
     def test_correlated_spectrum_dominates_diag_approx(self):
@@ -197,20 +205,20 @@ class TestGeneralOptimizer:
         F = demo_filter()
         k = (1.0, 1.0)
         pk = priv(k)
-        pg = optimize_prefilter_general(F, Pu, k, pk, N)
+        pg = optimize_prefilter_general(F, Pu, k, pk)
         diag_only = diag_spectrum([np.real(Pu.samples[:, i, i])
                                    for i in range(2)])
-        wf = waterfill_diagonal(F, diag_only, k, pk, N)
+        wf = waterfill_diagonal(F, diag_only, k, pk)
         # evaluating the diagonal-approximation profile under the true
         # correlated spectrum cannot beat the optimizer
-        val_diag_profile = lms_objective(F, Pu, k, pk, wf, N)
+        val_diag_profile = lms_objective(F, Pu, k, pk, wf)
         assert pg.objective <= val_diag_profile * (1 + 1e-9)
 
     def test_profile_feasible(self, rng):
         src = server_example(0.4, 0.5)
         Pu, _ = chain_spectrum(src, N)
         pg = optimize_prefilter_general(demo_filter(), Pu, (1.0, 1.0),
-                                        priv((1.0, 1.0)), N)
+                                        priv((1.0, 1.0)))
         pg.validate()
 
 
@@ -221,13 +229,13 @@ class TestCausalWiener:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5, 0.25])])
         sigma = 1.0
         Pu = white_spectrum(1)
-        cw = causal_wiener(F, Pu, TransferMatrix.identity(1), sigma, N)
+        cw = causal_wiener(F, Pu, TransferMatrix.identity(1), sigma)
         smoother = wiener_smoother(F, Pu, TransferMatrix.identity(1),
-                                   sigma, N)
+                                   sigma)
         mse_c = postfilter_mse(F, Pu, TransferMatrix.identity(1), sigma,
-                               cw.grid(N), N)
+                               cw.grid(N))
         mse_s = postfilter_mse(F, Pu, TransferMatrix.identity(1), sigma,
-                               smoother, N)
+                               smoother)
         assert mse_c == pytest.approx(mse_s, rel=1e-6)
         assert cw.anticausal_tail < 1e-10
 
@@ -237,10 +245,10 @@ class TestCausalWiener:
         Fg = SpectrumGrid(np.exp(1j * OMEGA)[:, None, None])
         Pu = white_spectrum(1)
         sigma = 0.5
-        cw = causal_wiener(Fg, Pu, TransferMatrix.identity(1), sigma, N)
+        cw = causal_wiener(Fg, Pu, TransferMatrix.identity(1), sigma)
         assert np.max(np.abs(cw.grid(N))) < 1e-10
         mse_c = postfilter_mse(Fg, Pu, TransferMatrix.identity(1), sigma,
-                               cw.grid(N), N)
+                               cw.grid(N))
         assert mse_c == pytest.approx(1.0, rel=1e-9)
 
     def test_markov_siso_causal_gap_nonnegative(self):
@@ -252,10 +260,10 @@ class TestCausalWiener:
         pk = priv(k)
         G = TransferMatrix.identity(1)
         sigma = kappa(pk) * diagonal_sensitivity(G, k)
-        smoother = wiener_smoother(F, Pu, G, sigma, N)
-        cw = causal_wiener(F, Pu, G, sigma, N)
-        mse_s = postfilter_mse(F, Pu, G, sigma, smoother, N)
-        mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N), N)
+        smoother = wiener_smoother(F, Pu, G, sigma)
+        cw = causal_wiener(F, Pu, G, sigma)
+        mse_s = postfilter_mse(F, Pu, G, sigma, smoother)
+        mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N))
         assert mse_c >= mse_s - 1e-12
 
 
@@ -268,7 +276,7 @@ class TestAssemble:
         self.pk = priv(self.k)
 
     def test_smoother_design_consistent(self):
-        d = assemble_lms(self.F, self.Pu, self.pk, mode="smoother", N=N,
+        d = assemble_lms(self.F, self.Pu, self.pk, mode="smoother",
                          input_mean=self.mean)
         assert d.kind == "wiener_smoother"
         want_sigma = kappa(self.pk) * diagonal_sensitivity(d.prefilter,
@@ -284,11 +292,11 @@ class TestAssemble:
         # operational log-integrability test, so this comparison uses the
         # MA(6) variant whose zeros fall between grid points
         F6 = demo_filter(6)
-        d = assemble_lms(F6, self.Pu, self.pk, mode="smoother", N=N)
+        d = assemble_lms(F6, self.Pu, self.pk, mode="smoother")
         Gz = design_diag_prefilter(F6, self.k, N=N, order=48)
         zfe_design = assemble_zfe(F6, Gz, self.pk, N)
         prof_z = zfe_profile(Gz, self.k)
-        val_z = lms_objective(F6, self.Pu, self.k, self.pk, prof_z, N)
+        val_z = lms_objective(F6, self.Pu, self.k, self.pk, prof_z)
         assert d.info["optimal_objective"] <= val_z * (1 + 1e-9)
         assert val_z <= zfe_design.theory_mse * (1 + 1e-9)
         assert d.theory_mse <= zfe_design.theory_mse * (1 + 1e-9)
@@ -297,22 +305,22 @@ class TestAssemble:
         F6 = demo_filter(6)
         big = SpectrumGrid(self.Pu.samples * 1e8
                            + 1e2 * np.eye(2)[None, :, :])
-        d = assemble_lms(F6, big, self.pk, mode="smoother", N=N)
+        d = assemble_lms(F6, big, self.pk, mode="smoother")
         Gz = design_diag_prefilter(F6, self.k, N=N)
         zfe_design = assemble_zfe(F6, Gz, self.pk, N)
         ratio = d.theory_mse / zfe_design.theory_mse
         assert 0.99 <= ratio <= 1.0 + 1e-6
 
     def test_causal_mode(self):
-        d = assemble_lms(self.F, self.Pu, self.pk, mode="causal", N=N)
+        d = assemble_lms(self.F, self.Pu, self.pk, mode="causal")
         assert d.kind == "wiener_causal"
         assert d.theory_mse is None
         assert d.info["causal_mse_quadrature"] >= \
             d.info["smoother_mse"] - 1e-12
 
     def test_determinism(self):
-        d1 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother", N=N)
-        d2 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother", N=N)
+        d1 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother")
+        d2 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother")
         for g1, g2 in zip(d1.prefilter.diagonal_entries(),
                           d2.prefilter.diagonal_entries()):
             assert np.array_equal(g1.num, g2.num)
@@ -326,7 +334,7 @@ class TestOrthogonality:
         Pu, mean = chain_spectrum(src, N)
         F = demo_filter()
         pk = priv((1.0, 1.0))
-        d = assemble_lms(F, Pu, pk, mode="smoother", N=N, input_mean=mean)
+        d = assemble_lms(F, Pu, pk, mode="smoother", input_mean=mean)
         from dpfilt import sample_chain
         T = 200000
         u = sample_chain(src, T, seed=11)
@@ -356,7 +364,7 @@ class TestOptimizerErrorPath:
         Pu, _ = chain_spectrum(src, N)
         pk = priv((1.0, 1.0))
         with pytest.raises(OptimizerStalled) as exc:
-            optimize_prefilter_general(demo_filter(6), Pu, (1.0, 1.0), pk, N,
+            optimize_prefilter_general(demo_filter(6), Pu, (1.0, 1.0), pk,
                                        max_iter=0)
         assert exc.value.best_profile is not None
         assert exc.value.best_profile.x.shape == (N + 1, 2)
@@ -370,9 +378,9 @@ class TestQuadratureVsSimulation:
         Pu, mean = chain_spectrum(src, N)
         F = demo_filter(6)
         pk = priv((1.0, 1.0))
-        d = assemble_lms(F, Pu, pk, mode="smoother", N=N, input_mean=mean)
-        H = wiener_smoother(F, Pu, d.prefilter, d.noise_sigma, N)
-        quad = postfilter_mse(F, Pu, d.prefilter, d.noise_sigma, H, N)
+        d = assemble_lms(F, Pu, pk, mode="smoother", input_mean=mean)
+        H = wiener_smoother(F, Pu, d.prefilter, d.noise_sigma)
+        quad = postfilter_mse(F, Pu, d.prefilter, d.noise_sigma, H)
         assert quad == pytest.approx(d.theory_mse, rel=1e-9)
 
     def test_causal_empirical_matches_quadrature(self):
@@ -381,7 +389,7 @@ class TestQuadratureVsSimulation:
         Pu, mean = chain_spectrum(src, N)
         F = demo_filter(6)
         pk = priv((1.0, 1.0))
-        d = assemble_lms(F, Pu, pk, mode="causal", N=N, input_mean=mean)
+        d = assemble_lms(F, Pu, pk, mode="causal", input_mean=mean)
         emp, se = empirical_mse(d, MarkovStreamSource(src), trials=16,
                                 T=24000, seed=31)
         assert emp == pytest.approx(d.info["causal_mse_quadrature"],
@@ -637,7 +645,7 @@ class TestCausalTaps:
         pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
                          k=(4.0,) * 15)
         d = assemble_lms(occupancy_filter_bank(), Pu, pk, mode="causal",
-                         N=n, order=40, input_mean=rates)
+                         order=40, input_mean=rates)
         post = d.postfilter
         rng = np.random.default_rng(5)
         u = rng.poisson(rates, size=(6000, 15)) - rates
@@ -652,7 +660,7 @@ class TestCausalTaps:
         src = server_example(0.3, 0.6)
         Pu, mean = chain_spectrum(src, N)
         F = demo_filter(6)
-        d = assemble_lms(F, Pu, priv((1.0, 1.0)), mode="causal", N=N,
+        d = assemble_lms(F, Pu, priv((1.0, 1.0)), mode="causal",
                          input_mean=mean)
         post = d.postfilter
         assert np.any(post.l_coeffs[:, 0, 1])
@@ -672,7 +680,7 @@ def bank_causal_factor():
                                 n + 1, axis=0))
     pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05, k=(4.0,) * 15)
     return assemble_lms(occupancy_filter_bank(), Pu, pk, mode="causal",
-                        N=n, order=40, input_mean=rates).postfilter
+                        order=40, input_mean=rates).postfilter
 
 
 class TestBatchedMonicRecursion:
@@ -703,7 +711,7 @@ class TestBatchedMonicRecursion:
         src = server_example(0.3, 0.6)
         Pu, mean = chain_spectrum(src, N)
         d = assemble_lms(demo_filter(6), Pu, priv((1.0, 1.0)), mode="causal",
-                         N=N, input_mean=mean)
+                         input_mean=mean)
         assert np.any(d.postfilter.l_coeffs[:, 0, 1])
         self.check(*self.causal_rows(d.postfilter, 800))
 
@@ -716,7 +724,7 @@ class TestBatchedMonicRecursion:
         f = RationalFilter([0.6, 0.3, 0.1])
         F = TransferMatrix.diagonal([f, f])
         fb = design_df(F, Pu, priv((1.0, 1.0)), TransferMatrix.identity(2),
-                       sigma=1.0, N=N, input_mean=mean).postfilter.feedback
+                       sigma=1.0, input_mean=mean).postfilter.feedback
         P = fb.p_coeffs
         assert np.any(P[1:, 0, 1])
         delta = np.zeros((300, 2, 2))
@@ -783,5 +791,5 @@ class TestSmootherFromGrid:
         pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
                          k=(4.0,) * 15)
         F = occupancy_filter_bank()
-        G, sigma, _ = lms_prefilter(F, Pu, pk, n, 40)
-        self.check(wiener_smoother(F, Pu, G, sigma, n))
+        G, sigma, _ = lms_prefilter(F, Pu, pk, 40)
+        self.check(wiener_smoother(F, Pu, G, sigma))

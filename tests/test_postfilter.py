@@ -3,6 +3,7 @@ document, its checks on load, and a `dpfilt simulate` that loads it
 instead of re-deriving it."""
 
 import importlib
+import importlib.resources
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ import yaml
 
 from dpfilt import RationalFilter, TransferMatrix
 from dpfilt.cli import _make_design, main
-from dpfilt.config import Config
+from dpfilt.config import MECHANISM_KINDS, Config
 from dpfilt.errors import ConfigError
 from dpfilt.fileio import (POSTFILTERS, design_from_dict, design_to_dict,
                            load_json, transfer_matrix_to_dict)
@@ -107,6 +108,19 @@ class TestRoundTrip:
         design, _ = designs["lms_causal"]
         post = design.postfilter
         assert post.margins() == (post.taps.shape[0], 0)
+
+
+def test_mechanism_kind_lists_agree(designs):
+    # the config kinds, the loader table and the design schema name the
+    # same mechanisms: every config kind designs to a document kind with
+    # a loader, every loader has a config kind, and the schema admits
+    # exactly the loaded kinds
+    schema = json.loads(importlib.resources.files("dpfilt").joinpath(
+        "schemas", "design.schema.json").read_text())
+    assert set(schema["properties"]["kind"]["enum"]) == set(POSTFILTERS)
+    assert set(MECHANISM_KINDS) == set(designs)
+    assert {designs[mech][1]["kind"] for mech in MECHANISM_KINDS} \
+        == set(POSTFILTERS)
 
 
 class TestStoredChecks:

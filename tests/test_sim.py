@@ -96,12 +96,24 @@ class TestOccupancySource:
         ({"rates": [1.0, np.inf]}, "rates"),
         ({"rates": -0.5}, "rates"),
         ({"period": 0}, "period"),
-        ({"period": -3}, "period")],
+        ({"period": -3}, "period"),
+        ({"period": 2.7}, "period"),
+        ({"period": "abc"}, "period"),
+        ({"amplitude": "x"}, "amplitude")],
         ids=["negative", "nan", "inf", "negative_scalar", "zero_period",
-             "negative_period"])
+             "negative_period", "fractional_period", "text_period",
+             "text_amplitude"])
     def test_bad_inputs_fail_early(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
             OccupancySource(m=2, **kwargs)
+
+    def test_whole_float_period_runs_as_int(self):
+        # a config's `period: 480.0` draws what `period: 480` draws
+        a = OccupancySource(m=2, rates=[1.0, 2.0], period=480.0)
+        b = OccupancySource(m=2, rates=[1.0, 2.0], period=480)
+        assert a.period == 480 and type(a.period) is int
+        assert np.array_equal(a.sample(600, seed=1).data,
+                              b.sample(600, seed=1).data)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.6])
     def test_draws_match_the_rate_table(self, amplitude):
@@ -167,7 +179,7 @@ class TestEmpiricalMse:
 
     def test_lms_smoother_consistency_on_matched_source(self):
         Pu, mean = chain_spectrum(server_example(0.3, 0.6), N)
-        design = assemble_lms(self.F, Pu, self.pk, mode="smoother", N=N,
+        design = assemble_lms(self.F, Pu, self.pk, mode="smoother",
                               input_mean=mean)
         emp, se = empirical_mse(design, self.src, trials=8, T=12000, seed=4)
         assert abs(emp - design.theory_mse) < 3 * se
@@ -190,10 +202,10 @@ class TestEmpiricalMse:
         # epsilon = 1 every decision is 0 and the noise seeds would not
         # show in the MSE
         pk = priv(self.k, eps=10.0, delta=0.2)
-        lms_design = assemble_lms(F, Pu, pk, mode="smoother", N=N,
+        lms_design = assemble_lms(F, Pu, pk, mode="smoother",
                                   input_mean=mean)
         d = design_df(F, Pu, pk, lms_design.prefilter,
-                      sigma=lms_design.noise_sigma, lookahead=8, N=N,
+                      sigma=lms_design.noise_sigma, lookahead=8,
                       input_mean=mean)
         trials, T, seed = 4, 3000, 13
         got = empirical_mse(d, self.src, trials=trials, T=T, seed=seed)
@@ -287,7 +299,7 @@ class TestMechanismOrdering:
         src = MarkovStreamSource(markov)
         Pu, mean = chain_spectrum(markov, N)
         designs = {
-            "lms": assemble_lms(F, Pu, pk, mode="smoother", N=N,
+            "lms": assemble_lms(F, Pu, pk, mode="smoother",
                                 input_mean=mean),
             "zfe": assemble_zfe(F, design_diag_prefilter(F, k, N=N), pk, N),
             "op": assemble_output_perturbation(F, pk, N),
