@@ -21,11 +21,10 @@ from .privacy import (PrivacySpec, add_noise, gaussian_delta, kappa,
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
                           diagonal_sensitivity, mimo_bounds, mimo_exact,
                           simo_sensitivity)
-from .sim import (EventStream, ExperimentReport, FixedStreamSource,
-                  MarkovStreamSource, OccupancySource, compare_mechanisms,
-                  empirical_mse, gaussian_fir, moving_average,
-                  occupancy_filter_bank, run_mechanism,
-                  synthetic_occupancy_source)
+from .sim import (EventStream, FixedStreamSource, MarkovStreamSource,
+                  OccupancySource, compare_mechanisms, empirical_mse,
+                  gaussian_fir, moving_average, occupancy_filter_bank,
+                  run_mechanism, synthetic_occupancy_source)
 from .spectral import (MatrixFactorization, factor_grid_error,
                        fit_rational_magnitude, matrix_canonical_factor,
                        paley_wiener_check, scalar_spectral_factor)

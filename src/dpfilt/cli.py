@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .config import MECHANISM_KINDS, Config
+from .config import MECHANISM_KINDS, Config, as_number
 from .errors import ConfigError, DpfiltError
 from .fileio import (build_filter, design_from_dict, design_to_dict,
                      load_json, save_json, source_from_spec,
@@ -43,7 +43,8 @@ def _make_design(cfg: Config) -> MechanismDesign:
     priv = cfg.privacy_spec()
     N = cfg.grid_n
     kind = cfg.mechanism.get("kind", "zfe")
-    order = int(cfg.mechanism.get("factor_order", 40))
+    order = as_number(cfg.mechanism.get("factor_order", 40), "factor_order",
+                      integer=True)
     if kind == "zfe":
         G = design_diag_prefilter(F, priv.k_vector(), N=N, order=order)
         return assemble_zfe(F, G, priv, N)
@@ -55,10 +56,11 @@ def _make_design(cfg: Config) -> MechanismDesign:
         return assemble_lms(F, Pu, priv, mode=mode, order=order,
                             input_mean=mean)
     # decision feedback around the LMS prefilter
+    lookahead = as_number(cfg.mechanism.get("lookahead", 2), "lookahead",
+                          integer=True)
     G, sigma, info = lms_prefilter(F, Pu, priv, order)
     design = design_df(
-        F, Pu, priv, G, sigma=sigma,
-        lookahead=int(cfg.mechanism.get("lookahead", 2)),
+        F, Pu, priv, G, sigma=sigma, lookahead=lookahead,
         decision_domain=cfg.mechanism.get("decision_domain",
                                           "nonneg_integers"),
         input_mean=mean)
@@ -87,12 +89,12 @@ def cmd_design(args) -> int:
     if args.mechanism is not None:
         cfg.mechanism = dict(cfg.mechanism)
         cfg.mechanism["kind"] = args.mechanism
+    fit_tol = as_number(cfg.mechanism.get("fit_tol", 1e-3), "fit_tol")
     design = _make_design(cfg)
     doc = design_to_dict(design, config_echo=cfg.to_dict(),
                          config_hash=cfg.hash())
     validate_document(doc, "design.schema.json")
     save_json(doc, args.out, indent=None)   # postfilter taps, compactly
-    fit_tol = float(cfg.mechanism.get("fit_tol", 1e-3))
     loss = _fit_loss(design)
     if loss is not None and loss[0] > fit_tol:
         print(f"note: the prefilter fit loses {loss[0]:.3g} of the MSE "
@@ -116,11 +118,7 @@ def cmd_sensitivity(args) -> int:
     doc = {
         "tool_version": __version__,
         "config_hash": cfg.hash(),
-        "lower": report.lower,
-        "upper": report.upper,
-        "exact": report.exact,
-        "horizon_used": report.horizon_used,
-        "is_exact": report.is_exact,
+        **report.to_dict(),
         "lower_equals_exact": bool(abs(report.exact - report.lower)
                                    <= 1e-9 * max(report.exact, 1e-300)),
         "upper_equals_exact": bool(abs(report.exact - report.upper)
@@ -134,8 +132,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim import compare_mechanisms, FixedStreamSource
-    from .streams import EventStream
+    from .sim import compare_mechanisms
     doc = load_json(args.design)
     validate_document(doc, "design.schema.json")
     if args.domain is not None:
@@ -151,19 +148,13 @@ def cmd_simulate(args) -> int:
         cfg.seed = args.seed
     trials = args.trials or int(cfg.simulate.get("trials", 5))
     steps = args.steps or int(cfg.simulate.get("steps", 10000))
-    if args.source:
-        if str(args.source).endswith(".csv"):
-            source = FixedStreamSource(EventStream.load_csv(args.source),
-                                       name="csv")
-        else:
-            raise DpfiltError(f"unsupported source file: {args.source}")
-    else:
-        source = source_from_spec(cfg.source, design.target.shape[1])
-    report = compare_mechanisms(design.target, source, design.privacy,
-                                {design.kind: design}, trials=trials,
-                                T=steps, seed=cfg.seed,
-                                plots_dir=args.plots, timing=args.timing)
-    out = report.to_dict()
+    block = {"kind": "csv", "csv": args.source} if args.source \
+        else cfg.source
+    source = source_from_spec(block, design.target.shape[1])
+    out = compare_mechanisms(design.target, source, design.privacy,
+                             {design.kind: design}, trials=trials, T=steps,
+                             seed=cfg.seed, plots_dir=args.plots,
+                             timing=args.timing)
     out["tool_version"] = __version__
     out["config_hash"] = cfg.hash()
     validate_document(out, "report.schema.json")

@@ -41,6 +41,31 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
             f"allowed: {sorted(allowed)}")
 
 
+def load_yaml(path, what: str):
+    """The YAML document in the file at path (None if it is empty);
+    ConfigError naming `what` if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+
+
+def as_number(value, key: str, integer: bool = False):
+    """A config value as a float, or as an int if `integer` (a whole
+    float such as 40.0 passes); ConfigError naming `key` otherwise."""
+    try:
+        num = float(value)
+    except (TypeError, ValueError):
+        num = None
+    if num is None or (integer and not num.is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return int(num) if integer else num
+
+
 @dataclass
 class Config:
     grid_n: int = 1024
@@ -89,14 +114,7 @@ class Config:
 
     @classmethod
     def load(cls, path) -> "Config":
-        try:
-            with open(path) as fh:
-                raw = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        return cls.from_dict(raw or {})
+        return cls.from_dict(load_yaml(path, "config") or {})
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import yaml
 
+from .config import load_yaml
 from .df import DfDesign
 from .errors import ConfigError, InsufficientNoise
 from .lms import CausalWienerFilter, SmootherFilter
@@ -56,14 +57,7 @@ def transfer_matrix_from_dict(d: dict) -> TransferMatrix:
 
 
 def load_filter_file(path) -> TransferMatrix:
-    try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read filter file: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed filter file: {exc}") from exc
-    return transfer_matrix_from_dict(raw or {})
+    return transfer_matrix_from_dict(load_yaml(path, "filter file") or {})
 
 
 def save_filter_file(tm: TransferMatrix, path) -> None:

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
 from .lti import (Postfilter, RationalFilter, SpectrumGrid, TransferMatrix,
-                  freq_response, grid_omega, next_fast_len, taps_grid,
-                  trapezoid_mean, trapezoid_weights)
+                  as_matrix, freq_response, grid_omega, next_fast_len,
+                  taps_grid, trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
@@ -69,8 +69,7 @@ def as_grid(obj, N: int, square_side: int | None = None) -> np.ndarray:
         if obj.n_grid != N:
             raise ConfigError(f"grid size mismatch: {obj.n_grid} vs {N}")
         return obj.samples
-    if isinstance(obj, RationalFilter):
-        obj = TransferMatrix([[obj]])
+    obj = as_matrix(obj)
     if isinstance(obj, TransferMatrix):
         return freq_response(obj, N).samples
     arr = np.asarray(obj, dtype=complex)
@@ -113,16 +112,20 @@ def _bracket_inverse_times(Pt: np.ndarray, C: np.ndarray,
     return R @ np.linalg.solve(inner, R @ B)
 
 
+def _release_spectrum(G, P_u: SpectrumGrid, sigma: float):
+    """(G*, P_v) on the grid of P_u for the release v = G u + w: the
+    sampled prefilter's conjugate transpose and P_v = G P_u G* + s^2 I."""
+    m = P_u.samples.shape[1]
+    Gg = as_grid(G, P_u.n_grid, square_side=m)
+    GgH = np.conj(np.swapaxes(Gg, 1, 2))
+    return GgH, Gg @ P_u.samples @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
+
+
 def wiener_smoother(F, P_u: SpectrumGrid, G, sigma: float) -> SpectrumGrid:
     """Non-causal linear MMSE postfilter H = F P_u G* (G P_u G* + s^2 I)^-1,
     on the grid of P_u."""
-    N, Pg = P_u.n_grid, P_u.samples
-    m = Pg.shape[1]
-    Fg = as_grid(F, N)
-    Gg = as_grid(G, N, square_side=m)
-    Pyv = Fg @ Pg @ np.conj(np.swapaxes(Gg, 1, 2))
-    Pv = Gg @ Pg @ np.conj(np.swapaxes(Gg, 1, 2)) \
-        + sigma ** 2 * np.eye(m)[None, :, :]
+    GgH, Pv = _release_spectrum(G, P_u, sigma)
+    Pyv = as_grid(F, P_u.n_grid) @ P_u.samples @ GgH
     if sigma == 0.0:
         eig = np.linalg.eigvalsh(0.5 * (Pv + np.conj(np.swapaxes(Pv, 1, 2))))
         if np.min(eig) <= 1e-13 * max(float(np.max(np.abs(Pv))), 1e-300):
@@ -311,6 +314,14 @@ def optimize_prefilter_general(F, P_u: SpectrumGrid, k,
     return prof
 
 
+def _taps_bank(self) -> "FirBank":
+    """The FirBank of the filter's taps, built on first use and kept: the
+    bank() of SmootherFilter and CausalWienerFilter."""
+    if "_bank" not in self.__dict__:
+        self._bank = FirBank(self.taps)
+    return self._bank
+
+
 @dataclass
 class SmootherFilter(Postfilter):
     """Two-sided FIR realization of a Wiener smoother grid."""
@@ -337,11 +348,7 @@ class SmootherFilter(Postfilter):
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.bank().run(v, self.half)
 
-    def bank(self) -> FirBank:
-        """The FirBank of the taps, built on first use and kept."""
-        if "_bank" not in self.__dict__:
-            self._bank = FirBank(self.taps)
-        return self._bank
+    bank = _taps_bank
 
     def margins(self) -> tuple[int, int]:
         return self.half, self.half
@@ -478,11 +485,7 @@ class CausalWienerFilter(Postfilter):
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.bank().run(v)
 
-    def bank(self) -> FirBank:
-        """The FirBank of the taps, built on first use and kept."""
-        if "_bank" not in self.__dict__:
-            self._bank = FirBank(self.taps)
-        return self._bank
+    bank = _taps_bank
 
     def margins(self) -> tuple[int, int]:
         return self.taps.shape[0], 0
@@ -506,16 +509,13 @@ def causal_wiener(F, P_u: SpectrumGrid, G,
                   sigma: float) -> CausalWienerFilter:
     """Causal Wiener postfilter via canonical factorization of P_v, on the
     grid of P_u."""
-    N, Pg = P_u.n_grid, P_u.samples
-    m = Pg.shape[1]
+    N = P_u.n_grid
     Fg = as_grid(F, N)
-    Gg = as_grid(G, N, square_side=m)
-    GgH = np.conj(np.swapaxes(Gg, 1, 2))
-    Pv = Gg @ Pg @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
+    GgH, Pv = _release_spectrum(G, P_u, sigma)
     fact = matrix_canonical_factor(SpectrumGrid(Pv), hint=FLOOR_HINT,
                                    name="observation spectrum G P G* + s^2 I")
-    Lg = fact.eval_grid(grid_omega(N))
-    Pyv = Fg @ Pg @ GgH
+    Lg = fact.eval_grid(N)
+    Pyv = Fg @ P_u.samples @ GgH
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H
     Mg = np.conj(np.swapaxes(
         np.linalg.solve(Lg, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
@@ -534,14 +534,11 @@ def postfilter_mse(F, P_u: SpectrumGrid, G, sigma: float, H_grid) -> float:
     """MSE of an arbitrary postfilter grid against the desired output, on
     the grid of P_u."""
     N, Pg = P_u.n_grid, P_u.samples
-    m = Pg.shape[1]
     Fg = as_grid(F, N)
-    Gg = as_grid(G, N, square_side=m)
+    GgH, Pv = _release_spectrum(G, P_u, sigma)
     Hg = as_grid(H_grid, N)
-    GgH = np.conj(np.swapaxes(Gg, 1, 2))
     HgH = np.conj(np.swapaxes(Hg, 1, 2))
     FgH = np.conj(np.swapaxes(Fg, 1, 2))
-    Pv = Gg @ Pg @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
     Pyv = Fg @ Pg @ GgH
     integrand = (np.einsum("qij,qji->q", Fg @ Pg, FgH)
                  - np.einsum("qij,qji->q", Hg, np.conj(np.swapaxes(Pyv, 1, 2)))

@@ -461,12 +461,16 @@ def _require_stable(sys) -> None:
         raise UnstableSystem("system has poles on or outside the unit circle")
 
 
+def as_matrix(sys):
+    """A RationalFilter as a 1x1 TransferMatrix; any other system as is."""
+    return TransferMatrix(sys) if isinstance(sys, RationalFilter) else sys
+
+
 def freq_response(sys, N: int = DEFAULT_GRID) -> SpectrumGrid:
     """Sample the transfer matrix at z = exp(j*q*pi/N), q = 0..N."""
     if N < 8:
         raise ValueError("grid size N must be at least 8")
-    if isinstance(sys, RationalFilter):
-        sys = TransferMatrix([[sys]])
+    sys = as_matrix(sys)
     _require_stable(sys)
     return SpectrumGrid(sys.freq(grid_omega(N)))
 
@@ -496,8 +500,7 @@ def realize_state_space(tm: TransferMatrix) -> StateSpace:
     Each column gets a common denominator (product of its distinct entry
     denominators); no minimality is attempted.
     """
-    if isinstance(tm, RationalFilter):
-        tm = TransferMatrix([[tm]])
+    tm = as_matrix(tm)
     p, m = tm.shape
     blocks = []
     for j in range(m):
@@ -563,8 +566,7 @@ def h2_norm(sys, method: str = "auto", N: int = DEFAULT_GRID) -> float:
     'auto' picks the exact coefficient sum for FIR systems and the
     Gramian path otherwise.
     """
-    if isinstance(sys, RationalFilter):
-        sys = TransferMatrix([[sys]])
+    sys = as_matrix(sys)
     _require_stable(sys)
     if method == "frequency":
         g = freq_response(sys, N).samples if isinstance(sys, TransferMatrix) \
@@ -712,8 +714,7 @@ def simulate(sys, stream):
     """
     arr_in = isinstance(stream, np.ndarray)
     u = np.atleast_2d(stream) if arr_in else stream.data
-    if isinstance(sys, RationalFilter):
-        sys = TransferMatrix([[sys]])
+    sys = as_matrix(sys)
     if isinstance(sys, StateSpace):
         y = sys.simulate_array(u)
     else:
@@ -731,8 +732,7 @@ def simulate(sys, stream):
 def effective_length(sys, tol: float = 1e-8, cap: int = 65536) -> int:
     """Shortest horizon after which the impulse-response tail energy is
     below tol relative to the total."""
-    if isinstance(sys, RationalFilter):
-        sys = TransferMatrix([[sys]])
+    sys = as_matrix(sys)
     if isinstance(sys, TransferMatrix) and sys.is_fir():
         return max(max(e.num.size for row in sys.entries for e in row), 1)
     n = 256

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                      OracleTooLarge, UnstableSystem)
-from .lti import (GRAMIAN_TOL, RationalFilter, TransferMatrix, h2_norm,
+from .lti import (GRAMIAN_TOL, TransferMatrix, as_matrix, h2_norm,
                   next_fast_len, observability_gramian, realize_state_space)
 
 
@@ -30,15 +30,9 @@ class SensitivityReport:
                 "is_exact": self.is_exact}
 
 
-def _as_tm(G) -> TransferMatrix:
-    if isinstance(G, RationalFilter):
-        return TransferMatrix([[G]])
-    return G
-
-
 def simo_sensitivity(G, k1: float) -> float:
     """Single-input system: sensitivity is k1 times the H2 norm."""
-    G = _as_tm(G)
+    G = as_matrix(G)
     if G.shape[1] != 1:
         raise DimensionMismatch(
             f"expected a single-input system, got {G.shape[1]} inputs")
@@ -47,7 +41,7 @@ def simo_sensitivity(G, k1: float) -> float:
 
 def diagonal_sensitivity(G, k) -> float:
     """Diagonal system: sqrt(sum_i ||k_i G_ii||_2^2)."""
-    G = _as_tm(G)
+    G = as_matrix(G)
     if not G.is_diagonal():
         raise NotDiagonal("prefilter must be square and diagonal")
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -61,7 +55,7 @@ def diagonal_sensitivity(G, k) -> float:
 
 def mimo_bounds(G, k) -> tuple[float, float]:
     """Sandwich ||GK||_2 <= sensitivity <= |k|_2 ||G||_2."""
-    G = _as_tm(G)
+    G = as_matrix(G)
     if not G.is_stable():
         raise UnstableSystem("sensitivity bounds require a stable system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -96,8 +90,8 @@ def mimo_exact(G, k, tol: float = 1e-10,
     systems. Noise calibrated on it always suffices for the privacy
     guarantee. ``lower`` and ``upper`` come from Gramian column energies.
     """
-    tm = _as_tm(G) if isinstance(G, (TransferMatrix, RationalFilter)) \
-        else None
+    G = as_matrix(G)
+    tm = G if isinstance(G, TransferMatrix) else None
     ss = G if tm is None else realize_state_space(tm)
     if not ss.is_stable():
         raise UnstableSystem("exact sensitivity requires a stable system")
@@ -149,7 +143,7 @@ def brute_force_sensitivity(G, k, T: int) -> float:
     All impulse times in {0..T}^m and sign patterns alpha_i = +/-k_i are
     tried; sign extremality makes this exhaustive for the worst case.
     """
-    G = _as_tm(G)
+    G = as_matrix(G)
     if not G.is_fir():
         raise OracleTooLarge("oracle supports FIR systems only")
     m = G.shape[1]

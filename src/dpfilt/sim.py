@@ -7,10 +7,10 @@ from __future__ import annotations
 import importlib.resources
 import json
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import as_number
 from .df import run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length, simulate)
@@ -108,7 +108,11 @@ class OccupancySource(StreamSource):
         if rates is None:
             rng = np.random.default_rng(phase_seed)
             rates = rng.uniform(0.4, 2.0, m)
-        self.rates = np.atleast_1d(np.asarray(rates, dtype=float))
+        try:
+            self.rates = np.atleast_1d(np.asarray(rates, dtype=float))
+        except (TypeError, ValueError):
+            raise ConfigError(f"rates must be numbers, got {rates!r}"
+                              ) from None
         if self.rates.size == 1:
             self.rates = np.full(m, float(self.rates[0]))
         if self.rates.size != m:
@@ -116,20 +120,10 @@ class OccupancySource(StreamSource):
         if not np.all(np.isfinite(self.rates) & (self.rates >= 0.0)):
             raise ConfigError(f"rates must be finite and nonnegative, got "
                               f"{self.rates.tolist()}")
-        try:
-            whole = float(period).is_integer()
-        except (TypeError, ValueError):
-            whole = False
-        if not whole:
-            raise ConfigError(f"period must be an integer, got {period!r}")
-        self.period = int(float(period))
+        self.period = as_number(period, "period", integer=True)
         if self.period < 1:
             raise ConfigError(f"period must be at least 1, got {period}")
-        try:
-            self.amplitude = float(amplitude)
-        except (TypeError, ValueError):
-            raise ConfigError(f"amplitude must be a number, got "
-                              f"{amplitude!r}") from None
+        self.amplitude = as_number(amplitude, "amplitude")
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError("amplitude must lie in [0, 1)")
         rng = np.random.default_rng(phase_seed + 1)
@@ -243,50 +237,30 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
     return float(vals.mean()), stderr
 
 
-@dataclass
-class ExperimentReport:
-    """Comparison of several mechanisms on one target and source."""
-
-    target_shape: tuple
-    privacy: dict
-    bounds: dict
-    mechanisms: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "target_shape": list(self.target_shape),
-            "privacy": self.privacy,
-            "bounds": self.bounds,
-            "mechanisms": self.mechanisms,
-            "config": self.config,
-        }
-
-
 def compare_mechanisms(F: TransferMatrix, source: StreamSource,
                        privacy: PrivacySpec, designs: dict,
                        trials: int = 5, T: int = 10000, seed: int = 0,
-                       plots_dir=None, timing: bool = False
-                       ) -> ExperimentReport:
+                       plots_dir=None, timing: bool = False) -> dict:
     """Run every design on the common source and collect theory vs
-    Monte Carlo MSE. `designs` maps name -> MechanismDesign; an empty
-    dict yields a bounds-only report."""
+    Monte Carlo MSE into the report document. `designs` maps name ->
+    MechanismDesign; an empty dict yields a bounds-only report."""
     from .zfe import zfe_general_lower_bound, zfe_mse_diag_bound
     k = privacy.k_vector()
-    report = ExperimentReport(
-        target_shape=F.shape, privacy=privacy.to_dict(),
-        bounds={
+    report = {
+        "target_shape": list(F.shape), "privacy": privacy.to_dict(),
+        "bounds": {
             "zfe_diag_bound": zfe_mse_diag_bound(F, k, privacy),
             "zfe_nuclear_bound": zfe_general_lower_bound(F, k, privacy),
         },
-        config={"trials": trials, "steps": T, "seed": seed,
-                "source": source.name})
+        "mechanisms": {},
+        "config": {"trials": trials, "steps": T, "seed": seed,
+                   "source": source.name}}
     for idx, (name, design) in enumerate(designs.items()):
         t0 = time.monotonic()
         mean, stderr = empirical_mse(design, source, trials, T,
                                      seed + 1000 * idx)
         elapsed = time.monotonic() - t0
-        report.mechanisms[name] = {
+        report["mechanisms"][name] = {
             "kind": design.kind,
             "theory_mse": design.theory_mse,
             "empirical_mse": mean,

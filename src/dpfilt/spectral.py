@@ -170,24 +170,14 @@ class MatrixFactorization:
     def m(self) -> int:
         return self.pe.shape[0]
 
-    def eval_grid(self, omega: np.ndarray) -> np.ndarray:
-        """L(e^{j omega}), shape (N+1, m, m), on the design grid only.
-
-        omega must be grid_omega(N) for some N (as SpectrumGrid.omega is);
-        the values come from one taps_grid FFT, and any other omega raises
-        ValueError.
-        """
-        omega = np.asarray(omega, dtype=float)
-        N = omega.size - 1
-        if omega.ndim != 1 or N < 1 or \
-                np.max(np.abs(omega - grid_omega(N))) > 1e-12:
-            raise ValueError("eval_grid needs the design grid "
-                             "omega_q = q pi / N, q = 0..N")
+    def eval_grid(self, N: int) -> np.ndarray:
+        """L(e^{j omega_q}) on omega_q = q pi / N, q = 0..N, shape
+        (N+1, m, m), from one taps_grid FFT."""
         return taps_grid(self.coeffs, N)
 
-    def reconstruct(self, omega: np.ndarray) -> np.ndarray:
-        """L Pe L^H on the design grid (see eval_grid)."""
-        Lg = self.eval_grid(omega)
+    def reconstruct(self, N: int) -> np.ndarray:
+        """L Pe L^H on the grid of eval_grid(N)."""
+        Lg = self.eval_grid(N)
         LP = Lg @ self.pe
         np.conj(Lg, out=Lg)
         return LP @ np.swapaxes(Lg, 1, 2)
@@ -321,7 +311,7 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
         fact = MatrixFactorization(coeffs=_truncate_tail(coeffs, 1e-13),
                                    pe=W0 @ W0.T,
                                    meta={"blocks": n, "bandwidth": band})
-        recon = fact.reconstruct(P.omega)
+        recon = fact.reconstruct(N)
         err = float(np.max(np.abs(recon - samples)) / scale)
         fact.grid_error = err
         tried = (n, err)
@@ -332,7 +322,7 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
                 f"Bauer iteration stalled at {n} blocks "
                 f"(grid error {err:.2e}, row drift {drift:.2e})")
         n_blocks = min(2 * n_blocks, max_blocks)
-    Lg = fact.eval_grid(P.omega)
+    Lg = fact.eval_grid(N)
     fact.causally_invertible = (_det_winding(Lg) == 0 and
                                 float(np.min(np.abs(np.linalg.det(Lg)))) > 0)
     return fact

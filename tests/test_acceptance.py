@@ -127,7 +127,7 @@ def test_criterion_4_spectral_round_trips():
     Lg = np.einsum("qk,kij->qij", z, coeffs0)
     P = SpectrumGrid(np.einsum("qij,jk,qlk->qil", Lg, pe0, np.conj(Lg)))
     fact = matrix_canonical_factor(P)
-    recon = fact.reconstruct(omega)
+    recon = fact.reconstruct(N)
     mat_err = float(np.max(np.abs(recon - P.samples))
                     / np.max(np.abs(P.samples)))
     ok = worst_scalar < 1e-4 and mat_err < 1e-5 and worst_root < 1.0 \

@@ -213,6 +213,31 @@ class TestPipeline:
         assert row["empirical_mse"] > 0
         assert row["runtime_s"] is None     # timing off by default
 
+    def test_source_file_goes_through_csv_source(self, tmp_path, capsys):
+        # --source reads any file name as CSV, and checks its channel
+        # count against the filter as a config csv source does
+        cfg_path, _ = base_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        stream_path = tmp_path / "stream.txt"
+        assert main(["markov-gen", "--alpha", "0.3", "--beta", "0.6",
+                     "--steps", "4000", "--seed", "3",
+                     "--out", str(stream_path)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["simulate", "--design", str(design_path),
+                     "--source", str(stream_path), "--trials", "2",
+                     "--steps", "4000", "--report", str(report_path)]) == 0
+        assert load_json(report_path)["config"]["source"] == "csv"
+        narrow = tmp_path / "narrow.dat"
+        narrow.write_text("a\n" + "1.0\n" * 4000)
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(design_path),
+                     "--source", str(narrow), "--trials", "2",
+                     "--steps", "4000", "--report", str(report_path)]) == 2
+        assert "source emits 1 channels, filter expects 2" \
+            in capsys.readouterr().err
+
     def test_simulate_uses_config_source(self, tmp_path):
         cfg_path, _ = base_config(tmp_path)
         design_path = tmp_path / "design.json"
@@ -568,9 +593,11 @@ class TestConfigErrorsExitTwo:
         ({"period": 0}, "period"),
         ({"period": 2.7}, "period"),
         ({"period": "abc"}, "period"),
-        ({"amplitude": "x"}, "amplitude")],
+        ({"amplitude": "x"}, "amplitude"),
+        ({"rates": "x"}, "rates"),
+        ({"rates": [1.0, "x"]}, "rates")],
         ids=["negative_rate", "nan_rate", "zero_period", "fractional_period",
-             "text_period", "text_amplitude"])
+             "text_period", "text_amplitude", "text_rates", "text_in_rates"])
     def test_bad_occupancy_source(self, tmp_path, capsys, bad, key):
         # regression: a negative rate became an all-zero channel, a NaN
         # rate ended in numpy's "lam value too large", period 0 divided
@@ -585,6 +612,28 @@ class TestConfigErrorsExitTwo:
                      "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
+
+    @pytest.mark.parametrize("mech,bad,key", [
+        ("zfe", {"factor_order": "x"}, "factor_order"),
+        ("zfe", {"factor_order": 40.5}, "factor_order"),
+        ("df", {"lookahead": 2.7}, "lookahead"),
+        ("df", {"lookahead": "x"}, "lookahead"),
+        ("zfe", {"fit_tol": "x"}, "fit_tol")],
+        ids=["text_factor_order", "fractional_factor_order",
+             "fractional_lookahead", "text_lookahead", "text_fit_tol"])
+    def test_bad_mechanism_number(self, tmp_path, capsys, mech, bad, key):
+        # regression: 40.5 and 2.7 were truncated silently, text failed
+        # naming no key, and a text fit_tol failed after the design was
+        # written
+        cfg_path, doc = base_config(tmp_path, mech=mech)
+        doc["mechanism"].update(bad)
+        write_yaml(cfg_path, doc)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+        assert not out.exists()
 
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(

@@ -96,7 +96,7 @@ class TestFactorizations:
         from dpfilt import freq_response
         Fg = freq_response(F, N).samples
         FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
-        Sg = S.eval_grid(OMEGA)
+        Sg = S.eval_grid(N)
         recon = np.einsum("qji,jk,qkl->qil", np.conj(Sg), T, Sg)
         assert np.max(np.abs(recon - FHF)) / np.max(np.abs(FHF)) < 1e-5
 

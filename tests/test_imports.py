@@ -1,9 +1,12 @@
-"""Cold start: no dpfilt command loads scipy.
+"""Imports: no dpfilt command loads scipy, and no dpfilt module imports
+a name it never uses.
 
-Each check runs in a fresh interpreter, since the test process itself
-imports scipy as an oracle.
+Each cold-start check runs in a fresh interpreter, since the test process
+itself imports scipy as an oracle.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -14,6 +17,41 @@ import yaml
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
+MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "dpfilt",
+                                                         "*.py"))
+                 if os.path.basename(path) != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never references; a name that appears
+    only in a string annotation counts as referenced."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value,
+                                                                str):
+                    used.update(n.id for n in ast.walk(
+                        ast.parse(sub.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})"
+                  for name, line in imported.items() if name not in used)
 
 
 def scipy_modules_after(code: str, cwd) -> list:
@@ -61,3 +99,18 @@ def test_commands_load_no_scipy(tmp_path, mech):
         "'--report', 'report.json'])]\n"
         "assert codes == [0, 0, 0], codes\n")
     assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_unused_imports_flagged():
+    source = ("from .lti import FirBank, TransferMatrix, grid_omega\n"
+              "import numpy as np\n"
+              "def f(x) -> 'FirBank':\n"
+              "    return np.abs(x)\n")
+    assert unused_imports(source) == ["TransferMatrix (line 1)",
+                                      "grid_omega (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_module_has_no_unused_import(path):
+    with open(path) as fh:
+        assert unused_imports(fh.read()) == []

@@ -99,10 +99,12 @@ class TestOccupancySource:
         ({"period": -3}, "period"),
         ({"period": 2.7}, "period"),
         ({"period": "abc"}, "period"),
-        ({"amplitude": "x"}, "amplitude")],
+        ({"amplitude": "x"}, "amplitude"),
+        ({"rates": "x"}, "rates"),
+        ({"rates": [1.0, "x"]}, "rates")],
         ids=["negative", "nan", "inf", "negative_scalar", "zero_period",
              "negative_period", "fractional_period", "text_period",
-             "text_amplitude"])
+             "text_amplitude", "text_rates", "text_in_rates"])
     def test_bad_inputs_fail_early(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
             OccupancySource(m=2, **kwargs)
@@ -245,17 +247,17 @@ class TestCompare:
         }
         report = compare_mechanisms(self.F, self.src, self.pk, designs,
                                     trials=3, T=6000, seed=1)
-        zfe_row = report.mechanisms["zfe"]
-        op_row = report.mechanisms["output_perturbation"]
+        zfe_row = report["mechanisms"]["zfe"]
+        op_row = report["mechanisms"]["output_perturbation"]
         assert zfe_row["theory_mse"] <= op_row["theory_mse"]
         assert zfe_row["empirical_mse"] <= op_row["empirical_mse"]
 
     def test_empty_mechanism_list(self):
         report = compare_mechanisms(self.F, self.src, self.pk, {}, trials=2,
                                     T=4000, seed=1)
-        assert report.mechanisms == {}
-        assert report.bounds["zfe_nuclear_bound"] <= \
-            report.bounds["zfe_diag_bound"] * (1 + 1e-12)
+        assert report["mechanisms"] == {}
+        assert report["bounds"]["zfe_nuclear_bound"] <= \
+            report["bounds"]["zfe_diag_bound"] * (1 + 1e-12)
 
     def test_deterministic_report(self):
         G = design_diag_prefilter(self.F, self.k, N=N)
@@ -264,7 +266,7 @@ class TestCompare:
                                 T=5000, seed=3)
         r2 = compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
                                 T=5000, seed=3)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
     def test_plot_csv_written(self, tmp_path):
         G = design_diag_prefilter(self.F, self.k, N=N)
