@@ -9,10 +9,10 @@ from .lms import (AllocationProfile, CausalWienerFilter, SmootherFilter,
                   assemble_lms, causal_wiener, lms_objective,
                   optimize_prefilter_general, postfilter_mse,
                   waterfill_diagonal, wiener_smoother)
-from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, StateSpace,
-                  TransferMatrix, effective_length, freq_response,
-                  grid_omega, h2_norm, observability_gramian,
-                  realize_state_space, simulate, trapezoid_mean)
+from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
+                  column_energies, effective_length, freq_response,
+                  grid_omega, h2_norm, observability_gramian, simulate,
+                  trapezoid_mean)
 from .markov import (MarkovSource, autocovariance, chain_spectrum,
                      demo_filter, sample_chain, server_example,
                      server_stationary, stationary_distribution)

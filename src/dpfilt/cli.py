@@ -108,13 +108,11 @@ def cmd_design(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .sensitivity import mimo_bounds, mimo_exact
+    from .sensitivity import mimo_exact
     cfg = Config.load(args.config)
     _apply_overrides(cfg, args)
     F = build_filter(cfg.filter)
-    k = cfg.privacy_spec().k_vector()
-    lower, upper = mimo_bounds(F, k)
-    report = mimo_exact(F, k)
+    report = mimo_exact(F, cfg.privacy_spec().k_vector())
     doc = {
         "tool_version": __version__,
         "config_hash": cfg.hash(),
@@ -123,8 +121,9 @@ def cmd_sensitivity(args) -> int:
                                    <= 1e-9 * max(report.exact, 1e-300)),
         "upper_equals_exact": bool(abs(report.exact - report.upper)
                                    <= 1e-9 * max(report.exact, 1e-300)),
-        "bounds_consistent": bool(lower <= report.exact * (1 + 1e-9)
-                                  and report.exact <= upper * (1 + 1e-9)),
+        "bounds_consistent": bool(
+            report.lower <= report.exact * (1 + 1e-9)
+            and report.exact <= report.upper * (1 + 1e-9)),
     }
     save_json(doc, args.out)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -146,8 +145,14 @@ def cmd_simulate(args) -> int:
     cfg = Config.from_dict(doc.get("config", {}))
     if args.seed is not None:
         cfg.seed = args.seed
-    trials = args.trials or int(cfg.simulate.get("trials", 5))
-    steps = args.steps or int(cfg.simulate.get("steps", 10000))
+    trials = as_number(args.trials if args.trials is not None
+                       else cfg.simulate.get("trials", 5), "trials",
+                       integer=True)
+    steps = as_number(args.steps if args.steps is not None
+                      else cfg.simulate.get("steps", 10000), "steps",
+                      integer=True)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     block = {"kind": "csv", "csv": args.source} if args.source \
         else cfg.source
     source = source_from_spec(block, design.target.shape[1])

@@ -87,11 +87,11 @@ class Config:
         _check_keys(raw, _TOP_KEYS, "config")
         cfg = cls()
         if "grid_n" in raw:
-            cfg.grid_n = int(raw["grid_n"])
+            cfg.grid_n = as_number(raw["grid_n"], "grid_n", integer=True)
             if cfg.grid_n < 8:
                 raise ConfigError("grid_n must be at least 8")
         if "seed" in raw:
-            cfg.seed = int(raw["seed"])
+            cfg.seed = as_number(raw["seed"], "seed", integer=True)
         for name, allowed in (("privacy", _PRIVACY_KEYS),
                               ("filter", _FILTER_KEYS),
                               ("mechanism", _MECHANISM_KEYS),

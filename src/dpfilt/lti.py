@@ -1,5 +1,5 @@
 """Causal discrete-time LTI systems: rational filters, transfer matrices,
-state-space realizations, frequency grids, H2 norms and simulation.
+frequency grids, Gramian energies, H2 norms and simulation.
 
 Conventions: transfer functions are written in ascending powers of z^-1
 with a monic denominator; frequency grids sample omega_q = q*pi/N for
@@ -111,16 +111,43 @@ class RationalFilter:
     def scale(self, c: float) -> "RationalFilter":
         return RationalFilter(self.num * c, self.den)
 
+    def tail_energy(self, lag: int = 0) -> tuple[float, float]:
+        """Impulse-response energy from `lag` on, sum_{t >= lag} h(t)^2,
+        and a slack for the Gramian's tolerance in it.
+
+        FIR taps are summed exactly, with no slack. Otherwise the energy
+        is x' P0 x on the controllable canonical form (A, b, c, d), where
+        h(0) = d and h(t) = c A^(t-1) b, x = A^(lag-1) b and P0 is the
+        observability Gramian of (A, c); lag 0 adds d^2. The form and P0
+        are built on first use and kept, since the coefficients are
+        read-only.
+        """
+        if self.is_fir:
+            return float(np.sum(self.num[lag:] ** 2)), 0.0
+        if "_gramian" not in self.__dict__:
+            n = self.order
+            a = np.zeros(n + 1)
+            a[:self.den.size] = self.den
+            b = np.zeros(n + 1)
+            b[:self.num.size] = self.num
+            A = np.zeros((n, n))
+            A[0, :] = -a[1:]
+            A[1:, :-1] = np.eye(n - 1)
+            c = b[1:] - b[0] * a[1:]
+            self._gramian = (A, c, b[0], observability_gramian(A, c))
+        A, c, d, P0 = self._gramian
+        x = np.linalg.matrix_power(A, max(lag, 1) - 1)[:, 0]
+        energy = float(x @ P0 @ x)
+        if lag == 0:
+            energy += d * d
+        return energy, GRAMIAN_TOL * max(1.0, float(c @ c)) * float(x @ x)
+
     def inverse(self) -> "RationalFilter":
         num = _trim(self.num)
         if num[0] == 0.0:
             raise ImproperTransferFunction(
                 "inverse of a filter with zero lag-0 coefficient is acausal")
         return RationalFilter(self.den, num)
-
-    @staticmethod
-    def constant(c: float) -> "RationalFilter":
-        return RationalFilter([float(c)])
 
     @staticmethod
     def delay(k: int, gain: float = 1.0) -> "RationalFilter":
@@ -191,9 +218,6 @@ class TransferMatrix(Postfilter):
         m = len(filters)
         return TransferMatrix([[filters[i] if i == j else ZERO_FILTER
                                 for j in range(m)] for i in range(m)])
-
-    def column(self, j: int) -> "TransferMatrix":
-        return TransferMatrix([[self.entries[i][j]] for i in range(self.p)])
 
     def is_stable(self, tol: float = STABILITY_TOL) -> bool:
         return all(e.is_stable(tol) for row in self.entries for e in row)
@@ -275,89 +299,6 @@ class TransferMatrix(Postfilter):
                     row.append(e.cascade(gj.inverse()))
             rows.append(row)
         return TransferMatrix(rows)
-
-
-@dataclass
-class StateSpace:
-    """x_{t+1} = A x_t + B u_t, y_t = C x_t + D u_t, with x_0 = 0."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionMismatch("A must be square")
-        if self.B.shape[0] != n or self.C.shape[1] != n:
-            raise DimensionMismatch("B/C dimensions inconsistent with A")
-        if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise DimensionMismatch("D dimensions inconsistent with B/C")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.p, self.m)
-
-    def spectral_radius(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
-
-    def is_stable(self, tol: float = STABILITY_TOL) -> bool:
-        return self.spectral_radius() < 1.0 - tol
-
-    def eval(self, z) -> np.ndarray:
-        if self.n == 0:
-            return self.D.astype(complex)
-        zi = complex(z)
-        x = np.linalg.solve(zi * np.eye(self.n) - self.A, self.B)
-        return self.C @ x + self.D
-
-    def freq(self, omega) -> np.ndarray:
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.empty((omega.size, self.p, self.m), dtype=complex)
-        for q, w in enumerate(omega):
-            out[q] = self.eval(np.exp(1j * w))
-        return out
-
-    def impulse(self, n: int) -> np.ndarray:
-        out = np.zeros((n, self.p, self.m))
-        out[0] = self.D
-        x = self.B.copy()
-        for t in range(1, n):
-            out[t] = self.C @ x
-            x = self.A @ x
-        return out
-
-    def simulate_array(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[1] != self.m:
-            raise DimensionMismatch(
-                f"input has {u.shape[1]} channels, system expects {self.m}")
-        T = u.shape[0]
-        y = np.empty((T, self.p))
-        x = np.zeros(self.n)
-        for t in range(T):
-            y[t] = self.C @ x + self.D @ u[t]
-            x = self.A @ x + self.B @ u[t]
-        return y
 
 
 @dataclass
@@ -462,7 +403,7 @@ def _require_stable(sys) -> None:
 
 
 def as_matrix(sys):
-    """A RationalFilter as a 1x1 TransferMatrix; any other system as is."""
+    """A RationalFilter as a 1x1 TransferMatrix; a TransferMatrix as is."""
     return TransferMatrix(sys) if isinstance(sys, RationalFilter) else sys
 
 
@@ -475,15 +416,17 @@ def freq_response(sys, N: int = DEFAULT_GRID) -> SpectrumGrid:
     return SpectrumGrid(sys.freq(grid_omega(N)))
 
 
-def observability_gramian(ss: StateSpace, tol: float = GRAMIAN_TOL,
+def observability_gramian(A, C, tol: float = GRAMIAN_TOL,
                           max_iter: int = 200) -> np.ndarray:
     """Solve A^T P0 A - P0 + C^T C = 0 by fixed-point doubling."""
-    if ss.n == 0:
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if A.shape[0] == 0:
         return np.zeros((0, 0))
-    if not ss.is_stable():
+    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0 - STABILITY_TOL:
         raise UnstableSystem("Gramian requires spectral radius(A) < 1")
-    P = ss.C.T @ ss.C
-    M = ss.A.copy()
+    P = C.T @ C
+    M = A.copy()
     scale = max(1.0, float(np.linalg.norm(P)))
     for _ in range(max_iter):
         incr = M.T @ P @ M
@@ -494,96 +437,39 @@ def observability_gramian(ss: StateSpace, tol: float = GRAMIAN_TOL,
     raise LyapunovFailure("Lyapunov doubling did not converge")
 
 
-def realize_state_space(tm: TransferMatrix) -> StateSpace:
-    """Stack per-column controllable canonical forms block-diagonally.
-
-    Each column gets a common denominator (product of its distinct entry
-    denominators); no minimality is attempted.
-    """
-    tm = as_matrix(tm)
-    p, m = tm.shape
-    blocks = []
-    for j in range(m):
-        dens = []
-        for i in range(p):
-            d = tm[i, j].den
-            if not any(np.array_equal(d, seen) for seen in dens):
-                dens.append(d)
-        common = np.array([1.0])
-        for d in dens:
-            common = np.convolve(common, d)
-        nums = []
-        for i in range(p):
-            mult = np.array([1.0])
-            used = False
-            for d in dens:
-                if not used and np.array_equal(d, tm[i, j].den):
-                    used = True
-                    continue
-                mult = np.convolve(mult, d)
-            nums.append(np.convolve(tm[i, j].num, mult))
-        n = max(common.size - 1, max(v.size - 1 for v in nums))
-        a = np.zeros(n + 1)
-        a[: common.size] = common
-        A = np.zeros((n, n))
-        if n:
-            A[0, :] = -a[1:]
-            A[1:, :-1] = np.eye(n - 1)
-        Bcol = np.zeros((n, 1))
-        if n:
-            Bcol[0, 0] = 1.0
-        C = np.zeros((p, n))
-        D = np.zeros((p, 1))
-        for i, v in enumerate(nums):
-            b = np.zeros(n + 1)
-            b[: v.size] = v
-            D[i, 0] = b[0]
-            if n:
-                C[i, :] = b[1:] - b[0] * a[1:]
-        blocks.append((A, Bcol, C, D))
-    n_tot = sum(b[0].shape[0] for b in blocks)
-    A = np.zeros((n_tot, n_tot))
-    B = np.zeros((n_tot, m))
-    C = np.zeros((p, n_tot))
-    D = np.zeros((p, m))
-    at = 0
-    for j, (Aj, Bj, Cj, Dj) in enumerate(blocks):
-        nj = Aj.shape[0]
-        A[at: at + nj, at: at + nj] = Aj
-        B[at: at + nj, j: j + 1] = Bj
-        C[:, at: at + nj] = Cj
-        D[:, j: j + 1] = Dj
-        at += nj
-    return StateSpace(A, B, C, D)
+def column_energies(sys, lag: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per input column j, the impulse-response energy from `lag` on,
+    sum_i sum_{t >= lag} h_ij(t)^2, and the slack of the Gramian's
+    tolerance in it: RationalFilter.tail_energy summed down the column."""
+    sys = as_matrix(sys)
+    energy = np.zeros(sys.m)
+    slack = np.zeros(sys.m)
+    for row in sys.entries:
+        for j, e in enumerate(row):
+            ej, sj = e.tail_energy(lag)
+            energy[j] += ej
+            slack[j] += sj
+    return energy, slack
 
 
 def h2_norm(sys, method: str = "auto", N: int = DEFAULT_GRID) -> float:
     """H2 norm: sqrt of total impulse-response energy over all input/
     output pairs.
 
-    method 'gramian' uses trace(B^T P0 B + D^T D) on a realization,
-    'frequency' uses trapezoidal integration of Tr(G*G) on the grid,
-    'auto' picks the exact coefficient sum for FIR systems and the
-    Gramian path otherwise.
+    'auto' sums column_energies (exact coefficient sums for FIR entries,
+    Gramians otherwise); 'frequency' integrates Tr(G*G) on the grid by
+    the trapezoidal rule.
     """
+    if method not in ("auto", "frequency"):
+        raise ValueError(f"unknown H2 norm method {method!r}; "
+                         "expected 'auto' or 'frequency'")
     sys = as_matrix(sys)
     _require_stable(sys)
     if method == "frequency":
-        g = freq_response(sys, N).samples if isinstance(sys, TransferMatrix) \
-            else sys.freq(grid_omega(N))
+        g = freq_response(sys, N).samples
         tr = np.einsum("qij,qij->q", np.conj(g), g).real
         return float(np.sqrt(trapezoid_mean(tr)))
-    if isinstance(sys, TransferMatrix):
-        if method == "auto" and sys.is_fir():
-            total = sum(float(np.sum(e.num ** 2))
-                        for row in sys.entries for e in row)
-            return float(np.sqrt(total))
-        ss = realize_state_space(sys)
-    else:
-        ss = sys
-    P0 = observability_gramian(ss)
-    val = float(np.trace(ss.B.T @ P0 @ ss.B) + np.trace(ss.D.T @ ss.D))
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.sqrt(max(float(np.sum(column_energies(sys)[0])), 0.0)))
 
 
 class IirBank:
@@ -715,14 +601,10 @@ def simulate(sys, stream):
     arr_in = isinstance(stream, np.ndarray)
     u = np.atleast_2d(stream) if arr_in else stream.data
     sys = as_matrix(sys)
-    if isinstance(sys, StateSpace):
-        y = sys.simulate_array(u)
-    else:
-        p, m = sys.shape
-        if u.shape[1] != m:
-            raise DimensionMismatch(
-                f"input has {u.shape[1]} channels, system expects {m}")
-        y = sys.bank().run(u)
+    if u.shape[1] != sys.m:
+        raise DimensionMismatch(
+            f"input has {u.shape[1]} channels, system expects {sys.m}")
+    y = sys.bank().run(u)
     if arr_in:
         return y
     return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
@@ -733,7 +615,7 @@ def effective_length(sys, tol: float = 1e-8, cap: int = 65536) -> int:
     """Shortest horizon after which the impulse-response tail energy is
     below tol relative to the total."""
     sys = as_matrix(sys)
-    if isinstance(sys, TransferMatrix) and sys.is_fir():
+    if sys.is_fir():
         return max(max(e.num.size for row in sys.entries for e in row), 1)
     n = 256
     while n <= cap:

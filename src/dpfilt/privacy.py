@@ -46,9 +46,6 @@ class PrivacySpec:
     def k_vector(self) -> np.ndarray:
         return np.asarray(self.k, dtype=float)
 
-    def k_matrix(self) -> np.ndarray:
-        return np.diag(self.k_vector())
-
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "delta": self.delta,
                 "k": list(self.k)}

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                      OracleTooLarge, UnstableSystem)
-from .lti import (GRAMIAN_TOL, TransferMatrix, as_matrix, h2_norm,
-                  next_fast_len, observability_gramian, realize_state_space)
+from .lti import as_matrix, column_energies, h2_norm, next_fast_len
 
 
 @dataclass
@@ -54,16 +53,17 @@ def diagonal_sensitivity(G, k) -> float:
 
 
 def mimo_bounds(G, k) -> tuple[float, float]:
-    """Sandwich ||GK||_2 <= sensitivity <= |k|_2 ||G||_2."""
+    """Sandwich ||GK||_2 <= sensitivity <= |k|_2 ||G||_2, both from the
+    column energies E_j: sqrt(sum_j k_j^2 E_j) and |k|_2 sqrt(sum_j E_j)."""
     G = as_matrix(G)
     if not G.is_stable():
         raise UnstableSystem("sensitivity bounds require a stable system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.size != G.shape[1]:
         raise DimensionMismatch("k length must match input count")
-    lower_sq = sum((k[j] * h2_norm(G.column(j))) ** 2 for j in range(G.m))
-    upper = float(np.linalg.norm(k)) * h2_norm(G)
-    return float(np.sqrt(lower_sq)), upper
+    energy = column_energies(G)[0]
+    return (float(np.sqrt(np.sum(k ** 2 * energy))),
+            float(np.linalg.norm(k) * np.sqrt(np.sum(energy))))
 
 
 def mimo_exact(G, k, tol: float = 1e-10,
@@ -76,8 +76,8 @@ def mimo_exact(G, k, tol: float = 1e-10,
     correlation equals the linear one. For FIR transfer matrices L is the
     longest numerator and nothing is truncated. Otherwise L doubles from
     64: with E_j the truncated energy of column j and T_j its energy
-    from lag L on (x_j^T P0 x_j for x = A^{L-1} B), Cauchy-Schwarz puts
-    every lag of the full correlation, |tau| >= L included, within
+    from lag L on (column_energies(G, L), plus its slack), Cauchy-Schwarz
+    puts every lag of the full correlation, |tau| >= L included, within
     eps_ij = sqrt(E_i T_j) + sqrt(T_i E_j) + sqrt(T_i T_j) of the
     truncated one. Once max eps_ij < tol, sup_tau |C_ij| + eps_ij enters
     the cross terms and horizon_used is that L; HorizonExceeded is raised
@@ -88,36 +88,22 @@ def mimo_exact(G, k, tol: float = 1e-10,
     ``is_exact`` reports, and otherwise a safe upper bound: the
     brute-force oracle confirms gaps up to a few percent on three-input
     systems. Noise calibrated on it always suffices for the privacy
-    guarantee. ``lower`` and ``upper`` come from Gramian column energies.
+    guarantee. ``lower`` and ``upper`` are those of mimo_bounds, and
+    ``exact`` is sqrt(lower^2 + sum_{i != j} k_i k_j sup_ij).
     """
     G = as_matrix(G)
-    tm = G if isinstance(G, TransferMatrix) else None
-    ss = G if tm is None else realize_state_space(tm)
-    if not ss.is_stable():
-        raise UnstableSystem("exact sensitivity requires a stable system")
+    lower, upper = mimo_bounds(G, k)
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.size != ss.m:
-        raise DimensionMismatch("k length must match input count")
-    P0 = observability_gramian(ss)
-    col_energy = np.array([
-        float(ss.D[:, j] @ ss.D[:, j] + ss.B[:, j] @ P0 @ ss.B[:, j])
-        for j in range(ss.m)])
-    lower_sq = float(np.sum(k ** 2 * col_energy))
-    upper = float(np.linalg.norm(k) * np.sqrt(np.sum(col_energy)))
-    if tm is not None and tm.is_fir():
-        L = max(e.num.size for row in tm.entries for e in row)
-        h, eps = tm.impulse(L), 0.0
+    if G.is_fir():
+        L = max(e.num.size for row in G.entries for e in row)
+        h, eps = G.impulse(L), 0.0
     else:
-        impulse = ss.impulse if tm is None else tm.impulse
-        slack = GRAMIAN_TOL * max(1.0, float(np.linalg.norm(ss.C.T @ ss.C)))
         L = min(64, max_horizon)
         while True:
-            h = impulse(L)
+            h = G.impulse(L)
             e = np.sqrt(np.sum(h ** 2, axis=(0, 1)))
-            # tail energy, with a slack for the Gramian's tolerance
-            X = np.linalg.matrix_power(ss.A, L - 1) @ ss.B
-            t = np.sqrt(np.maximum(np.sum(X * (P0 @ X), axis=0)
-                                   + slack * np.sum(X ** 2, axis=0), 0.0))
+            tail, slack = column_energies(G, L)
+            t = np.sqrt(np.maximum(tail + slack, 0.0))
             eps = np.outer(e, t) + np.outer(t, e) + np.outer(t, t)
             if eps.max() < tol:
                 break
@@ -131,10 +117,10 @@ def mimo_exact(G, k, tol: float = 1e-10,
     corr = np.fft.irfft(H.conj().swapaxes(1, 2) @ H, nfft, axis=0)
     sup = np.max(np.abs(corr), axis=0) + eps
     cross = float(k @ (sup - np.diag(np.diag(sup))) @ k)
-    is_exact = ss.m <= 2 or (tm is not None and tm.is_diagonal())
-    return SensitivityReport(lower=float(np.sqrt(lower_sq)), upper=upper,
-                             exact=float(np.sqrt(lower_sq + cross)),
-                             horizon_used=L, is_exact=is_exact)
+    return SensitivityReport(lower=lower, upper=upper,
+                             exact=float(np.sqrt(lower ** 2 + cross)),
+                             horizon_used=L,
+                             is_exact=G.m <= 2 or G.is_diagonal())
 
 
 def brute_force_sensitivity(G, k, T: int) -> float:

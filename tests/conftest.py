@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfilt import RationalFilter, StateSpace, TransferMatrix
+from dpfilt import RationalFilter, TransferMatrix
 
 
 def random_poly_from_roots(rng, n_roots, radius):
@@ -44,14 +44,15 @@ def random_fir_matrix(rng, p, m, max_lag=3):
     return TransferMatrix(rows)
 
 
-def random_state_space(rng, n, m, p, radius=0.8):
+def random_state_space(rng, n, p, radius=0.8):
+    """A random pair (A, C): A is n-by-n with spectral radius below
+    `radius`, C is p-by-n."""
     A = rng.normal(size=(n, n))
     if n:
         rho = np.max(np.abs(np.linalg.eigvals(A)))
         if rho > 0:
             A *= radius / rho * rng.uniform(0.5, 1.0)
-    return StateSpace(A, rng.normal(size=(n, m)), rng.normal(size=(p, n)),
-                      rng.normal(size=(p, m)))
+    return A, rng.normal(size=(p, n))
 
 
 def h2_impulse_oracle(sys, tol=1e-14, max_len=200000):
@@ -66,13 +67,14 @@ def h2_impulse_oracle(sys, tol=1e-14, max_len=200000):
         n *= 2
 
 
-def gramian_series_oracle(ss, T=2000):
+def gramian_series_oracle(A, C, T=2000):
     """Truncated series sum_{t=0}^{T} (A^t)^T C^T C A^t."""
-    P = np.zeros((ss.n, ss.n))
-    M = np.eye(ss.n)
+    n = A.shape[0]
+    P = np.zeros((n, n))
+    M = np.eye(n)
     for _ in range(T + 1):
-        P += M.T @ ss.C.T @ ss.C @ M
-        M = ss.A @ M
+        P += M.T @ C.T @ C @ M
+        M = A @ M
     return P
 
 

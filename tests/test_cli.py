@@ -635,6 +635,51 @@ class TestConfigErrorsExitTwo:
         assert "ConfigError" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad,key", [
+        ({"grid_n": 256.5}, "grid_n"),
+        ({"grid_n": "x"}, "grid_n"),
+        ({"seed": 3.5}, "seed")],
+        ids=["fractional_grid_n", "text_grid_n", "fractional_seed"])
+    def test_bad_top_level_integer(self, tmp_path, capsys, bad, key):
+        # regression: 256.5 designed at N = 256, 3.5 seeded 3, and text
+        # failed naming no key
+        cfg_path, doc = base_config(tmp_path)
+        doc.update(bad)
+        write_yaml(cfg_path, doc)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,flags,key", [
+        ({"trials": 2.9}, [], "trials"),
+        ({"steps": 4000.7}, [], "steps"),
+        ({"trials": 0}, [], "trials"),
+        ({}, ["--trials", "0"], "trials"),
+        ({}, ["--trials", "-2"], "trials"),
+        ({}, ["--steps", "0"], "T=0")],
+        ids=["fractional_trials", "fractional_steps", "zero_trials",
+             "zero_trials_flag", "negative_trials_flag", "zero_steps_flag"])
+    def test_bad_simulate_counts(self, tmp_path, capsys, block, flags, key):
+        # regression: 2.9 trials ran 2 and 4000.7 steps ran 4000, zero
+        # trials wrote a NaN empirical_mse, a zero flag fell back to the
+        # config value, and --trials -2 died with an OverflowError
+        cfg_path, doc = base_config(tmp_path)
+        doc["simulate"].update(block)
+        write_yaml(cfg_path, doc)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert main(["simulate", "--design", str(out),
+                     "--report", str(report)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+        assert not report.exists()
+
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(
             tmp_path, mech="lms_smoother",

@@ -1,5 +1,5 @@
-"""Imports: no dpfilt command loads scipy, and no dpfilt module imports
-a name it never uses.
+"""Imports and leftovers: no dpfilt command loads scipy, no dpfilt module
+imports a name it never uses, and no private definition goes unused.
 
 Each cold-start check runs in a fresh interpreter, since the test process
 itself imports scipy as an oracle.
@@ -22,13 +22,16 @@ MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "dpfilt",
                  if os.path.basename(path) != "__init__.py")
 
 
-def unused_imports(source: str) -> list:
-    """Names a module imports and never references; a name that appears
-    only in a string annotation counts as referenced."""
-    tree = ast.parse(source)
-    imported = {}
-    used = set()
-    for node in ast.walk(tree):
+def scan(source: str):
+    """One walk over a module's syntax tree. Returns the names it imports
+    and the private names it defines, each with its first line, and the
+    names and the attributes it reads; a name inside a string annotation
+    counts as read. Private is a leading underscore, but neither the
+    throwaway `_` nor a dunder; a definition is a def, a class or any
+    name or attribute assigned."""
+    imported, defined = {}, {}
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = \
@@ -36,8 +39,15 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node.ctx, ast.Store):
+                defined.setdefault(name, node.lineno)
+            else:
+                (names if isinstance(node, ast.Name) else attrs).add(name)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotations.append(node.returns)
@@ -47,11 +57,31 @@ def unused_imports(source: str) -> list:
             for sub in ast.walk(ann):
                 if isinstance(sub, ast.Constant) and isinstance(sub.value,
                                                                 str):
-                    used.update(n.id for n in ast.walk(
+                    names.update(n.id for n in ast.walk(
                         ast.parse(sub.value, mode="eval"))
                         if isinstance(n, ast.Name))
+    private = {name: line for name, line in defined.items()
+               if name.startswith("_") and name != "_"
+               and not name.startswith("__")}
+    return imported, private, names, attrs
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never references."""
+    imported, _, names, _ = scan(source)
     return sorted(f"{name} (line {line})"
-                  for name, line in imported.items() if name not in used)
+                  for name, line in imported.items() if name not in names)
+
+
+def unreferenced_private(sources: dict) -> list:
+    """Private definitions, over modules given as {file name: source},
+    that no name or attribute read in any of the modules refers to."""
+    scans = {path: scan(source) for path, source in sources.items()}
+    read = set().union(*(names | attrs
+                         for _, _, names, attrs in scans.values()))
+    return sorted(f"{name} ({path}:{line})"
+                  for path, (_, private, _, _) in scans.items()
+                  for name, line in private.items() if name not in read)
 
 
 def scipy_modules_after(code: str, cwd) -> list:
@@ -114,3 +144,27 @@ def test_unused_imports_flagged():
 def test_module_has_no_unused_import(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_unreferenced_private_flagged():
+    sources = {"a.py": ("_LIMIT = 3\n"
+                        "def _helper():\n"
+                        "    return _LIMIT\n"
+                        "class Box:\n"
+                        "    def _spare(self):\n"
+                        "        self._cache = 1\n"
+                        "        x, _ = 1, 2\n"
+                        "        return x\n"
+                        "    def __len__(self):\n"
+                        "        return 0\n"),
+               "b.py": "from a import _helper\n_helper()\n"}
+    assert unreferenced_private(sources) == ["_cache (a.py:6)",
+                                             "_spare (a.py:5)"]
+
+
+def test_no_unreferenced_private_definition():
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "dpfilt", "*.py")):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert unreferenced_private(sources) == []

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from dpfilt import (RationalFilter, StateSpace, TransferMatrix, freq_response,
-                    grid_omega, h2_norm, observability_gramian,
-                    realize_state_space, simulate, trapezoid_mean)
+from dpfilt import (RationalFilter, TransferMatrix, column_energies,
+                    freq_response, h2_norm, observability_gramian, simulate,
+                    trapezoid_mean)
 from dpfilt.errors import (DimensionMismatch, ImproperTransferFunction,
                            UnstableSystem)
 from dpfilt.lti import ZERO_FILTER
 from dpfilt.streams import EventStream
 
 from conftest import (gramian_series_oracle, h2_impulse_oracle,
-                      random_fir_matrix, random_state_space,
-                      random_transfer_matrix)
+                      random_fir_matrix, random_poly_from_roots,
+                      random_state_space, random_transfer_matrix)
 
 
 def moving_average_20():
@@ -61,13 +61,6 @@ class TestFreqResponse:
         with pytest.raises(ValueError):
             freq_response(TransferMatrix.identity(1), 4)
 
-    def test_state_space_matches_rational(self, rng):
-        tm = random_transfer_matrix(rng, 2, 2)
-        ss = realize_state_space(tm)
-        g1 = freq_response(tm, 32).samples
-        g2 = ss.freq(grid_omega(32))
-        assert np.max(np.abs(g1 - g2)) < 1e-10
-
 
 class TestH2Norm:
     def test_moving_average(self):
@@ -82,17 +75,18 @@ class TestH2Norm:
     def test_paths_agree_on_random_fir(self, rng):
         for _ in range(10):
             tm = random_fir_matrix(rng, 2, 2)
-            a = h2_norm(tm, method="gramian")
+            a = h2_norm(tm)
             b = h2_norm(tm, method="frequency", N=256)
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_paths_agree_on_100_random_stable_systems(self, rng):
-        # module invariant: gramian path vs frequency path, 1e-6 relative
+        # module invariant: Gramian energies vs frequency path, 1e-6
+        # relative
         for _ in range(100):
             p = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             tm = random_transfer_matrix(rng, p, m, max_order=6, radius=0.8)
-            a = h2_norm(tm, method="gramian")
+            a = h2_norm(tm)
             b = h2_norm(tm, method="frequency", N=1024)
             assert a == pytest.approx(b, rel=1e-6)
 
@@ -107,39 +101,65 @@ class TestH2Norm:
     def test_matches_impulse_oracle(self, rng):
         for _ in range(5):
             tm = random_transfer_matrix(rng, 2, 2, radius=0.7)
-            ss = realize_state_space(tm)
-            assert h2_norm(tm) == pytest.approx(h2_impulse_oracle(ss),
+            assert h2_norm(tm) == pytest.approx(h2_impulse_oracle(tm),
                                                 rel=1e-9)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            h2_norm(moving_average_20(), method="gramian")
+
+
+class TestColumnEnergies:
+    @pytest.mark.parametrize("lag", [0, 1, 2, 7, 64])
+    def test_match_long_impulse_sums(self, rng, lag):
+        # IIR entries up to pole radius 0.99, and FIR entries with taps
+        # shorter and longer than the lag; the sums run to 20000 lags,
+        # where 0.99^20000 leaves nothing
+        for _ in range(10):
+            rows = []
+            for _ in range(2):
+                den = random_poly_from_roots(rng, int(rng.integers(1, 5)),
+                                             0.99)
+                rows.append([
+                    RationalFilter(rng.normal(size=int(rng.integers(1, 5))),
+                                   den),
+                    RationalFilter(rng.normal(size=int(rng.integers(1, 4)))),
+                    RationalFilter(rng.normal(size=lag + 5))])
+            tm = TransferMatrix(rows)
+            h = tm.impulse(20000)
+            want = np.sum(h[lag:] ** 2, axis=(0, 1))
+            energy, slack = column_energies(tm, lag)
+            assert np.all(slack >= 0.0)
+            assert np.all(slack[1:] == 0.0)     # FIR columns are exact
+            assert np.allclose(energy, want, rtol=1e-9,
+                               atol=1e-12 * np.max(want))
 
 
 class TestGramian:
     def test_zero_dynamics(self):
-        ss = StateSpace(np.zeros((2, 2)), np.eye(2), np.array([[1.0, 2.0]]),
-                        np.zeros((1, 2)))
-        P0 = observability_gramian(ss)
-        assert np.allclose(P0, ss.C.T @ ss.C)
+        C = np.array([[1.0, 2.0]])
+        P0 = observability_gramian(np.zeros((2, 2)), C)
+        assert np.allclose(P0, C.T @ C)
 
     def test_scalar_geometric_series(self):
-        ss = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
-        P0 = observability_gramian(ss)
+        P0 = observability_gramian([[0.5]], [[1.0]])
         assert P0[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_matches_truncated_series(self, rng):
         for _ in range(5):
-            ss = random_state_space(rng, 4, 2, 2, radius=0.7)
-            P0 = observability_gramian(ss)
-            assert np.max(np.abs(P0 - gramian_series_oracle(ss))) < 1e-8
+            A, C = random_state_space(rng, 4, 2, radius=0.7)
+            P0 = observability_gramian(A, C)
+            assert np.max(np.abs(P0 - gramian_series_oracle(A, C))) < 1e-8
 
     def test_residual(self, rng):
-        ss = random_state_space(rng, 5, 1, 2, radius=0.9)
-        P0 = observability_gramian(ss)
-        res = ss.A.T @ P0 @ ss.A - P0 + ss.C.T @ ss.C
+        A, C = random_state_space(rng, 5, 2, radius=0.9)
+        P0 = observability_gramian(A, C)
+        res = A.T @ P0 @ A - P0 + C.T @ C
         assert np.max(np.abs(res)) < 1e-9 * max(np.max(np.abs(P0)), 1.0)
 
     def test_unstable_rejected(self):
-        ss = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(UnstableSystem):
-            observability_gramian(ss)
+            observability_gramian([[1.0]], [[1.0]])
 
 
 class TestSimulate:
@@ -178,58 +198,8 @@ class TestSimulate:
             assert np.max(np.abs(y - h_freq[:8, :, j])) < 1e-6
 
 
-class TestRealize:
-    def test_fir_shift_register(self):
-        ss = realize_state_space(TransferMatrix([[RationalFilter([1., 2.])]]))
-        h = ss.impulse(4)[:, 0, 0]
-        assert np.allclose(h, [1.0, 2.0, 0.0, 0.0])
-
-    def test_first_order_geometric(self):
-        f = RationalFilter([1.0], [1.0, -0.5])
-        ss = realize_state_space(TransferMatrix([[f]]))
-        h = ss.impulse(5)[:, 0, 0]
-        assert np.allclose(h, [1.0, 0.5, 0.25, 0.125, 0.0625])
-
-    def test_round_trip_random(self, rng):
-        for _ in range(5):
-            tm = random_fir_matrix(rng, 2, 2)
-            ss = realize_state_space(tm)
-            g1 = freq_response(tm, 32).samples
-            g2 = ss.freq(grid_omega(32))
-            assert np.max(np.abs(g1 - g2)) < 1e-8
-
-    def test_shared_denominator_column(self):
-        den = [1.0, -0.3]
-        col = TransferMatrix([[RationalFilter([1.0], den)],
-                              [RationalFilter([0.0, 1.0], den)]])
-        ss = realize_state_space(col)
-        assert ss.n == 1  # deduplicated denominator
-        g1 = freq_response(col, 32).samples
-        assert np.max(np.abs(ss.freq(grid_omega(32)) - g1)) < 1e-10
-
-
 def test_trapezoid_mean_constant():
     assert trapezoid_mean(np.ones(65)) == pytest.approx(1.0)
-
-
-class TestStateSpaceEntryPoints:
-    def test_freq_response_accepts_state_space(self, rng):
-        ss = random_state_space(rng, 3, 2, 2, radius=0.6)
-        grid = freq_response(ss, 32)
-        assert grid.samples.shape == (33, 2, 2)
-        assert np.max(np.abs(grid.samples - ss.freq(grid_omega(32)))) == 0.0
-
-    def test_h2_norm_state_space_both_paths(self, rng):
-        ss = random_state_space(rng, 4, 2, 3, radius=0.6)
-        a = h2_norm(ss, method="gramian")
-        b = h2_norm(ss, method="frequency", N=512)
-        assert a == pytest.approx(b, rel=1e-8)
-
-    def test_simulate_state_space_matches_transfer_matrix(self, rng):
-        tm = random_fir_matrix(rng, 2, 2, max_lag=3)
-        ss = realize_state_space(tm)
-        u = rng.normal(size=(50, 2))
-        assert np.max(np.abs(simulate(tm, u) - simulate(ss, u))) < 1e-10
 
 
 def lfilter_reference(tm, u):

@@ -133,10 +133,6 @@ class TestPrivacySpec:
         with pytest.raises(ValueError):
             PrivacySpec(epsilon=1.0, delta=0.1, k=(0.0,))
 
-    def test_k_matrix(self):
-        spec = PrivacySpec(epsilon=1.0, delta=0.1, k=(1.0, 2.0))
-        assert np.allclose(spec.k_matrix(), np.diag([1.0, 2.0]))
-
 
 class TestAddNoise:
     def test_zero_sigma_identity(self, rng):
