@@ -5,26 +5,25 @@ from . import errors
 from .df import (DfDesign, MonicFeedback, decision_device, design_df,
                  df_factorizations, df_theory_mse, optimal_feedback,
                  run_df_mechanism)
-from .lms import (AllocationProfile, CausalWienerFilter, SmootherFilter,
-                  assemble_lms, causal_wiener, lms_objective,
-                  optimize_prefilter_general, postfilter_mse,
-                  waterfill_diagonal, wiener_smoother)
-from .lti import (DEFAULT_GRID, RationalFilter, SpectrumGrid, TransferMatrix,
+from .lms import (CausalWienerFilter, SmootherFilter, assemble_lms,
+                  causal_wiener, lms_objective, optimize_prefilter_general,
+                  postfilter_mse, waterfill_diagonal, wiener_smoother)
+from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix,
                   column_energies, effective_length, freq_response,
                   grid_omega, h2_norm, observability_gramian, simulate,
                   trapezoid_mean)
 from .markov import (MarkovSource, autocovariance, chain_spectrum,
                      demo_filter, sample_chain, server_example,
                      server_stationary, stationary_distribution)
-from .privacy import (PrivacySpec, add_noise, gaussian_delta, kappa,
-                      noise_sigma, q_function, q_inverse)
+from .privacy import (PrivacySpec, gaussian_delta, kappa, noise_sigma,
+                      q_function, q_inverse)
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
                           diagonal_sensitivity, mimo_bounds, mimo_exact,
                           simo_sensitivity)
 from .sim import (EventStream, FixedStreamSource, MarkovStreamSource,
                   OccupancySource, compare_mechanisms, empirical_mse,
                   gaussian_fir, moving_average, occupancy_filter_bank,
-                  run_mechanism, synthetic_occupancy_source)
+                  run_mechanism)
 from .spectral import (MatrixFactorization, factor_grid_error,
                        fit_rational_magnitude, matrix_canonical_factor,
                        paley_wiener_check, scalar_spectral_factor)

@@ -145,14 +145,10 @@ def cmd_simulate(args) -> int:
     cfg = Config.from_dict(doc.get("config", {}))
     if args.seed is not None:
         cfg.seed = args.seed
-    trials = as_number(args.trials if args.trials is not None
-                       else cfg.simulate.get("trials", 5), "trials",
-                       integer=True)
-    steps = as_number(args.steps if args.steps is not None
-                      else cfg.simulate.get("steps", 10000), "steps",
-                      integer=True)
+    trials = cfg.simulate["trials"] if args.trials is None else args.trials
+    steps = cfg.simulate["steps"] if args.steps is None else args.steps
     if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     block = {"kind": "csv", "csv": args.source} if args.source \
         else cfg.source
     source = source_from_spec(block, design.target.shape[1])

@@ -106,6 +106,12 @@ class Config:
                 merged = dict(getattr(cfg, name))
                 merged.update(block)
                 setattr(cfg, name, merged)
+        for key in _SIMULATE_KEYS:
+            cfg.simulate[key] = as_number(cfg.simulate[key],
+                                          f"simulate.{key}", integer=True)
+        if cfg.simulate["trials"] < 1:
+            raise ConfigError("simulate.trials must be at least 1, got "
+                              f"{cfg.simulate['trials']}")
         kind = cfg.mechanism.get("kind", "zfe")
         if kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism kind {kind!r}; "

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
                   as_grid, monic_inverse_filter, wiener_smoother)
-from .lti import (Postfilter, SpectrumGrid, TransferMatrix,
-                  simulate as lti_simulate, taps_grid, trapezoid_mean)
+from .lti import (Postfilter, TransferMatrix, simulate as lti_simulate,
+                  taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        conjugate_factorization, grid_lags,
@@ -127,15 +127,14 @@ class DfDesign(Postfilter):
                        "decision_domain", "nonneg_integers"))
 
 
-def df_factorizations(F, P_u: SpectrumGrid, G, k, privacy: PrivacySpec):
+def df_factorizations(F, P_u: np.ndarray, G, k, privacy: PrivacySpec):
     """Spectral factorization pair behind the DF design, on the grid of
     P_u.
 
     K (Pt^-1 + Gt* Gt)^-1 K = Q R Q* and F* F = S* T S, with Q, S monic
     causal and R, T positive definite.
     """
-    N, Pg = P_u.n_grid, P_u.samples
-    m = Pg.shape[1]
+    N, m = P_u.shape[0] - 1, P_u.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
     Fg = as_grid(F, N)
@@ -144,17 +143,17 @@ def df_factorizations(F, P_u: SpectrumGrid, G, k, privacy: PrivacySpec):
     gk_sq = trapezoid_mean(
         np.einsum("qij,qij->q", np.conj(Gg @ Km), Gg @ Km).real)
     Gt = (Gg @ Km) / np.sqrt(gk_sq)
-    _, Pt = _tilde(Fg, Pg, k, kap)
+    _, Pt = _tilde(Fg, P_u, k, kap)
     eye = np.eye(m)[None, :, :].astype(complex)
     bracket = _bracket_inverse_times(
         Pt, np.conj(np.swapaxes(Gt, 1, 2)) @ Gt, eye)
     spec_g = Km[None, :, :] @ bracket @ Km[None, :, :]
     Qf = matrix_canonical_factor(
-        SpectrumGrid(spec_g), hint=FLOOR_HINT,
+        spec_g, hint=FLOOR_HINT,
         name="input-side spectrum K (Pt^-1 + Gt* Gt)^-1 K")
     FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
     Sf, T = conjugate_factorization(
-        SpectrumGrid(FHF), name="target spectrum F* F",
+        FHF, name="target spectrum F* F",
         hint="; F has a zero on the unit circle there, which DF cannot use")
     return Qf, Qf.pe, Sf, T
 
@@ -218,7 +217,7 @@ def decision_device(x, domain: str):
     return decision_op(domain)(x, np.zeros_like(x))
 
 
-def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
+def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
               G: TransferMatrix, sigma: float, lookahead: int = 2,
               decision_domain: str = "nonneg_integers",
               input_mean=None) -> MechanismDesign:
@@ -229,7 +228,7 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     lookahead d; theory_mse reports the assumed-correct-decision value.
     """
     decision_op(decision_domain)
-    N = P_u.n_grid
+    N = P_u.shape[0] - 1
     if not 0 <= lookahead <= N:
         raise ConfigError(f"lookahead must lie in [0, {N}], the grid's "
                           "anticausal lags")
@@ -240,7 +239,7 @@ def design_df(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     fb = optimal_feedback(Qf, Sf)
     theory = df_theory_mse(T, R, privacy)
 
-    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma).samples)
+    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma))
     d = int(lookahead)
     # lags -d..N-1, cut after the last tap above TAP_CUT of their peak
     taps = _truncate_tail(np.concatenate([h[2 * N - d:], h[:N]]), TAP_CUT)

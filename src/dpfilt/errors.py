@@ -84,7 +84,7 @@ class OptimizerStalled(DpfiltError):
 
     def __init__(self, message, best_profile=None):
         super().__init__(message)
-        self.best_profile = best_profile
+        self.best_profile = best_profile    # the best allocation x reached
 
 
 class InsufficientNoise(DpfiltError):

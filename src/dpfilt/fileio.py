@@ -12,8 +12,7 @@ from .config import load_yaml
 from .df import DfDesign
 from .errors import ConfigError, InsufficientNoise
 from .lms import CausalWienerFilter, SmootherFilter
-from .lti import (RationalFilter, SpectrumGrid, TransferMatrix, h2_norm,
-                  taps_grid)
+from .lti import RationalFilter, TransferMatrix, h2_norm, taps_grid
 from .markov import MarkovSource, chain_spectrum, server_example
 from .privacy import PrivacySpec, noise_sigma
 from .sensitivity import diagonal_sensitivity
@@ -94,7 +93,7 @@ def markov_from_spec(block: dict) -> MarkovSource:
 
 
 def spectrum_from_spec(block: dict, N: int, m: int
-                       ) -> tuple[SpectrumGrid, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Build the public input spectrum (and mean) from a config block.
 
     kinds: 'white' (scale * I), 'markov_server' (alpha/beta example),
@@ -112,8 +111,7 @@ def spectrum_from_spec(block: dict, N: int, m: int
         mean = np.zeros(m)
     elif kind in ("markov_server", "markov"):
         src = markov_from_spec(block)
-        grid, mean = chain_spectrum(src, N)
-        samples = grid.samples
+        samples, mean = chain_spectrum(src, N)
         if src.n_channels != m:
             raise ConfigError(
                 f"spectrum has {src.n_channels} channels, filter expects {m}")
@@ -140,7 +138,7 @@ def spectrum_from_spec(block: dict, N: int, m: int
             mean = np.full(m, float(mean[0]))
         if mean.size != m:
             raise ConfigError("spectrum mean length must match channels")
-    return SpectrumGrid(samples), np.asarray(mean, dtype=float)
+    return samples, np.asarray(mean, dtype=float)
 
 
 def source_from_spec(block: dict, m: int):

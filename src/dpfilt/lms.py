@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
-from .lti import (Postfilter, RationalFilter, SpectrumGrid, TransferMatrix,
-                  as_matrix, freq_response, grid_omega, next_fast_len,
-                  taps_grid, trapezoid_mean, trapezoid_weights)
+from .lti import (Postfilter, RationalFilter, TransferMatrix, as_matrix,
+                  freq_response, grid_omega, next_fast_len, taps_grid,
+                  trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
@@ -31,47 +31,11 @@ _ZERO_CHANNEL_TOL = 1e-12
 TAP_CUT = 1e-12
 
 
-@dataclass
-class AllocationProfile:
-    """Squared prefilter magnitudes x[q, i] = |g~_ii(e^{j omega_q})|^2."""
-
-    x: np.ndarray               # (N+1, m), nonnegative
-    lam: float | None = None    # waterfilling multiplier when applicable
-    objective: float | None = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 2:
-            raise DimensionMismatch("profile must have shape (N+1, m)")
-
-    @property
-    def n_grid(self) -> int:
-        return self.x.shape[0] - 1
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[1]
-
-    def normalization(self) -> float:
-        return float(trapezoid_mean(self.x.sum(axis=1)))
-
-    def validate(self, tol: float = 1e-8) -> None:
-        if np.any(self.x < -1e-12):
-            raise ValueError("profile has negative entries")
-        norm = self.normalization()
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"profile normalization is {norm}, expected 1")
-
-
 def as_grid(obj, N: int, square_side: int | None = None) -> np.ndarray:
-    """Coerce a TransferMatrix/SpectrumGrid/array to (N+1, d1, d2) samples."""
-    if isinstance(obj, SpectrumGrid):
-        if obj.n_grid != N:
-            raise ConfigError(f"grid size mismatch: {obj.n_grid} vs {N}")
-        return obj.samples
+    """Coerce a TransferMatrix or an array to (N+1, d1, d2) samples."""
     obj = as_matrix(obj)
     if isinstance(obj, TransferMatrix):
-        return freq_response(obj, N).samples
+        return freq_response(obj, N)
     arr = np.asarray(obj, dtype=complex)
     if arr.ndim == 1:
         arr = arr[:, None, None]
@@ -112,48 +76,46 @@ def _bracket_inverse_times(Pt: np.ndarray, C: np.ndarray,
     return R @ np.linalg.solve(inner, R @ B)
 
 
-def _release_spectrum(G, P_u: SpectrumGrid, sigma: float):
+def _release_spectrum(G, P_u: np.ndarray, sigma: float):
     """(G*, P_v) on the grid of P_u for the release v = G u + w: the
     sampled prefilter's conjugate transpose and P_v = G P_u G* + s^2 I."""
-    m = P_u.samples.shape[1]
-    Gg = as_grid(G, P_u.n_grid, square_side=m)
+    m = P_u.shape[1]
+    Gg = as_grid(G, P_u.shape[0] - 1, square_side=m)
     GgH = np.conj(np.swapaxes(Gg, 1, 2))
-    return GgH, Gg @ P_u.samples @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
+    return GgH, Gg @ P_u @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
 
 
-def wiener_smoother(F, P_u: SpectrumGrid, G, sigma: float) -> SpectrumGrid:
+def wiener_smoother(F, P_u: np.ndarray, G, sigma: float) -> np.ndarray:
     """Non-causal linear MMSE postfilter H = F P_u G* (G P_u G* + s^2 I)^-1,
     on the grid of P_u."""
     GgH, Pv = _release_spectrum(G, P_u, sigma)
-    Pyv = as_grid(F, P_u.n_grid) @ P_u.samples @ GgH
+    Pyv = as_grid(F, P_u.shape[0] - 1) @ P_u @ GgH
     if sigma == 0.0:
         eig = np.linalg.eigvalsh(0.5 * (Pv + np.conj(np.swapaxes(Pv, 1, 2))))
         if np.min(eig) <= 1e-13 * max(float(np.max(np.abs(Pv))), 1e-300):
             raise NotPositiveDefinite(
                 "noise-free observation spectrum is singular on the grid")
     try:
-        H = np.conj(np.swapaxes(
+        return np.conj(np.swapaxes(
             np.linalg.solve(Pv, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"observation spectrum singular on the grid: {exc}") from exc
-    return SpectrumGrid(H)
 
 
-def lms_objective(F, P_u: SpectrumGrid, k, privacy: PrivacySpec,
-                  profile) -> float:
-    """Smoother-postfilter MSE for a feasible allocation profile on the
-    grid of P_u."""
-    x = profile.x if isinstance(profile, AllocationProfile) \
-        else np.asarray(profile, dtype=float)
-    if x.shape[0] != P_u.n_grid + 1:
+def lms_objective(F, P_u: np.ndarray, k, privacy: PrivacySpec,
+                  x) -> float:
+    """Smoother-postfilter MSE for a feasible allocation profile x on the
+    grid of P_u: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m)."""
+    x = np.asarray(x, dtype=float)
+    N = P_u.shape[0] - 1
+    if x.shape[0] != N + 1:
         raise ConfigError(f"profile grid {x.shape[0] - 1} does not match "
-                          f"the spectrum grid {P_u.n_grid}")
+                          f"the spectrum grid {N}")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Pg = P_u.samples
-    Fg = as_grid(F, P_u.n_grid)
-    Ft, Pt = _tilde(Fg, Pg, k, kap)
+    Fg = as_grid(F, N)
+    Ft, Pt = _tilde(Fg, P_u, k, kap)
     m = x.shape[1]
     X = np.zeros((x.shape[0], m, m))
     idx = np.arange(m)
@@ -168,35 +130,32 @@ def _column_tilde_sq(Fg: np.ndarray, k: np.ndarray, kap: float) -> np.ndarray:
     return (kap ** 2) * (np.linalg.norm(Fg, axis=1) ** 2) * (k ** 2)[None, :]
 
 
-def waterfill_diagonal(F, P_u: SpectrumGrid, k,
-                       privacy: PrivacySpec) -> AllocationProfile:
+def waterfill_diagonal(F, P_u: np.ndarray, k, privacy: PrivacySpec):
     """Closed-form allocation for uncorrelated (diagonal-spectrum) inputs.
 
     x_i(omega) = max(0, |Ft_i(omega)|_2 / sqrt(lam) - 1/pt_i(omega)), with
     the multiplier lam bisected until the profile integrates to one.
+    Returns (x, lam).
     """
-    Pg = P_u.samples
-    m = Pg.shape[1]
-    off = Pg.copy()
+    m = P_u.shape[1]
+    off = P_u.copy()
     idx = np.arange(m)
     off[:, idx, idx] = 0.0
-    if np.max(np.abs(off)) > 1e-10 * max(float(np.max(np.abs(Pg))), 1e-300):
+    if np.max(np.abs(off)) > 1e-10 * max(float(np.max(np.abs(P_u))), 1e-300):
         raise NotDiagonal("waterfilling requires a diagonal input spectrum")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, P_u.n_grid)
+    Fg = as_grid(F, P_u.shape[0] - 1)
     Ft_sq = _column_tilde_sq(Fg, k, kap)
     if float(Ft_sq.max(initial=0.0)) <= 0.0:
         raise DegenerateObjective("target filter is identically zero")
-    p_diag = np.real(Pg[:, idx, idx])
+    p_diag = np.real(P_u[:, idx, idx])
     if np.any(p_diag <= 0):
         raise NotPositiveDefinite("input spectrum must be positive")
     pt = p_diag / (kap ** 2 * (k ** 2)[None, :])
     x, lam = _waterfill_level(np.sqrt(Ft_sq), pt)
     x /= trapezoid_mean(x.sum(axis=1))
-    prof = AllocationProfile(x=x, lam=lam)
-    prof.objective = lms_objective(F, P_u, k, privacy, prof)
-    return prof
+    return x, lam
 
 
 def _hinge_root(w: np.ndarray, p: np.ndarray, r: np.ndarray) -> float:
@@ -241,21 +200,21 @@ def _project_profile(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, y + _hinge_root(weights, weights, -y) * weights)
 
 
-def optimize_prefilter_general(F, P_u: SpectrumGrid, k,
+def optimize_prefilter_general(F, P_u: np.ndarray, k,
                                privacy: PrivacySpec, tol: float = 1e-12,
-                               max_iter: int = 2000) -> AllocationProfile:
-    """Minimize the smoother MSE over feasible diagonal allocations.
+                               max_iter: int = 2000):
+    """Minimize the smoother MSE over feasible diagonal allocations;
+    returns (x, objective).
 
     Projected gradient with Armijo backtracking on the discretized convex
     objective; the closed-form gradient is the negated diagonal of
     (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the trapezoid rule.
     """
-    N, Pg = P_u.n_grid, P_u.samples
-    m = Pg.shape[1]
+    N, m = P_u.shape[0] - 1, P_u.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
     Fg = as_grid(F, N)
-    Ft, Pt = _tilde(Fg, Pg, k, kap)
+    Ft, Pt = _tilde(Fg, P_u, k, kap)
     if float(np.max(np.abs(Ft))) <= 0.0:
         raise DegenerateObjective("target filter is identically zero")
     R = _psd_sqrt(Pt)
@@ -274,7 +233,7 @@ def optimize_prefilter_general(F, P_u: SpectrumGrid, k,
         return val, grad
 
     # warm start from waterfilling on the diagonal part of the spectrum
-    p_diag = np.maximum(np.real(Pg[:, idx, idx]), 1e-300)
+    p_diag = np.maximum(np.real(P_u[:, idx, idx]), 1e-300)
     pt = p_diag / (kap ** 2 * (k ** 2)[None, :])
     x, _ = _waterfill_level(np.sqrt(_column_tilde_sq(Fg, k, kap)), pt)
     x = _project_profile(x, weights)
@@ -307,11 +266,9 @@ def optimize_prefilter_general(F, P_u: SpectrumGrid, k,
             stall = 0
     else:
         if rel_impr > 1e-7:
-            best = AllocationProfile(x=x, objective=val)
             raise OptimizerStalled(
-                f"projected gradient stalled at objective {val}", best)
-    prof = AllocationProfile(x=x, objective=val)
-    return prof
+                f"projected gradient stalled at objective {val}", x)
+    return x, val
 
 
 def _taps_bank(self) -> "FirBank":
@@ -330,12 +287,12 @@ class SmootherFilter(Postfilter):
     half: int                   # K
 
     @classmethod
-    def from_grid(cls, H: SpectrumGrid, tail_tol: float = 1e-10
+    def from_grid(cls, H: np.ndarray, tail_tol: float = 1e-10
                   ) -> "SmootherFilter":
         """Taps over lags -K..K, K >= 1 the last lag at which the larger
         of the lag-K and lag-(-K) taps exceeds tail_tol times the peak."""
-        N = H.n_grid
-        h = grid_lags(H.samples)                # lags 0..N-1, -N..-1
+        N = H.shape[0] - 1
+        h = grid_lags(H)                        # lags 0..N-1, -N..-1
         mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
         peak = max(float(mags.max()), 1e-300)
         # the larger of the lag-k and lag-(-k) taps, k = 1..N-1
@@ -505,17 +462,17 @@ class CausalWienerFilter(Postfilter):
         return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
 
-def causal_wiener(F, P_u: SpectrumGrid, G,
+def causal_wiener(F, P_u: np.ndarray, G,
                   sigma: float) -> CausalWienerFilter:
     """Causal Wiener postfilter via canonical factorization of P_v, on the
     grid of P_u."""
-    N = P_u.n_grid
+    N = P_u.shape[0] - 1
     Fg = as_grid(F, N)
     GgH, Pv = _release_spectrum(G, P_u, sigma)
-    fact = matrix_canonical_factor(SpectrumGrid(Pv), hint=FLOOR_HINT,
+    fact = matrix_canonical_factor(Pv, hint=FLOOR_HINT,
                                    name="observation spectrum G P G* + s^2 I")
     Lg = fact.eval_grid(N)
-    Pyv = Fg @ P_u.samples @ GgH
+    Pyv = Fg @ P_u @ GgH
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H
     Mg = np.conj(np.swapaxes(
         np.linalg.solve(Lg, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
@@ -530,24 +487,24 @@ def causal_wiener(F, P_u: SpectrumGrid, G,
                               anticausal_tail=tail)
 
 
-def postfilter_mse(F, P_u: SpectrumGrid, G, sigma: float, H_grid) -> float:
+def postfilter_mse(F, P_u: np.ndarray, G, sigma: float, H_grid) -> float:
     """MSE of an arbitrary postfilter grid against the desired output, on
     the grid of P_u."""
-    N, Pg = P_u.n_grid, P_u.samples
+    N = P_u.shape[0] - 1
     Fg = as_grid(F, N)
     GgH, Pv = _release_spectrum(G, P_u, sigma)
     Hg = as_grid(H_grid, N)
     HgH = np.conj(np.swapaxes(Hg, 1, 2))
     FgH = np.conj(np.swapaxes(Fg, 1, 2))
-    Pyv = Fg @ Pg @ GgH
-    integrand = (np.einsum("qij,qji->q", Fg @ Pg, FgH)
+    Pyv = Fg @ P_u @ GgH
+    integrand = (np.einsum("qij,qji->q", Fg @ P_u, FgH)
                  - np.einsum("qij,qji->q", Hg, np.conj(np.swapaxes(Pyv, 1, 2)))
                  - np.einsum("qij,qji->q", Pyv, HgH)
                  + np.einsum("qij,qji->q", Hg @ Pv, HgH)).real
     return float(max(trapezoid_mean(integrand), 0.0))
 
 
-def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
+def lms_prefilter(F: TransferMatrix, P_u: np.ndarray,
                   privacy: PrivacySpec, order: int = DEFAULT_FACTOR_ORDER):
     """The LMS prefilter and its noise: optimize the allocation profile on
     the grid of P_u, realize it by scalar factorization, and recalibrate
@@ -560,12 +517,12 @@ def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    profile = optimize_prefilter_general(F, P_u, k, privacy)
+    x, objective = optimize_prefilter_general(F, P_u, k, privacy)
 
     entries = []
     fit_errors = []
     for i in range(k.size):
-        target = profile.x[:, i] / k[i] ** 2
+        target = x[:, i] / k[i] ** 2
         if trapezoid_mean(target) < _ZERO_CHANNEL_TOL:
             entries.append(RationalFilter([0.0]))
             fit_errors.append(0.0)
@@ -576,14 +533,15 @@ def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
     G = TransferMatrix.diagonal(entries)
 
     sens = diagonal_sensitivity(G, k)
-    omega = grid_omega(P_u.n_grid)
+    N = P_u.shape[0] - 1
+    omega = grid_omega(N)
     gmag2 = np.stack([np.abs(g.freq(omega)) ** 2
                       for g in G.diagonal_entries()], axis=1)
     achieved = gmag2 * (k ** 2)[None, :]
     achieved /= trapezoid_mean(achieved.sum(axis=1))
     info = {
-        "grid_n": P_u.n_grid,
-        "optimal_objective": profile.objective,
+        "grid_n": N,
+        "optimal_objective": objective,
         "achieved_objective": lms_objective(F, P_u, k, privacy, achieved),
         "prefilter_fit_errors": fit_errors,
         "sensitivity": sens,
@@ -592,7 +550,7 @@ def lms_prefilter(F: TransferMatrix, P_u: SpectrumGrid,
     return G, noise_sigma(sens, privacy), info
 
 
-def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
+def assemble_lms(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
                  mode: str = "smoother", order: int = DEFAULT_FACTOR_ORDER,
                  input_mean=None) -> MechanismDesign:
     """Design the LMS mechanism: the prefilter and noise of lms_prefilter
@@ -603,7 +561,7 @@ def assemble_lms(F: TransferMatrix, P_u: SpectrumGrid, privacy: PrivacySpec,
     """
     if mode not in ("smoother", "causal"):
         raise ConfigError(f"unknown LMS mode: {mode}")
-    N = P_u.n_grid
+    N = P_u.shape[0] - 1
     G, sigma, info = lms_prefilter(F, P_u, privacy, order)
     Fg = freq_response(F, N)
     if mode == "smoother":

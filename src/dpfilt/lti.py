@@ -2,19 +2,17 @@
 frequency grids, Gramian energies, H2 norms and simulation.
 
 Conventions: transfer functions are written in ascending powers of z^-1
-with a monic denominator; frequency grids sample omega_q = q*pi/N for
-q = 0..N and real-coefficient systems extend to [-pi, 0) by conjugation.
+with a monic denominator; a frequency grid is an (N+1, d1, d2) complex
+array of samples on omega_q = q*pi/N for q = 0..N, and real-coefficient
+systems extend to [-pi, 0) by conjugation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, ImproperTransferFunction,
                      LyapunovFailure, UnstableSystem)
-from .streams import EventStream
 
 STABILITY_TOL = 1e-9
 DEFAULT_GRID = 1024
@@ -107,9 +105,6 @@ class RationalFilter:
     def cascade(self, other: "RationalFilter") -> "RationalFilter":
         return RationalFilter(np.convolve(self.num, other.num),
                               np.convolve(self.den, other.den))
-
-    def scale(self, c: float) -> "RationalFilter":
-        return RationalFilter(self.num * c, self.den)
 
     def tail_energy(self, lag: int = 0) -> tuple[float, float]:
         """Impulse-response energy from `lag` on, sum_{t >= lag} h(t)^2,
@@ -301,47 +296,6 @@ class TransferMatrix(Postfilter):
         return TransferMatrix(rows)
 
 
-@dataclass
-class SpectrumGrid:
-    """Matrix-valued samples on omega_q = q*pi/N, q = 0..N."""
-
-    samples: np.ndarray        # (N+1, d1, d2) complex
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.ndim == 1:
-            s = s[:, None, None]
-        if s.ndim != 3:
-            raise DimensionMismatch("samples must have shape (N+1, d1, d2)")
-        self.samples = s
-
-    @property
-    def n_grid(self) -> int:
-        return self.samples.shape[0] - 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.samples.shape[1:]
-
-    @property
-    def omega(self) -> np.ndarray:
-        N = self.n_grid
-        return np.arange(N + 1) * np.pi / N
-
-    def scalar(self) -> np.ndarray:
-        if self.shape != (1, 1):
-            raise DimensionMismatch("not a scalar grid")
-        return self.samples[:, 0, 0]
-
-    def hermitian_error(self) -> float:
-        h = self.samples - np.conj(np.swapaxes(self.samples, 1, 2))
-        return float(np.max(np.abs(h)))
-
-    def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.samples + np.conj(np.swapaxes(self.samples, 1, 2)))
-        return float(np.min(np.linalg.eigvalsh(sym)))
-
-
 def grid_omega(N: int) -> np.ndarray:
     return np.arange(N + 1) * np.pi / N
 
@@ -407,13 +361,14 @@ def as_matrix(sys):
     return TransferMatrix(sys) if isinstance(sys, RationalFilter) else sys
 
 
-def freq_response(sys, N: int = DEFAULT_GRID) -> SpectrumGrid:
-    """Sample the transfer matrix at z = exp(j*q*pi/N), q = 0..N."""
+def freq_response(sys, N: int = DEFAULT_GRID) -> np.ndarray:
+    """Sample the transfer matrix at z = exp(j*q*pi/N), q = 0..N: a
+    (N+1, p, m) complex array."""
     if N < 8:
         raise ValueError("grid size N must be at least 8")
     sys = as_matrix(sys)
     _require_stable(sys)
-    return SpectrumGrid(sys.freq(grid_omega(N)))
+    return sys.freq(grid_omega(N))
 
 
 def observability_gramian(A, C, tol: float = GRAMIAN_TOL,
@@ -466,7 +421,7 @@ def h2_norm(sys, method: str = "auto", N: int = DEFAULT_GRID) -> float:
     sys = as_matrix(sys)
     _require_stable(sys)
     if method == "frequency":
-        g = freq_response(sys, N).samples
+        g = freq_response(sys, N)
         tr = np.einsum("qij,qij->q", np.conj(g), g).real
         return float(np.sqrt(trapezoid_mean(tr)))
     return float(np.sqrt(max(float(np.sum(column_energies(sys)[0])), 0.0)))
@@ -591,24 +546,19 @@ class IirBank:
         return out[:, :T].T
 
 
-def simulate(sys, stream):
-    """Run a system over a stream (or raw array) from zero initial state.
+def simulate(sys, u: np.ndarray) -> np.ndarray:
+    """Run a system over an input array (T, m) from zero initial state.
 
     Transfer-matrix entries that share a row and a denominator form one
     IirBank group: their numerator outputs are summed before one pass of
     the common recursion.
     """
-    arr_in = isinstance(stream, np.ndarray)
-    u = np.atleast_2d(stream) if arr_in else stream.data
+    u = np.atleast_2d(u)
     sys = as_matrix(sys)
     if u.shape[1] != sys.m:
         raise DimensionMismatch(
             f"input has {u.shape[1]} channels, system expects {sys.m}")
-    y = sys.bank().run(u)
-    if arr_in:
-        return y
-    return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
-                       stream.dt_label)
+    return sys.bank().run(u)
 
 
 def effective_length(sys, tol: float = 1e-8, cap: int = 65536) -> int:

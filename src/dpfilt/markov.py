@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotErgodic
-from .lti import RationalFilter, SpectrumGrid, TransferMatrix, grid_omega
+from .lti import RationalFilter, TransferMatrix, grid_omega
 from .streams import EventStream
 
 ERGODIC_TOL = 1e-9
@@ -79,7 +79,7 @@ def stationary_distribution(src: MarkovSource) -> np.ndarray:
 
 
 def chain_spectrum(src: MarkovSource, N: int = 1024
-                   ) -> tuple[SpectrumGrid, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Centered z-spectrum of the indicator channels on the grid.
 
     Uses the centered resolvent Z = Pi - p 1^T, whose spectral radius is
@@ -104,7 +104,7 @@ def chain_spectrum(src: MarkovSource, N: int = 1024
     out = E.T @ (R0 + A1 + D @ A2) @ E
     # enforce exact Hermitian symmetry against roundoff
     out = 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
-    return SpectrumGrid(out), p[list(src.selectors)]
+    return out, p[list(src.selectors)]
 
 
 def autocovariance(src: MarkovSource, lags: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Privacy budget arithmetic and Gaussian noise injection.
+"""Privacy budget arithmetic of the Gaussian mechanism.
 
 The noise multiplier kappa(delta, epsilon) = (K + sqrt(K^2 + 2*eps))/(2*eps)
 with K the upper-tail standard-normal quantile of delta; Gaussian noise of
@@ -18,7 +18,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidDelta
-from .streams import EventStream
 
 
 @dataclass(frozen=True)
@@ -101,19 +100,3 @@ def noise_sigma(sensitivity: float, spec: PrivacySpec) -> float:
     if sensitivity < 0:
         raise ValueError("sensitivity must be nonnegative")
     return kappa(spec) * float(sensitivity)
-
-
-def add_noise(stream: EventStream, sigma: float, seed: int) -> EventStream:
-    """Add iid zero-mean Gaussian samples of std sigma to every entry.
-
-    Noise comes from numpy's PCG64 generator (ziggurat normal sampling),
-    so outputs are bit-reproducible for a fixed seed within one numpy
-    major version.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return stream.with_data(stream.data.copy())
-    rng = np.random.default_rng(seed)
-    return stream.with_data(stream.data +
-                            rng.normal(0.0, sigma, size=stream.data.shape))

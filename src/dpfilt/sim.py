@@ -164,13 +164,6 @@ class FixedStreamSource(StreamSource):
         return self.stream.with_data(self.stream.data[:T])
 
 
-def synthetic_occupancy_source(m: int = 15, seed: int = 7, rates=None,
-                               period: int = 480, amplitude: float = 0.6
-                               ) -> OccupancySource:
-    return OccupancySource(m=m, rates=rates, period=period,
-                           amplitude=amplitude, phase_seed=seed)
-
-
 def run_mechanism(design: MechanismDesign, stream: EventStream,
                   seed: int) -> EventStream:
     """Apply a designed mechanism to one input stream: the release
@@ -189,15 +182,16 @@ def run_mechanism(design: MechanismDesign, stream: EventStream,
                        stream.dt_label)
 
 
-def _margins(design: MechanismDesign, T: int) -> tuple[int, int]:
+def _margins(design: MechanismDesign, T):
+    """(burn, tail) of a run of T steps, elementwise for an array of T."""
     lead = effective_length(design.target)
     post_lead, tail = design.postfilter.margins()
     lead = max(lead, post_lead)
     # 10x the effective filter memory, capped at a third of the run:
     # near-circle poles make the energy-based length extremely
     # conservative while the residual transient amplitude is negligible
-    burn = min(10 * lead, max(T // 3, 1))
-    tail = min(max(tail, 1), max(T // 8, 1))
+    burn = np.minimum(10 * lead, np.maximum(T // 3, 1))
+    tail = np.minimum(max(tail, 1), np.maximum(T // 8, 1))
     return burn, tail
 
 
@@ -210,8 +204,15 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
     """
     burn, tail = _margins(design, T)
     if T - burn - tail < 32:
+        # the margins take at most T // 3 + T // 8 steps, so every run of
+        # 60 steps or more leaves 32; past the shortest run that does,
+        # every longer one does too
+        runs = np.arange(1, 61)
+        shortest = runs[runs - np.add(*_margins(design, runs)) >= 32][0]
         raise ConfigError(
-            f"T={T} leaves no analysis window after burn-in {burn}")
+            f"a run of T={T} steps leaves no analysis window after burn-in "
+            f"{burn}; this design needs at least {shortest} steps "
+            "(simulate.steps or --steps)")
     children = [child.spawn(2)
                 for child in np.random.SeedSequence(seed).spawn(trials)]
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import (FactorizationStalled, FitFailed, NotFactorizable,
                      NotPositiveDefinite)
-from .lti import (STABILITY_TOL, RationalFilter, SpectrumGrid, grid_omega,
-                  taps_grid)
+from .lti import STABILITY_TOL, RationalFilter, grid_omega, taps_grid
 
 LOG_FLOOR_FRAC = 1e-12
 # Largest block-Toeplitz matrix Bauer's method may allocate, in bytes; the
@@ -199,7 +198,7 @@ def _truncate_tail(h: np.ndarray, tol: float,
     return h[:stop]
 
 
-def _diagonal_factor(P: SpectrumGrid, floor_frac: float, off_peak: float,
+def _diagonal_factor(P: np.ndarray, floor_frac: float, off_peak: float,
                      scale: float) -> MatrixFactorization:
     """Per-entry cepstral factorization for (block-free) diagonal spectra.
 
@@ -207,10 +206,9 @@ def _diagonal_factor(P: SpectrumGrid, floor_frac: float, off_peak: float,
     |P_ij|. The factor is diagonal, so its grid error is the larger of
     off_peak and the per-channel max |pe_ii |g_i|^2 - P_ii|, over scale.
     """
-    m = P.shape[0]
-    N = P.n_grid
+    N, m = P.shape[0] - 1, P.shape[1]
     idx = np.arange(m)
-    diag = P.samples[:, idx, idx]
+    diag = P[:, idx, idx]
     max_len = 1
     taps = []
     gains = np.zeros(m)
@@ -231,11 +229,12 @@ def _diagonal_factor(P: SpectrumGrid, floor_frac: float, off_peak: float,
     return fact
 
 
-def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
+def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
                             tail_tol: float = 1e-10,
                             max_blocks: int = 4096, name: str = "spectrum",
                             hint: str = "") -> MatrixFactorization:
-    """Canonical spectral factorization of a Hermitian PD grid spectrum.
+    """Canonical spectral factorization of a Hermitian PD grid spectrum
+    P, an (N+1, m, m) array.
 
     Diagonal spectra are dispatched to the scalar cepstral kernel; the
     general case runs Bauer's block-Toeplitz Cholesky with the bandwidth
@@ -245,29 +244,28 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     A block count whose (blocks * m)^2 matrix would exceed BAUER_MAX_BYTES
     raises FactorizationStalled before the matrix is allocated.
     """
-    samples = P.samples
-    m = P.shape[0]
-    if P.shape[0] != P.shape[1]:
+    samples = np.asarray(P, dtype=complex)
+    N, m = samples.shape[0] - 1, samples.shape[1]
+    if samples.shape[1:] != (m, m):
         raise NotPositiveDefinite("spectrum must be square matrix-valued")
-    if P.hermitian_error() > 1e-8 * max(np.max(np.abs(samples)), 1e-300):
-        raise NotPositiveDefinite("spectrum samples are not Hermitian")
     scale = float(np.max(np.abs(samples)))
-    lam = np.linalg.eigvalsh(
-        0.5 * (samples + np.conj(np.swapaxes(samples, 1, 2)))).min(axis=1)
+    PH = np.conj(np.swapaxes(samples, 1, 2))
+    if np.max(np.abs(samples - PH)) > 1e-8 * max(scale, 1e-300):
+        raise NotPositiveDefinite("spectrum samples are not Hermitian")
+    lam = np.linalg.eigvalsh(0.5 * (samples + PH)).min(axis=1)
     worst = int(np.argmin(lam))
     if lam[worst] <= 1e-13 * scale:
         raise NotPositiveDefinite(
             f"{name} has a (numerically) singular sample on the grid: "
             f"min eigenvalue / max |P| = {lam[worst] / max(scale, 1e-300):.3g}"
-            f" at omega = {P.omega[worst]:.6g}{hint}")
+            f" at omega = {grid_omega(N)[worst]:.6g}{hint}")
     off = samples.copy()
     idx = np.arange(m)
     off[:, idx, idx] = 0.0
     off_peak = float(np.max(np.abs(off)))
     if off_peak <= 1e-14 * scale:
-        return _diagonal_factor(P, LOG_FLOOR_FRAC, off_peak, scale)
+        return _diagonal_factor(samples, LOG_FLOOR_FRAC, off_peak, scale)
 
-    N = P.n_grid
     R = grid_lags(samples)
     norms = np.linalg.norm(R, axis=(1, 2))
     above = np.nonzero(norms > tail_tol * norms[0])[0]
@@ -328,15 +326,14 @@ def matrix_canonical_factor(P: SpectrumGrid, tol: float = 1e-6,
     return fact
 
 
-def conjugate_factorization(P: SpectrumGrid, **kwargs
+def conjugate_factorization(P: np.ndarray, **kwargs
                             ) -> tuple[MatrixFactorization, np.ndarray]:
     """Factor P as S(z^-1)^T T S(z) with S monic causal.
 
     Obtained from the canonical factorization of the transposed spectrum;
     returns (factorization holding the coefficients of S, T).
     """
-    Pt = SpectrumGrid(np.swapaxes(P.samples, 1, 2))
-    fact = matrix_canonical_factor(Pt, **kwargs)
+    fact = matrix_canonical_factor(np.swapaxes(P, 1, 2), **kwargs)
     S_coeffs = np.swapaxes(fact.coeffs, 1, 2)
     out = MatrixFactorization(coeffs=S_coeffs, pe=fact.pe,
                               grid_error=fact.grid_error,

@@ -102,7 +102,7 @@ def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
 
 def column_norm_grid(F, N: int = DEFAULT_GRID) -> np.ndarray:
     """|F_i(e^{j omega})|_2 for every input column, shape (N+1, m)."""
-    return np.linalg.norm(freq_response(F, N).samples, axis=1)
+    return np.linalg.norm(freq_response(F, N), axis=1)
 
 
 def design_simo_prefilter(F, k1: float = 1.0, N: int = DEFAULT_GRID,
@@ -150,7 +150,7 @@ def zfe_general_lower_bound(F, k, privacy: PrivacySpec,
                             N: int = DEFAULT_GRID) -> float:
     """Nuclear-norm lower bound on the MSE of any ZFE mechanism."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    FK = freq_response(F, N).samples * k[None, None, :]
+    FK = freq_response(F, N) * k[None, None, :]
     nuclear = np.linalg.svd(FK, compute_uv=False).sum(axis=1)
     return float(kappa(privacy) ** 2 * trapezoid_mean(nuclear) ** 2)
 
@@ -172,7 +172,7 @@ def assemble_zfe(F: TransferMatrix, G: TransferMatrix, privacy: PrivacySpec,
     sens = diagonal_sensitivity(G, k)
     sigma = noise_sigma(sens, privacy)
 
-    Fg = freq_response(F, N).samples
+    Fg = freq_response(F, N)
     omega = grid_omega(N)
     Gdiag = np.stack([g.freq(omega) for g in G.diagonal_entries()], axis=1)
     gk2 = float(trapezoid_mean((np.abs(Gdiag) ** 2) @ (k ** 2)))

@@ -7,19 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from dpfilt import (EventStream, OccupancySource, PrivacySpec,
-                    RationalFilter, SpectrumGrid, TransferMatrix,
-                    add_noise, assemble_lms, assemble_zfe, autocovariance,
-                    brute_force_sensitivity, causal_wiener, chain_spectrum,
-                    demo_filter, design_diag_prefilter, empirical_mse,
-                    freq_response, grid_omega, kappa, lms_objective,
+from dpfilt import (MechanismDesign, OccupancySource, PrivacySpec,
+                    RationalFilter, TransferMatrix, assemble_lms,
+                    assemble_zfe, autocovariance, brute_force_sensitivity,
+                    causal_wiener, chain_spectrum, demo_filter,
+                    design_diag_prefilter, empirical_mse, freq_response,
+                    grid_omega, kappa, lms_objective,
                     matrix_canonical_factor, mimo_exact,
                     occupancy_filter_bank, optimize_prefilter_general,
                     postfilter_mse, q_function, q_inverse, sample_chain,
                     scalar_spectral_factor, server_example, server_stationary,
                     stationary_distribution, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother)
-from dpfilt.lms import AllocationProfile
 
 from conftest import random_fir_matrix, random_transfer_matrix
 
@@ -125,11 +124,10 @@ def test_criterion_4_spectral_round_trips():
     coeffs0 = np.stack([np.eye(2), theta])
     z = np.exp(-1j * np.outer(omega, np.arange(2)))
     Lg = np.einsum("qk,kij->qij", z, coeffs0)
-    P = SpectrumGrid(np.einsum("qij,jk,qlk->qil", Lg, pe0, np.conj(Lg)))
+    P = np.einsum("qij,jk,qlk->qil", Lg, pe0, np.conj(Lg))
     fact = matrix_canonical_factor(P)
     recon = fact.reconstruct(N)
-    mat_err = float(np.max(np.abs(recon - P.samples))
-                    / np.max(np.abs(P.samples)))
+    mat_err = float(np.max(np.abs(recon - P)) / np.max(np.abs(P)))
     ok = worst_scalar < 1e-4 and mat_err < 1e-5 and worst_root < 1.0 \
         and fact.causally_invertible
     report(4, ok,
@@ -148,29 +146,28 @@ def test_criterion_5_waterfilling_vs_optimizer():
         m = int(rng.integers(1, 4))
         pk = PrivacySpec(epsilon=1.0, delta=0.1,
                          k=tuple(rng.uniform(0.5, 2.0, m)))
-        diag = np.zeros((N + 1, m, m), dtype=complex)
+        Pu = np.zeros((N + 1, m, m), dtype=complex)
         for i in range(m):
-            diag[:, i, i] = (rng.uniform(0.5, 2.0)
+            Pu[:, i, i] = (rng.uniform(0.5, 2.0)
                              + rng.uniform(0.1, 0.8)
                              * np.cos(omega * rng.integers(1, 4)
                                       + rng.uniform(0, np.pi)) ** 2)
-        Pu = SpectrumGrid(diag)
         F = random_fir_matrix(rng, int(rng.integers(1, 4)), m, max_lag=3)
         k = pk.k_vector()
-        wf = waterfill_diagonal(F, Pu, k, pk)
-        pg = optimize_prefilter_general(F, Pu, k, pk)
-        worst_gap = max(worst_gap, abs(pg.objective - wf.objective)
-                        / wf.objective)
+        x, lam = waterfill_diagonal(F, Pu, k, pk)
+        wf_objective = lms_objective(F, Pu, k, pk, x)
+        _, pg_objective = optimize_prefilter_general(F, Pu, k, pk)
+        worst_gap = max(worst_gap, abs(pg_objective - wf_objective)
+                        / wf_objective)
         kap = kappa(pk)
-        Fg = freq_response(F, N).samples
+        Fg = freq_response(F, N)
         Ft2 = kap ** 2 * np.linalg.norm(Fg, axis=1) ** 2 * (k ** 2)[None, :]
         idx = np.arange(m)
-        pt = np.real(Pu.samples[:, idx, idx]) / (kap ** 2 * (k ** 2)[None, :])
-        mask = wf.x > 1e-10
+        pt = np.real(Pu[:, idx, idx]) / (kap ** 2 * (k ** 2)[None, :])
+        mask = x > 1e-10
         if np.any(mask):
-            resid = np.abs(Ft2[mask] / (1.0 / pt[mask] + wf.x[mask]) ** 2
-                           - wf.lam)
-            worst_kkt = max(worst_kkt, float(np.max(resid / wf.lam)))
+            resid = np.abs(Ft2[mask] / (1.0 / pt[mask] + x[mask]) ** 2 - lam)
+            worst_kkt = max(worst_kkt, float(np.max(resid / lam)))
     ok = worst_gap < 1e-4 and worst_kkt < 1e-6
     report(5, ok,
            f"max relative objective gap = {worst_gap:.2e} < 1e-4 over 20 "
@@ -191,7 +188,7 @@ def test_criterion_6_mechanism_ordering():
     xz = np.stack([np.abs(g.freq(grid_omega(N))) ** 2
                    for g in Gz.diagonal_entries()], axis=1) * k[None, :] ** 2
     xz /= trapezoid_mean(xz.sum(axis=1))
-    val_zfe_profile = lms_objective(F, Pu, k, pk, AllocationProfile(x=xz))
+    val_zfe_profile = lms_objective(F, Pu, k, pk, xz)
     opt = lms_design.info["optimal_objective"]
     ordering = opt <= val_zfe_profile * (1 + 1e-9) \
         and val_zfe_profile <= zfe_design.theory_mse * (1 + 1e-9)
@@ -202,7 +199,7 @@ def test_criterion_6_mechanism_ordering():
     mse_s = postfilter_mse(F, Pu, G, sigma, smoother)
     mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N))
     causal_ok = mse_c >= mse_s - 1e-12
-    big = SpectrumGrid(Pu.samples * 1e8 + 1e2 * np.eye(2)[None, :, :])
+    big = Pu * 1e8 + 1e2 * np.eye(2)[None, :, :]
     d_big = assemble_lms(F, big, pk, mode="smoother")
     limit_ratio = d_big.theory_mse / zfe_design.theory_mse
     limit_ok = abs(limit_ratio - 1.0) <= 0.01
@@ -264,8 +261,7 @@ def test_criterion_8_markov_analytics():
         assert err < 1e-12, f"stationary formula error {err}"
     src = server_example(0.3, 0.6)
     grid, _ = chain_spectrum(src, N=1024)
-    full = np.concatenate([grid.samples, np.conj(grid.samples[-2:0:-1])],
-                          axis=0)
+    full = np.concatenate([grid, np.conj(grid[-2:0:-1])], axis=0)
     R_grid = np.fft.ifft(full, axis=0).real
     R_true = autocovariance(src, 20)
     autocov_err = max(np.max(np.abs(R_grid[k] - R_true[k]))
@@ -303,9 +299,12 @@ def test_criterion_9_privacy_calibration():
         want = 1.0 / np.sqrt(2.0 * eps)
         kappa_err = max(kappa_err, abs(kappa(spec) - want) / want)
     sigma = 0.7
-    stream = EventStream(np.zeros((1000000, 1)))
-    noisy = add_noise(stream, sigma, seed=5)
-    var = float(noisy.data.var())
+    eye = TransferMatrix.identity(1)
+    noisy = MechanismDesign(
+        kind="output_perturbation", target=eye, prefilter=eye,
+        noise_sigma=sigma, privacy=PrivacySpec(1.0, 0.1, (1.0,))
+    ).release(np.zeros((1000000, 1)), seed=5)
+    var = float(noisy.var())
     var_ok = abs(var - sigma ** 2) < 0.02 * sigma ** 2
     ok = worst_rt < 1e-10 and kappa_err < 5e-16 and var_ok
     report(9, ok,

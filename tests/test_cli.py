@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestAutocovarianceSpectrum:
             want += np.multiply.outer(np.exp(-1j * w * k), lags[k])
             if k:
                 want += np.multiply.outer(np.exp(1j * w * k), lags[k].T)
-        np.testing.assert_allclose(Pu.samples, want, rtol=0,
+        np.testing.assert_allclose(Pu, want, rtol=0,
                                    atol=1e-13 * np.abs(lags).sum())
         assert np.array_equal(mean, np.zeros(m))
 
@@ -60,7 +61,7 @@ class TestAutocovarianceSpectrum:
         Pu, _ = spectrum_from_spec(
             {"kind": "autocovariance", "lags": [2.0, 0.5]}, 8, 1)
         w = np.arange(9) * np.pi / 8
-        np.testing.assert_allclose(Pu.samples[:, 0, 0], 2.0 + np.cos(w),
+        np.testing.assert_allclose(Pu[:, 0, 0], 2.0 + np.cos(w),
                                    rtol=0, atol=1e-15)
 
 
@@ -665,13 +666,20 @@ class TestConfigErrorsExitTwo:
     def test_bad_simulate_counts(self, tmp_path, capsys, block, flags, key):
         # regression: 2.9 trials ran 2 and 4000.7 steps ran 4000, zero
         # trials wrote a NaN empirical_mse, a zero flag fell back to the
-        # config value, and --trials -2 died with an OverflowError
+        # config value, and --trials -2 died with an OverflowError; a bad
+        # simulate block is refused by design, before a design is written
         cfg_path, doc = base_config(tmp_path)
         doc["simulate"].update(block)
         write_yaml(cfg_path, doc)
         out = tmp_path / "d.json"
-        assert main(["design", "--config", str(cfg_path),
-                     "--out", str(out)]) == 0
+        code = main(["design", "--config", str(cfg_path), "--out", str(out)])
+        if block:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "ConfigError" in err and f"simulate.{key}" in err
+            assert not out.exists()
+            return
+        assert code == 0
         capsys.readouterr()
         report = tmp_path / "r.json"
         assert main(["simulate", "--design", str(out),
@@ -679,6 +687,27 @@ class TestConfigErrorsExitTwo:
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
         assert not report.exists()
+
+    def test_short_run_names_steps_and_the_shortest(self, tmp_path, capsys):
+        # regression: --steps 1 failed in empirical_mse with "T=0 leaves
+        # no analysis window", naming neither the option nor a length
+        # that works
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def simulate(steps):
+            return main(["simulate", "--design", str(out), "--steps",
+                         str(steps), "--report", str(tmp_path / "r.json")])
+
+        assert simulate(1) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "--steps" in err
+        shortest = int(re.search(r"at least (\d+) steps", err).group(1))
+        assert simulate(shortest - 1) == 2
+        assert simulate(shortest) == 0
 
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(

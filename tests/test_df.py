@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dpfilt import (PrivacySpec, RationalFilter, SpectrumGrid,
-                    TransferMatrix, chain_spectrum, decision_device,
+from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
+                    chain_spectrum, decision_device,
                     design_df, df_factorizations, df_theory_mse,
                     grid_omega, kappa, optimal_feedback,
                     run_df_mechanism, server_example, simulate,
@@ -20,8 +20,7 @@ def priv(k, eps=1.0, delta=0.1):
 
 
 def white_spectrum(m, n=N, scale=1.0):
-    return SpectrumGrid(np.repeat((scale * np.eye(m, dtype=complex))[None],
-                                  n + 1, axis=0))
+    return np.repeat((scale * np.eye(m, dtype=complex))[None], n + 1, axis=0)
 
 
 def random_monic_fir(rng, m, K):
@@ -54,8 +53,7 @@ class TestFactorizations:
         # respective spectra -- the Szego constant
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5])])
         G = TransferMatrix.diagonal([RationalFilter([1.0, -0.3])])
-        Pu = SpectrumGrid((2.0 + np.cos(OMEGA)).astype(complex)
-                          [:, None, None])
+        Pu = (2.0 + np.cos(OMEGA)).astype(complex)[:, None, None]
         k = (1.5,)
         pk = priv(k)
         Q, R, S, T = df_factorizations(F, Pu, G, k, pk)
@@ -66,7 +64,7 @@ class TestFactorizations:
         gmag2 = np.abs(RationalFilter([1.0, -0.3]).freq(OMEGA)) ** 2
         gk_sq = trapezoid_mean(gmag2 * k[0] ** 2)
         gt2 = gmag2 * k[0] ** 2 / gk_sq
-        pt = np.real(Pu.samples[:, 0, 0]) / (kap ** 2 * k[0] ** 2)
+        pt = np.real(Pu[:, 0, 0]) / (kap ** 2 * k[0] ** 2)
         bracket = k[0] ** 2 / (1.0 / pt + gt2)
         r_want = np.exp(trapezoid_mean(np.log(bracket)))
         assert R[0, 0] == pytest.approx(r_want, rel=1e-6)
@@ -78,9 +76,8 @@ class TestFactorizations:
                             [RationalFilter([0.0, -0.2]),
                              RationalFilter([1.0, 0.25])]])
         from dpfilt import freq_response
-        Wg = freq_response(W, N).samples
-        Pu = SpectrumGrid(Wg @ np.conj(np.swapaxes(Wg, 1, 2))
-                          + 0.4 * np.eye(2)[None, :, :])
+        Wg = freq_response(W, N)
+        Pu = Wg @ np.conj(np.swapaxes(Wg, 1, 2)) + 0.4 * np.eye(2)[None, :, :]
         F = TransferMatrix([[RationalFilter([1.0, 0.4]),
                              RationalFilter([0.3])],
                             [RationalFilter([0.2, -0.1]),
@@ -94,7 +91,7 @@ class TestFactorizations:
         assert S.grid_error < 1e-5
         # explicit S* T S reconstruction of F*F
         from dpfilt import freq_response
-        Fg = freq_response(F, N).samples
+        Fg = freq_response(F, N)
         FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
         Sg = S.eval_grid(N)
         recon = np.einsum("qji,jk,qkl->qil", np.conj(Sg), T, Sg)
@@ -201,9 +198,8 @@ class TestClosedLoop:
         # the alternation constraint makes the 2x2 indicator spectrum
         # exactly singular at omega = 0; add an explicit white modeling
         # floor so the DF factorizations have a PD spectrum to work with
-        floor = 1e-4 * float(np.max(np.abs(Pu_raw.samples)))
-        self.Pu = SpectrumGrid(Pu_raw.samples
-                               + floor * np.eye(2)[None, :, :])
+        floor = 1e-4 * float(np.max(np.abs(Pu_raw)))
+        self.Pu = Pu_raw + floor * np.eye(2)[None, :, :]
         # DF needs F*F invertible on the circle (even-length moving
         # averages vanish at omega = pi), so use a min-phase smoothing
         # target here
@@ -483,15 +479,14 @@ def h1_taps_reference(design, P_u, N):
     lags by its own two-sided ifft and cut like the causal taps."""
     from dpfilt import freq_response
     df = design.postfilter
-    Pg = P_u.samples
-    m = Pg.shape[1]
-    Gg = freq_response(design.prefilter, N).samples
+    m = P_u.shape[1]
+    Gg = freq_response(design.prefilter, N)
     GgH = np.conj(np.swapaxes(Gg, 1, 2))
     Bg = df.feedback.grid(N)
-    Pv = Gg @ Pg @ GgH + design.noise_sigma ** 2 * np.eye(m)[None, :, :]
+    Pv = Gg @ P_u @ GgH + design.noise_sigma ** 2 * np.eye(m)[None, :, :]
     H1g = np.conj(np.swapaxes(
         np.linalg.solve(np.conj(np.swapaxes(Pv, 1, 2)),
-                        np.conj(np.swapaxes(Bg @ Pg @ GgH, 1, 2))), 1, 2))
+                        np.conj(np.swapaxes(Bg @ P_u @ GgH, 1, 2))), 1, 2))
     full = np.concatenate([H1g, np.conj(H1g[-2:0:-1])], axis=0)
     h = np.fft.ifft(full, axis=0).real
     causal = h[:N]

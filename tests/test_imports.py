@@ -1,5 +1,6 @@
 """Imports and leftovers: no dpfilt command loads scipy, no dpfilt module
-imports a name it never uses, and no private definition goes unused.
+imports a name it never uses, and no private or public definition goes
+unused.
 
 Each cold-start check runs in a fresh interpreter, since the test process
 itself imports scipy as an oracle.
@@ -15,8 +16,8 @@ import sys
 import pytest
 import yaml
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "dpfilt",
                                                          "*.py"))
                  if os.path.basename(path) != "__init__.py")
@@ -82,6 +83,30 @@ def unreferenced_private(sources: dict) -> list:
     return sorted(f"{name} ({path}:{line})"
                   for path, (_, private, _, _) in scans.items()
                   for name, line in private.items() if name not in read)
+
+
+def unreferenced_public(sources: dict, readers: dict) -> list:
+    """Public top-level functions and classes, and public methods, of the
+    modules in `sources` that no name or attribute read in `readers` (both
+    {file name: source}) refers to; a method counts only attribute reads.
+    An import is no read, so a re-export does not keep a name alive."""
+    scans = [scan(source) for source in readers.values()]
+    names = set().union(*(n for _, _, n, _ in scans))
+    attrs = set().union(*(a for _, _, _, a in scans))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            if node.name not in names | attrs:
+                out.append(f"{node.name} ({path}:{node.lineno})")
+            for item in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(item, defs[:2]) and item.name not in attrs \
+                        and not item.name.startswith("_"):
+                    out.append(f"{node.name}.{item.name} "
+                               f"({path}:{item.lineno})")
+    return sorted(out)
 
 
 def scipy_modules_after(code: str, cwd) -> list:
@@ -168,3 +193,35 @@ def test_no_unreferenced_private_definition():
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_public_flagged():
+    sources = {"a.py": ("def used():\n"
+                        "    return Box().size\n"
+                        "def spare():\n"
+                        "    return 0\n"
+                        "class Box:\n"
+                        "    def size(self):\n"
+                        "        return 1\n"
+                        "    def grow(self):\n"
+                        "        return 2\n"
+                        "    def __len__(self):\n"
+                        "        return 0\n"
+                        "def _hidden():\n"
+                        "    return 0\n")}
+    readers = dict(sources, **{
+        "__init__.py": "from a import Box, grow, spare, used\n",
+        "test_a.py": "from a import used\nused()\ngrow = 1\nprint(grow)\n"})
+    assert unreferenced_public(sources, readers) == ["Box.grow (a.py:8)",
+                                                     "spare (a.py:3)"]
+
+
+def test_no_unreferenced_public_definition():
+    readers = {}
+    for pattern in ("src/**/*.py", "tests/**/*.py", "benchmark/**/*.py"):
+        for path in glob.glob(os.path.join(ROOT, pattern), recursive=True):
+            with open(path) as fh:
+                readers[os.path.relpath(path, ROOT)] = fh.read()
+    sources = {os.path.basename(path): readers[os.path.relpath(path, ROOT)]
+               for path in MODULES}
+    assert unreferenced_public(sources, readers) == []

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import erfcinv
 
-from dpfilt import (EventStream, PrivacySpec, add_noise, gaussian_delta,
-                    kappa, noise_sigma, q_function, q_inverse)
+from dpfilt import (MechanismDesign, PrivacySpec, TransferMatrix,
+                    gaussian_delta, kappa, noise_sigma, q_function,
+                    q_inverse)
 from dpfilt.errors import InvalidDelta
 
 # frozen oracle values (high-precision complementary-error-function series)
@@ -134,31 +135,41 @@ class TestPrivacySpec:
             PrivacySpec(epsilon=1.0, delta=0.1, k=(0.0,))
 
 
+def identity_release(u, sigma, seed):
+    """MechanismDesign.release of u through an identity prefilter: u plus
+    Gaussian noise of std sigma drawn from seed."""
+    m = u.shape[1]
+    eye = TransferMatrix.identity(m)
+    return MechanismDesign(
+        kind="output_perturbation", target=eye, prefilter=eye,
+        noise_sigma=sigma, privacy=PrivacySpec(1.0, 0.1, (1.0,) * m)
+    ).release(u, seed)
+
+
 class TestAddNoise:
+    """The Gaussian noise that MechanismDesign.release adds."""
+
     def test_zero_sigma_identity(self, rng):
-        s = EventStream(rng.normal(size=(100, 2)))
-        out = add_noise(s, 0.0, seed=1)
-        assert np.array_equal(out.data, s.data)
+        u = rng.normal(size=(100, 2))
+        assert np.array_equal(identity_release(u, 0.0, seed=1), u)
 
     def test_determinism(self, rng):
-        s = EventStream(rng.normal(size=(100, 2)))
-        a = add_noise(s, 1.5, seed=42)
-        b = add_noise(s, 1.5, seed=42)
-        assert np.array_equal(a.data, b.data)
-        c = add_noise(s, 1.5, seed=43)
-        assert not np.array_equal(a.data, c.data)
+        u = rng.normal(size=(100, 2))
+        a = identity_release(u, 1.5, seed=42)
+        b = identity_release(u, 1.5, seed=42)
+        assert np.array_equal(a, b)
+        c = identity_release(u, 1.5, seed=43)
+        assert not np.array_equal(a, c)
 
     def test_empirical_variance(self):
-        s = EventStream(np.zeros((500000, 2)))
         sigma = 0.7
-        out = add_noise(s, sigma, seed=9)
+        out = identity_release(np.zeros((500000, 2)), sigma, seed=9)
         for ch in range(2):
-            var = out.data[:, ch].var()
+            var = out[:, ch].var()
             assert abs(var - sigma ** 2) < 0.02 * sigma ** 2
 
     def test_normality_kurtosis(self):
-        s = EventStream(np.zeros((1000000, 1)))
-        noise = add_noise(s, 1.0, seed=3).data.ravel()
+        noise = identity_release(np.zeros((1000000, 1)), 1.0, seed=3).ravel()
         kurt = np.mean(noise ** 4) / np.mean(noise ** 2) ** 2
         assert 2.8 < kurt < 3.2
 

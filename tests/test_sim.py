@@ -8,7 +8,7 @@ from dpfilt import (EventStream, MarkovStreamSource, OccupancySource,
                     assemble_zfe, chain_spectrum, compare_mechanisms,
                     demo_filter, design_diag_prefilter, empirical_mse,
                     gaussian_fir, occupancy_filter_bank, run_mechanism,
-                    server_example, simulate, synthetic_occupancy_source)
+                    server_example, simulate)
 from dpfilt.errors import ConfigError, MissingForecastModel
 
 N = 256
@@ -76,7 +76,7 @@ class TestOccupancySource:
         assert np.all(s.data == 0.0)
 
     def test_integer_nonnegative(self):
-        src = synthetic_occupancy_source(m=4, seed=3)
+        src = OccupancySource(m=4, phase_seed=3)
         s = src.sample(5000, seed=1)
         assert np.all(s.data >= 0)
         assert np.allclose(s.data, np.rint(s.data))
@@ -130,7 +130,7 @@ class TestOccupancySource:
         assert np.array_equal(src.sample(500, seed=4).data, want)
 
     def test_determinism(self):
-        src = synthetic_occupancy_source(m=2, seed=5)
+        src = OccupancySource(m=2, phase_seed=5)
         assert np.array_equal(src.sample(100, seed=9).data,
                               src.sample(100, seed=9).data)
 
@@ -191,13 +191,12 @@ class TestEmpiricalMse:
         # per-trial seed loop (run_df_reference) on the same SeedSequence
         # children gives the same mean and stderr, bit for bit
         from test_df import run_df_reference
-        from dpfilt import RationalFilter, SpectrumGrid, TransferMatrix, \
-            design_df
+        from dpfilt import RationalFilter, TransferMatrix, design_df
         from dpfilt.sim import _margins
         markov = server_example(0.3, 0.6)
         Pu_raw, mean = chain_spectrum(markov, N)
-        floor = 1e-4 * float(np.max(np.abs(Pu_raw.samples)))
-        Pu = SpectrumGrid(Pu_raw.samples + floor * np.eye(2)[None, :, :])
+        floor = 1e-4 * float(np.max(np.abs(Pu_raw)))
+        Pu = Pu_raw + floor * np.eye(2)[None, :, :]
         f = RationalFilter([0.6, 0.3, 0.1])
         F = TransferMatrix.diagonal([f, f])
         # a budget at which the decisions depend on the noise: at

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfilt import (MatrixFactorization, RationalFilter, SpectrumGrid,
+from dpfilt import (MatrixFactorization, RationalFilter,
                     fit_rational_magnitude, grid_omega,
                     matrix_canonical_factor, paley_wiener_check,
                     scalar_spectral_factor)
@@ -144,8 +144,7 @@ def spectrum_from_factor(coeffs, pe, omega):
 class TestMatrixFactor:
     def test_white_spectrum(self):
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-        P = SpectrumGrid(np.repeat(sigma[None, :, :].astype(complex),
-                                   N + 1, axis=0))
+        P = np.repeat(sigma[None, :, :].astype(complex), N + 1, axis=0)
         fact = matrix_canonical_factor(P)
         assert np.allclose(fact.coeffs[0], np.eye(2), atol=1e-10)
         if fact.coeffs.shape[0] > 1:
@@ -156,7 +155,7 @@ class TestMatrixFactor:
         theta = np.array([[0.4, 0.1], [-0.2, 0.3]])
         pe0 = np.array([[2.0, 0.5], [0.5, 1.0]])
         coeffs0 = np.stack([np.eye(2), theta])
-        P = SpectrumGrid(spectrum_from_factor(coeffs0, pe0, OMEGA))
+        P = spectrum_from_factor(coeffs0, pe0, OMEGA)
         fact = matrix_canonical_factor(P)
         assert np.max(np.abs(fact.coeffs[1] - theta)) < 1e-5
         assert np.max(np.abs(fact.pe - pe0)) < 1e-5
@@ -165,7 +164,7 @@ class TestMatrixFactor:
 
     def test_scalar_case_matches_cepstral(self):
         s = 2.0 + np.cos(OMEGA) + 0.3 * np.cos(2 * OMEGA)
-        fact = matrix_canonical_factor(SpectrumGrid(s.astype(complex)))
+        fact = matrix_canonical_factor(s.astype(complex)[:, None, None])
         g, _ = scalar_spectral_factor(s, order=fact.coeffs.shape[0] - 1,
                                       enforce_pw=False)
         # canonical factor is monic; cepstral factor carries the gain
@@ -178,7 +177,7 @@ class TestMatrixFactor:
     def test_not_pd_rejected(self):
         s = np.ones((N + 1, 2, 2), dtype=complex)  # rank-1 everywhere
         with pytest.raises(NotPositiveDefinite):
-            matrix_canonical_factor(SpectrumGrid(s))
+            matrix_canonical_factor(s)
 
     def test_diagonal_dispatch(self):
         d1 = 2.0 + np.cos(OMEGA)
@@ -186,7 +185,7 @@ class TestMatrixFactor:
         P = np.zeros((N + 1, 2, 2), dtype=complex)
         P[:, 0, 0] = d1
         P[:, 1, 1] = d2
-        fact = matrix_canonical_factor(SpectrumGrid(P))
+        fact = matrix_canonical_factor(P)
         assert fact.grid_error < 1e-6
         off = fact.coeffs.copy()
         off[:, [0, 1], [0, 1]] = 0.0
@@ -196,11 +195,11 @@ class TestMatrixFactor:
         theta = np.array([[0.3, -0.1], [0.15, 0.25]])
         pe0 = np.array([[1.5, 0.2], [0.2, 0.8]])
         coeffs0 = np.stack([np.eye(2), theta])
-        P = SpectrumGrid(spectrum_from_factor(coeffs0, pe0, OMEGA))
+        P = spectrum_from_factor(coeffs0, pe0, OMEGA)
         S, T = conjugate_factorization(P)
         Sg = S.eval_grid(N)
         recon = np.einsum("qji,jk,qkl->qil", np.conj(Sg), T, Sg)
-        err = np.max(np.abs(recon - P.samples)) / np.max(np.abs(P.samples))
+        err = np.max(np.abs(recon - P)) / np.max(np.abs(P))
         assert err < 1e-6
         assert np.allclose(S.coeffs[0], np.eye(2), atol=1e-10)
 
@@ -211,7 +210,7 @@ class TestFactorizationErrorPaths:
         theta = np.array([[0.7, 0.2], [-0.3, 0.6]])
         pe0 = np.eye(2)
         coeffs0 = np.stack([np.eye(2), theta])
-        P = SpectrumGrid(spectrum_from_factor(coeffs0, pe0, OMEGA))
+        P = spectrum_from_factor(coeffs0, pe0, OMEGA)
         with pytest.raises(FactorizationStalled):
             matrix_canonical_factor(P, tol=1e-12, max_blocks=4)
 
@@ -280,7 +279,7 @@ class TestGridKernelAgreement:
         pe0 = np.array([[2.0, 0.5], [0.5, 1.0]])
         coeffs0 = np.stack([np.eye(2), theta1, theta2])
         samples = spectrum_from_factor(coeffs0, pe0, OMEGA)
-        fact = matrix_canonical_factor(SpectrumGrid(samples))
+        fact = matrix_canonical_factor(samples)
         assert fact.meta["bandwidth"] == 3
         coeffs, pe = bauer_loop_reference(samples, fact.meta["blocks"],
                                           fact.meta["bandwidth"])
@@ -294,9 +293,8 @@ class TestDiagonalGridError:
 
     @staticmethod
     def dense(fact, P):
-        recon = fact.reconstruct(P.n_grid)
-        return float(np.max(np.abs(recon - P.samples))
-                     / np.max(np.abs(P.samples)))
+        recon = fact.reconstruct(P.shape[0] - 1)
+        return float(np.max(np.abs(recon - P)) / np.max(np.abs(P)))
 
     @staticmethod
     def diagonal(rng, m, exact):
@@ -316,7 +314,7 @@ class TestDiagonalGridError:
     @pytest.mark.parametrize("m,exact", [(1, True), (3, True), (3, False),
                                          (15, True), (15, False)])
     def test_matches_dense_reconstruction(self, rng, m, exact):
-        P = SpectrumGrid(self.diagonal(rng, m, exact))
+        P = self.diagonal(rng, m, exact)
         fact = matrix_canonical_factor(P)
         assert abs(fact.grid_error - self.dense(fact, P)) <= 1e-15
 
@@ -324,11 +322,10 @@ class TestDiagonalGridError:
     def test_nearly_diagonal_spectrum(self, rng, exact):
         # off-diagonal entries just inside the 1e-14 gate take the
         # diagonal path; the grid error then includes the dropped |P_ij|
-        S = self.diagonal(rng, 3, exact)
-        off = 9e-15 * np.max(np.abs(S)) * np.exp(1j * OMEGA)
-        S[:, 0, 2] = off
-        S[:, 2, 0] = np.conj(off)
-        P = SpectrumGrid(S)
+        P = self.diagonal(rng, 3, exact)
+        off = 9e-15 * np.max(np.abs(P)) * np.exp(1j * OMEGA)
+        P[:, 0, 2] = off
+        P[:, 2, 0] = np.conj(off)
         fact = matrix_canonical_factor(P)
         assert not np.any(fact.coeffs[:, 0, 2]) and "blocks" not in fact.meta
         assert fact.grid_error >= 9e-15 * (1 - 1e-12)
@@ -343,7 +340,7 @@ class TestBauerBudget:
         s = 1.0 / np.abs(1.0 - pole * np.exp(-1j * OMEGA)) ** 2
         S = np.eye(m)[None] + 0.01 * (s / s.max())[:, None, None] \
             * np.ones((m, m))[None]
-        return SpectrumGrid(S.astype(complex))
+        return S.astype(complex)
 
     def test_refused_before_allocating(self):
         import tracemalloc
@@ -370,14 +367,14 @@ class TestBauerBudget:
         theta = np.array([[0.4, 0.1], [-0.2, 0.3]])
         samples = spectrum_from_factor(np.stack([np.eye(2), theta]),
                                        np.eye(2), OMEGA)
-        fact = matrix_canonical_factor(SpectrumGrid(samples))
+        fact = matrix_canonical_factor(samples)
         n, m = fact.meta["blocks"], 2
         assert fact.grid_error <= 1e-6
         # the same spectrum fits at its block count and is refused below it
         monkeypatch.setattr(dpfilt.spectral, "BAUER_MAX_BYTES",
                             8 * (n * m) ** 2)
-        matrix_canonical_factor(SpectrumGrid(samples))
+        matrix_canonical_factor(samples)
         monkeypatch.setattr(dpfilt.spectral, "BAUER_MAX_BYTES",
                             8 * (n * m) ** 2 - 1)
         with pytest.raises(FactorizationStalled, match="budget"):
-            matrix_canonical_factor(SpectrumGrid(samples))
+            matrix_canonical_factor(samples)

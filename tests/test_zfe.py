@@ -149,8 +149,8 @@ class TestAssemble:
         design = assemble_zfe(F, G, priv((1.0, 1.0)), N)
         omega = grid_omega(N)
         H = design.postfilter
-        Fg = freq_response(F, N).samples
-        Hg = freq_response(H, N).samples
+        Fg = freq_response(F, N)
+        Hg = freq_response(H, N)
         Gg = np.stack([g.freq(omega) for g in G.diagonal_entries()], axis=1)
         prod = Hg * Gg[:, None, :]
         assert np.max(np.abs(prod - Fg)) < 1e-6
