@@ -11,6 +11,7 @@ stored design whose noise is below its privacy calibration
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -24,14 +25,22 @@ from .fileio import (build_filter, design_from_dict, design_to_dict,
 from .zfe import MechanismDesign
 
 
-def _load_schema(name: str) -> dict:
-    ref = importlib.resources.files("dpfilt").joinpath("schemas", name)
-    return json.loads(ref.read_text())
+@functools.cache
+def _validator(schema_name: str):
+    """A shipped schema's validator, compiled once; tests check the schema."""
+    import jsonschema
+    ref = importlib.resources.files("dpfilt").joinpath("schemas", schema_name)
+    schema = json.loads(ref.read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_document(doc: dict, schema_name: str) -> None:
+    """Raise what jsonschema.validate(doc, schema) raises."""
     import jsonschema
-    jsonschema.validate(doc, _load_schema(schema_name))
+    error = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _make_design(cfg: Config) -> MechanismDesign:

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
                   as_grid, monic_inverse_filter, wiener_smoother)
-from .lti import (Postfilter, TransferMatrix, simulate as lti_simulate,
-                  taps_grid, trapezoid_mean)
+from .lti import (Postfilter, TransferMatrix, as_signal,
+                  simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        conjugate_factorization, grid_lags,
@@ -283,8 +283,7 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
     if len(seeds) != len(streams):
         raise DimensionMismatch(
             f"{len(streams)} streams but {len(seeds)} seeds")
-    data = [np.asarray(s.data if hasattr(s, "data") else np.atleast_2d(s),
-                       dtype=float) for s in streams]
+    data = [as_signal(s.data if hasattr(s, "data") else s) for s in streams]
     if any(x.shape != data[0].shape for x in data):
         raise DimensionMismatch("batched streams must share one shape")
     mu = design.mu

@@ -257,9 +257,10 @@ def design_from_dict(doc: dict) -> MechanismDesign:
 
 
 def save_json(doc: dict, path, indent: int | None = 2) -> None:
+    # one json.dumps string, which runs json's C encoder when compact;
+    # json.dump to a file always runs the pure-Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

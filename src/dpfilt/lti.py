@@ -237,15 +237,24 @@ class TransferMatrix(Postfilter):
         return out
 
     def freq(self, omega) -> np.ndarray:
+        """RationalFilter.freq of every entry, with z^-1 computed once;
+        zero entries stay 0."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.empty((omega.size, self.p, self.m), dtype=complex)
-        for i in range(self.p):
-            for j in range(self.m):
-                out[:, i, j] = self.entries[i][j].freq(omega)
+        zi = 1.0 / np.exp(1j * omega)
+        out = np.zeros((omega.size, self.p, self.m), dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    out[:, i, j] = (np.polyval(e.num[::-1], zi)
+                                    / np.polyval(e.den[::-1], zi))
         return out
 
     def dc_gain(self) -> np.ndarray:
-        return self.eval(1.0).real
+        """F(1), kept read-only after the first call, as bank() is."""
+        if "_dc_gain" not in self.__dict__:
+            self._dc_gain = self.eval(1.0).real
+            self._dc_gain.setflags(write=False)
+        return self._dc_gain
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return simulate(self, v)
@@ -546,6 +555,12 @@ class IirBank:
         return out[:, :T].T
 
 
+def as_signal(u) -> np.ndarray:
+    """Input as (T, m) floats; 1-D is T samples of one channel, as in filt."""
+    u = np.asarray(u, dtype=float)
+    return u.reshape(-1, 1) if u.ndim < 2 else u
+
+
 def simulate(sys, u: np.ndarray) -> np.ndarray:
     """Run a system over an input array (T, m) from zero initial state.
 
@@ -553,7 +568,7 @@ def simulate(sys, u: np.ndarray) -> np.ndarray:
     IirBank group: their numerator outputs are summed before one pass of
     the common recursion.
     """
-    u = np.atleast_2d(u)
+    u = as_signal(u)
     sys = as_matrix(sys)
     if u.shape[1] != sys.m:
         raise DimensionMismatch(

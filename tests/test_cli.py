@@ -8,8 +8,8 @@ import yaml
 from dpfilt.cli import main, validate_document
 from dpfilt.config import Config
 from dpfilt.errors import ConfigError, InsufficientNoise
-from dpfilt.fileio import (design_from_dict, load_json, spectrum_from_spec,
-                           transfer_matrix_from_dict,
+from dpfilt.fileio import (design_from_dict, load_json, save_json,
+                           spectrum_from_spec, transfer_matrix_from_dict,
                            transfer_matrix_to_dict)
 from dpfilt import RationalFilter, TransferMatrix
 
@@ -144,6 +144,62 @@ class TestDesignCommand:
         assert doc["kind"] == "wiener_smoother"
         rebuilt = design_from_dict(doc)
         assert rebuilt.postfilter is not None
+
+
+SCHEMAS = ["design.schema.json", "report.schema.json"]
+
+
+def shipped_schema(name):
+    import importlib.resources
+    ref = importlib.resources.files("dpfilt").joinpath("schemas", name)
+    return json.loads(ref.read_text())
+
+
+class TestValidateDocument:
+    @pytest.mark.parametrize("name", SCHEMAS)
+    def test_shipped_schema_passes_check_schema(self, name):
+        import jsonschema
+        schema = shipped_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_errors_match_jsonschema_validate(self, tmp_path):
+        import jsonschema
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        doc = load_json(out)
+        missing = {k: v for k, v in doc.items() if k != "kind"}
+        wrong_type = dict(doc, noise_sigma="large")
+        nested = json.loads(json.dumps(doc))
+        nested["privacy"]["epsilon"] = -1.0
+        schema = shipped_schema("design.schema.json")
+        for bad in (missing, wrong_type, nested, [], "design"):
+            with pytest.raises(jsonschema.ValidationError) as want:
+                jsonschema.validate(bad, schema)
+            for _ in range(2):      # the compiled validator is reused
+                with pytest.raises(jsonschema.ValidationError) as got:
+                    validate_document(bad, "design.schema.json")
+                assert str(got.value) == str(want.value)
+                assert list(got.value.path) == list(want.value.path)
+        validate_document(doc, "design.schema.json")
+
+
+class TestSaveJson:
+    DOC = {"b": [1.0, 0.1 + 0.2, -3e-300], "a": {"z": None, "y": "\u00e9"}}
+
+    def test_compact_is_one_dumps_string(self, tmp_path):
+        path = tmp_path / "d.json"
+        save_json(self.DOC, path, indent=None)
+        assert path.read_text() == json.dumps(self.DOC, sort_keys=True) + "\n"
+
+    def test_indented_output_unchanged(self, tmp_path):
+        path = tmp_path / "d.json"
+        save_json(self.DOC, path)
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(self.DOC, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 class TestSensitivityCommand:

@@ -305,6 +305,19 @@ class TestSignDomain:
         y = simulate(F, u)
         assert np.max(np.abs(out.data[50:] - y[50:])) < 1e-8
 
+    def test_one_dimensional_stream_is_one_channel(self):
+        # a raw 1-D array is T samples of one channel, as in lti.simulate
+        u = np.where(np.random.default_rng(4).random(500) < 0.5, -1.0, 1.0)
+        f = RationalFilter([0.7, 0.2, 0.1])
+        d = design_df(TransferMatrix([[f]]), white_spectrum(1), priv(1.0),
+                      TransferMatrix.identity(1), sigma=0.0, lookahead=2,
+                      decision_domain="sign")
+        out, diag = run_df_mechanism(d, u, seed=0)
+        want, _ = run_df_mechanism(d, u[:, None], seed=0)
+        assert out.data.shape == (500, 1)
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(diag["u_hat"][:, 0], u)
+
 
 def run_df_reference(design, stream, seed, oracle_feedback=False):
     """The seed's DF closed loop (per-pair fftconvolve forward filter,

@@ -181,6 +181,15 @@ class TestSimulate:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionMismatch):
             simulate(TransferMatrix.identity(2), np.ones((10, 3)))
+        with pytest.raises(DimensionMismatch):
+            simulate(TransferMatrix.identity(2), np.ones(10))
+
+    def test_one_dimensional_input_is_one_channel(self):
+        # T samples of one channel, as RationalFilter.filt reads them
+        f = RationalFilter([1.0, 0.5])
+        y = simulate(f, np.ones(10))
+        assert y.shape == (10, 1)
+        assert np.array_equal(y[:, 0], f.filt(np.ones(10)))
 
     def test_impulse_matches_freq_inverse_transform(self, rng):
         # invariant: simulate on impulses reproduces the response implied
@@ -242,6 +251,27 @@ def bank_zfe_filters():
     F = occupancy_filter_bank()
     G = design_diag_prefilter(F, np.full(15, 4.0), N=1024, order=40)
     return {"pre": G, "post": F.cascade_diag_inverse(G), "target": F}
+
+
+class TestTransferMatrixCaches:
+    @pytest.mark.parametrize("name", ["pre", "target"])
+    def test_freq_equals_entrywise_bitwise(self, bank_zfe_filters, name):
+        # the shared z^-1 and the skipped zero entries change no bit, the
+        # sign of a zero included
+        tm = bank_zfe_filters[name]
+        omega = np.arange(1025) * np.pi / 1024
+        want = np.stack([np.stack([tm[i, j].freq(omega) for j in range(tm.m)],
+                                  axis=1) for i in range(tm.p)], axis=1)
+        assert np.array_equal(tm.freq(omega).view(float), want.view(float))
+
+    def test_dc_gain_kept_read_only(self, bank_zfe_filters):
+        tm = bank_zfe_filters["target"]
+        gain = tm.dc_gain()
+        assert gain is tm.dc_gain()
+        assert not gain.flags.writeable
+        assert np.array_equal(gain, tm.eval(1.0).real)
+        with pytest.raises(ValueError):
+            gain[0, 0] = 1.0
 
 
 class TestIirKernelAgreement:

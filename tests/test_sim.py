@@ -129,6 +129,31 @@ class TestOccupancySource:
         want = np.random.default_rng(4).poisson(np.maximum(lam, 0.0))
         assert np.array_equal(src.sample(500, seed=4).data, want)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.6])
+    @pytest.mark.parametrize("period", [48, 160, 480])
+    def test_draws_match_the_per_step_formula(self, period, amplitude):
+        # the one-period table draws what a (T, m) rate array built step by
+        # step draws, row by row, past the first period too
+        src = OccupancySource(period=period, amplitude=amplitude)
+
+        def per_step(T, seed):
+            rng = np.random.default_rng(seed)
+            if amplitude == 0.0:
+                return rng.poisson(src.rates, size=(T, src.m)).astype(float)
+            lam = np.add(2.0 * np.pi * np.arange(T)[:, None] / period,
+                         src.phases, out=np.empty((T, src.m)))
+            np.sin(lam, out=lam)
+            lam *= amplitude
+            lam += 1.0
+            lam *= src.rates
+            return rng.poisson(lam).astype(float)
+
+        for T in (1, period - 1, period, period + 1, 20000):
+            for seed in (0, 3, 901):
+                got = src.sample(T, seed).data
+                assert got.shape == (T, src.m)
+                assert np.array_equal(got, per_step(T, seed))
+
     def test_determinism(self):
         src = OccupancySource(m=2, phase_seed=5)
         assert np.array_equal(src.sample(100, seed=9).data,
