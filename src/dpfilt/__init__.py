@@ -2,12 +2,11 @@
 approximations of MIMO LTI filters processing event streams."""
 
 from . import errors
-from .df import (DfDesign, MonicFeedback, decision_device, design_df,
-                 df_factorizations, df_theory_mse, optimal_feedback,
-                 run_df_mechanism)
-from .lms import (CausalWienerFilter, SmootherFilter, assemble_lms,
-                  causal_wiener, lms_objective, optimize_prefilter_general,
-                  postfilter_mse, waterfill_diagonal, wiener_smoother)
+from .df import (DfDesign, MonicFeedback, design_df, df_factorizations,
+                 df_theory_mse, optimal_feedback, run_df_mechanism)
+from .lms import (CausalWienerFilter, assemble_lms, causal_wiener,
+                  lms_objective, optimize_prefilter_general, postfilter_mse,
+                  waterfill_diagonal, wiener_smoother)
 from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix,
                   column_energies, effective_length, freq_response,
                   grid_omega, h2_norm, observability_gramian, simulate,
@@ -18,8 +17,7 @@ from .markov import (MarkovSource, autocovariance, chain_spectrum,
 from .privacy import (PrivacySpec, gaussian_delta, kappa, noise_sigma,
                       q_function, q_inverse)
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
-                          diagonal_sensitivity, mimo_bounds, mimo_exact,
-                          simo_sensitivity)
+                          diagonal_sensitivity, mimo_bounds, mimo_exact)
 from .sim import (EventStream, FixedStreamSource, MarkovStreamSource,
                   OccupancySource, compare_mechanisms, empirical_mse,
                   gaussian_fir, moving_average, occupancy_filter_bank,
@@ -29,8 +27,7 @@ from .spectral import (MatrixFactorization, factor_grid_error,
                        paley_wiener_check, scalar_spectral_factor)
 from .zfe import (MechanismDesign, assemble_output_perturbation, assemble_zfe,
                   column_norm_grid, design_diag_prefilter,
-                  design_simo_prefilter, zfe_general_lower_bound,
-                  zfe_mse_diag_bound)
+                  zfe_general_lower_bound, zfe_mse_diag_bound)
 
 __version__ = "0.1.0"
 

@@ -17,11 +17,10 @@ import json
 import sys
 
 from . import __version__
-from .config import MECHANISM_KINDS, Config, as_number
+from .config import Config, as_number
 from .errors import ConfigError, DpfiltError
-from .fileio import (build_filter, design_from_dict, design_to_dict,
-                     load_json, save_json, source_from_spec,
-                     spectrum_from_spec)
+from .fileio import (MECHANISMS, build_filter, design_from_dict,
+                     design_to_dict, load_json, save_json, source_from_spec)
 from .zfe import MechanismDesign
 
 
@@ -44,39 +43,12 @@ def validate_document(doc: dict, schema_name: str) -> None:
 
 
 def _make_design(cfg: Config) -> MechanismDesign:
-    from .df import design_df
-    from .lms import assemble_lms, lms_prefilter
-    from .zfe import (assemble_output_perturbation, assemble_zfe,
-                      design_diag_prefilter)
     F = build_filter(cfg.filter)
     priv = cfg.privacy_spec()
-    N = cfg.grid_n
-    kind = cfg.mechanism.get("kind", "zfe")
     order = as_number(cfg.mechanism.get("factor_order", 40), "factor_order",
                       integer=True)
-    if kind == "zfe":
-        G = design_diag_prefilter(F, priv.k_vector(), N=N, order=order)
-        return assemble_zfe(F, G, priv, N)
-    if kind == "output_perturbation":
-        return assemble_output_perturbation(F, priv, N)
-    Pu, mean = spectrum_from_spec(cfg.spectrum, N, F.shape[1])
-    if kind in ("lms_smoother", "lms_causal"):
-        mode = "smoother" if kind == "lms_smoother" else "causal"
-        return assemble_lms(F, Pu, priv, mode=mode, order=order,
-                            input_mean=mean)
-    # decision feedback around the LMS prefilter
-    lookahead = as_number(cfg.mechanism.get("lookahead", 2), "lookahead",
-                          integer=True)
-    G, sigma, info = lms_prefilter(F, Pu, priv, order)
-    design = design_df(
-        F, Pu, priv, G, sigma=sigma, lookahead=lookahead,
-        decision_domain=cfg.mechanism.get("decision_domain",
-                                          "nonneg_integers"),
-        input_mean=mean)
-    for key in ("optimal_objective", "achieved_objective",
-                "prefilter_fit_errors"):
-        design.info[key] = info[key]
-    return design
+    return MECHANISMS[cfg.mechanism.get("kind", "zfe")].build(cfg, F, priv,
+                                                             order)
 
 
 def _fit_loss(design: MechanismDesign):
@@ -143,14 +115,14 @@ def cmd_simulate(args) -> int:
     from .sim import compare_mechanisms
     doc = load_json(args.design)
     validate_document(doc, "design.schema.json")
-    if args.domain is not None:
-        from .df import decision_op
-        if doc["kind"] != "decision_feedback":
-            raise ConfigError(f"--domain applies to decision_feedback "
-                              f"designs only; this design is {doc['kind']}")
-        decision_op(args.domain)
-        doc.setdefault("info", {})["decision_domain"] = args.domain
     design = design_from_dict(doc)
+    if args.domain is not None:
+        from .df import DfDesign, decision_op
+        if not isinstance(design.postfilter, DfDesign):
+            raise ConfigError(f"--domain applies to decision_feedback "
+                              f"designs only; this design is {design.kind}")
+        decision_op(args.domain)
+        design.postfilter.decision_domain = args.domain
     cfg = Config.from_dict(doc.get("config", {}))
     if args.seed is not None:
         cfg.seed = args.seed
@@ -239,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", parents=[common],
                        help="design a mechanism from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--mechanism", default=None, choices=MECHANISM_KINDS,
+    p.add_argument("--mechanism", default=None, choices=MECHANISMS,
                    help="override the config mechanism kind")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)

@@ -29,9 +29,6 @@ _SOURCE_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "csv", "rates",
                 "period", "amplitude", "m"}
 _SIMULATE_KEYS = {"trials", "steps"}
 
-MECHANISM_KINDS = ("zfe", "lms_smoother", "lms_causal", "df",
-                   "output_perturbation")
-
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
@@ -112,10 +109,11 @@ class Config:
         if cfg.simulate["trials"] < 1:
             raise ConfigError("simulate.trials must be at least 1, got "
                               f"{cfg.simulate['trials']}")
+        from .fileio import MECHANISMS      # fileio imports this module
         kind = cfg.mechanism.get("kind", "zfe")
-        if kind not in MECHANISM_KINDS:
+        if kind not in MECHANISMS:
             raise ConfigError(f"unknown mechanism kind {kind!r}; "
-                              f"expected one of {MECHANISM_KINDS}")
+                              f"expected one of {tuple(MECHANISMS)}")
         return cfg
 
     @classmethod

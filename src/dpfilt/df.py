@@ -211,12 +211,6 @@ def decision_op(domain: str):
                           f" expected one of {DECISION_DOMAINS}") from None
 
 
-def decision_device(x, domain: str):
-    """Map raw estimates onto the admissible input domain."""
-    x = np.array(x, dtype=float)
-    return decision_op(domain)(x, np.zeros_like(x))
-
-
 def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
               G: TransferMatrix, sigma: float, lookahead: int = 2,
               decision_domain: str = "nonneg_integers",

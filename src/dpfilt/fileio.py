@@ -3,30 +3,23 @@
 
 from __future__ import annotations
 
+import functools
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .config import load_yaml
-from .df import DfDesign
+from .config import as_number, load_yaml
+from .df import DfDesign, design_df
 from .errors import ConfigError, InsufficientNoise
-from .lms import CausalWienerFilter, SmootherFilter
+from .lms import CausalWienerFilter, assemble_lms, lms_prefilter
 from .lti import RationalFilter, TransferMatrix, h2_norm, taps_grid
 from .markov import MarkovSource, chain_spectrum, server_example
 from .privacy import PrivacySpec, noise_sigma
 from .sensitivity import diagonal_sensitivity
-from .zfe import MechanismDesign, zfe_postfilter
-
-# The postfilter loader of each design kind, called as (doc, target,
-# prefilter); see lti.Postfilter.
-POSTFILTERS = {
-    "zero_forcing": lambda doc, F, G: zfe_postfilter(F, G),
-    "output_perturbation": lambda doc, F, G: TransferMatrix.identity(
-        F.shape[0]),
-    "wiener_smoother": SmootherFilter.from_doc,
-    "wiener_causal": CausalWienerFilter.from_doc,
-    "decision_feedback": DfDesign.from_doc}
+from .zfe import (MechanismDesign, assemble_output_perturbation, assemble_zfe,
+                  design_diag_prefilter, zfe_postfilter)
 
 
 def transfer_matrix_to_dict(tm: TransferMatrix) -> dict:
@@ -203,27 +196,81 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
     return doc
 
 
+def _design_zfe(cfg, F, privacy, order):
+    G = design_diag_prefilter(F, privacy.k_vector(), N=cfg.grid_n,
+                              order=order)
+    return assemble_zfe(F, G, privacy, cfg.grid_n)
+
+
+def _design_lms(mode: str):
+    def build(cfg, F, privacy, order):
+        Pu, mean = spectrum_from_spec(cfg.spectrum, cfg.grid_n, F.shape[1])
+        return assemble_lms(F, Pu, privacy, mode=mode, order=order,
+                            input_mean=mean)
+    return build
+
+
+def _design_df(cfg, F, privacy, order):
+    """Decision feedback around the LMS prefilter."""
+    Pu, mean = spectrum_from_spec(cfg.spectrum, cfg.grid_n, F.shape[1])
+    lookahead = as_number(cfg.mechanism.get("lookahead", 2), "lookahead",
+                          integer=True)
+    G, sigma, info = lms_prefilter(F, Pu, privacy, order)
+    design = design_df(
+        F, Pu, privacy, G, sigma=sigma, lookahead=lookahead,
+        decision_domain=cfg.mechanism.get("decision_domain",
+                                          "nonneg_integers"),
+        input_mean=mean)
+    for key in ("optimal_objective", "achieved_objective",
+                "prefilter_fit_errors"):
+        design.info[key] = info[key]
+    return design
+
+
+def _prefilter_sensitivity(F, G, k) -> float:
+    return diagonal_sensitivity(G, k)
+
+
+class Mechanism(NamedTuple):
+    """One mechanism kind. `kind` names it in design documents;
+    build(cfg, F, privacy, factor_order) designs it from a config;
+    load(doc, F, G) is the postfilter of its document (see
+    lti.Postfilter); sensitivity(F, G, k) is what its noise covers, which
+    the load check recomputes from the stored filters."""
+
+    kind: str
+    build: Callable
+    load: Callable
+    sensitivity: Callable
+
+
+# Every mechanism kind, keyed by its config name: a new kind is one row.
+MECHANISMS = {
+    "zfe": Mechanism("zero_forcing", _design_zfe,
+                     lambda doc, F, G: zfe_postfilter(F, G),
+                     _prefilter_sensitivity),
+    "lms_smoother": Mechanism(
+        "wiener_smoother", _design_lms("smoother"),
+        functools.partial(CausalWienerFilter.from_doc, smoother=True),
+        _prefilter_sensitivity),
+    "lms_causal": Mechanism("wiener_causal", _design_lms("causal"),
+                            CausalWienerFilter.from_doc,
+                            _prefilter_sensitivity),
+    "df": Mechanism("decision_feedback", _design_df, DfDesign.from_doc,
+                    _prefilter_sensitivity),
+    # publish F u + w: the noise covers |k|_2 ||F||_2 on every output
+    "output_perturbation": Mechanism(
+        "output_perturbation",
+        lambda cfg, F, privacy, order: assemble_output_perturbation(
+            F, privacy, cfg.grid_n),
+        lambda doc, F, G: TransferMatrix.identity(F.shape[0]),
+        lambda F, G, k: float(np.linalg.norm(k)) * h2_norm(F)),
+}
+_BY_DOCUMENT_KIND = {row.kind: row for row in MECHANISMS.values()}
+
 # Relative float slack when comparing a stored noise scale against the
 # same formula recomputed on load.
 NOISE_SLACK = 1e-9
-
-
-def check_noise(kind: str, F: TransferMatrix, G: TransferMatrix,
-                sigma: float, priv: PrivacySpec) -> None:
-    """Refuse a noise scale below kappa * sensitivity of the filter that
-    touches the data: |k|_2 ||F||_2 for output perturbation (the design
-    formula), the diagonal sensitivity of the prefilter otherwise."""
-    k = priv.k_vector()
-    if kind == "output_perturbation":
-        sens = float(np.linalg.norm(k)) * h2_norm(F)
-    else:
-        sens = diagonal_sensitivity(G, k)
-    need = noise_sigma(sens, priv)
-    if sigma < need * (1.0 - NOISE_SLACK):
-        raise InsufficientNoise(
-            f"stored noise_sigma {sigma:.6g} is below kappa * sensitivity "
-            f"= {need:.6g} for this {kind} design; refusing to run a "
-            "design that would not meet its privacy claim")
 
 
 def design_from_dict(doc: dict) -> MechanismDesign:
@@ -232,8 +279,8 @@ def design_from_dict(doc: dict) -> MechanismDesign:
     The postfilter is loaded from the document's `postfilter` block (ZFE
     and output perturbation derive it exactly from the stored filters);
     nothing is re-optimized or re-factorized. The stored noise scale is
-    then checked against kappa * sensitivity recomputed from the stored
-    filters (InsufficientNoise if below).
+    then checked against kappa * the kind's sensitivity, recomputed from
+    the stored filters (InsufficientNoise if below).
     """
     try:
         kind = doc["kind"]
@@ -243,16 +290,21 @@ def design_from_dict(doc: dict) -> MechanismDesign:
         priv = PrivacySpec(**doc["privacy"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design document: {exc}") from exc
-    if kind not in POSTFILTERS:
+    row = _BY_DOCUMENT_KIND.get(kind)
+    if row is None:
         raise ConfigError(f"unknown design kind {kind!r}")
     mean = doc.get("input_mean")
     design = MechanismDesign(
         kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
-        postfilter=POSTFILTERS[kind](doc, F, G),
-        theory_mse=doc.get("theory_mse"),
+        postfilter=row.load(doc, F, G), theory_mse=doc.get("theory_mse"),
         input_mean=None if mean is None else np.asarray(mean, dtype=float),
         lookahead=int(doc.get("lookahead", 0)), info=dict(doc.get("info", {})))
-    check_noise(kind, F, G, sigma, priv)
+    need = noise_sigma(row.sensitivity(F, G, priv.k_vector()), priv)
+    if sigma < need * (1.0 - NOISE_SLACK):
+        raise InsufficientNoise(
+            f"stored noise_sigma {sigma:.6g} is below kappa * sensitivity "
+            f"= {need:.6g} for this {kind} design; refusing to run a "
+            "design that would not meet its privacy claim")
     return design
 
 

@@ -271,61 +271,6 @@ def optimize_prefilter_general(F, P_u: np.ndarray, k,
     return x, val
 
 
-def _taps_bank(self) -> "FirBank":
-    """The FirBank of the filter's taps, built on first use and kept: the
-    bank() of SmootherFilter and CausalWienerFilter."""
-    if "_bank" not in self.__dict__:
-        self._bank = FirBank(self.taps)
-    return self._bank
-
-
-@dataclass
-class SmootherFilter(Postfilter):
-    """Two-sided FIR realization of a Wiener smoother grid."""
-
-    taps: np.ndarray            # (2K+1, p, m), lag range [-K, K]
-    half: int                   # K
-
-    @classmethod
-    def from_grid(cls, H: np.ndarray, tail_tol: float = 1e-10
-                  ) -> "SmootherFilter":
-        """Taps over lags -K..K, K >= 1 the last lag at which the larger
-        of the lag-K and lag-(-K) taps exceeds tail_tol times the peak."""
-        N = H.shape[0] - 1
-        h = grid_lags(H)                        # lags 0..N-1, -N..-1
-        mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
-        peak = max(float(mags.max()), 1e-300)
-        # the larger of the lag-k and lag-(-k) taps, k = 1..N-1
-        above = np.flatnonzero(np.maximum(mags[1:N], mags[:N:-1])
-                               > tail_tol * peak)
-        K = int(above[-1]) + 1 if above.size else 1
-        taps = np.concatenate([h[-K:], h[: K + 1]], axis=0)
-        return cls(taps=taps, half=K)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.bank().run(v, self.half)
-
-    bank = _taps_bank
-
-    def margins(self) -> tuple[int, int]:
-        return self.half, self.half
-
-    def to_doc(self) -> dict:
-        return {"taps": self.taps.tolist(), "half": self.half}
-
-    @classmethod
-    def from_doc(cls, doc, target, prefilter) -> "SmootherFilter":
-        taps = stored_taps(doc, "taps", *target.shape)
-        half = int(doc["postfilter"].get("half", -1))
-        if taps.shape[0] != 2 * half + 1:
-            raise ConfigError(f"postfilter half {half} does not match "
-                              f"{taps.shape[0]} smoother taps")
-        return cls(taps=taps, half=half)
-
-    def grid(self, N: int) -> np.ndarray:
-        return taps_grid(self.taps, N, -self.half)
-
-
 class FirBank:
     """A MIMO FIR filter, taps (L, p, m), run by overlap-save block
     convolution (Stockham 1966) with its tap spectra taken once.
@@ -369,14 +314,6 @@ class FirBank:
             y[:, i] = np.fft.irfft(Y, n, axis=-1)[:, L - 1:].ravel()[:T]
         y[max(T + L - 1 - offset, 0):] = 0.0
         return y
-
-
-def mimo_fir(taps: np.ndarray, v: np.ndarray, offset: int = 0
-             ) -> np.ndarray:
-    """Samples offset..offset+T-1 of the MIMO convolution of taps (L, p, m)
-    with v (T, m), zero past its end: FirBank(taps).run(v, offset), for
-    one-off callers. A filter run more than once keeps its FirBank."""
-    return FirBank(taps).run(v, offset)
 
 
 def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -425,34 +362,74 @@ def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
 
 @dataclass
 class CausalWienerFilter(Postfilter):
-    """Causal Wiener postfilter [P_yv L^-*]_+ Pe^-1 L^-1 as one causal FIR.
+    """A Wiener postfilter as one FIR run `lookahead` samples ahead: tap j
+    acts on v_{t + lookahead - j} (Kailath, Sayed and Hassibi, "Linear
+    Estimation", 2000, on fixed-lag smoothing).
 
-    apply runs, and the document stores, the full taps (see causal_taps).
-    The design-time parts behind them (l_coeffs, the monic canonical
-    factor of the observation spectrum; pe; mc, the causal part of the
-    whitened cross filter) exist only on a freshly designed filter.
+    At lookahead 0 it is the causal filter [P_yv L^-*]_+ Pe^-1 L^-1 over
+    the full taps of causal_taps; from_grid makes the smoother, over lags
+    -half..half at lookahead half. The design-time parts of a causal
+    filter (l_coeffs, the monic canonical factor of the observation
+    spectrum; pe; mc, the causal part of the whitened cross filter) exist
+    only on a freshly designed one.
     """
 
     taps: np.ndarray            # (n, p, m)
+    lookahead: int = 0
     l_coeffs: np.ndarray | None = None      # (KL+1, m, m), l_coeffs[0] = I
     pe: np.ndarray | None = None            # (m, m)
     mc: np.ndarray | None = None            # (Tc, p, m) causal taps
     anticausal_tail: float = 0.0
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.bank().run(v)
+    @classmethod
+    def from_grid(cls, H: np.ndarray, tail_tol: float = 1e-10
+                  ) -> "CausalWienerFilter":
+        """The smoother of grid H: taps over lags -K..K, K >= 1 the last
+        lag at which the larger of the lag-K and lag-(-K) taps exceeds
+        tail_tol times the peak."""
+        N = H.shape[0] - 1
+        h = grid_lags(H)                        # lags 0..N-1, -N..-1
+        mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
+        peak = max(float(mags.max()), 1e-300)
+        # the larger of the lag-k and lag-(-k) taps, k = 1..N-1
+        above = np.flatnonzero(np.maximum(mags[1:N], mags[:N:-1])
+                               > tail_tol * peak)
+        K = int(above[-1]) + 1 if above.size else 1
+        return cls(taps=np.concatenate([h[-K:], h[: K + 1]], axis=0),
+                   lookahead=K)
 
-    bank = _taps_bank
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.bank().run(v, self.lookahead)
+
+    def bank(self) -> "FirBank":
+        """The FirBank of the taps, built on first use and kept."""
+        if "_bank" not in self.__dict__:
+            self._bank = FirBank(self.taps)
+        return self._bank
 
     def margins(self) -> tuple[int, int]:
-        return self.taps.shape[0], 0
+        return self.taps.shape[0] - self.lookahead, self.lookahead
 
     def to_doc(self) -> dict:
-        return {"taps": self.taps.tolist()}
+        """The taps, and a smoother's lookahead as its half-width `half`."""
+        doc = {"taps": self.taps.tolist()}
+        if self.lookahead:
+            doc["half"] = self.lookahead
+        return doc
 
     @classmethod
-    def from_doc(cls, doc, target, prefilter) -> "CausalWienerFilter":
-        return cls(taps=stored_taps(doc, "taps", *target.shape))
+    def from_doc(cls, doc, target, prefilter, smoother: bool = False
+                 ) -> "CausalWienerFilter":
+        """A causal block holds taps; a smoother block also holds `half`,
+        which must match its 2 half + 1 taps."""
+        taps = stored_taps(doc, "taps", *target.shape)
+        if not smoother:
+            return cls(taps=taps)
+        half = int(doc["postfilter"].get("half", -1))
+        if taps.shape[0] != 2 * half + 1:
+            raise ConfigError(f"postfilter half {half} does not match "
+                              f"{taps.shape[0]} smoother taps")
+        return cls(taps=taps, lookahead=half)
 
     def grid(self, N: int) -> np.ndarray:
         """The exact frequency response, from the design-time parts."""
@@ -556,8 +533,9 @@ def assemble_lms(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     """Design the LMS mechanism: the prefilter and noise of lms_prefilter
     with the smoother or causal postfilter attached.
 
-    The reported theory_mse (smoother mode) is the achieved objective of
-    lms_prefilter.
+    theory_mse is the achieved objective of lms_prefilter for the
+    smoother and the quadrature MSE of the causal postfilter (also
+    info.causal_mse_quadrature) for the causal mode.
     """
     if mode not in ("smoother", "causal"):
         raise ConfigError(f"unknown LMS mode: {mode}")
@@ -565,16 +543,15 @@ def assemble_lms(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     G, sigma, info = lms_prefilter(F, P_u, privacy, order)
     Fg = freq_response(F, N)
     if mode == "smoother":
-        H = wiener_smoother(Fg, P_u, G, sigma)
-        postfilter = SmootherFilter.from_grid(H)
+        postfilter = CausalWienerFilter.from_grid(
+            wiener_smoother(Fg, P_u, G, sigma))
         theory = info["achieved_objective"]
     else:
         postfilter = causal_wiener(Fg, P_u, G, sigma)
         info["smoother_mse"] = info["achieved_objective"]
-        info["causal_mse_quadrature"] = postfilter_mse(
+        theory = info["causal_mse_quadrature"] = postfilter_mse(
             Fg, P_u, G, sigma, postfilter.grid(N))
         info["anticausal_tail"] = postfilter.anticausal_tail
-        theory = None
     return MechanismDesign(
         kind="wiener_smoother" if mode == "smoother" else "wiener_causal",
         target=F, prefilter=G, noise_sigma=float(sigma), privacy=privacy,

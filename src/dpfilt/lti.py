@@ -416,23 +416,12 @@ def column_energies(sys, lag: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return energy, slack
 
 
-def h2_norm(sys, method: str = "auto", N: int = DEFAULT_GRID) -> float:
+def h2_norm(sys) -> float:
     """H2 norm: sqrt of total impulse-response energy over all input/
-    output pairs.
-
-    'auto' sums column_energies (exact coefficient sums for FIR entries,
-    Gramians otherwise); 'frequency' integrates Tr(G*G) on the grid by
-    the trapezoidal rule.
-    """
-    if method not in ("auto", "frequency"):
-        raise ValueError(f"unknown H2 norm method {method!r}; "
-                         "expected 'auto' or 'frequency'")
+    output pairs, summed from column_energies (exact coefficient sums for
+    FIR entries, Gramians otherwise)."""
     sys = as_matrix(sys)
     _require_stable(sys)
-    if method == "frequency":
-        g = freq_response(sys, N)
-        tr = np.einsum("qij,qij->q", np.conj(g), g).real
-        return float(np.sqrt(trapezoid_mean(tr)))
     return float(np.sqrt(max(float(np.sum(column_energies(sys)[0])), 0.0)))
 
 

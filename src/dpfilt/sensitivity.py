@@ -1,7 +1,7 @@
 """l2 sensitivity of LTI filters under the one-impulse-per-channel
-adjacency relation: exact single-input and diagonal formulas, general
-bounds, the MIMO value via FFT cross-correlation with a certified tail,
-and a small brute-force oracle."""
+adjacency relation: the exact diagonal formula, general bounds, the
+MIMO value via FFT cross-correlation with a certified tail (exact for
+one or two inputs), and a small brute-force oracle."""
 
 from __future__ import annotations
 
@@ -27,15 +27,6 @@ class SensitivityReport:
         return {"lower": self.lower, "upper": self.upper,
                 "exact": self.exact, "horizon_used": self.horizon_used,
                 "is_exact": self.is_exact}
-
-
-def simo_sensitivity(G, k1: float) -> float:
-    """Single-input system: sensitivity is k1 times the H2 norm."""
-    G = as_matrix(G)
-    if G.shape[1] != 1:
-        raise DimensionMismatch(
-            f"expected a single-input system, got {G.shape[1]} inputs")
-    return float(k1) * h2_norm(G)
 
 
 def diagonal_sensitivity(G, k) -> float:

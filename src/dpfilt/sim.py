@@ -97,8 +97,9 @@ class OccupancySource(StreamSource):
     """Independent Poisson count streams with a daily rate modulation.
 
     Rates lambda_i(t) = rate_i * (1 + amplitude * sin(2 pi t / period
-    + phase_i)), tabulated once for one period and repeated exactly; the
-    modulation averages to one so the configured rate is the long-run mean.
+    + phase_i)), tabulated per run for at most one period and repeated
+    exactly; the modulation averages to one so the configured rate is the
+    long-run mean.
     """
 
     def __init__(self, m: int = 15, rates=None, period: int = 480,
@@ -129,15 +130,14 @@ class OccupancySource(StreamSource):
         rng = np.random.default_rng(phase_seed + 1)
         self.phases = rng.uniform(0.0, 2.0 * np.pi, m)
         self.name = name
-        # the rates of one period (one row when flat); never negative,
-        # since the rates are not and amplitude < 1
-        p = np.arange(self.period if self.amplitude else 1)[:, None]
-        self._table = self.rates * (1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * p / self.period + self.phases))
 
     def sample(self, T: int, seed: int) -> EventStream:
-        # whole periods, drawn in the C order of a (T, m) rate array
-        lam = self._table[:max(T, 1)]
+        # the rates of the first min(T, period) steps (one row when flat),
+        # never negative since the rates are not and amplitude < 1; whole
+        # repeats of them, drawn in the C order of a (T, m) rate array
+        p = np.arange(min(max(T, 1), self.period if self.amplitude else 1))
+        lam = self.rates * (1.0 + self.amplitude * np.sin(
+            2.0 * np.pi * p[:, None] / self.period + self.phases))
         data = np.random.default_rng(seed).poisson(
             lam, size=(-(-T // len(lam)),) + lam.shape)
         return EventStream(data.reshape(-1, self.m)[:T].astype(float),

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, NotFactorizable,
                      UnstableInverse)
-from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix, freq_response,
-                  grid_omega, h2_norm, simulate, trapezoid_mean)
+from .lti import (DEFAULT_GRID, TransferMatrix, freq_response, grid_omega,
+                  h2_norm, simulate, trapezoid_mean)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import scalar_spectral_factor
@@ -24,11 +24,11 @@ DEFAULT_FACTOR_ORDER = 40
 class MechanismDesign:
     """A complete privacy mechanism: prefilter, noise scale, postfilter.
 
-    kind is one of 'zero_forcing', 'wiener_smoother', 'wiener_causal',
-    'decision_feedback', 'output_perturbation'. The postfilter is an
-    lti.Postfilter; `target` keeps the desired filter F for simulation and
-    MSE evaluation. `input_mean` holds the public mean subtracted before
-    the prefilter (its F(1)-image is added back on the output).
+    kind is its document kind, that of a row of fileio.MECHANISMS. The
+    postfilter is an lti.Postfilter; `target` keeps the desired filter F
+    for simulation and MSE evaluation. `input_mean` holds the public mean
+    subtracted before the prefilter (its F(1)-image is added back on the
+    output).
     """
 
     kind: str
@@ -103,20 +103,6 @@ def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
 def column_norm_grid(F, N: int = DEFAULT_GRID) -> np.ndarray:
     """|F_i(e^{j omega})|_2 for every input column, shape (N+1, m)."""
     return np.linalg.norm(freq_response(F, N), axis=1)
-
-
-def design_simo_prefilter(F, k1: float = 1.0, N: int = DEFAULT_GRID,
-                          order: int = DEFAULT_FACTOR_ORDER) -> RationalFilter:
-    """Optimal scalar prefilter for a single-input target filter.
-
-    Returns the minimum-phase factor of |F(e^{j omega})|_2 / k1; one
-    intermediate channel suffices.
-    """
-    if F.shape[1] != 1:
-        raise DimensionMismatch("SIMO design expects a single-input system")
-    s = column_norm_grid(F, N)[:, 0] / float(k1)
-    g, _ = scalar_spectral_factor(s, order)
-    return g
 
 
 def design_diag_prefilter(F, k, N: int = DEFAULT_GRID,

@@ -458,7 +458,7 @@ class TestCausalRoundTrip:
                      "--out", str(design_path)]) == 0
         doc = load_json(design_path)
         assert doc["kind"] == "wiener_causal"
-        assert doc["theory_mse"] is None
+        assert doc["theory_mse"] == doc["info"]["causal_mse_quadrature"]
         report_path = tmp_path / "report.json"
         assert main(["simulate", "--design", str(design_path),
                      "--trials", "2", "--steps", "5000",

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
-                    chain_spectrum, decision_device,
-                    design_df, df_factorizations, df_theory_mse,
-                    grid_omega, kappa, optimal_feedback,
+                    chain_spectrum, design_df, df_factorizations,
+                    df_theory_mse, grid_omega, kappa, optimal_feedback,
                     run_df_mechanism, server_example, simulate,
                     trapezoid_mean)
-from dpfilt.df import DECISION_DOMAINS
+from dpfilt.df import DECISION_DOMAINS, decision_op
 from dpfilt.errors import ConfigError
 from dpfilt.spectral import MatrixFactorization
 
@@ -171,24 +170,32 @@ class TestTheoryMse:
 
 
 class TestDecisionDevice:
+    """The decision op of each domain, called as the closed loop calls it:
+    on a scratch float array, with a zero array of its shape."""
+
+    @staticmethod
+    def decide(x, domain):
+        x = np.array(x, dtype=float)
+        return decision_op(domain)(x, np.zeros_like(x))
+
     def test_integer_rounding(self):
-        assert decision_device(np.array([2.4]), "nonneg_integers")[0] == 2.0
+        assert self.decide(np.array([2.4]), "nonneg_integers")[0] == 2.0
 
     def test_clamp_at_zero(self):
-        assert decision_device(np.array([-0.3]), "nonneg_integers")[0] == 0.0
-        assert decision_device(np.array([-1.7]), "nonneg_integers")[0] == 0.0
+        assert self.decide(np.array([-0.3]), "nonneg_integers")[0] == 0.0
+        assert self.decide(np.array([-1.7]), "nonneg_integers")[0] == 0.0
 
     def test_sign_rule(self):
-        out = decision_device(np.array([0.1, -0.1, 0.0]), "sign")
+        out = self.decide(np.array([0.1, -0.1, 0.0]), "sign")
         assert np.array_equal(out, [1.0, -1.0, 1.0])
 
     def test_reals_identity(self):
         x = np.array([1.234, -5.6])
-        assert np.array_equal(decision_device(x, "reals"), x)
+        assert np.array_equal(self.decide(x, "reals"), x)
 
     def test_unknown_domain(self):
         with pytest.raises(ConfigError):
-            decision_device(np.array([1.0]), "complex")
+            self.decide(np.array([1.0]), "complex")
 
 
 class TestClosedLoop:
@@ -343,6 +350,7 @@ def run_df_reference(design, stream, seed, oracle_feedback=False):
     P = df.feedback.p_coeffs
     K = P.shape[0] - 1
     Prev = P[1:][::-1] if K else np.zeros((0, m, m))
+    decide, zero = decision_op(df.decision_domain), np.zeros(m)
     u_hat = np.zeros((T, m))
     u_tilde = np.zeros((T, m))
     r = np.zeros((T, m))
@@ -354,7 +362,7 @@ def run_df_reference(design, stream, seed, oracle_feedback=False):
         else:
             fb_term = np.zeros(m)
         u_tilde[t] = fwd[t] + fb_term
-        u_hat[t] = decision_device(u_tilde[t] + mu, df.decision_domain) - mu
+        u_hat[t] = decide(u_tilde[t] + mu, zero) - mu
         fed_back = uc[t] if oracle_feedback else u_hat[t]
         r[t] = fed_back - fb_term
     return u_hat, u_tilde
@@ -566,7 +574,7 @@ class TestServerFeedbackPrecision:
         from dpfilt.cli import _make_design
         from dpfilt.config import Config
         from dpfilt.fileio import source_from_spec
-        from dpfilt.lms import mimo_fir
+        from dpfilt.lms import FirBank
         monkeypatch.chdir(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         cfg = Config.load("benchmark/workloads/server_df.yaml")
@@ -581,7 +589,8 @@ class TestServerFeedbackPrecision:
         v = design.release(uc + mu, 2)
         u_tilde, _ = df.closed_loop([v], mu, uc[:, None])
 
-        fwd = mimo_fir(df.h1_taps, v, df.lookahead).astype(np.longdouble)
+        fwd = FirBank(df.h1_taps).run(v, df.lookahead).astype(
+            np.longdouble)
         Pl = P.astype(np.longdouble)
         r = np.zeros((T, m), dtype=np.longdouble)
         want = np.empty((T, m), dtype=np.longdouble)

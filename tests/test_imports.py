@@ -109,6 +109,23 @@ def unreferenced_public(sources: dict, readers: dict) -> list:
     return sorted(out)
 
 
+def kind_comparisons(source: str, kinds: set) -> list:
+    """Comparisons (==, !=, in, not in) whose operands hold a
+    mechanism-kind literal, one config or document kind in `kinds`, as
+    'line N'."""
+    ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare) \
+                or not any(isinstance(op, ops) for op in node.ops):
+            continue
+        if any(isinstance(sub, ast.Constant) and sub.value in kinds
+               for operand in (node.left, *node.comparators)
+               for sub in ast.walk(operand)):
+            out.append(f"line {node.lineno}")
+    return out
+
+
 def scipy_modules_after(code: str, cwd) -> list:
     """Run code in a fresh interpreter, then list the scipy modules loaded."""
     script = code + "\nimport sys, json\nprint(json.dumps(sorted(" \
@@ -169,6 +186,32 @@ def test_unused_imports_flagged():
 def test_module_has_no_unused_import(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def mechanism_kinds() -> set:
+    from dpfilt.fileio import MECHANISMS
+    return set(MECHANISMS) | {row.kind for row in MECHANISMS.values()}
+
+
+def test_kind_comparison_flagged():
+    # the --domain check of `dpfilt simulate` before the mechanism table,
+    # the if-chain of the design command, and a non-kind literal
+    source = ('if doc["kind"] != "decision_feedback":\n'
+              '    pass\n'
+              'if kind in ("lms_smoother", "lms_causal"):\n'
+              '    mode = "smoother" if kind == "lms_smoother" else "c"\n'
+              'white = block.get("kind") == "white"\n'
+              'default = cfg.get("kind", "zfe")\n')
+    assert kind_comparisons(source, mechanism_kinds()) == [
+        "line 1", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_mechanism_kinds_dispatched_by_the_table(path):
+    # a kind is told apart only by its row of fileio.MECHANISMS, never by
+    # comparing a value with its name
+    with open(path) as fh:
+        assert kind_comparisons(fh.read(), mechanism_kinds()) == []
 
 
 def test_unreferenced_private_flagged():

@@ -316,7 +316,7 @@ class TestAssemble:
     def test_causal_mode(self):
         d = assemble_lms(self.F, self.Pu, self.pk, mode="causal")
         assert d.kind == "wiener_causal"
-        assert d.theory_mse is None
+        assert d.theory_mse == d.info["causal_mse_quadrature"]
         assert d.info["causal_mse_quadrature"] >= \
             d.info["smoother_mse"] - 1e-12
 
@@ -422,7 +422,7 @@ def monic_inverse_reference(coeffs, v):
 
 def mimo_fir_reference(taps, v, offset):
     """The seed's per-(i, j) fftconvolve loop, kept as the agreement
-    reference for mimo_fir."""
+    reference for FirBank.run."""
     from scipy.signal import fftconvolve
     T, m = v.shape
     y = np.zeros((T, taps.shape[1]))
@@ -501,20 +501,20 @@ class TestSequentialKernelAgreement:
     ])
     def test_mimo_fir_matches_pairwise_fftconvolve(self, rng, L, p, m, T,
                                                    offset):
-        from dpfilt.lms import mimo_fir
+        from dpfilt.lms import FirBank
         taps = rng.normal(size=(L, p, m))
         v = rng.normal(size=(T, m))
-        got = mimo_fir(taps, v, offset)
+        got = FirBank(taps).run(v, offset)
         assert got.shape == (T, p)
         assert rel_gap(got, mimo_fir_reference(taps, v, offset)) <= 1e-12
 
     def test_mimo_fir_zero_past_the_full_convolution(self, rng):
         # samples at or past T + L - 1 are exactly zero
-        from dpfilt.lms import mimo_fir
-        taps = rng.normal(size=(15, 2, 3))
+        from dpfilt.lms import FirBank
+        bank = FirBank(rng.normal(size=(15, 2, 3)))
         v = rng.normal(size=(30, 3))
-        assert not np.any(mimo_fir(taps, v, 44))
-        got = mimo_fir(taps, v, 40)
+        assert not np.any(bank.run(v, 44))
+        got = bank.run(v, 40)
         assert np.all(got[4:] == 0.0) and np.all(got[:4] != 0.0)
 
 
@@ -621,7 +621,7 @@ def iir_apply_reference(post, v):
     loop), then Pe^-1 and the causal taps mc; the agreement reference for
     the single-FIR apply over the full causal taps."""
     from scipy.signal import lfilter
-    from dpfilt.lms import mimo_fir
+    from dpfilt.lms import FirBank
     L = post.l_coeffs
     m = L.shape[1]
     if np.any(L[:, ~np.eye(m, dtype=bool)]):
@@ -629,7 +629,7 @@ def iir_apply_reference(post, v):
     else:
         e = np.stack([lfilter([1.0], np.r_[1.0, L[1:, i, i]], v[:, i])
                       for i in range(m)], axis=1)
-    return mimo_fir(post.mc, e @ np.linalg.inv(post.pe).T)
+    return FirBank(post.mc).run(e @ np.linalg.inv(post.pe).T)
 
 
 class TestCausalTaps:
@@ -733,7 +733,7 @@ class TestBatchedMonicRecursion:
 
 
 def smoother_reference(H, tail_tol=1e-10):
-    """The lag loop SmootherFilter.from_grid ran before it was vectorized:
+    """The lag loop the smoother's from_grid ran before it was vectorized:
     (taps, half)."""
     N = H.shape[0] - 1
     full = np.concatenate([H, np.conj(H[-2:0:-1])], axis=0)
@@ -748,15 +748,15 @@ def smoother_reference(H, tail_tol=1e-10):
 
 
 class TestSmootherFromGrid:
-    """SmootherFilter.from_grid against the lag loop it replaced: the
-    same half and bitwise the same taps."""
+    """CausalWienerFilter.from_grid against the lag loop it replaced: the
+    same half (its lookahead) and bitwise the same taps."""
 
     @staticmethod
     def check(H, half=None):
-        from dpfilt.lms import SmootherFilter
-        got = SmootherFilter.from_grid(H)
+        from dpfilt.lms import CausalWienerFilter
+        got = CausalWienerFilter.from_grid(H)
         taps, K = smoother_reference(H)
-        assert got.half == K
+        assert got.lookahead == K
         assert np.array_equal(got.taps, taps)
         if half is not None:
             assert K == half

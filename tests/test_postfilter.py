@@ -11,10 +11,10 @@ import pytest
 import yaml
 
 from dpfilt import RationalFilter, TransferMatrix
-from dpfilt.cli import _make_design, main
-from dpfilt.config import MECHANISM_KINDS, Config
+from dpfilt.cli import _make_design, build_parser, main
+from dpfilt.config import Config
 from dpfilt.errors import ConfigError
-from dpfilt.fileio import (POSTFILTERS, design_from_dict, design_to_dict,
+from dpfilt.fileio import (MECHANISMS, design_from_dict, design_to_dict,
                            load_json, transfer_matrix_to_dict)
 
 MECHS = ("zfe", "output_perturbation", "lms_smoother", "lms_causal", "df")
@@ -70,8 +70,8 @@ class TestRoundTrip:
     def test_loaded_postfilter_applies_bitwise_equal(self, designs, mech):
         design, doc = designs[mech]
         post = design.postfilter
-        loaded = POSTFILTERS[design.kind](doc, design.target,
-                                          design.prefilter)
+        assert design.kind == doc["kind"] == MECHANISMS[mech].kind
+        loaded = MECHANISMS[mech].load(doc, design.target, design.prefilter)
         assert type(loaded) is type(post)
         assert loaded.margins() == post.margins()
         if post.batched:
@@ -87,8 +87,8 @@ class TestRoundTrip:
         # a loaded causal postfilter keeps its FirBank after the first
         # apply; a second apply gives bitwise the same output
         design, doc = designs["lms_causal"]
-        loaded = POSTFILTERS[design.kind](doc, design.target,
-                                          design.prefilter)
+        loaded = MECHANISMS["lms_causal"].load(doc, design.target,
+                                               design.prefilter)
         v = releases(design, n=1)[0]
         first = loaded.apply(v)
         bank = loaded.bank()
@@ -110,17 +110,16 @@ class TestRoundTrip:
         assert post.margins() == (post.taps.shape[0], 0)
 
 
-def test_mechanism_kind_lists_agree(designs):
-    # the config kinds, the loader table and the design schema name the
-    # same mechanisms: every config kind designs to a document kind with
-    # a loader, every loader has a config kind, and the schema admits
-    # exactly the loaded kinds
+def test_mechanism_kind_lists_agree():
+    # the design schema admits exactly the document kinds of the
+    # mechanism table, and `dpfilt design --mechanism` its config kinds
     schema = json.loads(importlib.resources.files("dpfilt").joinpath(
         "schemas", "design.schema.json").read_text())
-    assert set(schema["properties"]["kind"]["enum"]) == set(POSTFILTERS)
-    assert set(MECHANISM_KINDS) == set(designs)
-    assert {designs[mech][1]["kind"] for mech in MECHANISM_KINDS} \
-        == set(POSTFILTERS)
+    assert set(schema["properties"]["kind"]["enum"]) \
+        == {row.kind for row in MECHANISMS.values()}
+    design = build_parser()._subparsers._group_actions[0].choices["design"]
+    option = next(a for a in design._actions if a.dest == "mechanism")
+    assert list(option.choices) == list(MECHANISMS)
 
 
 class TestStoredChecks:
@@ -198,7 +197,6 @@ class TestSimulateLoadsStoredPostfilter:
                             ("lms", "matrix_canonical_factor"),
                             ("df", "matrix_canonical_factor"),
                             ("fileio", "spectrum_from_spec"),
-                            ("cli", "spectrum_from_spec"),
                             ("markov", "chain_spectrum"),
                             ("fileio", "chain_spectrum")):
             monkeypatch.setattr(importlib.import_module(f"dpfilt.{layer}"),
@@ -228,7 +226,7 @@ class TestSimulateLoadsStoredPostfilter:
         import dpfilt.lms
 
         def refuse(*args, **kwargs):
-            raise AssertionError("DF design built a SmootherFilter")
+            raise AssertionError("DF design built a smoother postfilter")
 
         calls = []
         smoother = dpfilt.df.wiener_smoother
@@ -237,7 +235,8 @@ class TestSimulateLoadsStoredPostfilter:
             calls.append(1)
             return smoother(*args, **kwargs)
 
-        monkeypatch.setattr(dpfilt.lms.SmootherFilter, "from_grid", refuse)
+        monkeypatch.setattr(dpfilt.lms.CausalWienerFilter, "from_grid",
+                            refuse)
         monkeypatch.setattr(dpfilt.df, "wiener_smoother", counted)
         self.design(tmp_path, "df")
         assert calls == [1]

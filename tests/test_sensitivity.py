@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dpfilt import (RationalFilter, TransferMatrix, brute_force_sensitivity,
-                    diagonal_sensitivity, mimo_bounds, mimo_exact,
-                    simo_sensitivity)
+                    diagonal_sensitivity, mimo_bounds, mimo_exact)
 from dpfilt.errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                            OracleTooLarge, UnstableSystem)
 from dpfilt.fileio import build_filter
@@ -60,21 +59,21 @@ def random_diag_fir(rng, m, max_lag=3):
 
 class TestSimo:
     def test_identity(self):
-        assert simo_sensitivity(TransferMatrix.identity(1), 1.0) == \
+        assert mimo_exact(TransferMatrix.identity(1), [1.0]).exact == \
             pytest.approx(1.0)
 
     def test_moving_average_k4(self):
-        assert simo_sensitivity(moving_average_20(), 4.0) == pytest.approx(
+        assert mimo_exact(moving_average_20(), [4.0]).exact == pytest.approx(
             4.0 / np.sqrt(20.0), rel=1e-12)
 
     def test_linearity_in_k(self, rng):
         G = random_transfer_matrix(rng, 3, 1)
-        assert simo_sensitivity(G, 3.0) == pytest.approx(
-            3.0 * simo_sensitivity(G, 1.0), rel=1e-12)
+        assert mimo_exact(G, [3.0]).exact == pytest.approx(
+            3.0 * mimo_exact(G, [1.0]).exact, rel=1e-12)
 
     def test_multi_input_rejected(self):
         with pytest.raises(DimensionMismatch):
-            simo_sensitivity(TransferMatrix.identity(2), 1.0)
+            mimo_exact(TransferMatrix.identity(2), [1.0])
 
 
 class TestDiagonal:

@@ -154,6 +154,24 @@ class TestOccupancySource:
                 assert got.shape == (T, src.m)
                 assert np.array_equal(got, per_step(T, seed))
 
+    def test_huge_period_costs_only_the_run(self):
+        # the rates are tabulated for min(T, period) steps: a period of
+        # 10**6 (a 114 MB table when it was built for the whole period)
+        # costs what its 100-step run needs, and draws the same
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            src = OccupancySource(period=10 ** 6)
+            got = src.sample(100, seed=2).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        t = np.arange(100)[:, None]
+        lam = src.rates * (1.0 + src.amplitude * np.sin(
+            2.0 * np.pi * t / src.period + src.phases))
+        assert np.array_equal(got, np.random.default_rng(2).poisson(lam))
+
     def test_determinism(self):
         src = OccupancySource(m=2, phase_seed=5)
         assert np.array_equal(src.sample(100, seed=9).data,

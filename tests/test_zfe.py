@@ -3,10 +3,9 @@ import pytest
 
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     assemble_output_perturbation, assemble_zfe,
-                    column_norm_grid, design_diag_prefilter,
-                    design_simo_prefilter, freq_response, grid_omega, kappa,
-                    occupancy_filter_bank, zfe_general_lower_bound,
-                    zfe_mse_diag_bound)
+                    column_norm_grid, design_diag_prefilter, freq_response,
+                    grid_omega, kappa, occupancy_filter_bank,
+                    zfe_general_lower_bound, zfe_mse_diag_bound)
 from dpfilt.errors import DimensionMismatch, UnstableInverse
 
 from conftest import random_fir_matrix
@@ -24,9 +23,11 @@ def merl_privacy():
 
 
 class TestSimoDesign:
+    """A single-input target: the diagonal design with one channel."""
+
     def test_constant_column(self):
         F = TransferMatrix([[RationalFilter([3.0])], [RationalFilter([4.0])]])
-        g = design_simo_prefilter(F, k1=1.0, N=N)
+        g = design_diag_prefilter(F, [1.0], N=N)[0, 0]
         # |G|^2 = |col|_2 = 5 everywhere
         assert np.abs(g.freq(0.7)) ** 2 == pytest.approx(5.0, rel=1e-8)
 
@@ -34,25 +35,29 @@ class TestSimoDesign:
         taps = np.zeros(21)
         taps[1:] = 1.0 / 20.0
         F = TransferMatrix([[RationalFilter(taps)]])
-        g = design_simo_prefilter(F, k1=1.0, N=1024)
+        g = design_diag_prefilter(F, [1.0], N=1024)[0, 0]
         assert np.abs(g.freq(0.0)) ** 2 == pytest.approx(1.0, abs=2e-2)
 
     def test_defining_identity_on_grid(self, rng):
         F = random_fir_matrix(rng, 3, 1, max_lag=4)
-        g = design_simo_prefilter(F, k1=2.0, N=N, order=48)
+        g = design_diag_prefilter(F, [2.0], N=N, order=48)[0, 0]
         target = column_norm_grid(F, N)[:, 0] / 2.0
         got = np.abs(g.freq(grid_omega(N))) ** 2
         assert np.max(np.abs(got - target)) / target.max() < 1e-3
 
     def test_multi_input_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
-            design_simo_prefilter(random_fir_matrix(rng, 2, 2), 1.0, N)
+            design_diag_prefilter(random_fir_matrix(rng, 2, 2), [1.0], N)
 
 
 class TestDiagDesign:
     def test_single_column_consistency(self, rng):
+        # one column is factored alone: the scalar factor of |F_1|_2 / k_1
+        from dpfilt.spectral import scalar_spectral_factor
+        from dpfilt.zfe import DEFAULT_FACTOR_ORDER
         F = random_fir_matrix(rng, 2, 1, max_lag=3)
-        g_simo = design_simo_prefilter(F, k1=2.0, N=N)
+        g_simo, _ = scalar_spectral_factor(column_norm_grid(F, N)[:, 0] / 2.0,
+                                           DEFAULT_FACTOR_ORDER)
         G = design_diag_prefilter(F, (2.0,), N=N)
         assert np.allclose(G[0, 0].num, g_simo.num, atol=1e-12)
 
