@@ -18,10 +18,9 @@ from .privacy import (PrivacySpec, gaussian_delta, kappa, noise_sigma,
                       q_function, q_inverse)
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
                           diagonal_sensitivity, mimo_bounds, mimo_exact)
-from .sim import (EventStream, FixedStreamSource, MarkovStreamSource,
-                  OccupancySource, compare_mechanisms, empirical_mse,
-                  gaussian_fir, moving_average, occupancy_filter_bank,
-                  run_mechanism)
+from .sim import (FixedStreamSource, OccupancySource, compare_mechanisms,
+                  empirical_mse, gaussian_fir, moving_average,
+                  occupancy_filter_bank, run_mechanism)
 from .spectral import (MatrixFactorization, factor_grid_error,
                        fit_rational_magnitude, matrix_canonical_factor,
                        paley_wiener_check, scalar_spectral_factor)

@@ -20,7 +20,8 @@ from . import __version__
 from .config import Config, as_number
 from .errors import ConfigError, DpfiltError
 from .fileio import (MECHANISMS, build_filter, design_from_dict,
-                     design_to_dict, load_json, save_json, source_from_spec)
+                     design_to_dict, load_json, save_json, source_from_spec,
+                     write_csv)
 from .zfe import MechanismDesign
 
 
@@ -34,12 +35,14 @@ def _validator(schema_name: str):
 
 
 def validate_document(doc: dict, schema_name: str) -> None:
-    """Raise what jsonschema.validate(doc, schema) raises."""
+    """ConfigError naming the JSON path of the error that
+    jsonschema.validate(doc, schema) raises, chained from it."""
     import jsonschema
     error = jsonschema.exceptions.best_match(
         _validator(schema_name).iter_errors(doc))
     if error is not None:
-        raise error
+        raise ConfigError(f"{schema_name}: {error.json_path}: "
+                          f"{error.message}") from error
 
 
 def _make_design(cfg: Config) -> MechanismDesign:
@@ -151,10 +154,9 @@ def cmd_markov_gen(args) -> int:
     from .markov import sample_chain, server_example
     src = server_example(args.alpha, args.beta)
     seed = args.seed if args.seed is not None else 0
-    stream = sample_chain(src, args.steps, seed)
-    stream.dt_label = args.dt_label
-    stream.save_csv(args.out)
-    print(f"wrote {args.steps} steps x {stream.n_channels} channels "
+    write_csv(args.out, sample_chain(src, args.steps, seed),
+              [f"u{c + 1}" for c in range(src.n_channels)])
+    print(f"wrote {args.steps} steps x {src.n_channels} channels "
           f"to {args.out}")
     return 0
 
@@ -242,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--dt-label", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_markov_gen)
 

@@ -26,7 +26,7 @@ _MECHANISM_KEYS = {"kind", "factor_order", "lookahead", "decision_domain",
 _SPECTRUM_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "lags",
                   "scale", "floor", "mean"}
 _SOURCE_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "csv", "rates",
-                "period", "amplitude", "m"}
+                "period", "amplitude"}
 _SIMULATE_KEYS = {"trials", "steps"}
 
 

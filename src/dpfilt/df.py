@@ -18,7 +18,6 @@ from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        conjugate_factorization, grid_lags,
                        matrix_canonical_factor)
-from .streams import EventStream
 from .zfe import MechanismDesign, stored_taps
 
 @dataclass
@@ -249,19 +248,19 @@ def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
               "assumed_correct_mse": theory})
 
 
-def run_df_mechanism(design: MechanismDesign, stream, seed,
+def run_df_mechanism(design: MechanismDesign, u, seed,
                      oracle_feedback: bool = False):
-    """Closed-loop DF simulation with actual (possibly erroneous)
-    decisions fed back, with diagnostics.
+    """Closed-loop DF simulation of a (T, m) input with actual (possibly
+    erroneous) decisions fed back, with diagnostics.
 
-    Returns (stream of estimates of y_t aligned at index t, diagnostics:
+    Returns ((T, p) estimates of y_t aligned at index t, diagnostics:
     the pre-decision input estimates u_tilde, the decisions u_hat and
     decision_error_rate, the share of steps with a decision that differs
     from the true input). Publication of the estimate of y_t happens d
     steps later; alignment keeps MSE bookkeeping uniform across
     mechanisms.
 
-    A sequence of streams with a matching sequence of seeds (one per
+    A sequence of inputs with a matching sequence of seeds (one per
     trial) returns a list of such pairs. The trials run in one loop over
     time: each step takes the feedback of every trial by one matrix
     product, so the per-step cost is paid once, not once per trial.
@@ -271,13 +270,12 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
     closed-form MSE; useful only for validation, never for release.
     """
     df: DfDesign = design.postfilter
-    single = not isinstance(stream, (list, tuple))
-    streams = [stream] if single else list(stream)
+    single = not isinstance(u, (list, tuple))
+    data = [as_signal(x) for x in ([u] if single else u)]
     seeds = [seed] if single else list(seed)
-    if len(seeds) != len(streams):
+    if len(seeds) != len(data):
         raise DimensionMismatch(
-            f"{len(streams)} streams but {len(seeds)} seeds")
-    data = [as_signal(s.data if hasattr(s, "data") else s) for s in streams]
+            f"{len(data)} streams but {len(seeds)} seeds")
     if any(x.shape != data[0].shape for x in data):
         raise DimensionMismatch("batched streams must share one shape")
     mu = design.mu
@@ -292,15 +290,13 @@ def run_df_mechanism(design: MechanismDesign, stream, seed,
     y_hat += design.target.dc_gain() @ mu
 
     out = []
-    for b, s in enumerate(streams):
-        label = s.dt_label if hasattr(s, "dt_label") else ""
+    for b in range(len(data)):
         # decide(x) - mu equals u - mu bit for bit when the decision is u
         wrong = np.any(u_hat[:, b] != data[b] - mu, axis=1)
-        out.append((EventStream(
-            y_hat[b], [f"y{i + 1}" for i in range(y_hat.shape[2])], label),
-            {"lookahead": df.lookahead, "u_tilde": u_tilde[:, b],
-             "u_hat": u_hat[:, b],
-             "decision_error_rate": float(np.mean(wrong))}))
+        out.append((y_hat[b], {
+            "lookahead": df.lookahead, "u_tilde": u_tilde[:, b],
+            "u_hat": u_hat[:, b],
+            "decision_error_rate": float(np.mean(wrong))}))
     u_tilde += mu                 # the diagnostics report uncentered values
     u_hat += mu
     return out[0] if single else out

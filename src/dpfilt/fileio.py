@@ -1,8 +1,9 @@
-"""File formats: filter definition files, spectrum specs, and
-(de)serialization of mechanism designs to JSON documents."""
+"""File formats: filter definition files, spectrum specs, CSV streams,
+and (de)serialization of mechanism designs to JSON documents."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 from typing import Callable, NamedTuple
@@ -67,7 +68,11 @@ def build_filter(block: dict):
     if preset == "occupancy_bank":
         return occupancy_filter_bank(forecast=block.get("forecast"))
     if preset == "markov_demo":
-        return demo_filter(int(block.get("ma_length", 8)))
+        length = as_number(block.get("ma_length", 8), "ma_length",
+                           integer=True)
+        if length < 1:
+            raise ConfigError(f"ma_length must be at least 1, got {length}")
+        return demo_filter(length)
     raise ConfigError(f"unknown filter preset {preset!r}")
 
 
@@ -134,30 +139,67 @@ def spectrum_from_spec(block: dict, N: int, m: int
     return samples, np.asarray(mean, dtype=float)
 
 
+def read_csv(path) -> np.ndarray:
+    """The (T, m) float array of a CSV stream: a header row of channel
+    names, then one row of m finite numbers per time step."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ConfigError(f"empty stream file: {path}") from None
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as exc:
+            raise ConfigError(
+                f"non-numeric value in stream file {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"stream file has no data rows: {path}")
+    if any(len(r) != len(header) for r in rows):
+        raise ConfigError(
+            f"ragged rows in stream file {path}: every row must have "
+            f"{len(header)} values")
+    data = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ConfigError(
+            f"non-finite value {data[r, c]!r} in stream file {path} at "
+            f"data row {r + 1}, column {c + 1} ({header[c]!r}); every "
+            f"value must be a finite number")
+    return data
+
+
+def write_csv(path, data: np.ndarray, channels) -> None:
+    """Write a (T, m) stream under a header row of its m channel names."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(channels)
+        for row in data:
+            writer.writerow([repr(float(v)) for v in row])
+
+
 def source_from_spec(block: dict, m: int):
-    """Build a stream source from a config `source` block."""
-    from .sim import FixedStreamSource, MarkovStreamSource, OccupancySource
-    from .streams import EventStream
+    """Build a stream source of m channels from a config `source` block:
+    an object whose sample(T, seed) is a (T, m) float array."""
+    from .sim import FixedStreamSource, OccupancySource
     kind = block.get("kind", "occupancy")
     if kind in ("markov_server", "markov"):
-        out = MarkovStreamSource(markov_from_spec(block))
+        out = markov_from_spec(block)
     elif kind == "occupancy":
-        out = OccupancySource(m=int(block.get("m", m)),
-                              rates=block.get("rates"),
+        out = OccupancySource(m=m, rates=block.get("rates"),
                               period=block.get("period", 480),
                               amplitude=block.get("amplitude", 0.6))
     elif kind == "csv":
-        try:
-            stream = EventStream.load_csv(block["csv"])
-        except KeyError as exc:
-            raise ConfigError("csv source needs a 'csv' path") from exc
-        out = FixedStreamSource(stream, name="csv")
+        if "csv" not in block:
+            raise ConfigError("csv source needs a 'csv' path")
+        out = FixedStreamSource(read_csv(block["csv"]))
     else:
         raise ConfigError(f"unknown source kind {kind!r}")
-    if out.sample(1, 0).n_channels != m:
+    emitted = out.sample(1, 0).shape[1]
+    if emitted != m:
         raise ConfigError(
-            f"source emits {out.sample(1, 0).n_channels} channels, "
-            f"filter expects {m}")
+            f"source emits {emitted} channels, filter expects {m}")
     return out
 
 
@@ -286,13 +328,15 @@ def design_from_dict(doc: dict) -> MechanismDesign:
         kind = doc["kind"]
         F = transfer_matrix_from_dict(doc["target"])
         G = transfer_matrix_from_dict(doc["prefilter"])
-        sigma = float(doc["noise_sigma"])
+        sigma = as_number(doc["noise_sigma"], "noise_sigma")
         priv = PrivacySpec(**doc["privacy"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design document: {exc}") from exc
     row = _BY_DOCUMENT_KIND.get(kind)
     if row is None:
         raise ConfigError(f"unknown design kind {kind!r}")
+    if not np.isfinite(sigma):
+        raise ConfigError(f"noise_sigma must be a finite number, got {sigma}")
     mean = doc.get("input_mean")
     design = MechanismDesign(
         kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
@@ -300,7 +344,8 @@ def design_from_dict(doc: dict) -> MechanismDesign:
         input_mean=None if mean is None else np.asarray(mean, dtype=float),
         lookahead=int(doc.get("lookahead", 0)), info=dict(doc.get("info", {})))
     need = noise_sigma(row.sensitivity(F, G, priv.k_vector()), priv)
-    if sigma < need * (1.0 - NOISE_SLACK):
+    # a NaN need (a non-finite filter coefficient) fails this too
+    if not sigma >= need * (1.0 - NOISE_SLACK):
         raise InsufficientNoise(
             f"stored noise_sigma {sigma:.6g} is below kappa * sensitivity "
             f"= {need:.6g} for this {kind} design; refusing to run a "

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ConfigError, NotErgodic
 from .lti import RationalFilter, TransferMatrix, grid_omega
-from .streams import EventStream
 
 ERGODIC_TOL = 1e-9
 
@@ -20,11 +19,13 @@ class MarkovSource:
     """Column-stochastic transition matrix plus event-channel selectors.
 
     Pi[i, j] = P(x_{t+1} = e_i | x_t = e_j); channel c emits 1 whenever
-    the chain sits in state selectors[c] (0-based).
+    the chain sits in state selectors[c] (0-based). As a stream source,
+    sample(T, seed) is a stationary (T, m) sample path.
     """
 
     Pi: np.ndarray
     selectors: tuple
+    name = "markov"
 
     def __post_init__(self):
         self.Pi = np.asarray(self.Pi, dtype=float)
@@ -46,6 +47,9 @@ class MarkovSource:
     @property
     def n_channels(self) -> int:
         return len(self.selectors)
+
+    def sample(self, T: int, seed: int) -> np.ndarray:
+        return sample_chain(self, T, seed)
 
     def selector_matrix(self) -> np.ndarray:
         E = np.zeros((self.n_states, self.n_channels))
@@ -120,8 +124,9 @@ def autocovariance(src: MarkovSource, lags: int) -> np.ndarray:
     return out
 
 
-def sample_chain(src: MarkovSource, T: int, seed: int) -> EventStream:
-    """Stationary sample path of the indicator channels (values in {0,1})."""
+def sample_chain(src: MarkovSource, T: int, seed: int) -> np.ndarray:
+    """Stationary (T, m) sample path of the indicator channels (values in
+    {0, 1})."""
     p = stationary_distribution(src)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(src.Pi, axis=0)
@@ -138,7 +143,7 @@ def sample_chain(src: MarkovSource, T: int, seed: int) -> EventStream:
     data = np.zeros((T, src.n_channels))
     for c, s in enumerate(src.selectors):
         data[:, c] = states == s
-    return EventStream(data, [f"u{c + 1}" for c in range(src.n_channels)])
+    return data
 
 
 def server_example(alpha: float, beta: float) -> MarkovSource:

@@ -14,9 +14,7 @@ from .config import as_number
 from .df import run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length, simulate)
-from .markov import MarkovSource, sample_chain
 from .privacy import PrivacySpec
-from .streams import EventStream
 from .zfe import MechanismDesign
 
 
@@ -75,25 +73,7 @@ def occupancy_filter_bank(m: int = 15, forecast: dict | None = None
     return TransferMatrix([row1, row2, row3])
 
 
-class StreamSource:
-    """Protocol-ish base: a named generator of event streams."""
-
-    name = "source"
-
-    def sample(self, T: int, seed: int) -> EventStream:
-        raise NotImplementedError
-
-
-class MarkovStreamSource(StreamSource):
-    def __init__(self, src: MarkovSource, name: str = "markov"):
-        self.src = src
-        self.name = name
-
-    def sample(self, T: int, seed: int) -> EventStream:
-        return sample_chain(self.src, T, seed)
-
-
-class OccupancySource(StreamSource):
+class OccupancySource:
     """Independent Poisson count streams with a daily rate modulation.
 
     Rates lambda_i(t) = rate_i * (1 + amplitude * sin(2 pi t / period
@@ -102,9 +82,10 @@ class OccupancySource(StreamSource):
     long-run mean.
     """
 
+    name = "occupancy"
+
     def __init__(self, m: int = 15, rates=None, period: int = 480,
-                 amplitude: float = 0.6, name: str = "occupancy",
-                 phase_seed: int = 7):
+                 amplitude: float = 0.6, phase_seed: int = 7):
         self.m = m
         if rates is None:
             rng = np.random.default_rng(phase_seed)
@@ -129,9 +110,8 @@ class OccupancySource(StreamSource):
             raise ConfigError("amplitude must lie in [0, 1)")
         rng = np.random.default_rng(phase_seed + 1)
         self.phases = rng.uniform(0.0, 2.0 * np.pi, m)
-        self.name = name
 
-    def sample(self, T: int, seed: int) -> EventStream:
+    def sample(self, T: int, seed: int) -> np.ndarray:
         # the rates of the first min(T, period) steps (one row when flat),
         # never negative since the rates are not and amplitude < 1; whole
         # repeats of them, drawn in the C order of a (T, m) rate array
@@ -140,42 +120,41 @@ class OccupancySource(StreamSource):
             2.0 * np.pi * p[:, None] / self.period + self.phases))
         data = np.random.default_rng(seed).poisson(
             lam, size=(-(-T // len(lam)),) + lam.shape)
-        return EventStream(data.reshape(-1, self.m)[:T].astype(float),
-                           [f"u{i + 1}" for i in range(self.m)],
-                           dt_label="3 min")
+        return data.reshape(-1, self.m)[:T].astype(float)
 
 
-class FixedStreamSource(StreamSource):
-    """Wraps a fixed stream (e.g. loaded from CSV); sampling ignores the
-    seed and returns the leading T rows."""
+class FixedStreamSource:
+    """A fixed (T, m) array read from CSV; sampling ignores the seed and
+    returns the leading T rows."""
 
-    def __init__(self, stream: EventStream, name: str = "fixed"):
-        self.stream = stream
-        self.name = name
+    name = "csv"
 
-    def sample(self, T: int, seed: int) -> EventStream:
-        if T > self.stream.length:
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    def sample(self, T: int, seed: int) -> np.ndarray:
+        if T > len(self.data):
             raise ConfigError(
-                f"fixed stream has {self.stream.length} rows, need {T}")
-        return self.stream.with_data(self.stream.data[:T])
+                f"fixed stream has {len(self.data)} rows, need {T}")
+        return self.data[:T]
 
 
-def run_mechanism(design: MechanismDesign, stream: EventStream,
-                  seed: int) -> EventStream:
-    """Apply a designed mechanism to one input stream: the release
+def run_mechanism(design: MechanismDesign, u: np.ndarray,
+                  seed: int) -> np.ndarray:
+    """Apply a designed mechanism to one (T, m) input: the release
     v = G (u - mu) + noise, the postfilter, then F(1) mu added back.
+    Returns the (T, p) output.
 
     A batched postfilter (DF) runs in `run_df_mechanism`, which also
-    takes a list of streams with a list of seeds and returns the list of
+    takes a list of inputs with a list of seeds and returns the list of
     outputs, run in one closed loop over all trials.
     """
     if design.postfilter.batched:
-        run = run_df_mechanism(design, stream, seed)
+        run = run_df_mechanism(design, u, seed)
         return [out for out, _ in run] if isinstance(run, list) else run[0]
-    y = design.postfilter.apply(design.release(stream.data, seed))
+    y = design.postfilter.apply(design.release(u, seed))
     y += design.target.dc_gain() @ design.mu
-    return EventStream(y, [f"y{i + 1}" for i in range(y.shape[1])],
-                       stream.dt_label)
+    return y
 
 
 def _margins(design: MechanismDesign, T):
@@ -191,7 +170,7 @@ def _margins(design: MechanismDesign, T):
     return burn, tail
 
 
-def empirical_mse(design: MechanismDesign, source: StreamSource,
+def empirical_mse(design: MechanismDesign, source,
                   trials: int, T: int, seed: int) -> tuple[float, float]:
     """Monte Carlo MSE of a mechanism against its target filter.
 
@@ -212,18 +191,18 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
     children = [child.spawn(2)
                 for child in np.random.SeedSequence(seed).spawn(trials)]
 
-    def trial_mse(u: EventStream, yhat: EventStream) -> float:
-        y = simulate(design.target, u.data)
-        err = y[burn: T - tail] - yhat.data[burn: T - tail]
+    def trial_mse(u: np.ndarray, yhat: np.ndarray) -> float:
+        y = simulate(design.target, u)
+        err = y[burn: T - tail] - yhat[burn: T - tail]
         return float(np.mean(np.sum(err ** 2, axis=1)))
 
     if design.postfilter.batched:
         # DF steps every trial in one closed loop; linear kinds run one
-        # trial at a time, so only one input stream is alive at once
-        streams = [source.sample(T, child[0]) for child in children]
-        yhats = run_mechanism(design, streams,
+        # trial at a time, so only one input is alive at once
+        inputs = [source.sample(T, child[0]) for child in children]
+        yhats = run_mechanism(design, inputs,
                               [child[1] for child in children])
-        vals = [trial_mse(u, yhat) for u, yhat in zip(streams, yhats)]
+        vals = [trial_mse(u, yhat) for u, yhat in zip(inputs, yhats)]
     else:
         vals = []
         for child in children:
@@ -234,13 +213,14 @@ def empirical_mse(design: MechanismDesign, source: StreamSource,
     return float(vals.mean()), stderr
 
 
-def compare_mechanisms(F: TransferMatrix, source: StreamSource,
+def compare_mechanisms(F: TransferMatrix, source,
                        privacy: PrivacySpec, designs: dict,
                        trials: int = 5, T: int = 10000, seed: int = 0,
                        plots_dir=None, timing: bool = False) -> dict:
-    """Run every design on the common source and collect theory vs
-    Monte Carlo MSE into the report document. `designs` maps name ->
-    MechanismDesign; an empty dict yields a bounds-only report."""
+    """Run every design on the common source (a `name` and sample(T,
+    seed), a (T, m) array) and collect theory vs Monte Carlo MSE into the
+    report document. `designs` maps name -> MechanismDesign; an empty
+    dict yields a bounds-only report."""
     from .zfe import zfe_general_lower_bound, zfe_mse_diag_bound
     k = privacy.k_vector()
     report = {
@@ -270,12 +250,12 @@ def compare_mechanisms(F: TransferMatrix, source: StreamSource,
     return report
 
 
-def _write_plot_csv(design: MechanismDesign, source: StreamSource, T: int,
+def _write_plot_csv(design: MechanismDesign, source, T: int,
                     seed: int, plots_dir, name: str) -> None:
     import os
     os.makedirs(plots_dir, exist_ok=True)
     u = source.sample(min(T, 2000), np.random.SeedSequence(seed))
-    y = simulate(design.target, u.data)
+    y = simulate(design.target, u)
     yhat = run_mechanism(design, u, seed + 1)
     path = os.path.join(plots_dir, f"{name}_paths.csv")
     p = y.shape[1]
@@ -285,5 +265,5 @@ def _write_plot_csv(design: MechanismDesign, source: StreamSource, T: int,
         fh.write(",".join(header) + "\n")
         for t in range(y.shape[0]):
             row = [str(t)] + [repr(float(v)) for v in y[t]] \
-                + [repr(float(v)) for v in yhat.data[t]]
+                + [repr(float(v)) for v in yhat[t]]
             fh.write(",".join(row) + "\n")

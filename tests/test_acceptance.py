@@ -274,8 +274,8 @@ def test_criterion_8_markov_analytics():
     for c, st in enumerate(src.selectors):
         lrv = R_long[0][c, c] + 2 * np.sum(R_long[1:, c, c])
         se = np.sqrt(max(lrv, 1e-12) / T)
-        mc_ok &= abs(s.data[:, c].mean() - p[st]) < 3 * se
-    x = s.data - s.data.mean(axis=0, keepdims=True)
+        mc_ok &= abs(s[:, c].mean() - p[st]) < 3 * se
+    x = s - s.mean(axis=0, keepdims=True)
     for kk in range(1, 11):
         emp = (x[kk:, :, None] * x[:-kk, None, :]).mean(axis=0)
         mc_ok &= bool(np.max(np.abs(emp - R_true[kk])) < 9.0 / np.sqrt(T))

@@ -8,9 +8,9 @@ import yaml
 from dpfilt.cli import main, validate_document
 from dpfilt.config import Config
 from dpfilt.errors import ConfigError, InsufficientNoise
-from dpfilt.fileio import (design_from_dict, load_json, save_json,
-                           spectrum_from_spec, transfer_matrix_from_dict,
-                           transfer_matrix_to_dict)
+from dpfilt.fileio import (design_from_dict, load_json, read_csv,
+                           save_json, spectrum_from_spec,
+                           transfer_matrix_from_dict, transfer_matrix_to_dict)
 from dpfilt import RationalFilter, TransferMatrix
 
 
@@ -163,6 +163,8 @@ class TestValidateDocument:
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_errors_match_jsonschema_validate(self, tmp_path):
+        # a ConfigError naming the JSON path, chained from the error that
+        # jsonschema.validate raises
         import jsonschema
         cfg_path, _ = base_config(tmp_path)
         out = tmp_path / "design.json"
@@ -178,10 +180,12 @@ class TestValidateDocument:
             with pytest.raises(jsonschema.ValidationError) as want:
                 jsonschema.validate(bad, schema)
             for _ in range(2):      # the compiled validator is reused
-                with pytest.raises(jsonschema.ValidationError) as got:
+                with pytest.raises(ConfigError) as got:
                     validate_document(bad, "design.schema.json")
-                assert str(got.value) == str(want.value)
-                assert list(got.value.path) == list(want.value.path)
+                cause = got.value.__cause__
+                assert str(cause) == str(want.value)
+                assert list(cause.path) == list(want.value.path)
+                assert want.value.json_path in str(got.value)
         validate_document(doc, "design.schema.json")
 
 
@@ -531,10 +535,8 @@ class TestTamperedDesign:
     def test_ragged_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,2.0\n3.0\n")
-        from dpfilt import EventStream
-        from dpfilt.errors import ConfigError
-        with pytest.raises(ConfigError):
-            EventStream.load_csv(bad)
+        with pytest.raises(ConfigError, match="ragged rows"):
+            read_csv(bad)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_csv_rejected(self, tmp_path, capsys, value):
@@ -545,16 +547,68 @@ class TestTamperedDesign:
                      "--out", str(design_path)]) == 0
         bad = tmp_path / "bad.csv"
         bad.write_text(f"a,b\n1.0,2.0\n3.0,{value}\n")
-        from dpfilt import EventStream
-        from dpfilt.errors import ConfigError
         with pytest.raises(ConfigError, match=r"data row 2, column 2 \('b'\)"):
-            EventStream.load_csv(bad)
+            read_csv(bad)
         code = main(["simulate", "--design", str(design_path),
                      "--source", str(bad),
                      "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n1.0,x\n"],
+                             ids=["empty", "header_only", "non_numeric"])
+    def test_unreadable_csv_rejected(self, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="stream file"):
+            read_csv(bad)
+
+    @pytest.mark.parametrize("mech,edit,code,needle", [
+        ("zfe", ("noise_sigma",), 2, "noise_sigma"),
+        ("zfe", ("noise_sigma", "inf"), 2, "noise_sigma"),
+        ("lms_causal", ("prefilter", 1, 3), 5, "InsufficientNoise")],
+        ids=["nan_sigma", "infinite_sigma", "nan_prefilter_coefficient"])
+    def test_non_finite_design_refused(self, tmp_path, capsys, mech, edit,
+                                       code, needle):
+        # regression: a NaN noise_sigma fails `sigma < need` and released
+        # the prefiltered signal with no noise, exit 0 at MSE 1.9e-29; an
+        # infinite one, or a NaN coefficient (a NaN need), ran to a NaN MSE
+        cfg_path, _ = base_config(tmp_path, mech=mech)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = load_json(design_path)
+        if edit[0] == "noise_sigma":
+            doc["noise_sigma"] = float(edit[1] if len(edit) > 1 else "nan")
+        else:
+            doc["prefilter"]["entries"][edit[1]]["num"][edit[2]] = \
+                float("nan")
+        tampered = tmp_path / "tampered.json"
+        with open(tampered, "w") as fh:
+            json.dump(doc, fh)     # writes NaN and Infinity, as json reads
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(tampered),
+                     "--trials", "1", "--steps", "500",
+                     "--report", str(tmp_path / "r.json")]) == code
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_schema_invalid_design_names_its_path(self, tmp_path, capsys):
+        # regression: a jsonschema error escaped main with exit 1 and a
+        # traceback
+        cfg_path, _ = base_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = dict(load_json(design_path), noise_sigma="x")
+        with open(design_path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(design_path),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "$.noise_sigma" in err
 
 class TestFitNote:
     """The prefilter fit note compares fit_tol with the MSE-level loss."""
@@ -764,6 +818,38 @@ class TestConfigErrorsExitTwo:
         shortest = int(re.search(r"at least (\d+) steps", err).group(1))
         assert simulate(shortest - 1) == 2
         assert simulate(shortest) == 0
+
+    @pytest.mark.parametrize("bad", ["x", 8.9, 0],
+                             ids=["text", "fractional", "zero"])
+    def test_bad_ma_length(self, tmp_path, capsys, bad):
+        # regression: "x" failed naming no key, 8.9 designed length 8 and
+        # 0 divided by zero
+        cfg_path, _ = base_config(
+            tmp_path, filter_block={"preset": "markov_demo",
+                                    "ma_length": bad})
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "ma_length" in err
+        assert not out.exists()
+
+    def test_occupancy_source_m_key_rejected(self, tmp_path, capsys):
+        # the occupancy source takes its channel count from the filter
+        cfg_path, _ = base_config(tmp_path,
+                                  source={"kind": "occupancy", "m": 2})
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown source keys" in err and "'m'" in err
+
+    def test_dt_label_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["markov-gen", "--alpha", "0.3", "--beta", "0.6",
+                  "--steps", "10", "--dt-label", "x",
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "--dt-label" in capsys.readouterr().err
 
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(

@@ -223,10 +223,10 @@ class TestClosedLoop:
         from dpfilt import sample_chain
         u = sample_chain(self.src, 3000, seed=4)
         out, diag = run_df_mechanism(d, u, seed=0)
-        y = simulate(self.F, u.data)
+        y = simulate(self.F, u)
         # decisions exact after the filter transient
-        assert np.max(np.abs(out.data[100:] - y[100:])) < 1e-8
-        assert np.allclose(diag["u_hat"][100:], u.data[100:])
+        assert np.max(np.abs(out[100:] - y[100:])) < 1e-8
+        assert np.allclose(diag["u_hat"][100:], u[100:])
 
     def test_assumed_correct_feedback_matches_theory(self):
         # feeding back the true inputs reproduces the correct-decision
@@ -242,7 +242,7 @@ class TestClosedLoop:
                       input_mean=self.mean)
         u = sample_chain(self.src, 120000, seed=5)
         _, diag = run_df_mechanism(d, u, seed=6, oracle_feedback=True)
-        e_lin = simulate(self.F, u.data - diag["u_tilde"])
+        e_lin = simulate(self.F, u - diag["u_tilde"])
         mse_lin = float(np.mean(np.sum(e_lin[500:] ** 2, axis=1)))
         assert mse_lin == pytest.approx(d.theory_mse, rel=0.10)
 
@@ -259,10 +259,10 @@ class TestClosedLoop:
                       input_mean=self.mean)
         u = sample_chain(self.src, 120000, seed=5)
         out, diag = run_df_mechanism(d, u, seed=6)
-        err_rate = float(np.mean(np.abs(diag["u_hat"] - u.data) > 0.5))
+        err_rate = float(np.mean(np.abs(diag["u_hat"] - u) > 0.5))
         assert err_rate < 0.05
-        y = simulate(self.F, u.data)
-        mse_pub = float(np.mean(np.sum((y - out.data)[500:] ** 2, axis=1)))
+        y = simulate(self.F, u)
+        mse_pub = float(np.mean(np.sum((y - out)[500:] ** 2, axis=1)))
         assert mse_pub < 1.25 * d.theory_mse
 
     def test_determinism(self):
@@ -273,7 +273,7 @@ class TestClosedLoop:
         u = sample_chain(self.src, 2000, seed=7)
         a, _ = run_df_mechanism(d, u, seed=8)
         b, _ = run_df_mechanism(d, u, seed=8)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_bounded_output(self):
         G = TransferMatrix.identity(2)
@@ -282,8 +282,8 @@ class TestClosedLoop:
         from dpfilt import sample_chain
         u = sample_chain(self.src, 20000, seed=9)
         out, _ = run_df_mechanism(d, u, seed=10)
-        assert np.all(np.isfinite(out.data))
-        assert np.max(np.abs(out.data)) < 100.0
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out)) < 100.0
 
     def test_df_theory_leq_lms_objective_same_prefilter(self):
         from dpfilt import assemble_lms
@@ -298,19 +298,16 @@ class TestSignDomain:
         rng = np.random.default_rng(3)
         T = 3000
         u = np.where(rng.random((T, 2)) < 0.5, -1.0, 1.0)
-        from dpfilt.streams import EventStream
-        from dpfilt.sim import FixedStreamSource
-        stream = EventStream(u)
         f = RationalFilter([0.7, 0.2, 0.1])
         F = TransferMatrix.diagonal([f, f])
         Pu = white_spectrum(2)
         pk = priv((1.0, 1.0))
         d = design_df(F, Pu, pk, TransferMatrix.identity(2), sigma=0.0,
                       lookahead=2, decision_domain="sign")
-        out, diag = run_df_mechanism(d, stream, seed=0)
+        out, diag = run_df_mechanism(d, u, seed=0)
         assert set(np.unique(diag["u_hat"])).issubset({-1.0, 1.0})
         y = simulate(F, u)
-        assert np.max(np.abs(out.data[50:] - y[50:])) < 1e-8
+        assert np.max(np.abs(out[50:] - y[50:])) < 1e-8
 
     def test_one_dimensional_stream_is_one_channel(self):
         # a raw 1-D array is T samples of one channel, as in lti.simulate
@@ -321,19 +318,18 @@ class TestSignDomain:
                       decision_domain="sign")
         out, diag = run_df_mechanism(d, u, seed=0)
         want, _ = run_df_mechanism(d, u[:, None], seed=0)
-        assert out.data.shape == (500, 1)
-        assert np.array_equal(out.data, want.data)
+        assert out.shape == (500, 1)
+        assert np.array_equal(out, want)
         assert np.array_equal(diag["u_hat"][:, 0], u)
 
 
-def run_df_reference(design, stream, seed, oracle_feedback=False):
+def run_df_reference(design, u, seed, oracle_feedback=False):
     """The seed's DF closed loop (per-pair fftconvolve forward filter,
     per-step einsum feedback), kept as the agreement reference for
     run_df_mechanism. Returns (u_hat, u_tilde) without the mean."""
     from scipy.signal import fftconvolve
     df = design.postfilter
     d = design.lookahead
-    u = stream.data
     T, m = u.shape
     mu = design.input_mean if design.input_mean is not None else np.zeros(m)
     uc = u - mu[None, :]
@@ -428,11 +424,10 @@ class TestBatchedClosedLoop:
 
     def streams(self, domain, u_seeds):
         from dpfilt import sample_chain
-        from dpfilt.streams import EventStream
         if domain != "sign":
             return [sample_chain(self.src, 3000, seed=s) for s in u_seeds]
-        return [EventStream(np.where(
-            np.random.default_rng(s).random((3000, 2)) < 0.5, -1.0, 1.0))
+        return [np.where(
+            np.random.default_rng(s).random((3000, 2)) < 0.5, -1.0, 1.0)
             for s in u_seeds]
 
     @staticmethod
@@ -456,7 +451,7 @@ class TestBatchedClosedLoop:
             assert same(diag["u_hat"], u_hat + mu)
             assert self.close(diag["u_tilde"], u_tilde + mu)
             single, _ = run_df_mechanism(d, u, seed, oracle_feedback=oracle)
-            assert same(out.data, single.data)
+            assert same(out, single)
 
     def test_unknown_domain_raises_before_the_loop(self):
         d = self.design("nonneg_integers")
@@ -487,7 +482,7 @@ class TestDecisionErrorRate:
                       input_mean=self.mean)
         u = sample_chain(self.src, 3000, seed=4)
         _, diag = run_df_mechanism(d, u, seed=8)
-        wrong = np.any(np.abs(diag["u_hat"] - u.data) > 0.5, axis=1)
+        wrong = np.any(np.abs(diag["u_hat"] - u) > 0.5, axis=1)
         assert diag["decision_error_rate"] == float(np.mean(wrong))
         assert 0.0 < diag["decision_error_rate"] < 0.5
         assert "decision_disagreement" not in diag
@@ -585,7 +580,7 @@ class TestServerFeedbackPrecision:
         assert (K, m) == (118, 2)
         T = 3000
         mu = design.mu
-        uc = source_from_spec(cfg.source, m).sample(T, 1).data - mu
+        uc = source_from_spec(cfg.source, m).sample(T, 1) - mu
         v = design.release(uc + mu, 2)
         u_tilde, _ = df.closed_loop([v], mu, uc[:, None])
 

@@ -10,6 +10,7 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -268,3 +269,52 @@ def test_no_unreferenced_public_definition():
     sources = {os.path.basename(path): readers[os.path.relpath(path, ROOT)]
                for path in MODULES}
     assert unreferenced_public(sources, readers) == []
+
+
+def dead_flags(parser, source: str) -> list:
+    """Options that a subcommand declares on its own parser and `source`
+    never reads, as args.<dest> or getattr(args, "<dest>"), each as
+    'subcommand --option'. An option every subcommand shares comes from
+    a common parent parser and is left out, as is --help."""
+    import argparse
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    own = {name: [action for action in p._actions
+                  if action.option_strings
+                  and not isinstance(action, argparse._HelpAction)]
+           for name, p in sub.choices.items()}
+    shared = set.intersection(*({id(a) for a in actions}
+                                for actions in own.values()))
+    return sorted(f"{name} {action.option_strings[-1]}"
+                  for name, actions in own.items() for action in actions
+                  if id(action) not in shared and not re.search(
+                      rf"\bargs\.{action.dest}\b|getattr\(args, "
+                      rf"[\"']{action.dest}[\"']", source))
+
+
+def test_dead_flag_flagged():
+    # a --dt-label that is parsed and only read off another object,
+    # beside a read --out, a getattr read --seed and a shared --verbose
+    # that nothing reads
+    import argparse
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--verbose", action="store_true")
+    gen = sub.add_parser("gen", parents=[common])
+    gen.add_argument("--dt-label", default="")
+    gen.add_argument("--out")
+    other = sub.add_parser("other", parents=[common])
+    other.add_argument("--seed", type=int)
+    source = ("def cmd_gen(args):\n"
+              "    stream.dt_label = label.dt_label\n"
+              "    return args.out\n"
+              "def cmd_other(args):\n"
+              "    return getattr(args, 'seed', None)\n")
+    assert dead_flags(parser, source) == ["gen --dt-label"]
+
+
+def test_every_subcommand_option_is_read():
+    from dpfilt.cli import build_parser
+    with open(os.path.join(SRC, "dpfilt", "cli.py")) as fh:
+        assert dead_flags(build_parser(), fh.read()) == []

@@ -341,7 +341,7 @@ class TestOrthogonality:
         T = 200000
         u = sample_chain(src, T, seed=11)
         rng = np.random.default_rng(12)
-        uc = u.data - mean[None, :]
+        uc = u - mean[None, :]
         v = simulate(d.prefilter, uc) \
             + rng.normal(0.0, d.noise_sigma, size=(T, 2))
         yhat = d.postfilter.apply(v)
@@ -385,14 +385,13 @@ class TestQuadratureVsSimulation:
         assert quad == pytest.approx(d.theory_mse, rel=1e-9)
 
     def test_causal_empirical_matches_quadrature(self):
-        from dpfilt import MarkovStreamSource, empirical_mse
+        from dpfilt import empirical_mse
         src = server_example(0.3, 0.6)
         Pu, mean = chain_spectrum(src, N)
         F = demo_filter(6)
         pk = priv((1.0, 1.0))
         d = assemble_lms(F, Pu, pk, mode="causal", input_mean=mean)
-        emp, se = empirical_mse(d, MarkovStreamSource(src), trials=16,
-                                T=24000, seed=31)
+        emp, se = empirical_mse(d, src, trials=16, T=24000, seed=31)
         assert emp == pytest.approx(d.info["causal_mse_quadrature"],
                                     abs=3 * se)
         assert d.info["causal_mse_quadrature"] >= \

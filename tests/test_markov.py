@@ -107,13 +107,13 @@ class TestSampling:
     def test_values_binary(self):
         src = server_example(0.3, 0.6)
         s = sample_chain(src, 5000, seed=0)
-        assert set(np.unique(s.data)).issubset({0.0, 1.0})
+        assert set(np.unique(s)).issubset({0.0, 1.0})
 
     def test_determinism(self):
         src = server_example(0.3, 0.6)
         a = sample_chain(src, 1000, seed=5)
         b = sample_chain(src, 1000, seed=5)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_empirical_means(self):
         src = server_example(0.3, 0.6)
@@ -122,7 +122,7 @@ class TestSampling:
         p = stationary_distribution(src)
         R = autocovariance(src, 200)
         for c, st in enumerate(src.selectors):
-            mean = s.data[:, c].mean()
+            mean = s[:, c].mean()
             # CLT stderr for a stationary binary chain: long-run variance
             lrv = R[0][c, c] + 2 * np.sum(R[1:, c, c])
             se = np.sqrt(max(lrv, 1e-12) / T)
@@ -132,7 +132,7 @@ class TestSampling:
         src = server_example(0.3, 0.6)
         T = 1000000
         s = sample_chain(src, T, seed=2)
-        x = s.data - s.data.mean(axis=0, keepdims=True)
+        x = s - s.mean(axis=0, keepdims=True)
         R_true = autocovariance(src, 10)
         for k in range(1, 11):
             emp = (x[k:, :, None] * x[:-k, None, :]).mean(axis=0)
@@ -145,8 +145,8 @@ class TestSampling:
         # to strictly alternate along any sample path
         src = server_example(0.45, 0.55)
         s = sample_chain(src, 200000, seed=3)
-        ev1 = np.nonzero(s.data[:, 0])[0]
-        ev2 = np.nonzero(s.data[:, 1])[0]
+        ev1 = np.nonzero(s[:, 0])[0]
+        ev2 = np.nonzero(s[:, 1])[0]
         merged = sorted([(t, 1) for t in ev1] + [(t, 2) for t in ev2])
         kinds = [kind for _, kind in merged]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
@@ -191,7 +191,7 @@ class TestSamplingAgreement:
         states = sample_chain_states_reference(src, 20000, seed)
         want = np.stack([states == s for s in src.selectors], axis=1)
         got = sample_chain(src, 20000, seed)
-        assert np.array_equal(got.data, want.astype(float))
+        assert np.array_equal(got, want.astype(float))
 
     def test_states_match_on_random_chain(self, rng):
         Pi = rng.random((5, 5)) + 0.05
@@ -199,5 +199,5 @@ class TestSamplingAgreement:
         src = MarkovSource(Pi, (0, 2, 4))
         states = sample_chain_states_reference(src, 5000, 3)
         want = np.stack([states == s for s in src.selectors], axis=1)
-        assert np.array_equal(sample_chain(src, 5000, 3).data,
+        assert np.array_equal(sample_chain(src, 5000, 3),
                               want.astype(float))

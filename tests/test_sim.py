@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpfilt import (EventStream, MarkovStreamSource, OccupancySource,
-                    PrivacySpec, assemble_lms, assemble_output_perturbation,
-                    assemble_zfe, chain_spectrum, compare_mechanisms,
-                    demo_filter, design_diag_prefilter, empirical_mse,
-                    gaussian_fir, occupancy_filter_bank, run_mechanism,
-                    server_example, simulate)
+from dpfilt import (OccupancySource, PrivacySpec, assemble_lms,
+                    assemble_output_perturbation, assemble_zfe,
+                    chain_spectrum, compare_mechanisms, demo_filter,
+                    design_diag_prefilter, empirical_mse, gaussian_fir,
+                    occupancy_filter_bank, run_mechanism, server_example,
+                    simulate)
 from dpfilt.errors import ConfigError, MissingForecastModel
+from dpfilt.fileio import read_csv, source_from_spec, write_csv
 
 N = 256
 
@@ -73,13 +74,13 @@ class TestOccupancySource:
     def test_zero_rate(self):
         src = OccupancySource(m=3, rates=0.0)
         s = src.sample(1000, seed=0)
-        assert np.all(s.data == 0.0)
+        assert np.all(s == 0.0)
 
     def test_integer_nonnegative(self):
         src = OccupancySource(m=4, phase_seed=3)
         s = src.sample(5000, seed=1)
-        assert np.all(s.data >= 0)
-        assert np.allclose(s.data, np.rint(s.data))
+        assert np.all(s >= 0)
+        assert np.allclose(s, np.rint(s))
 
     def test_mean_matches_rate(self):
         rates = [0.8, 1.6]
@@ -88,7 +89,7 @@ class TestOccupancySource:
         s = src.sample(T, seed=2)
         for i, r in enumerate(rates):
             se = np.sqrt(r * 1.2 / T)
-            assert abs(s.data[:, i].mean() - r) < 3 * se + 1e-3
+            assert abs(s[:, i].mean() - r) < 3 * se + 1e-3
 
     @pytest.mark.parametrize("kwargs,key", [
         ({"rates": [-1.0, 1.0]}, "rates"),
@@ -114,8 +115,8 @@ class TestOccupancySource:
         a = OccupancySource(m=2, rates=[1.0, 2.0], period=480.0)
         b = OccupancySource(m=2, rates=[1.0, 2.0], period=480)
         assert a.period == 480 and type(a.period) is int
-        assert np.array_equal(a.sample(600, seed=1).data,
-                              b.sample(600, seed=1).data)
+        assert np.array_equal(a.sample(600, seed=1),
+                              b.sample(600, seed=1))
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.6])
     def test_draws_match_the_rate_table(self, amplitude):
@@ -127,7 +128,7 @@ class TestOccupancySource:
         lam = src.rates[None, :] * (1.0 + amplitude * np.sin(
             2.0 * np.pi * t / src.period + src.phases[None, :]))
         want = np.random.default_rng(4).poisson(np.maximum(lam, 0.0))
-        assert np.array_equal(src.sample(500, seed=4).data, want)
+        assert np.array_equal(src.sample(500, seed=4), want)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.6])
     @pytest.mark.parametrize("period", [48, 160, 480])
@@ -150,7 +151,7 @@ class TestOccupancySource:
 
         for T in (1, period - 1, period, period + 1, 20000):
             for seed in (0, 3, 901):
-                got = src.sample(T, seed).data
+                got = src.sample(T, seed)
                 assert got.shape == (T, src.m)
                 assert np.array_equal(got, per_step(T, seed))
 
@@ -162,7 +163,7 @@ class TestOccupancySource:
         tracemalloc.start()
         try:
             src = OccupancySource(period=10 ** 6)
-            got = src.sample(100, seed=2).data
+            got = src.sample(100, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -174,8 +175,8 @@ class TestOccupancySource:
 
     def test_determinism(self):
         src = OccupancySource(m=2, phase_seed=5)
-        assert np.array_equal(src.sample(100, seed=9).data,
-                              src.sample(100, seed=9).data)
+        assert np.array_equal(src.sample(100, seed=9),
+                              src.sample(100, seed=9))
 
 
 class TestRunMechanism:
@@ -185,20 +186,20 @@ class TestRunMechanism:
         self.pk = priv(self.k)
         self.G = design_diag_prefilter(self.F, self.k, N=N)
         self.design = assemble_zfe(self.F, self.G, self.pk, N)
-        self.src = MarkovStreamSource(server_example(0.3, 0.6))
+        self.src = server_example(0.3, 0.6)
 
     def test_noise_free_zero_forcing_is_exact(self):
         noiseless = dataclasses.replace(self.design, noise_sigma=0.0)
         u = self.src.sample(2000, seed=0)
         yhat = run_mechanism(noiseless, u, seed=1)
-        y = simulate(self.F, u.data)
-        assert np.max(np.abs(y - yhat.data)) < 1e-8
+        y = simulate(self.F, u)
+        assert np.max(np.abs(y - yhat)) < 1e-8
 
     def test_determinism(self):
         u = self.src.sample(500, seed=0)
         a = run_mechanism(self.design, u, seed=7)
         b = run_mechanism(self.design, u, seed=7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
 
 class TestEmpiricalMse:
@@ -206,7 +207,7 @@ class TestEmpiricalMse:
         self.F = demo_filter(6)
         self.k = (1.0, 1.0)
         self.pk = priv(self.k)
-        self.src = MarkovStreamSource(server_example(0.3, 0.6))
+        self.src = server_example(0.3, 0.6)
 
     def test_zfe_consistency_and_input_independence(self):
         G = design_diag_prefilter(self.F, self.k, N=N)
@@ -260,7 +261,7 @@ class TestEmpiricalMse:
             u = self.src.sample(T, child[0])
             u_hat, _ = run_df_reference(d, u, child[1])
             y_hat = simulate(F, u_hat) + F.dc_gain() @ mean
-            err = (simulate(F, u.data) - y_hat)[burn: T - tail]
+            err = (simulate(F, u) - y_hat)[burn: T - tail]
             vals.append(float(np.mean(np.sum(err ** 2, axis=1))))
         vals = np.asarray(vals)
         assert got == (float(vals.mean()),
@@ -278,7 +279,7 @@ class TestCompare:
         self.F = demo_filter(6)
         self.k = (1.0, 1.0)
         self.pk = priv(self.k)
-        self.src = MarkovStreamSource(server_example(0.3, 0.6))
+        self.src = server_example(0.3, 0.6)
 
     def test_zfe_dominates_output_perturbation(self):
         G = design_diag_prefilter(self.F, self.k, N=N)
@@ -324,12 +325,56 @@ class TestCompare:
 
 class TestStreamsCsv:
     def test_round_trip(self, tmp_path, rng):
-        s = EventStream(rng.normal(size=(20, 3)), ["a", "b", "c"], "3 min")
+        x = rng.normal(size=(20, 3))
         path = tmp_path / "stream.csv"
-        s.save_csv(path)
-        s2 = EventStream.load_csv(path, dt_label="3 min")
-        assert s2.channels == ["a", "b", "c"]
-        assert np.array_equal(s.data, s2.data)
+        write_csv(path, x, ["a", "b", "c"])
+        assert path.read_text().splitlines()[0] == "a,b,c"
+        assert np.array_equal(read_csv(path), x)
+
+
+class TestSourceContract:
+    """What every source of source_from_spec gives its callers, the
+    benchmark's oracle check included."""
+
+    @pytest.fixture(params=["occupancy", "markov_server", "markov", "csv"])
+    def source(self, request, tmp_path, rng):
+        kind = request.param
+        if kind == "occupancy":
+            return source_from_spec({"kind": kind, "period": 48}, 3), 3
+        if kind == "markov_server":
+            return source_from_spec({"kind": kind, "alpha": 0.3,
+                                     "beta": 0.6}, 2), 2
+        if kind == "markov":
+            Pi = [[0.5, 0.2, 0.3], [0.25, 0.6, 0.3], [0.25, 0.2, 0.4]]
+            return source_from_spec({"kind": kind, "Pi": Pi,
+                                     "selectors": [0, 2]}, 2), 2
+        path = tmp_path / "given.csv"
+        write_csv(path, rng.normal(size=(60, 3)), ["a", "b", "c"])
+        return source_from_spec({"kind": kind, "csv": str(path)}, 3), 3
+
+    def test_sample_is_a_c_contiguous_float_array(self, source):
+        src, m = source
+        x = src.sample(40, seed=5)
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        assert x.shape == (40, m) and x.flags.c_contiguous
+        # the buffer of the array reads back as the array itself
+        assert np.array_equal(x.data - np.zeros_like(x), x)
+
+    def test_same_seed_same_array(self, source):
+        src, _ = source
+        assert np.array_equal(src.sample(40, seed=5), src.sample(40, seed=5))
+
+    def test_csv_round_trip_is_exact(self, source, tmp_path):
+        src, m = source
+        x = src.sample(40, seed=5)
+        names = [f"u{c + 1}" for c in range(m)]
+        path = tmp_path / "stream.csv"
+        write_csv(path, x, names)
+        assert path.read_text().splitlines()[0] == ",".join(names)
+        back = read_csv(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, x)
+        assert back.tobytes() == x.tobytes()
 
 
 class TestMechanismOrdering:
@@ -340,7 +385,7 @@ class TestMechanismOrdering:
         k = (1.0, 1.0)
         pk = priv(k)
         markov = server_example(0.3, 0.6)
-        src = MarkovStreamSource(markov)
+        src = markov
         Pu, mean = chain_spectrum(markov, N)
         designs = {
             "lms": assemble_lms(F, Pu, pk, mode="smoother",
