@@ -22,8 +22,8 @@ from .sim import (FixedStreamSource, OccupancySource, compare_mechanisms,
                   empirical_mse, gaussian_fir, moving_average,
                   occupancy_filter_bank, run_mechanism)
 from .spectral import (MatrixFactorization, factor_grid_error,
-                       fit_rational_magnitude, matrix_canonical_factor,
-                       paley_wiener_check, scalar_spectral_factor)
+                       matrix_canonical_factor, paley_wiener_check,
+                       scalar_spectral_factor)
 from .zfe import (MechanismDesign, assemble_output_perturbation, assemble_zfe,
                   column_norm_grid, design_diag_prefilter,
                   zfe_general_lower_bound, zfe_mse_diag_bound)

@@ -54,17 +54,13 @@ def _make_design(cfg: Config) -> MechanismDesign:
                                                              order)
 
 
-def _fit_loss(design: MechanismDesign):
-    """Relative MSE lost to the order-limited prefilter fit, with how it
-    was measured, or None for a design without a fitted prefilter."""
-    info = design.info
-    if "optimal_objective" in info:
-        return (info["achieved_objective"] / info["optimal_objective"] - 1.0,
-                "achieved / optimal objective - 1")
-    if "prefilter_fit_errors" in info:
-        return (design.theory_mse / info["diag_bound"] - 1.0,
-                "theory_mse / diag_bound - 1")
-    return None
+def _fit_loss(cfg: Config, design: MechanismDesign):
+    """theory_mse over the value an exact prefilter fit reaches, minus 1,
+    with the info key of that value; None for a kind without one."""
+    key = MECHANISMS[cfg.mechanism.get("kind", "zfe")].exact_fit_mse
+    if key is None:
+        return None
+    return design.theory_mse / design.info[key] - 1.0, key
 
 
 def cmd_design(args) -> int:
@@ -79,12 +75,12 @@ def cmd_design(args) -> int:
                          config_hash=cfg.hash())
     validate_document(doc, "design.schema.json")
     save_json(doc, args.out, indent=None)   # postfilter taps, compactly
-    loss = _fit_loss(design)
+    loss = _fit_loss(cfg, design)
     if loss is not None and loss[0] > fit_tol:
         print(f"note: the prefilter fit loses {loss[0]:.3g} of the MSE "
-              f"({loss[1]}), above fit_tol {fit_tol:g}; raise "
-              "mechanism.factor_order to recover it (per-channel residuals "
-              "are in info.prefilter_fit_errors)", file=sys.stderr)
+              f"(theory_mse / {loss[1]} - 1), above fit_tol {fit_tol:g}; "
+              "raise mechanism.factor_order to recover it (per-channel "
+              "residuals are in info.prefilter_fit_errors)", file=sys.stderr)
     print(f"design written to {args.out} "
           f"(kind={design.kind}, sigma={design.noise_sigma:.6g}, "
           f"theory_mse={design.theory_mse})")

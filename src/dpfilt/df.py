@@ -119,11 +119,15 @@ class DfDesign(Postfilter):
         if not np.array_equal(p[0], np.eye(m)):
             raise ConfigError("postfilter p_coeffs[0] must be the identity "
                               "(the feedback polynomial is monic)")
+        domain = doc.get("info", {}).get("decision_domain",
+                                         "nonneg_integers")
+        if domain not in DECISION_DOMAINS:
+            raise ConfigError(f"info.decision_domain is {domain!r}; expected"
+                              f" one of {DECISION_DOMAINS}")
         return cls(h1_taps=stored_taps(doc, "h1_taps", m, m),
                    lookahead=int(doc.get("lookahead", 0)),
                    feedback=MonicFeedback(p_coeffs=p),
-                   decision_domain=doc.get("info", {}).get(
-                       "decision_domain", "nonneg_integers"))
+                   decision_domain=domain)
 
 
 def df_factorizations(F, P_u: np.ndarray, G, k, privacy: PrivacySpec):

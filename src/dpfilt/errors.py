@@ -71,10 +71,6 @@ class OracleTooLarge(DpfiltError):
     exit_code = 3
 
 
-class FitFailed(DpfiltError):
-    exit_code = 3
-
-
 class FactorizationStalled(DpfiltError):
     exit_code = 3
 

@@ -278,35 +278,39 @@ class Mechanism(NamedTuple):
     build(cfg, F, privacy, factor_order) designs it from a config;
     load(doc, F, G) is the postfilter of its document (see
     lti.Postfilter); sensitivity(F, G, k) is what its noise covers, which
-    the load check recomputes from the stored filters."""
+    the load check recomputes from the stored filters; exact_fit_mse is
+    the info key of the theory_mse an exact prefilter fit reaches, or
+    None where no such value is computed."""
 
     kind: str
     build: Callable
     load: Callable
     sensitivity: Callable
+    exact_fit_mse: str | None
 
 
 # Every mechanism kind, keyed by its config name: a new kind is one row.
 MECHANISMS = {
     "zfe": Mechanism("zero_forcing", _design_zfe,
                      lambda doc, F, G: zfe_postfilter(F, G),
-                     _prefilter_sensitivity),
+                     _prefilter_sensitivity, "diag_bound"),
     "lms_smoother": Mechanism(
         "wiener_smoother", _design_lms("smoother"),
         functools.partial(CausalWienerFilter.from_doc, smoother=True),
-        _prefilter_sensitivity),
+        _prefilter_sensitivity, "optimal_objective"),
+    # the allocation is optimal for the smoother, not for these two
     "lms_causal": Mechanism("wiener_causal", _design_lms("causal"),
                             CausalWienerFilter.from_doc,
-                            _prefilter_sensitivity),
+                            _prefilter_sensitivity, None),
     "df": Mechanism("decision_feedback", _design_df, DfDesign.from_doc,
-                    _prefilter_sensitivity),
+                    _prefilter_sensitivity, None),
     # publish F u + w: the noise covers |k|_2 ||F||_2 on every output
     "output_perturbation": Mechanism(
         "output_perturbation",
         lambda cfg, F, privacy, order: assemble_output_perturbation(
             F, privacy, cfg.grid_n),
         lambda doc, F, G: TransferMatrix.identity(F.shape[0]),
-        lambda F, G, k: float(np.linalg.norm(k)) * h2_norm(F)),
+        lambda F, G, k: float(np.linalg.norm(k)) * h2_norm(F), None),
 }
 _BY_DOCUMENT_KIND = {row.kind: row for row in MECHANISMS.values()}
 
@@ -326,10 +330,16 @@ def design_from_dict(doc: dict) -> MechanismDesign:
     """
     try:
         kind = doc["kind"]
+        priv = PrivacySpec(**doc["privacy"])
+        for key in ("target", "prefilter"):
+            # checked before a matrix is built: a huge count allocates none
+            if doc[key]["cols"] != priv.m:
+                raise ConfigError(
+                    f"{key}.cols is {doc[key]['cols']!r}, but privacy.k "
+                    f"has {priv.m} entries, one per input channel")
         F = transfer_matrix_from_dict(doc["target"])
         G = transfer_matrix_from_dict(doc["prefilter"])
         sigma = as_number(doc["noise_sigma"], "noise_sigma")
-        priv = PrivacySpec(**doc["privacy"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design document: {exc}") from exc
     row = _BY_DOCUMENT_KIND.get(kind)
@@ -338,11 +348,17 @@ def design_from_dict(doc: dict) -> MechanismDesign:
     if not np.isfinite(sigma):
         raise ConfigError(f"noise_sigma must be a finite number, got {sigma}")
     mean = doc.get("input_mean")
+    if mean is not None:
+        mean = np.asarray(mean, dtype=float)
+        if mean.shape != (priv.m,) or not np.all(np.isfinite(mean)):
+            raise ConfigError(
+                f"input_mean must be {priv.m} finite numbers, one per input "
+                f"channel, got {doc['input_mean']!r}")
     design = MechanismDesign(
         kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
         postfilter=row.load(doc, F, G), theory_mse=doc.get("theory_mse"),
-        input_mean=None if mean is None else np.asarray(mean, dtype=float),
-        lookahead=int(doc.get("lookahead", 0)), info=dict(doc.get("info", {})))
+        input_mean=mean, lookahead=int(doc.get("lookahead", 0)),
+        info=dict(doc.get("info", {})))
     need = noise_sigma(row.sensitivity(F, G, priv.k_vector()), priv)
     # a NaN need (a non-finite filter coefficient) fails this too
     if not sigma >= need * (1.0 - NOISE_SLACK):

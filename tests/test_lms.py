@@ -320,6 +320,29 @@ class TestAssemble:
         assert d.info["causal_mse_quadrature"] >= \
             d.info["smoother_mse"] - 1e-12
 
+    def test_bank_fit_converges_in_factor_order(self):
+        # regression: on the bank_lms_causal workload, reflecting the
+        # truncated taps' zeros by root finding raised the smoother fit loss
+        # from 2.76 % to 4.16 % and 8.21 % over these orders, and sigma to
+        # 1.1e20 at order 160; an exact fit gives sigma = kappa
+        import os
+        from dpfilt.config import Config
+        from dpfilt.fileio import build_filter, spectrum_from_spec
+        from dpfilt.lms import lms_prefilter
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = Config.load(os.path.join(root, "benchmark", "workloads",
+                                       "bank_lms_causal.yaml"))
+        F = build_filter(cfg.filter)
+        Pu, _ = spectrum_from_spec(cfg.spectrum, cfg.grid_n, F.shape[1])
+        pk = cfg.privacy_spec()
+        losses = []
+        for order in (40, 80, 160):
+            _, sigma, info = lms_prefilter(F, Pu, pk, order)
+            losses.append(info["achieved_objective"]
+                          / info["optimal_objective"] - 1.0)
+        assert losses[1] <= losses[0] and losses[2] <= losses[1]
+        assert abs(sigma / kappa(pk) - 1.0) < 0.1
+
     def test_determinism(self):
         d1 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother")
         d2 = assemble_lms(self.F, self.Pu, self.pk, mode="smoother")
