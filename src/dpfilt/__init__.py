@@ -6,7 +6,7 @@ from .df import (DfDesign, MonicFeedback, design_df, df_factorizations,
                  df_theory_mse, optimal_feedback, run_df_mechanism)
 from .lms import (CausalWienerFilter, assemble_lms, causal_wiener,
                   lms_objective, optimize_prefilter_general, postfilter_mse,
-                  waterfill_diagonal, wiener_smoother)
+                  waterfill_diagonal, wiener_smoother, wiener_spectra)
 from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix,
                   column_energies, effective_length, freq_response,
                   grid_omega, h2_norm, observability_gramian, simulate,
@@ -25,7 +25,7 @@ from .spectral import (MatrixFactorization, factor_grid_error,
                        matrix_canonical_factor, paley_wiener_check,
                        scalar_spectral_factor)
 from .zfe import (MechanismDesign, assemble_output_perturbation, assemble_zfe,
-                  column_norm_grid, design_diag_prefilter,
+                  design_diag_prefilter,
                   zfe_general_lower_bound, zfe_mse_diag_bound)
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
-                  as_grid, monic_inverse_filter, wiener_smoother)
-from .lti import (Postfilter, TransferMatrix, as_signal,
+                  monic_inverse_filter, wiener_smoother, wiener_spectra)
+from .lti import (Postfilter, TransferMatrix, as_signal, freq_response,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
@@ -130,18 +130,16 @@ class DfDesign(Postfilter):
                    decision_domain=domain)
 
 
-def df_factorizations(F, P_u: np.ndarray, G, k, privacy: PrivacySpec):
-    """Spectral factorization pair behind the DF design, on the grid of
-    P_u.
+def df_factorizations(Fg, P_u: np.ndarray, Gg, k, privacy: PrivacySpec):
+    """Spectral factorization pair behind the DF design, from the target
+    and prefilter grids Fg and Gg and the input spectrum P_u on one grid.
 
     K (Pt^-1 + Gt* Gt)^-1 K = Q R Q* and F* F = S* T S, with Q, S monic
     causal and R, T positive definite.
     """
-    N, m = P_u.shape[0] - 1, P_u.shape[1]
+    m = P_u.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, N)
-    Gg = as_grid(G, N, square_side=m)
     Km = np.diag(k)
     gk_sq = trapezoid_mean(
         np.einsum("qij,qij->q", np.conj(Gg @ Km), Gg @ Km).real)
@@ -232,11 +230,15 @@ def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     k = privacy.k_vector()
     if k.size != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    Qf, R, Sf, T = df_factorizations(F, P_u, G, k, privacy)
+    Gg = freq_response(G, N)
+    Qf, R, Sf, T = df_factorizations(freq_response(F, N), P_u, Gg, k,
+                                     privacy)
     fb = optimal_feedback(Qf, Sf)
     theory = df_theory_mse(T, R, privacy)
 
-    h = grid_lags(wiener_smoother(fb.grid(N), P_u, G, sigma))
+    # the forward filter estimates B u, whose target grid is B's own
+    h = grid_lags(wiener_smoother(*wiener_spectra(fb.grid(N), P_u, Gg,
+                                                  sigma)))
     d = int(lookahead)
     # lags -d..N-1, cut after the last tap above TAP_CUT of their peak
     taps = _truncate_tail(np.concatenate([h[2 * N - d:], h[:N]]), TAP_CUT)

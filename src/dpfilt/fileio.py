@@ -15,7 +15,8 @@ from .config import as_number, load_yaml
 from .df import DfDesign, design_df
 from .errors import ConfigError, InsufficientNoise
 from .lms import CausalWienerFilter, assemble_lms, lms_prefilter
-from .lti import RationalFilter, TransferMatrix, h2_norm, taps_grid
+from .lti import (RationalFilter, TransferMatrix, freq_response, h2_norm,
+                  taps_grid)
 from .markov import MarkovSource, chain_spectrum, server_example
 from .privacy import PrivacySpec, noise_sigma
 from .sensitivity import diagonal_sensitivity
@@ -41,9 +42,13 @@ def transfer_matrix_from_dict(d: dict) -> TransferMatrix:
         p, m = int(d["rows"]), int(d["cols"])
         zero = RationalFilter([0.0])
         grid = [[zero for _ in range(m)] for _ in range(p)]
-        for e in d["entries"]:
-            grid[int(e["row"])][int(e["col"])] = RationalFilter(
-                e["num"], e.get("den", [1.0]))
+        for n, e in enumerate(d["entries"]):
+            coefs = {"num": e["num"], "den": e.get("den", [1.0])}
+            for key, c in coefs.items():
+                if not np.all(np.isfinite(np.asarray(c, dtype=float))):
+                    raise ConfigError(f"entries[{n}].{key} has a non-finite "
+                                      f"coefficient: {c!r}")
+            grid[int(e["row"])][int(e["col"])] = RationalFilter(**coefs)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed filter definition: {exc}") from exc
     return TransferMatrix(grid)
@@ -239,8 +244,8 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
 
 
 def _design_zfe(cfg, F, privacy, order):
-    G = design_diag_prefilter(F, privacy.k_vector(), N=cfg.grid_n,
-                              order=order)
+    G = design_diag_prefilter(freq_response(F, cfg.grid_n),
+                              privacy.k_vector(), order=order)
     return assemble_zfe(F, G, privacy, cfg.grid_n)
 
 
@@ -257,7 +262,8 @@ def _design_df(cfg, F, privacy, order):
     Pu, mean = spectrum_from_spec(cfg.spectrum, cfg.grid_n, F.shape[1])
     lookahead = as_number(cfg.mechanism.get("lookahead", 2), "lookahead",
                           integer=True)
-    G, sigma, info = lms_prefilter(F, Pu, privacy, order)
+    G, sigma, info = lms_prefilter(freq_response(F, cfg.grid_n), Pu, privacy,
+                                   order)
     design = design_df(
         F, Pu, privacy, G, sigma=sigma, lookahead=lookahead,
         decision_domain=cfg.mechanism.get("decision_domain",
@@ -331,22 +337,28 @@ def design_from_dict(doc: dict) -> MechanismDesign:
     try:
         kind = doc["kind"]
         priv = PrivacySpec(**doc["privacy"])
+        filters = []
         for key in ("target", "prefilter"):
             # checked before a matrix is built: a huge count allocates none
             if doc[key]["cols"] != priv.m:
                 raise ConfigError(
                     f"{key}.cols is {doc[key]['cols']!r}, but privacy.k "
                     f"has {priv.m} entries, one per input channel")
-        F = transfer_matrix_from_dict(doc["target"])
-        G = transfer_matrix_from_dict(doc["prefilter"])
+            try:
+                filters.append(transfer_matrix_from_dict(doc[key]))
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        F, G = filters
         sigma = as_number(doc["noise_sigma"], "noise_sigma")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design document: {exc}") from exc
     row = _BY_DOCUMENT_KIND.get(kind)
     if row is None:
         raise ConfigError(f"unknown design kind {kind!r}")
-    if not np.isfinite(sigma):
-        raise ConfigError(f"noise_sigma must be a finite number, got {sigma}")
+    theory = doc.get("theory_mse")
+    for key, val in (("noise_sigma", sigma), ("theory_mse", theory)):
+        if val is not None and not np.isfinite(val):
+            raise ConfigError(f"{key} must be a finite number, got {val}")
     mean = doc.get("input_mean")
     if mean is not None:
         mean = np.asarray(mean, dtype=float)
@@ -356,7 +368,7 @@ def design_from_dict(doc: dict) -> MechanismDesign:
                 f"channel, got {doc['input_mean']!r}")
     design = MechanismDesign(
         kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
-        postfilter=row.load(doc, F, G), theory_mse=doc.get("theory_mse"),
+        postfilter=row.load(doc, F, G), theory_mse=theory,
         input_mean=mean, lookahead=int(doc.get("lookahead", 0)),
         info=dict(doc.get("info", {})))
     need = noise_sigma(row.sensitivity(F, G, priv.k_vector()), priv)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
-from .lti import (Postfilter, RationalFilter, TransferMatrix, as_matrix,
-                  freq_response, grid_omega, next_fast_len, taps_grid,
-                  trapezoid_mean, trapezoid_weights)
+from .lti import (Postfilter, RationalFilter, TransferMatrix, freq_response,
+                  grid_omega, next_fast_len, taps_grid, trapezoid_mean,
+                  trapezoid_weights)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
@@ -29,21 +29,10 @@ _ZERO_CHANNEL_TOL = 1e-12
 # Causal postfilter and DF forward taps are cut after the last one above
 # this fraction of their peak.
 TAP_CUT = 1e-12
-
-
-def as_grid(obj, N: int, square_side: int | None = None) -> np.ndarray:
-    """Coerce a TransferMatrix or an array to (N+1, d1, d2) samples."""
-    obj = as_matrix(obj)
-    if isinstance(obj, TransferMatrix):
-        return freq_response(obj, N)
-    arr = np.asarray(obj, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None, None]
-    if arr.shape[0] != N + 1:
-        raise ConfigError("sample count does not match the grid")
-    if square_side is not None and arr.shape[1:] != (square_side, square_side):
-        raise DimensionMismatch("unexpected grid block shape")
-    return arr
+# The optimizer stops after three steps that each gain less than this
+# relative amount; smoother taps are cut at this fraction of their peak.
+OPTIMIZER_TOL = 1e-12
+SMOOTHER_TAIL_TOL = 1e-10
 
 
 def _tilde(Fg: np.ndarray, Pg: np.ndarray, k: np.ndarray, kap: float):
@@ -76,45 +65,43 @@ def _bracket_inverse_times(Pt: np.ndarray, C: np.ndarray,
     return R @ np.linalg.solve(inner, R @ B)
 
 
-def _release_spectrum(G, P_u: np.ndarray, sigma: float):
-    """(G*, P_v) on the grid of P_u for the release v = G u + w: the
-    sampled prefilter's conjugate transpose and P_v = G P_u G* + s^2 I."""
-    m = P_u.shape[1]
-    Gg = as_grid(G, P_u.shape[0] - 1, square_side=m)
+def wiener_spectra(Fg: np.ndarray, P_u: np.ndarray, Gg: np.ndarray,
+                   sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P_yv, P_v) of the release v = G u + w, w white of scale s: the cross
+    spectrum F P_u G* of y = F u with v, and G P_u G* + s^2 I, which must
+    be nonsingular when s = 0."""
     GgH = np.conj(np.swapaxes(Gg, 1, 2))
-    return GgH, Gg @ P_u @ GgH + sigma ** 2 * np.eye(m)[None, :, :]
-
-
-def wiener_smoother(F, P_u: np.ndarray, G, sigma: float) -> np.ndarray:
-    """Non-causal linear MMSE postfilter H = F P_u G* (G P_u G* + s^2 I)^-1,
-    on the grid of P_u."""
-    GgH, Pv = _release_spectrum(G, P_u, sigma)
-    Pyv = as_grid(F, P_u.shape[0] - 1) @ P_u @ GgH
+    Pv = Gg @ P_u @ GgH + sigma ** 2 * np.eye(P_u.shape[1])[None, :, :]
     if sigma == 0.0:
         eig = np.linalg.eigvalsh(0.5 * (Pv + np.conj(np.swapaxes(Pv, 1, 2))))
         if np.min(eig) <= 1e-13 * max(float(np.max(np.abs(Pv))), 1e-300):
             raise NotPositiveDefinite(
                 "noise-free observation spectrum is singular on the grid")
+    return Fg @ P_u @ GgH, Pv
+
+
+def wiener_smoother(P_yv: np.ndarray, P_v: np.ndarray) -> np.ndarray:
+    """Non-causal linear MMSE postfilter H = P_yv P_v^-1 on the grid of the
+    spectra of wiener_spectra."""
     try:
         return np.conj(np.swapaxes(
-            np.linalg.solve(Pv, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
+            np.linalg.solve(P_v, np.conj(np.swapaxes(P_yv, 1, 2))), 1, 2))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"observation spectrum singular on the grid: {exc}") from exc
 
 
-def lms_objective(F, P_u: np.ndarray, k, privacy: PrivacySpec,
+def lms_objective(Fg, P_u: np.ndarray, k, privacy: PrivacySpec,
                   x) -> float:
     """Smoother-postfilter MSE for a feasible allocation profile x on the
-    grid of P_u: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m)."""
+    grid of Fg: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m)."""
     x = np.asarray(x, dtype=float)
-    N = P_u.shape[0] - 1
+    N = Fg.shape[0] - 1
     if x.shape[0] != N + 1:
         raise ConfigError(f"profile grid {x.shape[0] - 1} does not match "
                           f"the spectrum grid {N}")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, N)
     Ft, Pt = _tilde(Fg, P_u, k, kap)
     m = x.shape[1]
     X = np.zeros((x.shape[0], m, m))
@@ -130,7 +117,7 @@ def _column_tilde_sq(Fg: np.ndarray, k: np.ndarray, kap: float) -> np.ndarray:
     return (kap ** 2) * (np.linalg.norm(Fg, axis=1) ** 2) * (k ** 2)[None, :]
 
 
-def waterfill_diagonal(F, P_u: np.ndarray, k, privacy: PrivacySpec):
+def waterfill_diagonal(Fg, P_u: np.ndarray, k, privacy: PrivacySpec):
     """Closed-form allocation for uncorrelated (diagonal-spectrum) inputs.
 
     x_i(omega) = max(0, |Ft_i(omega)|_2 / sqrt(lam) - 1/pt_i(omega)), with
@@ -145,7 +132,6 @@ def waterfill_diagonal(F, P_u: np.ndarray, k, privacy: PrivacySpec):
         raise NotDiagonal("waterfilling requires a diagonal input spectrum")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, P_u.shape[0] - 1)
     Ft_sq = _column_tilde_sq(Fg, k, kap)
     if float(Ft_sq.max(initial=0.0)) <= 0.0:
         raise DegenerateObjective("target filter is identically zero")
@@ -200,9 +186,8 @@ def _project_profile(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, y + _hinge_root(weights, weights, -y) * weights)
 
 
-def optimize_prefilter_general(F, P_u: np.ndarray, k,
-                               privacy: PrivacySpec, tol: float = 1e-12,
-                               max_iter: int = 2000):
+def optimize_prefilter_general(Fg, P_u: np.ndarray, k,
+                               privacy: PrivacySpec, max_iter: int = 2000):
     """Minimize the smoother MSE over feasible diagonal allocations;
     returns (x, objective).
 
@@ -210,10 +195,9 @@ def optimize_prefilter_general(F, P_u: np.ndarray, k,
     objective; the closed-form gradient is the negated diagonal of
     (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the trapezoid rule.
     """
-    N, m = P_u.shape[0] - 1, P_u.shape[1]
+    N, m = Fg.shape[0] - 1, P_u.shape[1]
     k = np.atleast_1d(np.asarray(k, dtype=float))
     kap = kappa(privacy)
-    Fg = as_grid(F, N)
     Ft, Pt = _tilde(Fg, P_u, k, kap)
     if float(np.max(np.abs(Ft))) <= 0.0:
         raise DegenerateObjective("target filter is identically zero")
@@ -258,7 +242,7 @@ def optimize_prefilter_general(F, P_u: np.ndarray, k,
         rel_impr = (val - vn) / max(abs(val), 1e-300)
         x, val, grad = xn, vn, gn
         step *= 1.3
-        if rel_impr < tol:
+        if rel_impr < OPTIMIZER_TOL:
             stall += 1
             if stall >= 3:
                 break
@@ -382,18 +366,17 @@ class CausalWienerFilter(Postfilter):
     anticausal_tail: float = 0.0
 
     @classmethod
-    def from_grid(cls, H: np.ndarray, tail_tol: float = 1e-10
-                  ) -> "CausalWienerFilter":
+    def from_grid(cls, H: np.ndarray) -> "CausalWienerFilter":
         """The smoother of grid H: taps over lags -K..K, K >= 1 the last
         lag at which the larger of the lag-K and lag-(-K) taps exceeds
-        tail_tol times the peak."""
+        SMOOTHER_TAIL_TOL times the peak."""
         N = H.shape[0] - 1
         h = grid_lags(H)                        # lags 0..N-1, -N..-1
         mags = np.abs(h).reshape(h.shape[0], -1).max(axis=1)
         peak = max(float(mags.max()), 1e-300)
         # the larger of the lag-k and lag-(-k) taps, k = 1..N-1
         above = np.flatnonzero(np.maximum(mags[1:N], mags[:N:-1])
-                               > tail_tol * peak)
+                               > SMOOTHER_TAIL_TOL * peak)
         K = int(above[-1]) + 1 if above.size else 1
         return cls(taps=np.concatenate([h[-K:], h[: K + 1]], axis=0),
                    lookahead=K)
@@ -439,20 +422,16 @@ class CausalWienerFilter(Postfilter):
         return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
 
-def causal_wiener(F, P_u: np.ndarray, G,
-                  sigma: float) -> CausalWienerFilter:
+def causal_wiener(P_yv: np.ndarray, P_v: np.ndarray) -> CausalWienerFilter:
     """Causal Wiener postfilter via canonical factorization of P_v, on the
-    grid of P_u."""
-    N = P_u.shape[0] - 1
-    Fg = as_grid(F, N)
-    GgH, Pv = _release_spectrum(G, P_u, sigma)
-    fact = matrix_canonical_factor(Pv, hint=FLOOR_HINT,
+    grid of the spectra of wiener_spectra."""
+    N = P_v.shape[0] - 1
+    fact = matrix_canonical_factor(P_v, hint=FLOOR_HINT,
                                    name="observation spectrum G P G* + s^2 I")
     Lg = fact.eval_grid(N)
-    Pyv = Fg @ P_u @ GgH
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H
     Mg = np.conj(np.swapaxes(
-        np.linalg.solve(Lg, np.conj(np.swapaxes(Pyv, 1, 2))), 1, 2))
+        np.linalg.solve(Lg, np.conj(np.swapaxes(P_yv, 1, 2))), 1, 2))
     h = grid_lags(Mg)
     causal = h[:N]
     anti = h[N:]
@@ -464,37 +443,35 @@ def causal_wiener(F, P_u: np.ndarray, G,
                               anticausal_tail=tail)
 
 
-def postfilter_mse(F, P_u: np.ndarray, G, sigma: float, H_grid) -> float:
-    """MSE of an arbitrary postfilter grid against the desired output, on
-    the grid of P_u."""
-    N = P_u.shape[0] - 1
-    Fg = as_grid(F, N)
-    GgH, Pv = _release_spectrum(G, P_u, sigma)
-    Hg = as_grid(H_grid, N)
+def postfilter_mse(Fg: np.ndarray, P_u: np.ndarray, P_yv: np.ndarray,
+                   P_v: np.ndarray, Hg: np.ndarray) -> float:
+    """MSE of an arbitrary postfilter grid Hg against the desired output,
+    given the spectra of wiener_spectra on the grid of Fg and P_u."""
     HgH = np.conj(np.swapaxes(Hg, 1, 2))
     FgH = np.conj(np.swapaxes(Fg, 1, 2))
-    Pyv = Fg @ P_u @ GgH
+    P_vy = np.conj(np.swapaxes(P_yv, 1, 2))
     integrand = (np.einsum("qij,qji->q", Fg @ P_u, FgH)
-                 - np.einsum("qij,qji->q", Hg, np.conj(np.swapaxes(Pyv, 1, 2)))
-                 - np.einsum("qij,qji->q", Pyv, HgH)
-                 + np.einsum("qij,qji->q", Hg @ Pv, HgH)).real
+                 - np.einsum("qij,qji->q", Hg, P_vy)
+                 - np.einsum("qij,qji->q", P_yv, HgH)
+                 + np.einsum("qij,qji->q", Hg @ P_v, HgH)).real
     return float(max(trapezoid_mean(integrand), 0.0))
 
 
-def lms_prefilter(F: TransferMatrix, P_u: np.ndarray,
+def lms_prefilter(Fg: np.ndarray, P_u: np.ndarray,
                   privacy: PrivacySpec, order: int = DEFAULT_FACTOR_ORDER):
     """The LMS prefilter and its noise: optimize the allocation profile on
-    the grid of P_u, realize it by scalar factorization, and recalibrate
-    the noise from the realized filter. Returns (G, sigma, info).
+    the grid of Fg and P_u, realize it by scalar factorization, and
+    recalibrate the noise from the realized filter. Returns (G, sigma,
+    info).
 
     info.achieved_objective is the smoother MSE at the profile the FIR
     prefilter actually achieves, so Monte Carlo estimates are directly
     comparable with it.
     """
     k = privacy.k_vector()
-    if k.size != F.shape[1]:
+    if k.size != Fg.shape[2]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    x, objective = optimize_prefilter_general(F, P_u, k, privacy)
+    x, objective = optimize_prefilter_general(Fg, P_u, k, privacy)
 
     entries = []
     fit_errors = []
@@ -510,7 +487,7 @@ def lms_prefilter(F: TransferMatrix, P_u: np.ndarray,
     G = TransferMatrix.diagonal(entries)
 
     sens = diagonal_sensitivity(G, k)
-    N = P_u.shape[0] - 1
+    N = Fg.shape[0] - 1
     omega = grid_omega(N)
     gmag2 = np.stack([np.abs(g.freq(omega)) ** 2
                       for g in G.diagonal_entries()], axis=1)
@@ -519,7 +496,7 @@ def lms_prefilter(F: TransferMatrix, P_u: np.ndarray,
     info = {
         "grid_n": N,
         "optimal_objective": objective,
-        "achieved_objective": lms_objective(F, P_u, k, privacy, achieved),
+        "achieved_objective": lms_objective(Fg, P_u, k, privacy, achieved),
         "prefilter_fit_errors": fit_errors,
         "sensitivity": sens,
         "factor_order": order,
@@ -540,17 +517,18 @@ def assemble_lms(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     if mode not in ("smoother", "causal"):
         raise ConfigError(f"unknown LMS mode: {mode}")
     N = P_u.shape[0] - 1
-    G, sigma, info = lms_prefilter(F, P_u, privacy, order)
     Fg = freq_response(F, N)
+    G, sigma, info = lms_prefilter(Fg, P_u, privacy, order)
+    # the prefilter grid is not kept alive past the spectra (peak memory)
+    P_yv, P_v = wiener_spectra(Fg, P_u, freq_response(G, N), sigma)
     if mode == "smoother":
-        postfilter = CausalWienerFilter.from_grid(
-            wiener_smoother(Fg, P_u, G, sigma))
+        postfilter = CausalWienerFilter.from_grid(wiener_smoother(P_yv, P_v))
         theory = info["achieved_objective"]
     else:
-        postfilter = causal_wiener(Fg, P_u, G, sigma)
+        postfilter = causal_wiener(P_yv, P_v)
         info["smoother_mse"] = info["achieved_objective"]
         theory = info["causal_mse_quadrature"] = postfilter_mse(
-            Fg, P_u, G, sigma, postfilter.grid(N))
+            Fg, P_u, P_yv, P_v, postfilter.grid(N))
         info["anticausal_tail"] = postfilter.anticausal_tail
     return MechanismDesign(
         kind="wiener_smoother" if mode == "smoother" else "wiener_causal",

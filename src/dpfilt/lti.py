@@ -17,6 +17,9 @@ from .errors import (DimensionMismatch, ImproperTransferFunction,
 STABILITY_TOL = 1e-9
 DEFAULT_GRID = 1024
 GRAMIAN_TOL = 1e-12
+GRAMIAN_MAX_ITER = 200
+EFFECTIVE_TAIL_TOL = 1e-8
+EFFECTIVE_LENGTH_CAP = 65536
 # Samples per block of IirBank (raised to the largest order). A recursive
 # bank chains its blocks through a carried state, and fewer, longer blocks
 # round less along that chain; a bank of FIR filters carries nothing and
@@ -58,8 +61,8 @@ class RationalFilter:
     def order(self) -> int:
         return max(self.num.size, self.den.size) - 1
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.num) <= tol))
+    def is_zero(self) -> bool:
+        return not np.any(self.num)
 
     def poles(self) -> np.ndarray:
         if self.den.size == 1:
@@ -72,14 +75,14 @@ class RationalFilter:
             return np.zeros(0, dtype=complex)
         return np.roots(nz)
 
-    def is_stable(self, tol: float = STABILITY_TOL) -> bool:
+    def is_stable(self) -> bool:
         p = self.poles()
-        return bool(p.size == 0 or np.max(np.abs(p)) < 1.0 - tol)
+        return bool(p.size == 0 or np.max(np.abs(p)) < 1.0 - STABILITY_TOL)
 
-    def is_minimum_phase(self, tol: float = STABILITY_TOL) -> bool:
+    def is_minimum_phase(self) -> bool:
         z = self.zeros()
         return (not self.is_zero()) and bool(
-            z.size == 0 or np.max(np.abs(z)) < 1.0 - tol)
+            z.size == 0 or np.max(np.abs(z)) < 1.0 - STABILITY_TOL)
 
     def eval(self, z):
         """Value of the transfer function at complex point(s) z."""
@@ -145,9 +148,9 @@ class RationalFilter:
         return RationalFilter(self.den, num)
 
     @staticmethod
-    def delay(k: int, gain: float = 1.0) -> "RationalFilter":
+    def delay(k: int) -> "RationalFilter":
         num = np.zeros(k + 1)
-        num[k] = gain
+        num[k] = 1.0
         return RationalFilter(num)
 
 
@@ -214,8 +217,8 @@ class TransferMatrix(Postfilter):
         return TransferMatrix([[filters[i] if i == j else ZERO_FILTER
                                 for j in range(m)] for i in range(m)])
 
-    def is_stable(self, tol: float = STABILITY_TOL) -> bool:
-        return all(e.is_stable(tol) for row in self.entries for e in row)
+    def is_stable(self) -> bool:
+        return all(e.is_stable() for row in self.entries for e in row)
 
     def is_diagonal(self) -> bool:
         if self.p != self.m:
@@ -380,8 +383,7 @@ def freq_response(sys, N: int = DEFAULT_GRID) -> np.ndarray:
     return sys.freq(grid_omega(N))
 
 
-def observability_gramian(A, C, tol: float = GRAMIAN_TOL,
-                          max_iter: int = 200) -> np.ndarray:
+def observability_gramian(A, C) -> np.ndarray:
     """Solve A^T P0 A - P0 + C^T C = 0 by fixed-point doubling."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -392,11 +394,11 @@ def observability_gramian(A, C, tol: float = GRAMIAN_TOL,
     P = C.T @ C
     M = A.copy()
     scale = max(1.0, float(np.linalg.norm(P)))
-    for _ in range(max_iter):
+    for _ in range(GRAMIAN_MAX_ITER):
         incr = M.T @ P @ M
         P = P + incr
         M = M @ M
-        if np.linalg.norm(incr) <= tol * scale:
+        if np.linalg.norm(incr) <= GRAMIAN_TOL * scale:
             return 0.5 * (P + P.T)
     raise LyapunovFailure("Lyapunov doubling did not converge")
 
@@ -565,22 +567,23 @@ def simulate(sys, u: np.ndarray) -> np.ndarray:
     return sys.bank().run(u)
 
 
-def effective_length(sys, tol: float = 1e-8, cap: int = 65536) -> int:
+def effective_length(sys) -> int:
     """Shortest horizon after which the impulse-response tail energy is
-    below tol relative to the total."""
+    below EFFECTIVE_TAIL_TOL relative to the total (EFFECTIVE_LENGTH_CAP
+    at most)."""
     sys = as_matrix(sys)
     if sys.is_fir():
         return max(max(e.num.size for row in sys.entries for e in row), 1)
     n = 256
-    while n <= cap:
+    while n <= EFFECTIVE_LENGTH_CAP:
         h = sys.impulse(n)
         energy = np.cumsum(np.sum(h ** 2, axis=(1, 2)))
         total = energy[-1]
         if total == 0.0:
             return 1
         tail = total - energy
-        idx = np.nonzero(tail <= tol * total)[0]
+        idx = np.nonzero(tail <= EFFECTIVE_TAIL_TOL * total)[0]
         if idx.size and idx[0] < n - n // 4:
             return int(idx[0]) + 1
         n *= 2
-    return cap
+    return EFFECTIVE_LENGTH_CAP

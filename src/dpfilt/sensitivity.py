@@ -14,6 +14,8 @@ from .errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                      OracleTooLarge, UnstableSystem)
 from .lti import as_matrix, column_energies, h2_norm, next_fast_len
 
+TAIL_BOUND_TOL = 1e-10          # mimo_exact's certified cross-term tail
+
 
 @dataclass
 class SensitivityReport:
@@ -57,8 +59,12 @@ def mimo_bounds(G, k) -> tuple[float, float]:
             float(np.linalg.norm(k) * np.sqrt(np.sum(energy))))
 
 
-def mimo_exact(G, k, tol: float = 1e-10,
-               max_horizon: int = 100000) -> SensitivityReport:
+def _cross_tail_bound(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """eps_ij = e_i t_j + t_i e_j + t_i t_j."""
+    return np.outer(e, t) + np.outer(t, e) + np.outer(t, t)
+
+
+def mimo_exact(G, k, max_horizon: int = 100000) -> SensitivityReport:
     """MIMO sensitivity from the worst lag between every input pair.
 
     All column-pair cross-correlations C_ij(tau) of the impulse response
@@ -70,9 +76,10 @@ def mimo_exact(G, k, tol: float = 1e-10,
     from lag L on (column_energies(G, L), plus its slack), Cauchy-Schwarz
     puts every lag of the full correlation, |tau| >= L included, within
     eps_ij = sqrt(E_i T_j) + sqrt(T_i E_j) + sqrt(T_i T_j) of the
-    truncated one. Once max eps_ij < tol, sup_tau |C_ij| + eps_ij enters
-    the cross terms and horizon_used is that L; HorizonExceeded is raised
-    if L would pass max_horizon.
+    truncated one. L stops once eps_ij < TAIL_BOUND_TOL holds with the
+    full E_j (which bound the truncated), before h is taken; horizon_used
+    is that L, HorizonExceeded is raised if L would pass max_horizon, and
+    sup_tau |C_ij| + eps_ij enters the cross terms.
 
     Each pair's worst lag is maximized independently, so the value is
     exact (within eps) for two inputs or a diagonal target, which
@@ -89,20 +96,19 @@ def mimo_exact(G, k, tol: float = 1e-10,
         L = max(e.num.size for row in G.entries for e in row)
         h, eps = G.impulse(L), 0.0
     else:
-        L = min(64, max_horizon)
+        full, L = np.sqrt(column_energies(G)[0]), min(64, max_horizon)
         while True:
-            h = G.impulse(L)
-            e = np.sqrt(np.sum(h ** 2, axis=(0, 1)))
-            tail, slack = column_energies(G, L)
-            t = np.sqrt(np.maximum(tail + slack, 0.0))
-            eps = np.outer(e, t) + np.outer(t, e) + np.outer(t, t)
-            if eps.max() < tol:
+            t = np.sqrt(np.maximum(np.add(*column_energies(G, L)), 0.0))
+            worst = _cross_tail_bound(full, t).max()
+            if worst < TAIL_BOUND_TOL:
                 break
             if L >= max_horizon:
                 raise HorizonExceeded(
-                    f"cross-term tail bound {eps.max():.3g} not certified "
-                    f"below {tol:g} within {max_horizon} lags")
+                    f"cross-term tail bound {worst:.3g} not certified "
+                    f"below {TAIL_BOUND_TOL:g} within {max_horizon} lags")
             L = min(2 * L, max_horizon)
+        h = G.impulse(L)
+        eps = _cross_tail_bound(np.sqrt(np.sum(h ** 2, axis=(0, 1))), t)
     nfft = next_fast_len(2 * L - 1)
     H = np.fft.rfft(h, nfft, axis=0)                   # (nfft/2+1, p, m)
     corr = np.fft.irfft(H.conj().swapaxes(1, 2) @ H, nfft, axis=0)

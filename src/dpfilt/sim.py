@@ -13,7 +13,8 @@ import numpy as np
 from .config import as_number
 from .df import run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
-from .lti import (RationalFilter, TransferMatrix, effective_length, simulate)
+from .lti import (RationalFilter, TransferMatrix, effective_length,
+                  freq_response, simulate)
 from .privacy import PrivacySpec
 from .zfe import MechanismDesign
 
@@ -23,10 +24,10 @@ def _load_data(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def moving_average(length: int, delay: int = 1) -> RationalFilter:
-    """FIR averaging the previous `length` samples starting at `delay`."""
-    taps = np.zeros(delay + length)
-    taps[delay:] = 1.0 / length
+def moving_average(length: int) -> RationalFilter:
+    """FIR averaging the previous `length` samples, lags 1 to `length`."""
+    taps = np.zeros(1 + length)
+    taps[1:] = 1.0 / length
     return RationalFilter(taps)
 
 
@@ -223,13 +224,13 @@ def compare_mechanisms(F: TransferMatrix, source,
     dict yields a bounds-only report."""
     from .zfe import zfe_general_lower_bound, zfe_mse_diag_bound
     k = privacy.k_vector()
+    Fg = freq_response(F)
+    bounds = {"zfe_diag_bound": zfe_mse_diag_bound(Fg, k, privacy),
+              "zfe_nuclear_bound": zfe_general_lower_bound(Fg, k, privacy)}
+    del Fg      # not held through the trials (peak memory)
     report = {
         "target_shape": list(F.shape), "privacy": privacy.to_dict(),
-        "bounds": {
-            "zfe_diag_bound": zfe_mse_diag_bound(F, k, privacy),
-            "zfe_nuclear_bound": zfe_general_lower_bound(F, k, privacy),
-        },
-        "mechanisms": {},
+        "bounds": bounds, "mechanisms": {},
         "config": {"trials": trials, "steps": T, "seed": seed,
                    "source": source.name}}
     for idx, (name, design) in enumerate(designs.items()):

@@ -16,7 +16,11 @@ from .errors import (FactorizationStalled, NotFactorizable,
                      NotPositiveDefinite)
 from .lti import RationalFilter, grid_omega, taps_grid
 
+# Log floor (relative to the peak), the share of the grid a spectrum may
+# spend below it, and the autocovariance tail Bauer's method drops.
 LOG_FLOOR_FRAC = 1e-12
+PW_MAX_ZERO_FRAC = 0.01
+BAUER_TAIL_TOL = 1e-10
 # The truncated scalar factor is re-factored from its magnitude sampled on
 # this many times the spectrum's grid; 2x moves the bench designs by 1e-10.
 REFACTOR_OVERSAMPLE = 4
@@ -38,27 +42,26 @@ def grid_lags(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_two_sided(values), axis=0).real
 
 
-def paley_wiener_check(s, floor_frac: float = LOG_FLOOR_FRAC,
-                       max_zero_frac: float = 0.01) -> bool:
+def paley_wiener_check(s) -> bool:
     """Operational log-integrability test on the grid.
 
     Fails when the spectrum is identically zero or vanishes (below the
-    relative floor) on more than max_zero_frac of the grid.
+    relative floor LOG_FLOOR_FRAC) on PW_MAX_ZERO_FRAC or more of it.
     """
     s = np.asarray(s, dtype=float)
     peak = float(s.max(initial=0.0))
     if peak <= 0.0 or not np.all(np.isfinite(s)):
         return False
-    floor = floor_frac * peak
+    floor = LOG_FLOOR_FRAC * peak
     frac_below = float(np.mean(s < floor))
-    if frac_below >= max_zero_frac:
+    if frac_below >= PW_MAX_ZERO_FRAC:
         return False
     return bool(np.isfinite(np.sum(np.log(np.maximum(s, floor)))))
 
 
-def _cepstral_impulse(s: np.ndarray, floor_frac: float) -> np.ndarray:
+def _cepstral_impulse(s: np.ndarray) -> np.ndarray:
     """Full-length minimum-phase impulse response with |g|^2 = s on the grid."""
-    floor = floor_frac * float(s.max())
+    floor = LOG_FLOOR_FRAC * float(s.max())
     cep = grid_lags(np.log(np.maximum(s, floor))) / 2.0
     L = cep.size
     fold = np.zeros(L)
@@ -77,8 +80,7 @@ def factor_grid_error(s, filt: RationalFilter) -> float:
     return float(np.max(np.abs(mag2 - s)) / max(s.max(), 1e-300))
 
 
-def scalar_spectral_factor(s, order: int, *, enforce_pw: bool = True,
-                           floor_frac: float = LOG_FLOOR_FRAC
+def scalar_spectral_factor(s, order: int, *, enforce_pw: bool = True
                            ) -> tuple[RationalFilter, float]:
     """Minimum-phase FIR factor g of a nonnegative grid spectrum.
 
@@ -94,14 +96,14 @@ def scalar_spectral_factor(s, order: int, *, enforce_pw: bool = True,
         raise ValueError("order must be at least 1")
     if np.any(s < 0):
         raise NotFactorizable("spectrum has negative samples")
-    if enforce_pw and not paley_wiener_check(s, floor_frac):
+    if enforce_pw and not paley_wiener_check(s):
         raise NotFactorizable(
             "spectrum violates the log-integrability condition")
     if float(s.max(initial=0.0)) <= 0.0:
         raise NotFactorizable("spectrum is identically zero")
-    h = _cepstral_impulse(s, floor_frac)[: order + 1]
+    h = _cepstral_impulse(s)[: order + 1]
     mag2 = np.abs(np.fft.rfft(h, 2 * REFACTOR_OVERSAMPLE * (s.size - 1))) ** 2
-    g = RationalFilter(_cepstral_impulse(mag2, floor_frac)[: order + 1])
+    g = RationalFilter(_cepstral_impulse(mag2)[: order + 1])
     return g, factor_grid_error(s, g)
 
 
@@ -148,7 +150,7 @@ def _truncate_tail(h: np.ndarray, tol: float,
     return h[:stop]
 
 
-def _diagonal_factor(P: np.ndarray, floor_frac: float, off_peak: float,
+def _diagonal_factor(P: np.ndarray, off_peak: float,
                      scale: float) -> MatrixFactorization:
     """Per-entry cepstral factorization for (block-free) diagonal spectra.
 
@@ -163,7 +165,7 @@ def _diagonal_factor(P: np.ndarray, floor_frac: float, off_peak: float,
     taps = []
     gains = np.zeros(m)
     for i in range(m):
-        h = _cepstral_impulse(diag[:, i].real, floor_frac)
+        h = _cepstral_impulse(diag[:, i].real)
         h = _truncate_tail(h[: N], 1e-12)
         gains[i] = h[0]
         taps.append(h / h[0])
@@ -180,7 +182,6 @@ def _diagonal_factor(P: np.ndarray, floor_frac: float, off_peak: float,
 
 
 def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
-                            tail_tol: float = 1e-10,
                             max_blocks: int = 4096, name: str = "spectrum",
                             hint: str = "") -> MatrixFactorization:
     """Canonical spectral factorization of a Hermitian PD grid spectrum
@@ -188,7 +189,7 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
 
     Diagonal spectra are dispatched to the scalar cepstral kernel; the
     general case runs Bauer's block-Toeplitz Cholesky with the bandwidth
-    chosen so the discarded autocovariance tail is below tail_tol.
+    chosen so the discarded autocovariance tail is below BAUER_TAIL_TOL.
     A singular sample raises NotPositiveDefinite naming the spectrum
     (name), the worst frequency and its eigenvalue ratio, then the hint.
     A block count whose (blocks * m)^2 matrix would exceed BAUER_MAX_BYTES
@@ -214,11 +215,11 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
     off[:, idx, idx] = 0.0
     off_peak = float(np.max(np.abs(off)))
     if off_peak <= 1e-14 * scale:
-        return _diagonal_factor(samples, LOG_FLOOR_FRAC, off_peak, scale)
+        return _diagonal_factor(samples, off_peak, scale)
 
     R = grid_lags(samples)
     norms = np.linalg.norm(R, axis=(1, 2))
-    above = np.nonzero(norms > tail_tol * norms[0])[0]
+    above = np.nonzero(norms > BAUER_TAIL_TOL * norms[0])[0]
     band = int(min(above[above < N].max(initial=0) + 1, N))
     n_blocks = min(max(4 * band + 16, 32), max_blocks)
     tried = None

@@ -100,20 +100,16 @@ def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
         raise UnstableInverse("ZFE prefilter must be diagonal") from None
 
 
-def column_norm_grid(F, N: int = DEFAULT_GRID) -> np.ndarray:
-    """|F_i(e^{j omega})|_2 for every input column, shape (N+1, m)."""
-    return np.linalg.norm(freq_response(F, N), axis=1)
-
-
-def design_diag_prefilter(F, k, N: int = DEFAULT_GRID,
-                          order: int = DEFAULT_FACTOR_ORDER) -> TransferMatrix:
-    """Optimal diagonal prefilter: factor |F_i|_2 / k_i per input column."""
+def design_diag_prefilter(Fg, k, order: int = DEFAULT_FACTOR_ORDER
+                          ) -> TransferMatrix:
+    """Optimal diagonal prefilter: factor |F_i|_2 / k_i per input column
+    of the target grid Fg."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.size != F.shape[1]:
+    if k.size != Fg.shape[2]:
         raise DimensionMismatch("k length must match the input count of F")
-    cn = column_norm_grid(F, N)
+    cn = np.linalg.norm(Fg, axis=1)
     entries = []
-    for i in range(F.shape[1]):
+    for i in range(k.size):
         try:
             g, _ = scalar_spectral_factor(cn[:, i] / k[i], order)
         except NotFactorizable as exc:
@@ -123,20 +119,19 @@ def design_diag_prefilter(F, k, N: int = DEFAULT_GRID,
     return TransferMatrix.diagonal(entries)
 
 
-def zfe_mse_diag_bound(F, k, privacy: PrivacySpec,
-                       N: int = DEFAULT_GRID) -> float:
-    """Best MSE achievable by any diagonal-prefilter ZFE mechanism."""
+def zfe_mse_diag_bound(Fg, k, privacy: PrivacySpec) -> float:
+    """Best MSE achievable by any diagonal-prefilter ZFE mechanism, on the
+    grid of the target Fg."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    cn = column_norm_grid(F, N)
-    integrand = cn @ k
+    integrand = np.linalg.norm(Fg, axis=1) @ k
     return float(kappa(privacy) ** 2 * trapezoid_mean(integrand) ** 2)
 
 
-def zfe_general_lower_bound(F, k, privacy: PrivacySpec,
-                            N: int = DEFAULT_GRID) -> float:
-    """Nuclear-norm lower bound on the MSE of any ZFE mechanism."""
+def zfe_general_lower_bound(Fg, k, privacy: PrivacySpec) -> float:
+    """Nuclear-norm lower bound on the MSE of any ZFE mechanism, on the
+    grid of the target Fg."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    FK = freq_response(F, N) * k[None, None, :]
+    FK = Fg * k[None, None, :]
     nuclear = np.linalg.svd(FK, compute_uv=False).sum(axis=1)
     return float(kappa(privacy) ** 2 * trapezoid_mean(nuclear) ** 2)
 
@@ -166,8 +161,8 @@ def assemble_zfe(F: TransferMatrix, G: TransferMatrix, privacy: PrivacySpec,
     hg2 = float(trapezoid_mean((cn2 / np.abs(Gdiag) ** 2).sum(axis=1)))
     theory_mse = kap ** 2 * gk2 * hg2
 
-    diag_bound = zfe_mse_diag_bound(F, k, privacy, N)
-    nuclear_bound = zfe_general_lower_bound(F, k, privacy, N)
+    diag_bound = zfe_mse_diag_bound(Fg, k, privacy)
+    nuclear_bound = zfe_general_lower_bound(Fg, k, privacy)
     cn = np.sqrt(cn2)
     fit_resid = [
         float(np.max(np.abs(np.abs(Gdiag[:, i]) ** 2 - cn[:, i] / k[i]))
@@ -200,9 +195,10 @@ def assemble_output_perturbation(F: TransferMatrix, privacy: PrivacySpec,
     sigma = noise_sigma(sens, privacy)
     p = F.shape[0]
     theory_mse = p * sigma ** 2
+    Fg = freq_response(F, N)
     info = {"sensitivity": sens, "grid_n": N,
-            "diag_bound": zfe_mse_diag_bound(F, k, privacy, N),
-            "nuclear_bound": zfe_general_lower_bound(F, k, privacy, N)}
+            "diag_bound": zfe_mse_diag_bound(Fg, k, privacy),
+            "nuclear_bound": zfe_general_lower_bound(Fg, k, privacy)}
     return MechanismDesign(kind="output_perturbation", target=F, prefilter=F,
                            noise_sigma=float(sigma), privacy=privacy,
                            postfilter=TransferMatrix.identity(p),

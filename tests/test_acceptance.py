@@ -18,7 +18,7 @@ from dpfilt import (MechanismDesign, OccupancySource, PrivacySpec,
                     postfilter_mse, q_function, q_inverse, sample_chain,
                     scalar_spectral_factor, server_example, server_stationary,
                     stationary_distribution, trapezoid_mean,
-                    waterfill_diagonal, wiener_smoother)
+                    waterfill_diagonal, wiener_smoother, wiener_spectra)
 
 from conftest import random_fir_matrix, random_transfer_matrix
 
@@ -37,7 +37,7 @@ def test_criterion_1_zfe_bound_attainment():
     t0 = time.monotonic()
     F = occupancy_filter_bank()
     priv = merl_privacy()
-    G = design_diag_prefilter(F, priv.k_vector(), N=1024)
+    G = design_diag_prefilter(freq_response(F, 1024), priv.k_vector())
     design = assemble_zfe(F, G, priv, 1024)
     ratio = design.theory_mse / design.info["diag_bound"]
     elapsed = time.monotonic() - t0
@@ -50,7 +50,7 @@ def test_criterion_2_monte_carlo_consistency():
     t0 = time.monotonic()
     F = occupancy_filter_bank()
     priv = merl_privacy()
-    G = design_diag_prefilter(F, priv.k_vector(), N=1024)
+    G = design_diag_prefilter(freq_response(F, 1024), priv.k_vector())
     design = assemble_zfe(F, G, priv, 1024)
     src_a = OccupancySource(m=15, rates=None, period=480, amplitude=0.6,
                             phase_seed=3)
@@ -154,13 +154,13 @@ def test_criterion_5_waterfilling_vs_optimizer():
                                       + rng.uniform(0, np.pi)) ** 2)
         F = random_fir_matrix(rng, int(rng.integers(1, 4)), m, max_lag=3)
         k = pk.k_vector()
-        x, lam = waterfill_diagonal(F, Pu, k, pk)
-        wf_objective = lms_objective(F, Pu, k, pk, x)
-        _, pg_objective = optimize_prefilter_general(F, Pu, k, pk)
+        Fg = freq_response(F, N)
+        x, lam = waterfill_diagonal(Fg, Pu, k, pk)
+        wf_objective = lms_objective(Fg, Pu, k, pk, x)
+        _, pg_objective = optimize_prefilter_general(Fg, Pu, k, pk)
         worst_gap = max(worst_gap, abs(pg_objective - wf_objective)
                         / wf_objective)
         kap = kappa(pk)
-        Fg = freq_response(F, N)
         Ft2 = kap ** 2 * np.linalg.norm(Fg, axis=1) ** 2 * (k ** 2)[None, :]
         idx = np.arange(m)
         pt = np.real(Pu[:, idx, idx]) / (kap ** 2 * (k ** 2)[None, :])
@@ -183,21 +183,23 @@ def test_criterion_6_mechanism_ordering():
     k = pk.k_vector()
     lms_design = assemble_lms(F, Pu, pk, mode="smoother",
                               input_mean=mean)
-    Gz = design_diag_prefilter(F, k, N=N, order=48)
+    Fg = freq_response(F, N)
+    Gz = design_diag_prefilter(Fg, k, order=48)
     zfe_design = assemble_zfe(F, Gz, pk, N)
     xz = np.stack([np.abs(g.freq(grid_omega(N))) ** 2
                    for g in Gz.diagonal_entries()], axis=1) * k[None, :] ** 2
     xz /= trapezoid_mean(xz.sum(axis=1))
-    val_zfe_profile = lms_objective(F, Pu, k, pk, xz)
+    val_zfe_profile = lms_objective(Fg, Pu, k, pk, xz)
     opt = lms_design.info["optimal_objective"]
     ordering = opt <= val_zfe_profile * (1 + 1e-9) \
         and val_zfe_profile <= zfe_design.theory_mse * (1 + 1e-9)
     sigma = lms_design.noise_sigma
     G = lms_design.prefilter
-    smoother = wiener_smoother(F, Pu, G, sigma)
-    cw = causal_wiener(F, Pu, G, sigma)
-    mse_s = postfilter_mse(F, Pu, G, sigma, smoother)
-    mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N))
+    P_yv, P_v = wiener_spectra(Fg, Pu, freq_response(G, N), sigma)
+    smoother = wiener_smoother(P_yv, P_v)
+    cw = causal_wiener(P_yv, P_v)
+    mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, smoother)
+    mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
     causal_ok = mse_c >= mse_s - 1e-12
     big = Pu * 1e8 + 1e2 * np.eye(2)[None, :, :]
     d_big = assemble_lms(F, big, pk, mode="smoother")

@@ -566,13 +566,14 @@ class TestTamperedDesign:
     @pytest.mark.parametrize("mech,edit,code,needle", [
         ("zfe", ("noise_sigma",), 2, "noise_sigma"),
         ("zfe", ("noise_sigma", "inf"), 2, "noise_sigma"),
-        ("lms_causal", ("prefilter", 1, 3), 5, "InsufficientNoise")],
+        ("lms_causal", ("prefilter", 1, 3), 2, "prefilter: entries[1].num")],
         ids=["nan_sigma", "infinite_sigma", "nan_prefilter_coefficient"])
     def test_non_finite_design_refused(self, tmp_path, capsys, mech, edit,
                                        code, needle):
         # regression: a NaN noise_sigma fails `sigma < need` and released
         # the prefiltered signal with no noise, exit 0 at MSE 1.9e-29; an
-        # infinite one, or a NaN coefficient (a NaN need), ran to a NaN MSE
+        # infinite one, or a NaN coefficient (a NaN need), ran to a NaN MSE.
+        # A NaN coefficient is refused as the document is read
         cfg_path, _ = base_config(tmp_path, mech=mech)
         design_path = tmp_path / "design.json"
         assert main(["design", "--config", str(cfg_path),
@@ -597,12 +598,22 @@ class TestTamperedDesign:
         ("lms_causal", ("input_mean", 0), float("inf"), "input_mean"),
         ("lms_causal", ("input_mean",), [0.5], "input_mean"),
         ("df", ("info", "decision_domain"), [], "info.decision_domain"),
-        ("df", ("info", "decision_domain"), "ints", "info.decision_domain")],
-        ids=["infinite_mean", "short_mean", "list_domain", "unknown_domain"])
+        ("df", ("info", "decision_domain"), "ints", "info.decision_domain"),
+        ("zfe", ("target", "entries", 0, "num", 1), float("nan"),
+         "target: entries[0].num"),
+        ("zfe", ("target", "entries", 0, "den"), [1.0, float("inf")],
+         "target: entries[0].den"),
+        ("zfe", ("theory_mse",), float("nan"), "theory_mse")],
+        ids=["infinite_mean", "short_mean", "list_domain", "unknown_domain",
+             "nan_target_num", "infinite_target_den", "nan_theory_mse"])
     def test_bad_stored_field_exits_two(self, tmp_path, capsys, mech, path,
                                         value, needle):
         # regression: an infinite input_mean ran to empirical_mse=nan with
-        # exit 0, and a list decision_domain exited 1 with a TypeError
+        # exit 0, and a list decision_domain exited 1 with a TypeError; a
+        # NaN target coefficient exited 2 only through "SVD did not
+        # converge" in the report bounds, an infinite target denominator
+        # through "Array must not contain infs or NaNs", and a NaN
+        # theory_mse exited 0 and printed theory=nan
         fpath = tmp_path / "target.yaml"
         write_yaml(fpath, transfer_matrix_to_dict(
             TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1])] * 2)))

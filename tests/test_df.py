@@ -3,9 +3,9 @@ import pytest
 
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     chain_spectrum, design_df, df_factorizations,
-                    df_theory_mse, grid_omega, kappa, optimal_feedback,
-                    run_df_mechanism, server_example, simulate,
-                    trapezoid_mean)
+                    df_theory_mse, freq_response, grid_omega, kappa,
+                    optimal_feedback, run_df_mechanism, server_example,
+                    simulate, trapezoid_mean)
 from dpfilt.df import DECISION_DOMAINS, decision_op
 from dpfilt.errors import ConfigError
 from dpfilt.spectral import MatrixFactorization
@@ -40,7 +40,8 @@ class TestFactorizations:
         G = TransferMatrix.identity(2)
         Pu = white_spectrum(2)
         pk = priv((1.0, 1.0))
-        Q, R, S, T = df_factorizations(F, Pu, G, (1.0, 1.0), pk)
+        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
+                                       freq_response(G, N), (1.0, 1.0), pk)
         assert np.max(np.abs(Q.coeffs[0] - np.eye(2))) < 1e-8
         if Q.coeffs.shape[0] > 1:
             assert np.max(np.abs(Q.coeffs[1:])) < 1e-7
@@ -55,7 +56,8 @@ class TestFactorizations:
         Pu = (2.0 + np.cos(OMEGA)).astype(complex)[:, None, None]
         k = (1.5,)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(F, Pu, G, k, pk)
+        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
+                                       freq_response(G, N), k, pk)
         Fg2 = np.abs(RationalFilter([1.0, 0.5]).freq(OMEGA)) ** 2
         t_want = np.exp(trapezoid_mean(np.log(Fg2)))
         assert T[0, 0] == pytest.approx(t_want, rel=1e-6)
@@ -74,7 +76,6 @@ class TestFactorizations:
                              RationalFilter([0.0, 0.3])],
                             [RationalFilter([0.0, -0.2]),
                              RationalFilter([1.0, 0.25])]])
-        from dpfilt import freq_response
         Wg = freq_response(W, N)
         Pu = Wg @ np.conj(np.swapaxes(Wg, 1, 2)) + 0.4 * np.eye(2)[None, :, :]
         F = TransferMatrix([[RationalFilter([1.0, 0.4]),
@@ -85,11 +86,11 @@ class TestFactorizations:
                                      RationalFilter([0.8, -0.1])])
         k = (1.0, 2.0)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(F, Pu, G, k, pk)
+        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
+                                       freq_response(G, N), k, pk)
         assert Q.grid_error < 1e-5
         assert S.grid_error < 1e-5
         # explicit S* T S reconstruction of F*F
-        from dpfilt import freq_response
         Fg = freq_response(F, N)
         FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
         Sg = S.eval_grid(N)
@@ -493,7 +494,6 @@ def h1_taps_reference(design, P_u, N):
     Wiener smoother of lms: H1 = B P_u G* (G P_u G* + s^2 I)^-1, solved
     against the conjugate transpose of the observation spectrum, taken to
     lags by its own two-sided ifft and cut like the causal taps."""
-    from dpfilt import freq_response
     df = design.postfilter
     m = P_u.shape[1]
     Gg = freq_response(design.prefilter, N)

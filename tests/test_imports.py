@@ -1,6 +1,6 @@
 """Imports and leftovers: no dpfilt command loads scipy, no dpfilt module
-imports a name it never uses, and no private or public definition goes
-unused.
+imports a name it never uses, no private or public definition goes
+unused, and no call leaves a public default the only value in use.
 
 Each cold-start check runs in a fresh interpreter, since the test process
 itself imports scipy as an oracle.
@@ -260,7 +260,9 @@ def test_unreferenced_public_flagged():
                                                      "spare (a.py:3)"]
 
 
-def test_no_unreferenced_public_definition():
+def tree_sources() -> tuple[dict, dict]:
+    """The dpfilt modules, and every Python file under src/, tests/ and
+    benchmark/, each as {file name: source}."""
     readers = {}
     for pattern in ("src/**/*.py", "tests/**/*.py", "benchmark/**/*.py"):
         for path in glob.glob(os.path.join(ROOT, pattern), recursive=True):
@@ -268,7 +270,140 @@ def test_no_unreferenced_public_definition():
                 readers[os.path.relpath(path, ROOT)] = fh.read()
     sources = {os.path.basename(path): readers[os.path.relpath(path, ROOT)]
                for path in MODULES}
-    assert unreferenced_public(sources, readers) == []
+    return sources, readers
+
+
+def test_no_unreferenced_public_definition():
+    assert unreferenced_public(*tree_sources()) == []
+
+
+def defaulted_parameters(sources: dict) -> list:
+    """(callee, parameter, call position or None, file, line) for each
+    defaulted parameter of the public functions and methods of the
+    modules in `sources`. The callee is the name a call uses, the class
+    name for __init__; the call position leaves out self and cls."""
+    out = []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            funcs = [(node.name, node, 0)]
+            if isinstance(node, ast.ClassDef):
+                funcs = [(node.name if fn.name == "__init__" else fn.name, fn,
+                          int(not any(getattr(d, "id", "") == "staticmethod"
+                                      for d in fn.decorator_list)))
+                         for fn in node.body
+                         if isinstance(fn, ast.FunctionDef)
+                         and (fn.name == "__init__"
+                              or not fn.name.startswith("_"))]
+            for name, fn, bound in funcs:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.append((name, arg.arg, i - bound, path, arg.lineno))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((name, arg.arg, None, path, arg.lineno))
+    return out
+
+
+def passed_arguments(readers: dict) -> dict:
+    """Callee name -> (largest positional argument count, keyword names)
+    over every call in `readers` ({file name: source}). A call through
+    functools.partial counts as a call of its first argument, a starred
+    argument covers every later position, an unpacked mapping other than
+    a forwarded **kwargs covers every keyword ("*"), and a call that
+    forwards its function's **kwargs passes whatever that function is
+    passed."""
+    count, words, forwards = {}, {}, []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" \
+                    and args:
+                func, args = args[0], args[1:]
+            callee = getattr(func, "id", getattr(func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in args)
+            count[callee] = max(count.get(callee, 0),
+                                float("inf") if starred else len(args))
+            names = words.setdefault(callee, set())
+            kwarg = owner and owner.args.kwarg and owner.args.kwarg.arg
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    names.add(kw.arg)
+                elif kwarg and getattr(kw.value, "id", None) == kwarg:
+                    forwards.append((owner.name, callee))
+                else:
+                    names.add("*")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for source in readers.values():
+        visit(ast.parse(source), None)
+    changed = True
+    while changed:
+        changed = False
+        for owner, callee in forwards:
+            new = words.get(owner, set()) - words[callee]
+            words[callee] |= new
+            changed = changed or bool(new)
+    return {name: (count[name], words[name]) for name in count}
+
+
+def never_passed(sources: dict, readers: dict) -> list:
+    """Defaulted parameters of the public functions and methods of
+    `sources` that no call in `readers` passes, by keyword, by position,
+    through functools.partial or through **kwargs forwarding, each as
+    'callee(parameter) (file:line)'. Calls are matched by name alone."""
+    calls = passed_arguments(readers)
+    out = []
+    for callee, param, pos, path, line in defaulted_parameters(sources):
+        n, names = calls.get(callee, (0, set()))
+        if param in names or "*" in names or (pos is not None and pos < n):
+            continue
+        out.append(f"{callee}({param}) ({path}:{line})")
+    return sorted(out)
+
+
+def test_never_passed_parameter_flagged():
+    # scale is passed by position, fast by keyword, tol through a
+    # partial and name through **kwargs forwarding; spare and the
+    # method's gain never are. Private functions and methods are out of
+    # scope, and __init__ goes by its class name
+    sources = {"a.py": ("def fit(x, scale=1.0, *, fast=False, spare=0):\n"
+                        "    return x\n"
+                        "def solve(x, tol=1e-9, name=''):\n"
+                        "    return x\n"
+                        "def wrap(x, **kwargs):\n"
+                        "    return solve(x, **kwargs)\n"
+                        "def _hidden(x, limit=3):\n"
+                        "    return x\n"
+                        "class Box:\n"
+                        "    def __init__(self, size=1):\n"
+                        "        self.size = size\n"
+                        "    def grow(self, gain=2.0):\n"
+                        "        return self._spare()\n"
+                        "    def _spare(self, k=0):\n"
+                        "        return k\n")}
+    readers = dict(sources, **{
+        "b.py": ("import functools\n"
+                 "from a import Box, fit, solve, wrap\n"
+                 "fit(1.0, 2.0, fast=True)\n"
+                 "f = functools.partial(solve, tol=1e-3)\n"
+                 "wrap(1.0, name='x')\n"
+                 "Box(3).grow()\n")})
+    assert never_passed(sources, readers) == [
+        "fit(spare) (a.py:1)", "grow(gain) (a.py:12)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call sets is a constant in disguise
+    assert never_passed(*tree_sources()) == []
 
 
 def dead_flags(parser, source: str) -> list:

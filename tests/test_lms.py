@@ -7,7 +7,7 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     grid_omega, kappa, lms_objective,
                     optimize_prefilter_general, postfilter_mse,
                     server_example, simulate, trapezoid_mean,
-                    waterfill_diagonal, wiener_smoother)
+                    waterfill_diagonal, wiener_smoother, wiener_spectra)
 from dpfilt.errors import ConfigError, DegenerateObjective, NotDiagonal
 from dpfilt.sensitivity import diagonal_sensitivity
 
@@ -40,6 +40,14 @@ def zfe_profile(G, k, n=N):
     return x
 
 
+def spectra(F, P_u, G, sigma):
+    """wiener_spectra of the target F and the prefilter G, both sampled on
+    the grid of P_u."""
+    n = P_u.shape[0] - 1
+    return wiener_spectra(freq_response(F, n), P_u, freq_response(G, n),
+                          sigma)
+
+
 def assert_feasible(x, tol=1e-8):
     """x is an allocation profile: nonnegative, integrating to one."""
     assert np.all(x >= -1e-12)
@@ -50,8 +58,8 @@ class TestWienerSmoother:
     def test_large_noise_kills_gain(self, rng):
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5]),
                                      RationalFilter([0.7])])
-        H = wiener_smoother(F, white_spectrum(2), TransferMatrix.identity(2),
-                            sigma=1e6)
+        H = wiener_smoother(*spectra(F, white_spectrum(2),
+                                     TransferMatrix.identity(2), sigma=1e6))
         assert np.max(np.abs(H)) < 1e-3
 
     def test_zero_noise_zero_forcing_limit(self, rng):
@@ -59,15 +67,15 @@ class TestWienerSmoother:
                                      RationalFilter([0.7, 0.2])])
         G = TransferMatrix.diagonal([RationalFilter([1.0, 0.3]),
                                      RationalFilter([2.0])])
-        H = wiener_smoother(F, white_spectrum(2), G, sigma=1e-8)
+        H = wiener_smoother(*spectra(F, white_spectrum(2), G, sigma=1e-8))
         HG = freq_response(F.cascade_diag_inverse(G), N)
         assert np.max(np.abs(H - HG)) < 1e-6
 
     def test_scalar_white_closed_form(self):
         F = TransferMatrix.diagonal([RationalFilter([1.0, -0.4])])
         sigma = 0.8
-        H = wiener_smoother(F, white_spectrum(1), TransferMatrix.identity(1),
-                            sigma)
+        H = wiener_smoother(*spectra(F, white_spectrum(1),
+                                     TransferMatrix.identity(1), sigma))
         want = freq_response(F, N) / (1.0 + sigma ** 2)
         assert np.max(np.abs(H - want)) < 1e-12
 
@@ -78,11 +86,11 @@ class TestObjective:
                                      RationalFilter([0.6, -0.2])])
         k = (1.0, 2.0)
         pk = priv(k)
-        G = design_diag_prefilter(F, k, N=N, order=48)
+        G = design_diag_prefilter(freq_response(F, N), k, order=48)
         design = assemble_zfe(F, G, pk, N)
         prof = zfe_profile(G, k)
         big = white_spectrum(2) * 1e8
-        val = lms_objective(F, big, k, pk, prof)
+        val = lms_objective(freq_response(F, N), big, k, pk, prof)
         assert val == pytest.approx(design.theory_mse, rel=0.01)
 
     def test_zero_profile_is_output_power(self):
@@ -90,8 +98,8 @@ class TestObjective:
                                      RationalFilter([0.6])])
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.5 + np.sin(OMEGA) ** 2])
         k = (1.0, 1.0)
-        val = lms_objective(F, Pu, k, priv(k), np.zeros((N + 1, 2)))
         Fg = freq_response(F, N)
+        val = lms_objective(Fg, Pu, k, priv(k), np.zeros((N + 1, 2)))
         power = trapezoid_mean(np.einsum(
             "qij,qjl,qil->q", Fg, Pu, np.conj(Fg)).real)
         assert val == pytest.approx(float(power), rel=1e-10)
@@ -101,8 +109,8 @@ class TestObjective:
         F2 = TransferMatrix.diagonal([RationalFilter([2.0, 1.0])])
         Pu = diag_spectrum([1.0 + 0.3 * np.cos(OMEGA)])
         prof = np.ones((N + 1, 1))
-        a = lms_objective(F, Pu, (1.0,), priv((1.0,)), prof)
-        b = lms_objective(F2, Pu, (1.0,), priv((1.0,)), prof)
+        a = lms_objective(freq_response(F, N), Pu, (1.0,), priv((1.0,)), prof)
+        b = lms_objective(freq_response(F2, N), Pu, (1.0,), priv((1.0,)), prof)
         assert np.sqrt(b) == pytest.approx(2 * np.sqrt(a), rel=1e-10)
 
     def test_profile_off_the_spectrum_grid_rejected(self):
@@ -111,14 +119,16 @@ class TestObjective:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5])])
         prof = np.ones((N // 2 + 1, 1))
         with pytest.raises(ConfigError, match="profile grid"):
-            lms_objective(F, white_spectrum(1), (1.0,), priv((1.0,)), prof)
+            lms_objective(freq_response(F, N), white_spectrum(1), (1.0,),
+                          priv((1.0,)), prof)
 
 
 class TestWaterfilling:
     def test_single_channel_constant(self):
         F = TransferMatrix.diagonal([RationalFilter([1.5])])
         Pu = diag_spectrum([np.full(N + 1, 2.0)])
-        x, _ = waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)))
+        x, _ = waterfill_diagonal(freq_response(F, N), Pu, (1.0,),
+                                  priv((1.0,)))
         assert np.allclose(x, 1.0, atol=1e-9)
         assert_feasible(x)
 
@@ -126,7 +136,8 @@ class TestWaterfilling:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5]),
                                      RationalFilter([0.4, 0.3])])
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.4 * np.sin(OMEGA)])
-        x, _ = waterfill_diagonal(F, Pu, (1.0, 2.0), priv((1.0, 2.0)))
+        x, _ = waterfill_diagonal(freq_response(F, N), Pu, (1.0, 2.0),
+                                  priv((1.0, 2.0)))
         assert abs(trapezoid_mean(x.sum(axis=1)) - 1.0) < 1e-10
 
     def test_kkt_stationarity(self):
@@ -135,9 +146,9 @@ class TestWaterfilling:
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.4 * np.sin(OMEGA)])
         k = (1.0, 2.0)
         pk = priv(k)
-        x, lam = waterfill_diagonal(F, Pu, k, pk)
-        kap = kappa(pk)
         Fg = freq_response(F, N)
+        x, lam = waterfill_diagonal(Fg, Pu, k, pk)
+        kap = kappa(pk)
         Ft2 = kap ** 2 * np.linalg.norm(Fg, axis=1) ** 2 \
             * (np.asarray(k) ** 2)[None, :]
         pt = np.stack([np.real(Pu[:, i, i]) for i in range(2)],
@@ -154,9 +165,9 @@ class TestWaterfilling:
                                      RationalFilter([0.4, 0.3])])
         k = (1.0, 2.0)
         Pu = diag_spectrum([np.full(N + 1, 1e8), np.full(N + 1, 1e8)])
-        x, _ = waterfill_diagonal(F, Pu, k, priv(k))
-        # x_i should be proportional to |Ft_i|_2, the ZFE magnitude rule
         Fg = freq_response(F, N)
+        x, _ = waterfill_diagonal(Fg, Pu, k, priv(k))
+        # x_i should be proportional to |Ft_i|_2, the ZFE magnitude rule
         shape = np.linalg.norm(Fg, axis=1) * np.asarray(k)[None, :]
         a = x.ravel()
         b = shape.ravel()
@@ -168,13 +179,13 @@ class TestWaterfilling:
                                dtype=complex)[None], N + 1, axis=0)
         F = TransferMatrix.identity(2)
         with pytest.raises(NotDiagonal):
-            waterfill_diagonal(F, P, (1, 1), priv((1, 1)))
+            waterfill_diagonal(freq_response(F, N), P, (1, 1), priv((1, 1)))
 
     def test_zero_target_rejected(self):
         F = TransferMatrix.diagonal([RationalFilter([0.0])])
         Pu = diag_spectrum([np.ones(N + 1)])
         with pytest.raises(DegenerateObjective):
-            waterfill_diagonal(F, Pu, (1.0,), priv((1.0,)))
+            waterfill_diagonal(freq_response(F, N), Pu, (1.0,), priv((1.0,)))
 
 
 class TestGeneralOptimizer:
@@ -189,39 +200,41 @@ class TestGeneralOptimizer:
                                  RationalFilter(rng.normal(size=3))]])
             k = tuple(rng.uniform(0.5, 2.0, 2))
             pk = priv(k)
-            x, _ = waterfill_diagonal(F, Pu, k, pk)
-            _, objective = optimize_prefilter_general(F, Pu, k, pk)
+            Fg = freq_response(F, N)
+            x, _ = waterfill_diagonal(Fg, Pu, k, pk)
+            _, objective = optimize_prefilter_general(Fg, Pu, k, pk)
             assert objective == pytest.approx(
-                lms_objective(F, Pu, k, pk, x), rel=1e-4)
+                lms_objective(Fg, Pu, k, pk, x), rel=1e-4)
 
     def test_single_channel_exact(self, rng):
         Pu = diag_spectrum([1.5 + np.cos(OMEGA) ** 2])
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.7, 0.2])])
         pk = priv((1.3,))
-        x, _ = waterfill_diagonal(F, Pu, (1.3,), pk)
-        _, objective = optimize_prefilter_general(F, Pu, (1.3,), pk)
+        Fg = freq_response(F, N)
+        x, _ = waterfill_diagonal(Fg, Pu, (1.3,), pk)
+        _, objective = optimize_prefilter_general(Fg, Pu, (1.3,), pk)
         assert objective == pytest.approx(
-            lms_objective(F, Pu, (1.3,), pk, x), rel=1e-6)
+            lms_objective(Fg, Pu, (1.3,), pk, x), rel=1e-6)
 
     def test_correlated_spectrum_dominates_diag_approx(self):
         src = server_example(0.3, 0.6)
         Pu, _ = chain_spectrum(src, N)
-        F = demo_filter()
+        Fg = freq_response(demo_filter(), N)
         k = (1.0, 1.0)
         pk = priv(k)
-        _, objective = optimize_prefilter_general(F, Pu, k, pk)
+        _, objective = optimize_prefilter_general(Fg, Pu, k, pk)
         diag_only = diag_spectrum([np.real(Pu[:, i, i]) for i in range(2)])
-        x, _ = waterfill_diagonal(F, diag_only, k, pk)
+        x, _ = waterfill_diagonal(Fg, diag_only, k, pk)
         # evaluating the diagonal-approximation profile under the true
         # correlated spectrum cannot beat the optimizer
-        val_diag_profile = lms_objective(F, Pu, k, pk, x)
+        val_diag_profile = lms_objective(Fg, Pu, k, pk, x)
         assert objective <= val_diag_profile * (1 + 1e-9)
 
     def test_profile_feasible(self, rng):
         src = server_example(0.4, 0.5)
         Pu, _ = chain_spectrum(src, N)
-        x, _ = optimize_prefilter_general(demo_filter(), Pu, (1.0, 1.0),
-                                          priv((1.0, 1.0)))
+        x, _ = optimize_prefilter_general(freq_response(demo_filter(), N),
+                                          Pu, (1.0, 1.0), priv((1.0, 1.0)))
         assert_feasible(x)
 
 
@@ -232,13 +245,12 @@ class TestCausalWiener:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5, 0.25])])
         sigma = 1.0
         Pu = white_spectrum(1)
-        cw = causal_wiener(F, Pu, TransferMatrix.identity(1), sigma)
-        smoother = wiener_smoother(F, Pu, TransferMatrix.identity(1),
-                                   sigma)
-        mse_c = postfilter_mse(F, Pu, TransferMatrix.identity(1), sigma,
-                               cw.grid(N))
-        mse_s = postfilter_mse(F, Pu, TransferMatrix.identity(1), sigma,
-                               smoother)
+        P_yv, P_v = spectra(F, Pu, TransferMatrix.identity(1), sigma)
+        cw = causal_wiener(P_yv, P_v)
+        smoother = wiener_smoother(P_yv, P_v)
+        Fg = freq_response(F, N)
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
+        mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, smoother)
         assert mse_c == pytest.approx(mse_s, rel=1e-6)
         assert cw.anticausal_tail < 1e-10
 
@@ -248,10 +260,11 @@ class TestCausalWiener:
         Fg = np.exp(1j * OMEGA)[:, None, None]
         Pu = white_spectrum(1)
         sigma = 0.5
-        cw = causal_wiener(Fg, Pu, TransferMatrix.identity(1), sigma)
+        P_yv, P_v = wiener_spectra(
+            Fg, Pu, freq_response(TransferMatrix.identity(1), N), sigma)
+        cw = causal_wiener(P_yv, P_v)
         assert np.max(np.abs(cw.grid(N))) < 1e-10
-        mse_c = postfilter_mse(Fg, Pu, TransferMatrix.identity(1), sigma,
-                               cw.grid(N))
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
         assert mse_c == pytest.approx(1.0, rel=1e-9)
 
     def test_markov_siso_causal_gap_nonnegative(self):
@@ -263,10 +276,11 @@ class TestCausalWiener:
         pk = priv(k)
         G = TransferMatrix.identity(1)
         sigma = kappa(pk) * diagonal_sensitivity(G, k)
-        smoother = wiener_smoother(F, Pu, G, sigma)
-        cw = causal_wiener(F, Pu, G, sigma)
-        mse_s = postfilter_mse(F, Pu, G, sigma, smoother)
-        mse_c = postfilter_mse(F, Pu, G, sigma, cw.grid(N))
+        P_yv, P_v = spectra(F, Pu, G, sigma)
+        Fg = freq_response(F, N)
+        mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, wiener_smoother(P_yv, P_v))
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v,
+                               causal_wiener(P_yv, P_v).grid(N))
         assert mse_c >= mse_s - 1e-12
 
 
@@ -296,10 +310,11 @@ class TestAssemble:
         # MA(6) variant whose zeros fall between grid points
         F6 = demo_filter(6)
         d = assemble_lms(F6, self.Pu, self.pk, mode="smoother")
-        Gz = design_diag_prefilter(F6, self.k, N=N, order=48)
+        Gz = design_diag_prefilter(freq_response(F6, N), self.k, order=48)
         zfe_design = assemble_zfe(F6, Gz, self.pk, N)
         prof_z = zfe_profile(Gz, self.k)
-        val_z = lms_objective(F6, self.Pu, self.k, self.pk, prof_z)
+        val_z = lms_objective(freq_response(F6, N), self.Pu, self.k,
+                              self.pk, prof_z)
         assert d.info["optimal_objective"] <= val_z * (1 + 1e-9)
         assert val_z <= zfe_design.theory_mse * (1 + 1e-9)
         assert d.theory_mse <= zfe_design.theory_mse * (1 + 1e-9)
@@ -308,7 +323,7 @@ class TestAssemble:
         F6 = demo_filter(6)
         big = self.Pu * 1e8 + 1e2 * np.eye(2)[None, :, :]
         d = assemble_lms(F6, big, self.pk, mode="smoother")
-        Gz = design_diag_prefilter(F6, self.k, N=N)
+        Gz = design_diag_prefilter(freq_response(F6, N), self.k)
         zfe_design = assemble_zfe(F6, Gz, self.pk, N)
         ratio = d.theory_mse / zfe_design.theory_mse
         assert 0.99 <= ratio <= 1.0 + 1e-6
@@ -337,7 +352,8 @@ class TestAssemble:
         pk = cfg.privacy_spec()
         losses = []
         for order in (40, 80, 160):
-            _, sigma, info = lms_prefilter(F, Pu, pk, order)
+            _, sigma, info = lms_prefilter(freq_response(F, cfg.grid_n), Pu,
+                                           pk, order)
             losses.append(info["achieved_objective"]
                           / info["optimal_objective"] - 1.0)
         assert losses[1] <= losses[0] and losses[2] <= losses[1]
@@ -389,8 +405,8 @@ class TestOptimizerErrorPath:
         Pu, _ = chain_spectrum(src, N)
         pk = priv((1.0, 1.0))
         with pytest.raises(OptimizerStalled) as exc:
-            optimize_prefilter_general(demo_filter(6), Pu, (1.0, 1.0), pk,
-                                       max_iter=0)
+            optimize_prefilter_general(freq_response(demo_filter(6), N), Pu,
+                                       (1.0, 1.0), pk, max_iter=0)
         assert exc.value.best_profile.shape == (N + 1, 2)
 
 
@@ -403,8 +419,9 @@ class TestQuadratureVsSimulation:
         F = demo_filter(6)
         pk = priv((1.0, 1.0))
         d = assemble_lms(F, Pu, pk, mode="smoother", input_mean=mean)
-        H = wiener_smoother(F, Pu, d.prefilter, d.noise_sigma)
-        quad = postfilter_mse(F, Pu, d.prefilter, d.noise_sigma, H)
+        P_yv, P_v = spectra(F, Pu, d.prefilter, d.noise_sigma)
+        quad = postfilter_mse(freq_response(F, N), Pu, P_yv, P_v,
+                              wiener_smoother(P_yv, P_v))
         assert quad == pytest.approx(d.theory_mse, rel=1e-9)
 
     def test_causal_empirical_matches_quadrature(self):
@@ -810,5 +827,5 @@ class TestSmootherFromGrid:
         pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
                          k=(4.0,) * 15)
         F = occupancy_filter_bank()
-        G, sigma, _ = lms_prefilter(F, Pu, pk, 40)
-        self.check(wiener_smoother(F, Pu, G, sigma))
+        G, sigma, _ = lms_prefilter(freq_response(F, n), Pu, pk, 40)
+        self.check(wiener_smoother(*spectra(F, Pu, G, sigma)))

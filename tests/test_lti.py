@@ -253,7 +253,8 @@ def bank_zfe_filters():
     occupancy bank, k = 4, factor order 40, N = 1024)."""
     from dpfilt import design_diag_prefilter, occupancy_filter_bank
     F = occupancy_filter_bank()
-    G = design_diag_prefilter(F, np.full(15, 4.0), N=1024, order=40)
+    G = design_diag_prefilter(freq_response(F, 1024), np.full(15, 4.0),
+                              order=40)
     return {"pre": G, "post": F.cascade_diag_inverse(G), "target": F}
 
 

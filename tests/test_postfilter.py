@@ -5,6 +5,7 @@ instead of re-deriving it."""
 import importlib
 import importlib.resources
 import json
+import os
 
 import numpy as np
 import pytest
@@ -265,3 +266,59 @@ class TestSimulateLoadsStoredPostfilter:
             mse[domain] = \
                 report["mechanisms"]["decision_feedback"]["empirical_mse"]
         assert mse["sign"] != mse["nonneg_integers"]
+
+
+def counter(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the
+    list the calls append to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestEachFilterSampledOnce:
+    """Only the functions that hold rational filters sample them, each
+    filter once, and an LMS or DF design forms its Wiener spectra
+    (P_yv, P_v) once: at most 2 TransferMatrix.freq calls per `dpfilt
+    design` of the target and the prefilter, 3 for DF, which samples the
+    target twice, 1 for output perturbation (the target alone), and 1
+    per `dpfilt simulate` (the report bounds)."""
+
+    DESIGN_CEILING = {"zfe": 2, "output_perturbation": 1, "lms_smoother": 2,
+                      "lms_causal": 2, "df": 3}
+
+    @pytest.mark.parametrize("mech", MECHS)
+    def test_design_and_simulate(self, tmp_path, monkeypatch, mech):
+        import dpfilt.df
+        import dpfilt.lms
+        freq = counter(monkeypatch, TransferMatrix, "freq")
+        lms_spectra = counter(monkeypatch, dpfilt.lms, "wiener_spectra")
+        df_spectra = counter(monkeypatch, dpfilt.df, "wiener_spectra")
+        path = tmp_path / "design.json"
+        assert main(["design", "--config", str(config(tmp_path, mech)),
+                     "--out", str(path)]) == 0
+        assert len(freq) <= self.DESIGN_CEILING[mech]
+        assert len(lms_spectra) + len(df_spectra) == (mech in STORED)
+        freq.clear()
+        assert main(["simulate", "--design", str(path),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert len(freq) == 1
+
+    @pytest.mark.parametrize("workload,ceiling", [
+        ("bank_zfe", 2), ("bank_lms_causal", 2), ("server_df", 3)])
+    def test_benchmark_workload_design(self, tmp_path, monkeypatch,
+                                       workload, ceiling):
+        # the workload configs name their files from the repository root
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        freq = counter(monkeypatch, TransferMatrix, "freq")
+        assert main(["design", "--config",
+                     f"benchmark/workloads/{workload}.yaml",
+                     "--out", str(tmp_path / "design.json")]) == 0
+        assert len(freq) <= ceiling

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
-                    brute_force_sensitivity, kappa, mimo_bounds, q_function,
-                    q_inverse, trapezoid_mean, zfe_general_lower_bound,
-                    zfe_mse_diag_bound)
+                    brute_force_sensitivity, freq_response, kappa,
+                    mimo_bounds, q_function, q_inverse, trapezoid_mean,
+                    zfe_general_lower_bound, zfe_mse_diag_bound)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -51,8 +51,9 @@ def test_bound_ordering_random_fir(p, m, seed):
     F = TransferMatrix(rows)
     k = rng.uniform(0.5, 2.0, m)
     priv = PrivacySpec(epsilon=1.0, delta=0.1, k=tuple(k))
-    nuclear = zfe_general_lower_bound(F, k, priv, 64)
-    diag = zfe_mse_diag_bound(F, k, priv, 64)
+    Fg = freq_response(F, 64)
+    nuclear = zfe_general_lower_bound(Fg, k, priv)
+    diag = zfe_mse_diag_bound(Fg, k, priv)
     assert nuclear <= diag * (1 + 1e-10)
     lower, upper = mimo_bounds(F, k)
     assert lower <= upper * (1 + 1e-12)

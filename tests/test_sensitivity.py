@@ -195,6 +195,26 @@ class TestFftCrossCorrelation:
         assert rep.lower <= rep.exact <= rep.upper
         assert not rep.is_exact
 
+    def test_bank_horizon_chosen_before_the_impulse_response(
+            self, monkeypatch):
+        # the horizon doubles on the Gramian energies alone, so the one
+        # impulse response taken is the 512-lag one; the sensitivity
+        # document of the bank is unchanged by this
+        lags = []
+        impulse = TransferMatrix.impulse
+
+        def counted(self, n):
+            lags.append(n)
+            return impulse(self, n)
+
+        monkeypatch.setattr(TransferMatrix, "impulse", counted)
+        rep = mimo_exact(build_filter({"preset": "occupancy_bank"}),
+                         np.full(15, 4.0))
+        assert lags == [512]
+        assert rep.horizon_used == 512
+        assert rep.exact == pytest.approx(14.623372109976964, rel=1e-12)
+        assert not rep.is_exact
+
     def test_two_input_iir_matches_correlate_oracle(self, rng):
         for _ in range(10):
             G = random_transfer_matrix(rng, 2, 2, radius=0.85)

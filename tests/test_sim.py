@@ -6,9 +6,9 @@ import pytest
 from dpfilt import (OccupancySource, PrivacySpec, assemble_lms,
                     assemble_output_perturbation, assemble_zfe,
                     chain_spectrum, compare_mechanisms, demo_filter,
-                    design_diag_prefilter, empirical_mse, gaussian_fir,
-                    occupancy_filter_bank, run_mechanism, server_example,
-                    simulate)
+                    design_diag_prefilter, empirical_mse, freq_response,
+                    gaussian_fir, occupancy_filter_bank, run_mechanism,
+                    server_example, simulate)
 from dpfilt.errors import ConfigError, MissingForecastModel
 from dpfilt.fileio import read_csv, source_from_spec, write_csv
 
@@ -184,7 +184,7 @@ class TestRunMechanism:
         self.F = demo_filter(6)
         self.k = (1.0, 1.0)
         self.pk = priv(self.k)
-        self.G = design_diag_prefilter(self.F, self.k, N=N)
+        self.G = design_diag_prefilter(freq_response(self.F, N), self.k)
         self.design = assemble_zfe(self.F, self.G, self.pk, N)
         self.src = server_example(0.3, 0.6)
 
@@ -210,7 +210,7 @@ class TestEmpiricalMse:
         self.src = server_example(0.3, 0.6)
 
     def test_zfe_consistency_and_input_independence(self):
-        G = design_diag_prefilter(self.F, self.k, N=N)
+        G = design_diag_prefilter(freq_response(self.F, N), self.k)
         design = assemble_zfe(self.F, G, self.pk, N)
         mean1, se1 = empirical_mse(design, self.src, trials=8, T=12000,
                                    seed=21)
@@ -268,7 +268,7 @@ class TestEmpiricalMse:
                        float(vals.std(ddof=1) / np.sqrt(trials)))
 
     def test_too_short_run_rejected(self):
-        G = design_diag_prefilter(self.F, self.k, N=N)
+        G = design_diag_prefilter(freq_response(self.F, N), self.k)
         design = assemble_zfe(self.F, G, self.pk, N)
         with pytest.raises(ConfigError):
             empirical_mse(design, self.src, trials=1, T=10, seed=0)
@@ -282,7 +282,7 @@ class TestCompare:
         self.src = server_example(0.3, 0.6)
 
     def test_zfe_dominates_output_perturbation(self):
-        G = design_diag_prefilter(self.F, self.k, N=N)
+        G = design_diag_prefilter(freq_response(self.F, N), self.k)
         designs = {
             "zfe": assemble_zfe(self.F, G, self.pk, N),
             "output_perturbation": assemble_output_perturbation(
@@ -303,7 +303,7 @@ class TestCompare:
             report["bounds"]["zfe_diag_bound"] * (1 + 1e-12)
 
     def test_deterministic_report(self):
-        G = design_diag_prefilter(self.F, self.k, N=N)
+        G = design_diag_prefilter(freq_response(self.F, N), self.k)
         designs = {"zfe": assemble_zfe(self.F, G, self.pk, N)}
         r1 = compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
                                 T=5000, seed=3)
@@ -312,7 +312,7 @@ class TestCompare:
         assert r1 == r2
 
     def test_plot_csv_written(self, tmp_path):
-        G = design_diag_prefilter(self.F, self.k, N=N)
+        G = design_diag_prefilter(freq_response(self.F, N), self.k)
         designs = {"zfe": assemble_zfe(self.F, G, self.pk, N)}
         compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
                            T=5000, seed=3, plots_dir=tmp_path)
@@ -390,7 +390,8 @@ class TestMechanismOrdering:
         designs = {
             "lms": assemble_lms(F, Pu, pk, mode="smoother",
                                 input_mean=mean),
-            "zfe": assemble_zfe(F, design_diag_prefilter(F, k, N=N), pk, N),
+            "zfe": assemble_zfe(
+                F, design_diag_prefilter(freq_response(F, N), k), pk, N),
             "op": assemble_output_perturbation(F, pk, N),
         }
         assert designs["lms"].theory_mse <= designs["zfe"].theory_mse

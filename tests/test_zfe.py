@@ -3,7 +3,7 @@ import pytest
 
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     assemble_output_perturbation, assemble_zfe,
-                    column_norm_grid, design_diag_prefilter, freq_response,
+                    design_diag_prefilter, freq_response,
                     grid_omega, kappa, occupancy_filter_bank,
                     zfe_general_lower_bound, zfe_mse_diag_bound)
 from dpfilt.errors import DimensionMismatch, UnstableInverse
@@ -27,7 +27,7 @@ class TestSimoDesign:
 
     def test_constant_column(self):
         F = TransferMatrix([[RationalFilter([3.0])], [RationalFilter([4.0])]])
-        g = design_diag_prefilter(F, [1.0], N=N)[0, 0]
+        g = design_diag_prefilter(freq_response(F, N), [1.0])[0, 0]
         # |G|^2 = |col|_2 = 5 everywhere
         assert np.abs(g.freq(0.7)) ** 2 == pytest.approx(5.0, rel=1e-8)
 
@@ -35,19 +35,21 @@ class TestSimoDesign:
         taps = np.zeros(21)
         taps[1:] = 1.0 / 20.0
         F = TransferMatrix([[RationalFilter(taps)]])
-        g = design_diag_prefilter(F, [1.0], N=1024)[0, 0]
+        g = design_diag_prefilter(freq_response(F, 1024), [1.0])[0, 0]
         assert np.abs(g.freq(0.0)) ** 2 == pytest.approx(1.0, abs=2e-2)
 
     def test_defining_identity_on_grid(self, rng):
         F = random_fir_matrix(rng, 3, 1, max_lag=4)
-        g = design_diag_prefilter(F, [2.0], N=N, order=48)[0, 0]
-        target = column_norm_grid(F, N)[:, 0] / 2.0
+        Fg = freq_response(F, N)
+        g = design_diag_prefilter(Fg, [2.0], order=48)[0, 0]
+        target = np.linalg.norm(Fg, axis=1)[:, 0] / 2.0
         got = np.abs(g.freq(grid_omega(N))) ** 2
         assert np.max(np.abs(got - target)) / target.max() < 1e-3
 
     def test_multi_input_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
-            design_diag_prefilter(random_fir_matrix(rng, 2, 2), [1.0], N)
+            design_diag_prefilter(freq_response(random_fir_matrix(rng, 2, 2),
+                                                N), [1.0])
 
 
 class TestDiagDesign:
@@ -56,15 +58,16 @@ class TestDiagDesign:
         from dpfilt.spectral import scalar_spectral_factor
         from dpfilt.zfe import DEFAULT_FACTOR_ORDER
         F = random_fir_matrix(rng, 2, 1, max_lag=3)
-        g_simo, _ = scalar_spectral_factor(column_norm_grid(F, N)[:, 0] / 2.0,
-                                           DEFAULT_FACTOR_ORDER)
-        G = design_diag_prefilter(F, (2.0,), N=N)
+        Fg = freq_response(F, N)
+        g_simo, _ = scalar_spectral_factor(np.linalg.norm(Fg, axis=1)[:, 0]
+                                           / 2.0, DEFAULT_FACTOR_ORDER)
+        G = design_diag_prefilter(Fg, (2.0,))
         assert np.allclose(G[0, 0].num, g_simo.num, atol=1e-12)
 
     def test_constant_columns(self):
         F = TransferMatrix.diagonal([RationalFilter([2.0]),
                                      RationalFilter([5.0])])
-        G = design_diag_prefilter(F, (1.0, 1.0), N=N)
+        G = design_diag_prefilter(freq_response(F, N), (1.0, 1.0))
         assert np.abs(G[0, 0].freq(1.0)) ** 2 == pytest.approx(2.0, rel=1e-8)
         assert np.abs(G[1, 1].freq(1.0)) ** 2 == pytest.approx(5.0, rel=1e-8)
 
@@ -72,8 +75,9 @@ class TestDiagDesign:
         # order-40 truncation leaves localized cusp error at the columns'
         # near-circle zeros; measured worst-column error is 0.083
         F = occupancy_filter_bank()
-        G = design_diag_prefilter(F, (4.0,) * 15, N=1024)
-        cn = column_norm_grid(F, 1024)
+        Fg = freq_response(F, 1024)
+        G = design_diag_prefilter(Fg, (4.0,) * 15)
+        cn = np.linalg.norm(Fg, axis=1)
         omega = grid_omega(1024)
         for i in range(15):
             got = np.abs(G[i, i].freq(omega)) ** 2
@@ -84,25 +88,26 @@ class TestDiagDesign:
 class TestDiagBound:
     def test_scalar_identity(self):
         F = TransferMatrix.identity(1)
-        assert zfe_mse_diag_bound(F, (1.0,), PRIV1, N) == pytest.approx(
-            kappa(PRIV1) ** 2, rel=1e-12)
+        assert zfe_mse_diag_bound(freq_response(F, N), (1.0,), PRIV1) \
+            == pytest.approx(kappa(PRIV1) ** 2, rel=1e-12)
 
     def test_constant_diagonal(self):
         F = TransferMatrix.diagonal([RationalFilter([2.0]),
                                      RationalFilter([3.0])])
         p2 = priv((1.5, 0.5))
         want = kappa(p2) ** 2 * (1.5 * 2.0 + 0.5 * 3.0) ** 2
-        assert zfe_mse_diag_bound(F, (1.5, 0.5), p2, N) == pytest.approx(
-            want, rel=1e-12)
+        assert zfe_mse_diag_bound(freq_response(F, N), (1.5, 0.5), p2) \
+            == pytest.approx(want, rel=1e-12)
 
     def test_cauchy_schwarz_direction(self, rng):
         # kappa^2 ||GK||^2 ||F G^-1||^2 >= bound for random diagonal G
         F = random_fir_matrix(rng, 2, 2, max_lag=3)
         k = np.array([1.0, 2.0])
         p2 = priv(k)
-        bound = zfe_mse_diag_bound(F, k, p2, N)
+        Fg = freq_response(F, N)
+        bound = zfe_mse_diag_bound(Fg, k, p2)
         omega = grid_omega(N)
-        cn2 = column_norm_grid(F, N) ** 2
+        cn2 = np.linalg.norm(Fg, axis=1) ** 2
         from dpfilt import trapezoid_mean
         for _ in range(10):
             taps = rng.normal(size=3)
@@ -119,15 +124,17 @@ class TestDiagBound:
 class TestNuclearBound:
     def test_single_input_coincides(self, rng):
         F = random_fir_matrix(rng, 3, 1, max_lag=3)
-        a = zfe_mse_diag_bound(F, (2.0,), priv((2.0,)), N)
-        b = zfe_general_lower_bound(F, (2.0,), priv((2.0,)), N)
+        Fg = freq_response(F, N)
+        a = zfe_mse_diag_bound(Fg, (2.0,), priv((2.0,)))
+        b = zfe_general_lower_bound(Fg, (2.0,), priv((2.0,)))
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_identity_orthogonal_columns(self):
         F = TransferMatrix.identity(3)
         p3 = priv((1.0,) * 3)
-        a = zfe_mse_diag_bound(F, np.ones(3), p3, N)
-        b = zfe_general_lower_bound(F, np.ones(3), p3, N)
+        Fg = freq_response(F, N)
+        a = zfe_mse_diag_bound(Fg, np.ones(3), p3)
+        b = zfe_general_lower_bound(Fg, np.ones(3), p3)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_never_exceeds_diag_bound(self, rng):
@@ -135,8 +142,9 @@ class TestNuclearBound:
             F = random_fir_matrix(rng, 2, 3, max_lag=3)
             k = rng.uniform(0.5, 2.0, 3)
             pk = priv(k)
-            assert zfe_general_lower_bound(F, k, pk, N) <= \
-                zfe_mse_diag_bound(F, k, pk, N) * (1 + 1e-10)
+            Fg = freq_response(F, N)
+            assert zfe_general_lower_bound(Fg, k, pk) <= \
+                zfe_mse_diag_bound(Fg, k, pk) * (1 + 1e-10)
 
 
 class TestAssemble:
@@ -150,7 +158,7 @@ class TestAssemble:
 
     def test_zero_forcing_identity_on_grid(self, rng):
         F = random_fir_matrix(rng, 2, 2, max_lag=3)
-        G = design_diag_prefilter(F, (1.0, 1.0), N=N)
+        G = design_diag_prefilter(freq_response(F, N), (1.0, 1.0))
         design = assemble_zfe(F, G, priv((1.0, 1.0)), N)
         omega = grid_omega(N)
         H = design.postfilter
@@ -163,7 +171,7 @@ class TestAssemble:
     def test_sigma_recomputation(self, rng):
         from dpfilt import diagonal_sensitivity
         F = random_fir_matrix(rng, 2, 2, max_lag=3)
-        G = design_diag_prefilter(F, (1.0, 2.0), N=N)
+        G = design_diag_prefilter(freq_response(F, N), (1.0, 2.0))
         p2 = priv((1.0, 2.0))
         design = assemble_zfe(F, G, p2, N)
         want = kappa(p2) * diagonal_sensitivity(G, (1.0, 2.0))
@@ -172,7 +180,7 @@ class TestAssemble:
     def test_bound_attainment(self, rng):
         F = random_fir_matrix(rng, 2, 2, max_lag=4)
         k = (1.0, 2.0)
-        G = design_diag_prefilter(F, k, N=N, order=48)
+        G = design_diag_prefilter(freq_response(F, N), k, order=48)
         design = assemble_zfe(F, G, priv(k), N)
         ratio = design.theory_mse / design.info["diag_bound"]
         assert 1.0 - 1e-9 <= ratio <= 1.05
@@ -193,7 +201,7 @@ class TestMerlBank:
     def test_bound_attainment_ratio(self):
         F = occupancy_filter_bank()
         p15 = merl_privacy()
-        G = design_diag_prefilter(F, p15.k, N=1024)
+        G = design_diag_prefilter(freq_response(F, 1024), p15.k)
         design = assemble_zfe(F, G, p15, 1024)
         ratio = design.theory_mse / design.info["diag_bound"]
         assert 1.0 - 1e-9 <= ratio <= 1.05
@@ -201,7 +209,7 @@ class TestMerlBank:
     def test_nuclear_gap_reported(self):
         F = occupancy_filter_bank()
         p15 = merl_privacy()
-        G = design_diag_prefilter(F, p15.k, N=1024)
+        G = design_diag_prefilter(freq_response(F, 1024), p15.k)
         design = assemble_zfe(F, G, p15, 1024)
         assert design.info["nuclear_bound"] <= design.info["diag_bound"]
         assert design.info["optimality_gap"] >= 0.0
@@ -209,7 +217,7 @@ class TestMerlBank:
     def test_output_perturbation_dominated(self):
         F = occupancy_filter_bank()
         p15 = merl_privacy()
-        G = design_diag_prefilter(F, p15.k, N=1024)
+        G = design_diag_prefilter(freq_response(F, 1024), p15.k)
         zfe_design = assemble_zfe(F, G, p15, 1024)
         op_design = assemble_output_perturbation(F, p15, 1024)
         assert zfe_design.theory_mse <= op_design.theory_mse
@@ -222,7 +230,7 @@ class TestMerlBank:
             F = random_fir_matrix(rng, p, m, max_lag=4)
             k = tuple(rng.uniform(0.5, 3.0, m))
             pk = priv(k)
-            G = design_diag_prefilter(F, k, N=N, order=48)
+            G = design_diag_prefilter(freq_response(F, N), k, order=48)
             design = assemble_zfe(F, G, pk, N)
             ratio = design.theory_mse / design.info["diag_bound"]
             assert 1.0 - 1e-9 <= ratio <= 1.05
