@@ -2,7 +2,7 @@
 approximations of MIMO LTI filters processing event streams."""
 
 from . import errors
-from .df import (DfDesign, MonicFeedback, design_df, df_factorizations,
+from .df import (DfDesign, design_df, df_factorizations,
                  df_theory_mse, optimal_feedback, run_df_mechanism)
 from .lms import (CausalWienerFilter, assemble_lms, causal_wiener,
                   lms_objective, optimize_prefilter_general, postfilter_mse,

@@ -17,12 +17,12 @@ import json
 import sys
 
 from . import __version__
-from .config import Config, as_number
+from .config import Config, as_grid_n, as_number
 from .errors import ConfigError, DpfiltError
 from .fileio import (MECHANISMS, build_filter, design_from_dict,
                      design_to_dict, load_json, save_json, source_from_spec,
                      write_csv)
-from .zfe import MechanismDesign
+from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign
 
 
 @functools.cache
@@ -48,16 +48,15 @@ def validate_document(doc: dict, schema_name: str) -> None:
 def _make_design(cfg: Config) -> MechanismDesign:
     F = build_filter(cfg.filter)
     priv = cfg.privacy_spec()
-    order = as_number(cfg.mechanism.get("factor_order", 40), "factor_order",
-                      integer=True)
-    return MECHANISMS[cfg.mechanism.get("kind", "zfe")].build(cfg, F, priv,
-                                                             order)
+    order = as_number(cfg.mechanism.get("factor_order", DEFAULT_FACTOR_ORDER),
+                      "factor_order", integer=True)
+    return MECHANISMS[cfg.mechanism["kind"]].build(cfg, F, priv, order)
 
 
 def _fit_loss(cfg: Config, design: MechanismDesign):
     """theory_mse over the value an exact prefilter fit reaches, minus 1,
     with the info key of that value; None for a kind without one."""
-    key = MECHANISMS[cfg.mechanism.get("kind", "zfe")].exact_fit_mse
+    key = MECHANISMS[cfg.mechanism["kind"]].exact_fit_mse
     if key is None:
         return None
     return design.theory_mse / design.info[key] - 1.0, key
@@ -185,10 +184,11 @@ def cmd_report(args) -> int:
 
 
 def _apply_overrides(cfg: Config, args) -> None:
-    if getattr(args, "seed", None) is not None:
+    """The --seed and --grid-n overrides of design and sensitivity."""
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "grid_n", None) is not None:
-        cfg.grid_n = args.grid_n
+    if args.grid_n is not None:
+        cfg.grid_n = as_grid_n(args.grid_n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,14 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--grid-n", type=int, default=None,
-                        help="override the frequency grid size")
-    common.add_argument("--verbose", action="store_true")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the config seed")
+    # design and sensitivity hash the grid size into their output
+    grid = argparse.ArgumentParser(add_help=False, parents=[seed])
+    grid.add_argument("--grid-n", type=int, default=None,
+                      help="override the frequency grid size (at least 8)")
 
-    p = sub.add_parser("design", parents=[common],
+    p = sub.add_parser("design", parents=[grid],
                        help="design a mechanism from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--mechanism", default=None, choices=MECHANISMS,
@@ -214,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("sensitivity", parents=[common],
+    p = sub.add_parser("sensitivity", parents=[grid],
                        help="sensitivity report for the target filter")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seed],
                        help="Monte Carlo run of a designed mechanism")
     p.add_argument("--design", required=True)
     p.add_argument("--source", default=None,
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include wall-clock runtimes (non-deterministic)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("markov-gen", parents=[common],
+    p = sub.add_parser("markov-gen", parents=[seed],
                        help="sample the idle/busy server example")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_markov_gen)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report",
                        help="merge design/simulation outputs")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)

@@ -11,7 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -63,17 +62,25 @@ def as_number(value, key: str, integer: bool = False):
     return int(num) if integer else num
 
 
+def as_grid_n(value) -> int:
+    """A `grid_n` key or --grid-n override: an integer of at least 8."""
+    n = as_number(value, "grid_n", integer=True)
+    if n < 8:
+        raise ConfigError(f"grid_n must be at least 8, got {n}")
+    return n
+
+
 @dataclass
 class Config:
     grid_n: int = 1024
     seed: int = 0
     privacy: dict = field(default_factory=lambda: {
         "epsilon": 1.0, "delta": 0.1, "k": [1.0]})
-    filter: dict = field(default_factory=lambda: {"preset": "occupancy_bank"})
+    # the defaults of these three blocks are their fileio builders'
+    filter: dict = field(default_factory=dict)
     mechanism: dict = field(default_factory=lambda: {"kind": "zfe"})
-    spectrum: dict = field(default_factory=lambda: {"kind": "white",
-                                                    "scale": 1.0})
-    source: dict = field(default_factory=lambda: {"kind": "occupancy"})
+    spectrum: dict = field(default_factory=dict)
+    source: dict = field(default_factory=dict)
     simulate: dict = field(default_factory=lambda: {"trials": 5,
                                                     "steps": 10000})
 
@@ -84,9 +91,7 @@ class Config:
         _check_keys(raw, _TOP_KEYS, "config")
         cfg = cls()
         if "grid_n" in raw:
-            cfg.grid_n = as_number(raw["grid_n"], "grid_n", integer=True)
-            if cfg.grid_n < 8:
-                raise ConfigError("grid_n must be at least 8")
+            cfg.grid_n = as_grid_n(raw["grid_n"])
         if "seed" in raw:
             cfg.seed = as_number(raw["seed"], "seed", integer=True)
         for name, allowed in (("privacy", _PRIVACY_KEYS),
@@ -110,7 +115,7 @@ class Config:
             raise ConfigError("simulate.trials must be at least 1, got "
                               f"{cfg.simulate['trials']}")
         from .fileio import MECHANISMS      # fileio imports this module
-        kind = cfg.mechanism.get("kind", "zfe")
+        kind = cfg.mechanism["kind"]
         if kind not in MECHANISMS:
             raise ConfigError(f"unknown mechanism kind {kind!r}; "
                               f"expected one of {tuple(MECHANISMS)}")
@@ -143,5 +148,4 @@ class Config:
         if missing:
             raise ConfigError(f"privacy block missing keys {sorted(missing)}")
         return PrivacySpec(epsilon=float(block["epsilon"]),
-                           delta=float(block["delta"]),
-                           k=tuple(np.atleast_1d(block["k"]).astype(float)))
+                           delta=float(block["delta"]), k=block["k"])

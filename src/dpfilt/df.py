@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
-                  monic_inverse_filter, wiener_smoother, wiener_spectra)
+                  wiener_smoother, wiener_spectra)
 from .lti import (Postfilter, TransferMatrix, as_signal, freq_response,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
@@ -20,40 +20,21 @@ from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        matrix_canonical_factor)
 from .zfe import MechanismDesign, stored_taps
 
-@dataclass
-class MonicFeedback:
-    """B = P^-1 for a monic minimum-phase FIR matrix polynomial P.
-
-    Running y = B u means solving P y = u by the monic recursion; the
-    strictly causal feedback H2 = B - I never touches the current sample.
-    """
-
-    p_coeffs: np.ndarray        # (K+1, m, m), p_coeffs[0] = I
-
-    @property
-    def m(self) -> int:
-        return self.p_coeffs.shape[1]
-
-    def impulse(self, n: int) -> np.ndarray:
-        """Matrix impulse response of B, shape (n, m, m)."""
-        delta = np.zeros((n, self.m, self.m))
-        delta[0] = np.eye(self.m)       # column c's impulse is row c
-        return np.swapaxes(monic_inverse_filter(self.p_coeffs, delta), 1, 2)
-
-    def grid(self, N: int) -> np.ndarray:
-        return np.linalg.inv(taps_grid(self.p_coeffs, N))
-
 
 @dataclass
 class DfDesign(Postfilter):
-    """The DF postfilter: forward filter taps (with lookahead), monic
-    feedback and the decision device of the input domain. It has no
-    `apply`: run_df_mechanism runs its closed loop and applies the
-    target F to the decisions."""
+    """The DF postfilter: forward filter taps (with lookahead), the monic
+    feedback polynomial P of the feedback B = P^-1, and the decision
+    device of the input domain. It has no `apply`: run_df_mechanism runs
+    its closed loop and applies the target F to the decisions.
+
+    Running B means solving P y = u by the monic recursion, so the
+    strictly causal feedback B - I never touches the current sample.
+    """
 
     h1_taps: np.ndarray         # (T1, m, m); tap j acts on v_{t + d - j}
     lookahead: int              # d >= 0
-    feedback: MonicFeedback
+    p_coeffs: np.ndarray        # (K+1, m, m), p_coeffs[0] = I
     decision_domain: str = "nonneg_integers"
     batched = True
 
@@ -78,7 +59,7 @@ class DfDesign(Postfilter):
         # the flattened windows of the last K rows of r = fed_back -
         # fb_term (zero-padded), one window row per trial. Every per-step
         # operand has the step's (B, m) shape, so no ufunc broadcasts.
-        P = self.feedback.p_coeffs
+        P = self.p_coeffs
         K = P.shape[0] - 1
         A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
         flat = np.zeros((B, (T + K) * m))
@@ -108,7 +89,7 @@ class DfDesign(Postfilter):
 
     def to_doc(self) -> dict:
         return {"h1_taps": self.h1_taps.tolist(),
-                "p_coeffs": self.feedback.p_coeffs.tolist()}
+                "p_coeffs": self.p_coeffs.tolist()}
 
     @classmethod
     def from_doc(cls, doc, target, prefilter) -> "DfDesign":
@@ -125,26 +106,26 @@ class DfDesign(Postfilter):
             raise ConfigError(f"info.decision_domain is {domain!r}; expected"
                               f" one of {DECISION_DOMAINS}")
         return cls(h1_taps=stored_taps(doc, "h1_taps", m, m),
-                   lookahead=int(doc.get("lookahead", 0)),
-                   feedback=MonicFeedback(p_coeffs=p),
+                   lookahead=int(doc.get("lookahead", 0)), p_coeffs=p,
                    decision_domain=domain)
 
 
-def df_factorizations(Fg, P_u: np.ndarray, Gg, k, privacy: PrivacySpec):
-    """Spectral factorization pair behind the DF design, from the target
-    and prefilter grids Fg and Gg and the input spectrum P_u on one grid.
+def df_factorizations(Fg, P_u: np.ndarray, Gg, privacy: PrivacySpec
+                      ) -> tuple[MatrixFactorization, MatrixFactorization]:
+    """Spectral factorization pair (Q, S) behind the DF design, from the
+    target and prefilter grids Fg and Gg and the input spectrum P_u on one
+    grid.
 
     K (Pt^-1 + Gt* Gt)^-1 K = Q R Q* and F* F = S* T S, with Q, S monic
-    causal and R, T positive definite.
+    causal and R = Q.pe, T = S.pe positive definite.
     """
     m = P_u.shape[1]
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    kap = kappa(privacy)
+    k = privacy.k_vector()
     Km = np.diag(k)
     gk_sq = trapezoid_mean(
         np.einsum("qij,qij->q", np.conj(Gg @ Km), Gg @ Km).real)
     Gt = (Gg @ Km) / np.sqrt(gk_sq)
-    _, Pt = _tilde(Fg, P_u, k, kap)
+    _, Pt = _tilde(Fg, P_u, k, kappa(privacy))
     eye = np.eye(m)[None, :, :].astype(complex)
     bracket = _bracket_inverse_times(
         Pt, np.conj(np.swapaxes(Gt, 1, 2)) @ Gt, eye)
@@ -153,15 +134,16 @@ def df_factorizations(Fg, P_u: np.ndarray, Gg, k, privacy: PrivacySpec):
         spec_g, hint=FLOOR_HINT,
         name="input-side spectrum K (Pt^-1 + Gt* Gt)^-1 K")
     FHF = np.conj(np.swapaxes(Fg, 1, 2)) @ Fg
-    Sf, T = conjugate_factorization(
+    Sf = conjugate_factorization(
         FHF, name="target spectrum F* F",
         hint="; F has a zero on the unit circle there, which DF cannot use")
-    return Qf, Qf.pe, Sf, T
+    return Qf, Sf
 
 
 def optimal_feedback(Q: MatrixFactorization,
-                     S: MatrixFactorization) -> MonicFeedback:
-    """Monic feedback-defining filter B = S^-1 Q^-1 = (Q S)^-1."""
+                     S: MatrixFactorization) -> np.ndarray:
+    """The monic polynomial P = Q S, (K+1, m, m), of the optimal feedback
+    B = S^-1 Q^-1 = P^-1."""
     if not (Q.causally_invertible and S.causally_invertible):
         raise UnstableInverse("Q and S must be causally invertible")
     qc, sc = Q.coeffs, S.coeffs
@@ -174,7 +156,7 @@ def optimal_feedback(Q: MatrixFactorization,
     if np.max(np.abs(prod[0] - np.eye(m))) > 1e-8:
         raise UnstableInverse("product Q S is not monic")
     prod[0] = np.eye(m)
-    return MonicFeedback(p_coeffs=prod)
+    return prod
 
 
 def df_theory_mse(T: np.ndarray, R: np.ndarray,
@@ -227,25 +209,23 @@ def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     if not 0 <= lookahead <= N:
         raise ConfigError(f"lookahead must lie in [0, {N}], the grid's "
                           "anticausal lags")
-    k = privacy.k_vector()
-    if k.size != F.shape[1]:
+    if privacy.m != F.shape[1]:
         raise DimensionMismatch("privacy k length must match F inputs")
     Gg = freq_response(G, N)
-    Qf, R, Sf, T = df_factorizations(freq_response(F, N), P_u, Gg, k,
-                                     privacy)
-    fb = optimal_feedback(Qf, Sf)
-    theory = df_theory_mse(T, R, privacy)
+    Qf, Sf = df_factorizations(freq_response(F, N), P_u, Gg, privacy)
+    P = optimal_feedback(Qf, Sf)
+    theory = df_theory_mse(Sf.pe, Qf.pe, privacy)
 
     # the forward filter estimates B u, whose target grid is B's own
-    h = grid_lags(wiener_smoother(*wiener_spectra(fb.grid(N), P_u, Gg,
-                                                  sigma)))
+    Bg = np.linalg.inv(taps_grid(P, N))
+    h = grid_lags(wiener_smoother(*wiener_spectra(Bg, P_u, Gg, sigma)))
     d = int(lookahead)
     # lags -d..N-1, cut after the last tap above TAP_CUT of their peak
     taps = _truncate_tail(np.concatenate([h[2 * N - d:], h[:N]]), TAP_CUT)
     return MechanismDesign(
         kind="decision_feedback", target=F, prefilter=G,
         noise_sigma=float(sigma), privacy=privacy,
-        postfilter=DfDesign(h1_taps=taps, lookahead=d, feedback=fb,
+        postfilter=DfDesign(h1_taps=taps, lookahead=d, p_coeffs=P,
                             decision_domain=decision_domain),
         theory_mse=theory, lookahead=d,
         input_mean=None if input_mean is None

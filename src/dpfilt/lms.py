@@ -91,8 +91,7 @@ def wiener_smoother(P_yv: np.ndarray, P_v: np.ndarray) -> np.ndarray:
             f"observation spectrum singular on the grid: {exc}") from exc
 
 
-def lms_objective(Fg, P_u: np.ndarray, k, privacy: PrivacySpec,
-                  x) -> float:
+def lms_objective(Fg, P_u: np.ndarray, privacy: PrivacySpec, x) -> float:
     """Smoother-postfilter MSE for a feasible allocation profile x on the
     grid of Fg: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m)."""
     x = np.asarray(x, dtype=float)
@@ -100,9 +99,7 @@ def lms_objective(Fg, P_u: np.ndarray, k, privacy: PrivacySpec,
     if x.shape[0] != N + 1:
         raise ConfigError(f"profile grid {x.shape[0] - 1} does not match "
                           f"the spectrum grid {N}")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    kap = kappa(privacy)
-    Ft, Pt = _tilde(Fg, P_u, k, kap)
+    Ft, Pt = _tilde(Fg, P_u, privacy.k_vector(), kappa(privacy))
     m = x.shape[1]
     X = np.zeros((x.shape[0], m, m))
     idx = np.arange(m)
@@ -117,7 +114,7 @@ def _column_tilde_sq(Fg: np.ndarray, k: np.ndarray, kap: float) -> np.ndarray:
     return (kap ** 2) * (np.linalg.norm(Fg, axis=1) ** 2) * (k ** 2)[None, :]
 
 
-def waterfill_diagonal(Fg, P_u: np.ndarray, k, privacy: PrivacySpec):
+def waterfill_diagonal(Fg, P_u: np.ndarray, privacy: PrivacySpec):
     """Closed-form allocation for uncorrelated (diagonal-spectrum) inputs.
 
     x_i(omega) = max(0, |Ft_i(omega)|_2 / sqrt(lam) - 1/pt_i(omega)), with
@@ -130,7 +127,7 @@ def waterfill_diagonal(Fg, P_u: np.ndarray, k, privacy: PrivacySpec):
     off[:, idx, idx] = 0.0
     if np.max(np.abs(off)) > 1e-10 * max(float(np.max(np.abs(P_u))), 1e-300):
         raise NotDiagonal("waterfilling requires a diagonal input spectrum")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = privacy.k_vector()
     kap = kappa(privacy)
     Ft_sq = _column_tilde_sq(Fg, k, kap)
     if float(Ft_sq.max(initial=0.0)) <= 0.0:
@@ -186,8 +183,8 @@ def _project_profile(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, y + _hinge_root(weights, weights, -y) * weights)
 
 
-def optimize_prefilter_general(Fg, P_u: np.ndarray, k,
-                               privacy: PrivacySpec, max_iter: int = 2000):
+def optimize_prefilter_general(Fg, P_u: np.ndarray, privacy: PrivacySpec,
+                               max_iter: int = 2000):
     """Minimize the smoother MSE over feasible diagonal allocations;
     returns (x, objective).
 
@@ -196,7 +193,7 @@ def optimize_prefilter_general(Fg, P_u: np.ndarray, k,
     (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the trapezoid rule.
     """
     N, m = Fg.shape[0] - 1, P_u.shape[1]
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = privacy.k_vector()
     kap = kappa(privacy)
     Ft, Pt = _tilde(Fg, P_u, k, kap)
     if float(np.max(np.abs(Ft))) <= 0.0:
@@ -350,20 +347,13 @@ class CausalWienerFilter(Postfilter):
     acts on v_{t + lookahead - j} (Kailath, Sayed and Hassibi, "Linear
     Estimation", 2000, on fixed-lag smoothing).
 
-    At lookahead 0 it is the causal filter [P_yv L^-*]_+ Pe^-1 L^-1 over
-    the full taps of causal_taps; from_grid makes the smoother, over lags
-    -half..half at lookahead half. The design-time parts of a causal
-    filter (l_coeffs, the monic canonical factor of the observation
-    spectrum; pe; mc, the causal part of the whitened cross filter) exist
-    only on a freshly designed one.
+    At lookahead 0 it is the causal filter [P_yv L^-*]_+ Pe^-1 L^-1 of
+    causal_wiener, over the full taps of causal_taps; from_grid makes the
+    smoother, over lags -half..half at lookahead half.
     """
 
     taps: np.ndarray            # (n, p, m)
     lookahead: int = 0
-    l_coeffs: np.ndarray | None = None      # (KL+1, m, m), l_coeffs[0] = I
-    pe: np.ndarray | None = None            # (m, m)
-    mc: np.ndarray | None = None            # (Tc, p, m) causal taps
-    anticausal_tail: float = 0.0
 
     @classmethod
     def from_grid(cls, H: np.ndarray) -> "CausalWienerFilter":
@@ -414,17 +404,16 @@ class CausalWienerFilter(Postfilter):
                               f"{taps.shape[0]} smoother taps")
         return cls(taps=taps, lookahead=half)
 
-    def grid(self, N: int) -> np.ndarray:
-        """The exact frequency response, from the design-time parts."""
-        if self.mc is None:
-            raise ValueError("a loaded causal postfilter keeps only its taps")
-        Mg = taps_grid(self.mc, N) @ np.linalg.inv(self.pe)
-        return Mg @ np.linalg.inv(taps_grid(self.l_coeffs, N))
 
+def causal_wiener(P_yv: np.ndarray, P_v: np.ndarray
+                  ) -> tuple[CausalWienerFilter, np.ndarray, float]:
+    """Causal Wiener postfilter via canonical factorization P_v = L Pe L*,
+    on the grid of the spectra of wiener_spectra.
 
-def causal_wiener(P_yv: np.ndarray, P_v: np.ndarray) -> CausalWienerFilter:
-    """Causal Wiener postfilter via canonical factorization of P_v, on the
-    grid of the spectra of wiener_spectra."""
+    Returns the filter, its exact grid response Mc Pe^-1 L^-1 (Mc the
+    causal part of M = P_yv L^-*) and the anticausal tail of M: its
+    largest anticausal tap over its peak.
+    """
     N = P_v.shape[0] - 1
     fact = matrix_canonical_factor(P_v, hint=FLOOR_HINT,
                                    name="observation spectrum G P G* + s^2 I")
@@ -432,15 +421,12 @@ def causal_wiener(P_yv: np.ndarray, P_v: np.ndarray) -> CausalWienerFilter:
     # M(z) = P_yv(z) L(z^-1)^-T; on the circle L(z^-1)^T is L(omega)^H
     Mg = np.conj(np.swapaxes(
         np.linalg.solve(Lg, np.conj(np.swapaxes(P_yv, 1, 2))), 1, 2))
-    h = grid_lags(Mg)
-    causal = h[:N]
-    anti = h[N:]
+    h = grid_lags(Mg)                       # lags 0..N-1, -N..-1
     peak = max(float(np.max(np.abs(h))), 1e-300)
-    tail = float(np.max(np.abs(anti)) / peak) if anti.size else 0.0
-    mc = _truncate_tail(causal, TAP_CUT, peak)
-    return CausalWienerFilter(taps=causal_taps(mc, fact.pe, fact.coeffs),
-                              l_coeffs=fact.coeffs, pe=fact.pe, mc=mc,
-                              anticausal_tail=tail)
+    mc = _truncate_tail(h[:N], TAP_CUT, peak)
+    filt = CausalWienerFilter(taps=causal_taps(mc, fact.pe, fact.coeffs))
+    Hg = taps_grid(mc, N) @ np.linalg.inv(fact.pe) @ np.linalg.inv(Lg)
+    return filt, Hg, float(np.max(np.abs(h[N:])) / peak)
 
 
 def postfilter_mse(Fg: np.ndarray, P_u: np.ndarray, P_yv: np.ndarray,
@@ -471,7 +457,7 @@ def lms_prefilter(Fg: np.ndarray, P_u: np.ndarray,
     k = privacy.k_vector()
     if k.size != Fg.shape[2]:
         raise DimensionMismatch("privacy k length must match F inputs")
-    x, objective = optimize_prefilter_general(Fg, P_u, k, privacy)
+    x, objective = optimize_prefilter_general(Fg, P_u, privacy)
 
     entries = []
     fit_errors = []
@@ -496,7 +482,7 @@ def lms_prefilter(Fg: np.ndarray, P_u: np.ndarray,
     info = {
         "grid_n": N,
         "optimal_objective": objective,
-        "achieved_objective": lms_objective(Fg, P_u, k, privacy, achieved),
+        "achieved_objective": lms_objective(Fg, P_u, privacy, achieved),
         "prefilter_fit_errors": fit_errors,
         "sensitivity": sens,
         "factor_order": order,
@@ -525,11 +511,10 @@ def assemble_lms(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
         postfilter = CausalWienerFilter.from_grid(wiener_smoother(P_yv, P_v))
         theory = info["achieved_objective"]
     else:
-        postfilter = causal_wiener(P_yv, P_v)
+        postfilter, Hg, info["anticausal_tail"] = causal_wiener(P_yv, P_v)
         info["smoother_mse"] = info["achieved_objective"]
         theory = info["causal_mse_quadrature"] = postfilter_mse(
-            Fg, P_u, P_yv, P_v, postfilter.grid(N))
-        info["anticausal_tail"] = postfilter.anticausal_tail
+            Fg, P_u, P_yv, P_v, Hg)
     return MechanismDesign(
         kind="wiener_smoother" if mode == "smoother" else "wiener_causal",
         target=F, prefilter=G, noise_sigma=float(sigma), privacy=privacy,

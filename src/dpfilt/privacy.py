@@ -22,21 +22,26 @@ from .errors import InvalidDelta
 
 @dataclass(frozen=True)
 class PrivacySpec:
-    """(epsilon, delta) budget plus per-channel adjacency magnitudes k."""
+    """(epsilon, delta) budget plus per-channel adjacency magnitudes k,
+    each k_i finite and positive, and epsilon positive with a finite
+    noise multiplier kappa."""
 
     epsilon: float
     delta: float
     k: tuple
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
         if not (0.0 < self.delta < 1.0):
             raise InvalidDelta(f"delta must lie in (0, 1), got {self.delta}")
+        # an infinite epsilon gives kappa = inf / inf, and 1e308 overflows
+        if not (self.epsilon > 0 and math.isfinite(kappa(self))):
+            raise ValueError("privacy.epsilon must be positive with a finite "
+                             f"noise multiplier kappa, got {self.epsilon}")
         object.__setattr__(self, "k",
                            tuple(float(v) for v in np.atleast_1d(self.k)))
-        if any(v <= 0 for v in self.k):
-            raise ValueError("all adjacency magnitudes k_i must be positive")
+        if not all(0.0 < v < math.inf for v in self.k):
+            raise ValueError("privacy.k: every adjacency magnitude k_i must "
+                             f"be finite and positive, got {list(self.k)}")
 
     @property
     def m(self) -> int:
@@ -92,8 +97,7 @@ def gaussian_delta(eps: float, sigma: float, Delta: float) -> float:
 def kappa(spec: PrivacySpec) -> float:
     """Gaussian mechanism noise multiplier for the (epsilon, delta) budget."""
     K = q_inverse(spec.delta)
-    return float((K + np.sqrt(K * K + 2.0 * spec.epsilon))
-                 / (2.0 * spec.epsilon))
+    return (K + math.sqrt(K * K + 2.0 * spec.epsilon)) / (2.0 * spec.epsilon)
 
 
 def noise_sigma(sensitivity: float, spec: PrivacySpec) -> float:

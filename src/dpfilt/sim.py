@@ -223,10 +223,9 @@ def compare_mechanisms(F: TransferMatrix, source,
     report document. `designs` maps name -> MechanismDesign; an empty
     dict yields a bounds-only report."""
     from .zfe import zfe_general_lower_bound, zfe_mse_diag_bound
-    k = privacy.k_vector()
     Fg = freq_response(F)
-    bounds = {"zfe_diag_bound": zfe_mse_diag_bound(Fg, k, privacy),
-              "zfe_nuclear_bound": zfe_general_lower_bound(Fg, k, privacy)}
+    bounds = {"zfe_diag_bound": zfe_mse_diag_bound(Fg, privacy),
+              "zfe_nuclear_bound": zfe_general_lower_bound(Fg, privacy)}
     del Fg      # not held through the trials (peak memory)
     report = {
         "target_shape": list(F.shape), "privacy": privacy.to_dict(),

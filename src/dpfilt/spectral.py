@@ -72,11 +72,10 @@ def _cepstral_impulse(s: np.ndarray) -> np.ndarray:
     return np.fft.ifft(gw).real
 
 
-def factor_grid_error(s, filt: RationalFilter) -> float:
-    """Relative L-infinity error of |filt|^2 against the target grid."""
+def factor_grid_error(s, mag2) -> float:
+    """Relative L-infinity error of a factor's squared magnitude mag2
+    against the target s, both sampled on one grid."""
     s = np.asarray(s, dtype=float)
-    N = s.size - 1
-    mag2 = np.abs(filt.freq(grid_omega(N))) ** 2
     return float(np.max(np.abs(mag2 - s)) / max(s.max(), 1e-300))
 
 
@@ -104,7 +103,8 @@ def scalar_spectral_factor(s, order: int, *, enforce_pw: bool = True
     h = _cepstral_impulse(s)[: order + 1]
     mag2 = np.abs(np.fft.rfft(h, 2 * REFACTOR_OVERSAMPLE * (s.size - 1))) ** 2
     g = RationalFilter(_cepstral_impulse(mag2)[: order + 1])
-    return g, factor_grid_error(s, g)
+    return g, factor_grid_error(
+        s, np.abs(g.freq(grid_omega(s.size - 1))) ** 2)
 
 
 @dataclass
@@ -116,10 +116,6 @@ class MatrixFactorization:
     grid_error: float = 0.0
     causally_invertible: bool = True
     meta: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return self.pe.shape[0]
 
     def eval_grid(self, N: int) -> np.ndarray:
         """L(e^{j omega_q}) on omega_q = q pi / N, q = 0..N, shape
@@ -192,8 +188,10 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
     chosen so the discarded autocovariance tail is below BAUER_TAIL_TOL.
     A singular sample raises NotPositiveDefinite naming the spectrum
     (name), the worst frequency and its eigenvalue ratio, then the hint.
-    A block count whose (blocks * m)^2 matrix would exceed BAUER_MAX_BYTES
-    raises FactorizationStalled before the matrix is allocated.
+    The block count doubles until the grid error is within tol (and the
+    factor's last rows agree); FactorizationStalled names the block counts
+    and grid errors tried once a doubling fails to halve the grid error,
+    or before a (blocks * m)^2 matrix above BAUER_MAX_BYTES is allocated.
     """
     samples = np.asarray(P, dtype=complex)
     N, m = samples.shape[0] - 1, samples.shape[1]
@@ -222,7 +220,7 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
     above = np.nonzero(norms > BAUER_TAIL_TOL * norms[0])[0]
     band = int(min(above[above < N].max(initial=0) + 1, N))
     n_blocks = min(max(4 * band + 16, 32), max_blocks)
-    tried = None
+    tried = []                  # (blocks, grid error) per Cholesky
     while True:
         n = n_blocks
         if 8 * (n * m) ** 2 > BAUER_MAX_BYTES:
@@ -231,8 +229,8 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
                 f"bandwidth {band} lags, {m} channels): a "
                 f"{8 * (n * m) ** 2 / 2 ** 20:.0f} MB matrix exceeds the "
                 f"{BAUER_MAX_BYTES / 2 ** 20:.0f} MB budget"
-                + ("" if tried is None else
-                   f" (grid error {tried[1]:.2e} at {tried[0]} blocks)")
+                + ("" if not tried else f" (grid error {tried[-1][1]:.2e} "
+                   f"at {tried[-1][0]} blocks)")
                 + "; shorten the spectrum's memory with a white "
                 "`spectrum.floor` or a lower `mechanism.factor_order`")
         T = np.zeros((n * m, n * m))
@@ -263,13 +261,16 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
         recon = fact.reconstruct(N)
         err = float(np.max(np.abs(recon - samples)) / scale)
         fact.grid_error = err
-        tried = (n, err)
+        tried.append((n, err))
         if err <= tol and drift <= 10 * tol:
             break
-        if n_blocks >= max_blocks:
+        # a doubling that fails to halve the grid error stalls
+        if n_blocks >= max_blocks or (
+                len(tried) > 1 and err > max(tol, tried[-2][1] / 2)):
+            errors = ", ".join(f"{e:.2e} at {b}" for b, e in tried)
             raise FactorizationStalled(
-                f"Bauer iteration stalled at {n} blocks "
-                f"(grid error {err:.2e}, row drift {drift:.2e})")
+                f"Bauer iteration stalled at {n} blocks (grid error "
+                f"{errors} blocks, row drift {drift:.2e})")
         n_blocks = min(2 * n_blocks, max_blocks)
     Lg = fact.eval_grid(N)
     fact.causally_invertible = (_det_winding(Lg) == 0 and
@@ -277,17 +278,12 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
     return fact
 
 
-def conjugate_factorization(P: np.ndarray, **kwargs
-                            ) -> tuple[MatrixFactorization, np.ndarray]:
-    """Factor P as S(z^-1)^T T S(z) with S monic causal.
+def conjugate_factorization(P: np.ndarray, **kwargs) -> MatrixFactorization:
+    """Factor P as S(z^-1)^T T S(z) with S monic causal: the factorization
+    holding the coefficients of S, with T as its pe.
 
-    Obtained from the canonical factorization of the transposed spectrum;
-    returns (factorization holding the coefficients of S, T).
+    Obtained from the canonical factorization of the transposed spectrum.
     """
     fact = matrix_canonical_factor(np.swapaxes(P, 1, 2), **kwargs)
-    S_coeffs = np.swapaxes(fact.coeffs, 1, 2)
-    out = MatrixFactorization(coeffs=S_coeffs, pe=fact.pe,
-                              grid_error=fact.grid_error,
-                              causally_invertible=fact.causally_invertible,
-                              meta=dict(fact.meta))
-    return out, fact.pe
+    fact.coeffs = np.swapaxes(fact.coeffs, 1, 2)
+    return fact

@@ -15,7 +15,7 @@ from .lti import (DEFAULT_GRID, TransferMatrix, freq_response, grid_omega,
                   h2_norm, simulate, trapezoid_mean)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
-from .spectral import scalar_spectral_factor
+from .spectral import factor_grid_error, scalar_spectral_factor
 
 DEFAULT_FACTOR_ORDER = 40
 
@@ -119,19 +119,17 @@ def design_diag_prefilter(Fg, k, order: int = DEFAULT_FACTOR_ORDER
     return TransferMatrix.diagonal(entries)
 
 
-def zfe_mse_diag_bound(Fg, k, privacy: PrivacySpec) -> float:
+def zfe_mse_diag_bound(Fg, privacy: PrivacySpec) -> float:
     """Best MSE achievable by any diagonal-prefilter ZFE mechanism, on the
     grid of the target Fg."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    integrand = np.linalg.norm(Fg, axis=1) @ k
+    integrand = np.linalg.norm(Fg, axis=1) @ privacy.k_vector()
     return float(kappa(privacy) ** 2 * trapezoid_mean(integrand) ** 2)
 
 
-def zfe_general_lower_bound(Fg, k, privacy: PrivacySpec) -> float:
+def zfe_general_lower_bound(Fg, privacy: PrivacySpec) -> float:
     """Nuclear-norm lower bound on the MSE of any ZFE mechanism, on the
     grid of the target Fg."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    FK = Fg * k[None, None, :]
+    FK = Fg * privacy.k_vector()[None, None, :]
     nuclear = np.linalg.svd(FK, compute_uv=False).sum(axis=1)
     return float(kappa(privacy) ** 2 * trapezoid_mean(nuclear) ** 2)
 
@@ -155,24 +153,22 @@ def assemble_zfe(F: TransferMatrix, G: TransferMatrix, privacy: PrivacySpec,
 
     Fg = freq_response(F, N)
     omega = grid_omega(N)
-    Gdiag = np.stack([g.freq(omega) for g in G.diagonal_entries()], axis=1)
-    gk2 = float(trapezoid_mean((np.abs(Gdiag) ** 2) @ (k ** 2)))
+    g2 = np.abs(np.stack([g.freq(omega) for g in G.diagonal_entries()],
+                         axis=1)) ** 2
+    gk2 = float(trapezoid_mean(g2 @ (k ** 2)))
     cn2 = np.linalg.norm(Fg, axis=1) ** 2
-    hg2 = float(trapezoid_mean((cn2 / np.abs(Gdiag) ** 2).sum(axis=1)))
+    hg2 = float(trapezoid_mean((cn2 / g2).sum(axis=1)))
     theory_mse = kap ** 2 * gk2 * hg2
 
-    diag_bound = zfe_mse_diag_bound(Fg, k, privacy)
-    nuclear_bound = zfe_general_lower_bound(Fg, k, privacy)
+    diag_bound = zfe_mse_diag_bound(Fg, privacy)
+    nuclear_bound = zfe_general_lower_bound(Fg, privacy)
     cn = np.sqrt(cn2)
-    fit_resid = [
-        float(np.max(np.abs(np.abs(Gdiag[:, i]) ** 2 - cn[:, i] / k[i]))
-              / max(float(np.max(cn[:, i])) / k[i], 1e-300))
-        for i in range(k.size)]
     info = {
         "sensitivity": sens,
         "prefilter_h2_grid": float(np.sqrt(gk2)),
         "postfilter_h2_grid": float(np.sqrt(hg2)),
-        "prefilter_fit_errors": fit_resid,
+        "prefilter_fit_errors": [factor_grid_error(cn[:, i] / k[i], g2[:, i])
+                                 for i in range(k.size)],
         "diag_bound": diag_bound,
         "nuclear_bound": nuclear_bound,
         "optimality_gap": float(theory_mse - nuclear_bound),
@@ -197,8 +193,8 @@ def assemble_output_perturbation(F: TransferMatrix, privacy: PrivacySpec,
     theory_mse = p * sigma ** 2
     Fg = freq_response(F, N)
     info = {"sensitivity": sens, "grid_n": N,
-            "diag_bound": zfe_mse_diag_bound(Fg, k, privacy),
-            "nuclear_bound": zfe_general_lower_bound(Fg, k, privacy)}
+            "diag_bound": zfe_mse_diag_bound(Fg, privacy),
+            "nuclear_bound": zfe_general_lower_bound(Fg, privacy)}
     return MechanismDesign(kind="output_perturbation", target=F, prefilter=F,
                            noise_sigma=float(sigma), privacy=privacy,
                            postfilter=TransferMatrix.identity(p),

@@ -81,3 +81,14 @@ def gramian_series_oracle(A, C, T=2000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def feedback_impulse(P, n):
+    """Matrix impulse response (n, m, m) of the DF feedback B = P^-1 of a
+    monic polynomial P (K+1, m, m), by monic_inverse_filter: column c's
+    impulse is row c of the recursion's output."""
+    from dpfilt.lms import monic_inverse_filter
+    m = P.shape[1]
+    delta = np.zeros((n, m, m))
+    delta[0] = np.eye(m)
+    return np.swapaxes(monic_inverse_filter(P, delta), 1, 2)

@@ -155,9 +155,9 @@ def test_criterion_5_waterfilling_vs_optimizer():
         F = random_fir_matrix(rng, int(rng.integers(1, 4)), m, max_lag=3)
         k = pk.k_vector()
         Fg = freq_response(F, N)
-        x, lam = waterfill_diagonal(Fg, Pu, k, pk)
-        wf_objective = lms_objective(Fg, Pu, k, pk, x)
-        _, pg_objective = optimize_prefilter_general(Fg, Pu, k, pk)
+        x, lam = waterfill_diagonal(Fg, Pu, pk)
+        wf_objective = lms_objective(Fg, Pu, pk, x)
+        _, pg_objective = optimize_prefilter_general(Fg, Pu, pk)
         worst_gap = max(worst_gap, abs(pg_objective - wf_objective)
                         / wf_objective)
         kap = kappa(pk)
@@ -189,7 +189,7 @@ def test_criterion_6_mechanism_ordering():
     xz = np.stack([np.abs(g.freq(grid_omega(N))) ** 2
                    for g in Gz.diagonal_entries()], axis=1) * k[None, :] ** 2
     xz /= trapezoid_mean(xz.sum(axis=1))
-    val_zfe_profile = lms_objective(Fg, Pu, k, pk, xz)
+    val_zfe_profile = lms_objective(Fg, Pu, pk, xz)
     opt = lms_design.info["optimal_objective"]
     ordering = opt <= val_zfe_profile * (1 + 1e-9) \
         and val_zfe_profile <= zfe_design.theory_mse * (1 + 1e-9)
@@ -197,9 +197,9 @@ def test_criterion_6_mechanism_ordering():
     G = lms_design.prefilter
     P_yv, P_v = wiener_spectra(Fg, Pu, freq_response(G, N), sigma)
     smoother = wiener_smoother(P_yv, P_v)
-    cw = causal_wiener(P_yv, P_v)
+    _, causal, _ = causal_wiener(P_yv, P_v)
     mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, smoother)
-    mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
+    mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, causal)
     causal_ok = mse_c >= mse_s - 1e-12
     big = Pu * 1e8 + 1e2 * np.eye(2)[None, :, :]
     d_big = assemble_lms(F, big, pk, mode="smoother")

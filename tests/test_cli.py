@@ -84,6 +84,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Config.from_dict({"mechanism": {"kind": "magic"}})
 
+    def test_echo_holds_only_the_given_blocks(self):
+        # regression: Config merged its own filter, spectrum and source
+        # defaults into the given blocks, so the echo recorded keys that
+        # the run never read (filter.preset beside filter.file,
+        # spectrum.scale on every spectrum)
+        echo = Config.from_dict({
+            "filter": {"file": "target.yaml"},
+            "spectrum": {"kind": "markov_server"}}).to_dict()
+        assert echo["filter"] == {"file": "target.yaml"}
+        assert echo["spectrum"] == {"kind": "markov_server"}
+        assert echo["source"] == {}
+
+    def test_no_spectrum_block_is_white(self, tmp_path):
+        # an LMS design with no spectrum block runs spectrum_from_spec's
+        # white default, the same design as an autocovariance of lag 0 = I
+        cfg_path, doc = base_config(tmp_path, mech="lms_causal")
+        docs = []
+        for spectrum in (None, {"kind": "autocovariance",
+                                "lags": [np.eye(2).tolist()]}):
+            doc.pop("spectrum", None)
+            if spectrum is not None:
+                doc["spectrum"] = spectrum
+            write_yaml(cfg_path, doc)
+            out = tmp_path / "d.json"
+            assert main(["design", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            design = load_json(out)
+            del design["config"], design["config_hash"]
+            docs.append(json.dumps(design, sort_keys=True))
+        assert docs[0] == docs[1]
+
 
 class TestFilterFiles:
     def test_round_trip(self, tmp_path):
@@ -951,3 +982,89 @@ class TestConfigErrorsExitTwo:
                   "magic", "--out", str(tmp_path / "d.json")])
         assert exc.value.code == 2
         assert "invalid choice: 'magic'" in capsys.readouterr().err
+
+    # the nine options that a shared parent parser gave every subcommand
+    # and nothing read: --verbose on all five, --grid-n on the three that
+    # run no grid and --seed on report
+    @pytest.mark.parametrize("command,flag", [
+        ("design", "--verbose"), ("sensitivity", "--verbose"),
+        ("simulate", "--verbose"), ("markov-gen", "--verbose"),
+        ("report", "--verbose"), ("simulate", "--grid-n"),
+        ("markov-gen", "--grid-n"), ("report", "--grid-n"),
+        ("report", "--seed")])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        # regression: `simulate --grid-n 64` silently ran at the design's
+        # grid, and every flag here parsed and did nothing
+        cfg, out = str(tmp_path / "c.yaml"), str(tmp_path / "out")
+        argv = {"design": ["--config", cfg, "--out", out],
+                "sensitivity": ["--config", cfg, "--out", out],
+                "simulate": ["--design", cfg, "--report", out],
+                "markov-gen": ["--alpha", "0.3", "--beta", "0.6",
+                               "--steps", "10", "--out", out],
+                "report": ["--inputs", cfg, "--out", out]}[command]
+        value = [] if flag == "--verbose" else ["64"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, flag, *value])
+        assert not os.path.exists(out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["design", "sensitivity"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_grid_n_override_checked(self, tmp_path, capsys, command, value):
+        # regression: `design --grid-n 0` exited 1 with a ZeroDivisionError
+        # traceback and --grid-n -3 exited 2 with a numpy FFT message; the
+        # override skipped the check of the grid_n key
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg_path), "--grid-n", value,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "grid_n must be at least 8" in err
+        assert not out.exists()
+
+
+# a privacy block that PrivacySpec refuses, and the key the error names
+BAD_PRIVACY = pytest.mark.parametrize("field,value,key", [
+    ("epsilon", 1e308, "privacy.epsilon"),
+    ("epsilon", float("inf"), "privacy.epsilon"),
+    ("k", [1.0, float("nan")], "privacy.k")],
+    ids=["huge_epsilon", "infinite_epsilon", "nan_k"])
+
+
+class TestBadPrivacyBlock:
+    @BAD_PRIVACY
+    def test_config_refused(self, tmp_path, capsys, field, value, key):
+        # regression: epsilon 1e308 or .inf designed with exit 0 and wrote
+        # noise_sigma and theory_mse NaN (2 epsilon overflows in kappa),
+        # and a NaN k_i exited 4 blaming the filter ("column 2 is not
+        # factorizable")
+        cfg_path, doc = base_config(tmp_path)
+        doc["privacy"][field] = value
+        write_yaml(cfg_path, doc)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @BAD_PRIVACY
+    def test_stored_document_refused(self, tmp_path, capsys, field, value,
+                                     key):
+        # regression: each exited 5 with "kappa * sensitivity = nan",
+        # blaming the noise instead of the privacy block
+        cfg_path, _ = base_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = load_json(design_path)
+        doc["privacy"][field] = value
+        with open(design_path, "w") as fh:
+            json.dump(doc, fh)     # writes Infinity and NaN, as json reads
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert main(["simulate", "--design", str(design_path),
+                     "--trials", "1", "--steps", "500",
+                     "--report", str(report)]) == 2
+        assert key in capsys.readouterr().err
+        assert not report.exists()

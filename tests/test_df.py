@@ -8,7 +8,10 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     simulate, trapezoid_mean)
 from dpfilt.df import DECISION_DOMAINS, decision_op
 from dpfilt.errors import ConfigError
+from dpfilt.lti import taps_grid
 from dpfilt.spectral import MatrixFactorization
+
+from conftest import feedback_impulse
 
 N = 256
 OMEGA = grid_omega(N)
@@ -40,8 +43,9 @@ class TestFactorizations:
         G = TransferMatrix.identity(2)
         Pu = white_spectrum(2)
         pk = priv((1.0, 1.0))
-        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
-                                       freq_response(G, N), (1.0, 1.0), pk)
+        Q, S = df_factorizations(freq_response(F, N), Pu,
+                                 freq_response(G, N), pk)
+        T = S.pe
         assert np.max(np.abs(Q.coeffs[0] - np.eye(2))) < 1e-8
         if Q.coeffs.shape[0] > 1:
             assert np.max(np.abs(Q.coeffs[1:])) < 1e-7
@@ -56,8 +60,9 @@ class TestFactorizations:
         Pu = (2.0 + np.cos(OMEGA)).astype(complex)[:, None, None]
         k = (1.5,)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
-                                       freq_response(G, N), k, pk)
+        Q, S = df_factorizations(freq_response(F, N), Pu,
+                                 freq_response(G, N), pk)
+        R, T = Q.pe, S.pe
         Fg2 = np.abs(RationalFilter([1.0, 0.5]).freq(OMEGA)) ** 2
         t_want = np.exp(trapezoid_mean(np.log(Fg2)))
         assert T[0, 0] == pytest.approx(t_want, rel=1e-6)
@@ -86,8 +91,9 @@ class TestFactorizations:
                                      RationalFilter([0.8, -0.1])])
         k = (1.0, 2.0)
         pk = priv(k)
-        Q, R, S, T = df_factorizations(freq_response(F, N), Pu,
-                                       freq_response(G, N), k, pk)
+        Q, S = df_factorizations(freq_response(F, N), Pu,
+                                 freq_response(G, N), pk)
+        T = S.pe
         assert Q.grid_error < 1e-5
         assert S.grid_error < 1e-5
         # explicit S* T S reconstruction of F*F
@@ -101,9 +107,9 @@ class TestFactorizations:
 class TestOptimalFeedback:
     def test_identity_degenerates_to_lms(self):
         eye = MatrixFactorization(coeffs=np.eye(2)[None], pe=np.eye(2))
-        fb = optimal_feedback(eye, eye)
-        assert fb.p_coeffs.shape[0] == 1
-        h = fb.impulse(5)
+        P = optimal_feedback(eye, eye)
+        assert P.shape[0] == 1
+        h = feedback_impulse(P, 5)
         assert np.allclose(h[0], np.eye(2))
         assert np.max(np.abs(h[1:])) == 0.0
 
@@ -111,8 +117,7 @@ class TestOptimalFeedback:
         Q = MatrixFactorization(coeffs=np.array([[[1.0]], [[0.5]]]),
                                 pe=np.eye(1))
         S = MatrixFactorization(coeffs=np.eye(1)[None], pe=np.eye(1))
-        fb = optimal_feedback(Q, S)
-        h = fb.impulse(6)[:, 0, 0]
+        h = feedback_impulse(optimal_feedback(Q, S), 6)[:, 0, 0]
         want = (-0.5) ** np.arange(6)      # 1/(1+0.5 z^-1)
         assert np.allclose(h, want, atol=1e-12)
 
@@ -121,9 +126,9 @@ class TestOptimalFeedback:
         sc = random_monic_fir(rng, 2, 3)
         Q = MatrixFactorization(coeffs=qc, pe=np.eye(2))
         S = MatrixFactorization(coeffs=sc, pe=np.eye(2))
-        fb = optimal_feedback(Q, S)
-        assert np.allclose(fb.p_coeffs[0], np.eye(2))
-        assert np.allclose(fb.impulse(1)[0], np.eye(2))
+        P = optimal_feedback(Q, S)
+        assert np.allclose(P[0], np.eye(2))
+        assert np.allclose(feedback_impulse(P, 1)[0], np.eye(2))
 
 
 class TestTheoryMse:
@@ -344,7 +349,7 @@ def run_df_reference(design, u, seed, oracle_feedback=False):
         for j in range(m):
             seg = fftconvolve(v[:, j], taps[:, i, j])[d: d + T]
             fwd[: seg.shape[0], i] += seg
-    P = df.feedback.p_coeffs
+    P = df.p_coeffs
     K = P.shape[0] - 1
     Prev = P[1:][::-1] if K else np.zeros((0, m, m))
     decide, zero = decision_op(df.decision_domain), np.zeros(m)
@@ -498,7 +503,7 @@ def h1_taps_reference(design, P_u, N):
     m = P_u.shape[1]
     Gg = freq_response(design.prefilter, N)
     GgH = np.conj(np.swapaxes(Gg, 1, 2))
-    Bg = df.feedback.grid(N)
+    Bg = np.linalg.inv(taps_grid(df.p_coeffs, N))
     Pv = Gg @ P_u @ GgH + design.noise_sigma ** 2 * np.eye(m)[None, :, :]
     H1g = np.conj(np.swapaxes(
         np.linalg.solve(np.conj(np.swapaxes(Pv, 1, 2)),
@@ -575,7 +580,7 @@ class TestServerFeedbackPrecision:
         cfg = Config.load("benchmark/workloads/server_df.yaml")
         design = _make_design(cfg)
         df = design.postfilter
-        P = df.feedback.p_coeffs
+        P = df.p_coeffs
         K, m = P.shape[0] - 1, P.shape[1]
         assert (K, m) == (118, 2)
         T = 3000

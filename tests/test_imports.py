@@ -407,30 +407,26 @@ def test_every_defaulted_parameter_is_passed():
 
 
 def dead_flags(parser, source: str) -> list:
-    """Options that a subcommand declares on its own parser and `source`
-    never reads, as args.<dest> or getattr(args, "<dest>"), each as
-    'subcommand --option'. An option every subcommand shares comes from
-    a common parent parser and is left out, as is --help."""
+    """Options that a subcommand accepts, on its own parser or through a
+    parent parser, and `source` never reads, as args.<dest> or
+    getattr(args, "<dest>"), each as 'subcommand --option'; --help is
+    left out."""
     import argparse
     sub = next(action for action in parser._actions
                if isinstance(action, argparse._SubParsersAction))
-    own = {name: [action for action in p._actions
-                  if action.option_strings
-                  and not isinstance(action, argparse._HelpAction)]
-           for name, p in sub.choices.items()}
-    shared = set.intersection(*({id(a) for a in actions}
-                                for actions in own.values()))
     return sorted(f"{name} {action.option_strings[-1]}"
-                  for name, actions in own.items() for action in actions
-                  if id(action) not in shared and not re.search(
+                  for name, p in sub.choices.items() for action in p._actions
+                  if action.option_strings
+                  and not isinstance(action, argparse._HelpAction)
+                  and not re.search(
                       rf"\bargs\.{action.dest}\b|getattr\(args, "
                       rf"[\"']{action.dest}[\"']", source))
 
 
 def test_dead_flag_flagged():
-    # a --dt-label that is parsed and only read off another object,
-    # beside a read --out, a getattr read --seed and a shared --verbose
-    # that nothing reads
+    # a --dt-label that is parsed and only read off another object, and
+    # a --verbose that every subcommand shares through a parent parser
+    # and nothing reads, beside a read --out and a getattr read --seed
     import argparse
     parser = argparse.ArgumentParser()
     sub = parser.add_subparsers()
@@ -446,7 +442,8 @@ def test_dead_flag_flagged():
               "    return args.out\n"
               "def cmd_other(args):\n"
               "    return getattr(args, 'seed', None)\n")
-    assert dead_flags(parser, source) == ["gen --dt-label"]
+    assert dead_flags(parser, source) == ["gen --dt-label", "gen --verbose",
+                                          "other --verbose"]
 
 
 def test_every_subcommand_option_is_read():

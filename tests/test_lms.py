@@ -4,12 +4,14 @@ import pytest
 from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     assemble_lms, assemble_zfe, causal_wiener, chain_spectrum,
                     demo_filter, design_diag_prefilter, freq_response,
-                    grid_omega, kappa, lms_objective,
+                    grid_omega, kappa, lms_objective, matrix_canonical_factor,
                     optimize_prefilter_general, postfilter_mse,
                     server_example, simulate, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother, wiener_spectra)
 from dpfilt.errors import ConfigError, DegenerateObjective, NotDiagonal
 from dpfilt.sensitivity import diagonal_sensitivity
+
+from conftest import feedback_impulse
 
 N = 256
 OMEGA = grid_omega(N)
@@ -90,7 +92,7 @@ class TestObjective:
         design = assemble_zfe(F, G, pk, N)
         prof = zfe_profile(G, k)
         big = white_spectrum(2) * 1e8
-        val = lms_objective(freq_response(F, N), big, k, pk, prof)
+        val = lms_objective(freq_response(F, N), big, pk, prof)
         assert val == pytest.approx(design.theory_mse, rel=0.01)
 
     def test_zero_profile_is_output_power(self):
@@ -99,7 +101,7 @@ class TestObjective:
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.5 + np.sin(OMEGA) ** 2])
         k = (1.0, 1.0)
         Fg = freq_response(F, N)
-        val = lms_objective(Fg, Pu, k, priv(k), np.zeros((N + 1, 2)))
+        val = lms_objective(Fg, Pu, priv(k), np.zeros((N + 1, 2)))
         power = trapezoid_mean(np.einsum(
             "qij,qjl,qil->q", Fg, Pu, np.conj(Fg)).real)
         assert val == pytest.approx(float(power), rel=1e-10)
@@ -109,8 +111,8 @@ class TestObjective:
         F2 = TransferMatrix.diagonal([RationalFilter([2.0, 1.0])])
         Pu = diag_spectrum([1.0 + 0.3 * np.cos(OMEGA)])
         prof = np.ones((N + 1, 1))
-        a = lms_objective(freq_response(F, N), Pu, (1.0,), priv((1.0,)), prof)
-        b = lms_objective(freq_response(F2, N), Pu, (1.0,), priv((1.0,)), prof)
+        a = lms_objective(freq_response(F, N), Pu, priv((1.0,)), prof)
+        b = lms_objective(freq_response(F2, N), Pu, priv((1.0,)), prof)
         assert np.sqrt(b) == pytest.approx(2 * np.sqrt(a), rel=1e-10)
 
     def test_profile_off_the_spectrum_grid_rejected(self):
@@ -119,7 +121,7 @@ class TestObjective:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5])])
         prof = np.ones((N // 2 + 1, 1))
         with pytest.raises(ConfigError, match="profile grid"):
-            lms_objective(freq_response(F, N), white_spectrum(1), (1.0,),
+            lms_objective(freq_response(F, N), white_spectrum(1),
                           priv((1.0,)), prof)
 
 
@@ -127,8 +129,7 @@ class TestWaterfilling:
     def test_single_channel_constant(self):
         F = TransferMatrix.diagonal([RationalFilter([1.5])])
         Pu = diag_spectrum([np.full(N + 1, 2.0)])
-        x, _ = waterfill_diagonal(freq_response(F, N), Pu, (1.0,),
-                                  priv((1.0,)))
+        x, _ = waterfill_diagonal(freq_response(F, N), Pu, priv((1.0,)))
         assert np.allclose(x, 1.0, atol=1e-9)
         assert_feasible(x)
 
@@ -136,8 +137,7 @@ class TestWaterfilling:
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.5]),
                                      RationalFilter([0.4, 0.3])])
         Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.4 * np.sin(OMEGA)])
-        x, _ = waterfill_diagonal(freq_response(F, N), Pu, (1.0, 2.0),
-                                  priv((1.0, 2.0)))
+        x, _ = waterfill_diagonal(freq_response(F, N), Pu, priv((1.0, 2.0)))
         assert abs(trapezoid_mean(x.sum(axis=1)) - 1.0) < 1e-10
 
     def test_kkt_stationarity(self):
@@ -147,7 +147,7 @@ class TestWaterfilling:
         k = (1.0, 2.0)
         pk = priv(k)
         Fg = freq_response(F, N)
-        x, lam = waterfill_diagonal(Fg, Pu, k, pk)
+        x, lam = waterfill_diagonal(Fg, Pu, pk)
         kap = kappa(pk)
         Ft2 = kap ** 2 * np.linalg.norm(Fg, axis=1) ** 2 \
             * (np.asarray(k) ** 2)[None, :]
@@ -166,7 +166,7 @@ class TestWaterfilling:
         k = (1.0, 2.0)
         Pu = diag_spectrum([np.full(N + 1, 1e8), np.full(N + 1, 1e8)])
         Fg = freq_response(F, N)
-        x, _ = waterfill_diagonal(Fg, Pu, k, priv(k))
+        x, _ = waterfill_diagonal(Fg, Pu, priv(k))
         # x_i should be proportional to |Ft_i|_2, the ZFE magnitude rule
         shape = np.linalg.norm(Fg, axis=1) * np.asarray(k)[None, :]
         a = x.ravel()
@@ -179,13 +179,13 @@ class TestWaterfilling:
                                dtype=complex)[None], N + 1, axis=0)
         F = TransferMatrix.identity(2)
         with pytest.raises(NotDiagonal):
-            waterfill_diagonal(freq_response(F, N), P, (1, 1), priv((1, 1)))
+            waterfill_diagonal(freq_response(F, N), P, priv((1, 1)))
 
     def test_zero_target_rejected(self):
         F = TransferMatrix.diagonal([RationalFilter([0.0])])
         Pu = diag_spectrum([np.ones(N + 1)])
         with pytest.raises(DegenerateObjective):
-            waterfill_diagonal(freq_response(F, N), Pu, (1.0,), priv((1.0,)))
+            waterfill_diagonal(freq_response(F, N), Pu, priv((1.0,)))
 
 
 class TestGeneralOptimizer:
@@ -201,20 +201,20 @@ class TestGeneralOptimizer:
             k = tuple(rng.uniform(0.5, 2.0, 2))
             pk = priv(k)
             Fg = freq_response(F, N)
-            x, _ = waterfill_diagonal(Fg, Pu, k, pk)
-            _, objective = optimize_prefilter_general(Fg, Pu, k, pk)
+            x, _ = waterfill_diagonal(Fg, Pu, pk)
+            _, objective = optimize_prefilter_general(Fg, Pu, pk)
             assert objective == pytest.approx(
-                lms_objective(Fg, Pu, k, pk, x), rel=1e-4)
+                lms_objective(Fg, Pu, pk, x), rel=1e-4)
 
     def test_single_channel_exact(self, rng):
         Pu = diag_spectrum([1.5 + np.cos(OMEGA) ** 2])
         F = TransferMatrix.diagonal([RationalFilter([1.0, 0.7, 0.2])])
         pk = priv((1.3,))
         Fg = freq_response(F, N)
-        x, _ = waterfill_diagonal(Fg, Pu, (1.3,), pk)
-        _, objective = optimize_prefilter_general(Fg, Pu, (1.3,), pk)
+        x, _ = waterfill_diagonal(Fg, Pu, pk)
+        _, objective = optimize_prefilter_general(Fg, Pu, pk)
         assert objective == pytest.approx(
-            lms_objective(Fg, Pu, (1.3,), pk, x), rel=1e-6)
+            lms_objective(Fg, Pu, pk, x), rel=1e-6)
 
     def test_correlated_spectrum_dominates_diag_approx(self):
         src = server_example(0.3, 0.6)
@@ -222,19 +222,19 @@ class TestGeneralOptimizer:
         Fg = freq_response(demo_filter(), N)
         k = (1.0, 1.0)
         pk = priv(k)
-        _, objective = optimize_prefilter_general(Fg, Pu, k, pk)
+        _, objective = optimize_prefilter_general(Fg, Pu, pk)
         diag_only = diag_spectrum([np.real(Pu[:, i, i]) for i in range(2)])
-        x, _ = waterfill_diagonal(Fg, diag_only, k, pk)
+        x, _ = waterfill_diagonal(Fg, diag_only, pk)
         # evaluating the diagonal-approximation profile under the true
         # correlated spectrum cannot beat the optimizer
-        val_diag_profile = lms_objective(Fg, Pu, k, pk, x)
+        val_diag_profile = lms_objective(Fg, Pu, pk, x)
         assert objective <= val_diag_profile * (1 + 1e-9)
 
     def test_profile_feasible(self, rng):
         src = server_example(0.4, 0.5)
         Pu, _ = chain_spectrum(src, N)
         x, _ = optimize_prefilter_general(freq_response(demo_filter(), N),
-                                          Pu, (1.0, 1.0), priv((1.0, 1.0)))
+                                          Pu, priv((1.0, 1.0)))
         assert_feasible(x)
 
 
@@ -246,13 +246,13 @@ class TestCausalWiener:
         sigma = 1.0
         Pu = white_spectrum(1)
         P_yv, P_v = spectra(F, Pu, TransferMatrix.identity(1), sigma)
-        cw = causal_wiener(P_yv, P_v)
+        _, causal, anticausal_tail = causal_wiener(P_yv, P_v)
         smoother = wiener_smoother(P_yv, P_v)
         Fg = freq_response(F, N)
-        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, causal)
         mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, smoother)
         assert mse_c == pytest.approx(mse_s, rel=1e-6)
-        assert cw.anticausal_tail < 1e-10
+        assert anticausal_tail < 1e-10
 
     def test_pure_predictor_hopeless(self):
         # F = z (one-step prediction of white noise): causal Wiener is 0
@@ -262,9 +262,9 @@ class TestCausalWiener:
         sigma = 0.5
         P_yv, P_v = wiener_spectra(
             Fg, Pu, freq_response(TransferMatrix.identity(1), N), sigma)
-        cw = causal_wiener(P_yv, P_v)
-        assert np.max(np.abs(cw.grid(N))) < 1e-10
-        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, cw.grid(N))
+        _, causal, _ = causal_wiener(P_yv, P_v)
+        assert np.max(np.abs(causal)) < 1e-10
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, causal)
         assert mse_c == pytest.approx(1.0, rel=1e-9)
 
     def test_markov_siso_causal_gap_nonnegative(self):
@@ -279,8 +279,7 @@ class TestCausalWiener:
         P_yv, P_v = spectra(F, Pu, G, sigma)
         Fg = freq_response(F, N)
         mse_s = postfilter_mse(Fg, Pu, P_yv, P_v, wiener_smoother(P_yv, P_v))
-        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v,
-                               causal_wiener(P_yv, P_v).grid(N))
+        mse_c = postfilter_mse(Fg, Pu, P_yv, P_v, causal_wiener(P_yv, P_v)[1])
         assert mse_c >= mse_s - 1e-12
 
 
@@ -313,7 +312,7 @@ class TestAssemble:
         Gz = design_diag_prefilter(freq_response(F6, N), self.k, order=48)
         zfe_design = assemble_zfe(F6, Gz, self.pk, N)
         prof_z = zfe_profile(Gz, self.k)
-        val_z = lms_objective(freq_response(F6, N), self.Pu, self.k,
+        val_z = lms_objective(freq_response(F6, N), self.Pu,
                               self.pk, prof_z)
         assert d.info["optimal_objective"] <= val_z * (1 + 1e-9)
         assert val_z <= zfe_design.theory_mse * (1 + 1e-9)
@@ -406,7 +405,7 @@ class TestOptimizerErrorPath:
         pk = priv((1.0, 1.0))
         with pytest.raises(OptimizerStalled) as exc:
             optimize_prefilter_general(freq_response(demo_filter(6), N), Pu,
-                                       (1.0, 1.0), pk, max_iter=0)
+                                       pk, max_iter=0)
         assert exc.value.best_profile.shape == (N + 1, 2)
 
 
@@ -654,11 +653,31 @@ class TestAllocationKernelAgreement:
             1.0, rel=1e-12)
 
 
+def causal_parts(design, P_u):
+    """The design-time parts of a causal LMS design's postfilter, formed
+    as causal_wiener forms them from the design's spectra: l_coeffs, the
+    monic canonical factor L of the release spectrum; its pe; and mc, the
+    causal part of P_yv L^-* cut like the causal taps."""
+    from types import SimpleNamespace
+    from dpfilt.spectral import _truncate_tail, grid_lags
+    n = P_u.shape[0] - 1
+    P_yv, P_v = wiener_spectra(freq_response(design.target, n), P_u,
+                               freq_response(design.prefilter, n),
+                               design.noise_sigma)
+    fact = matrix_canonical_factor(P_v)
+    h = grid_lags(np.conj(np.swapaxes(np.linalg.solve(
+        fact.eval_grid(n), np.conj(np.swapaxes(P_yv, 1, 2))), 1, 2)))
+    return SimpleNamespace(
+        l_coeffs=fact.coeffs, pe=fact.pe,
+        mc=_truncate_tail(h[:n], 1e-12, float(np.max(np.abs(h)))))
+
+
 def iir_apply_reference(post, v):
-    """CausalWienerFilter.apply in its IIR form: the monic inverse L^-1
-    (one scipy lfilter per channel when L is diagonal, else the seed
-    loop), then Pe^-1 and the causal taps mc; the agreement reference for
-    the single-FIR apply over the full causal taps."""
+    """CausalWienerFilter.apply in its IIR form from the causal_parts
+    post: the monic inverse L^-1 (one scipy lfilter per channel when L is
+    diagonal, else the seed loop), then Pe^-1 and the causal taps mc; the
+    agreement reference for the single-FIR apply over the full causal
+    taps."""
     from scipy.signal import lfilter
     from dpfilt.lms import FirBank
     L = post.l_coeffs
@@ -690,7 +709,8 @@ class TestCausalTaps:
         u = rng.poisson(rates, size=(6000, 15)) - rates
         v = simulate(d.prefilter, u) \
             + rng.normal(0.0, d.noise_sigma, size=u.shape)
-        assert rel_gap(post.apply(v), iir_apply_reference(post, v)) <= 1e-11
+        assert rel_gap(post.apply(v), iir_apply_reference(
+            causal_parts(d, Pu), v)) <= 1e-11
         # cut by the 1e-12-of-peak rule, like mc
         mags = np.abs(post.taps).reshape(post.taps.shape[0], -1).max(axis=1)
         assert mags[-1] > 1e-12 * mags.max()
@@ -701,24 +721,26 @@ class TestCausalTaps:
         F = demo_filter(6)
         d = assemble_lms(F, Pu, priv((1.0, 1.0)), mode="causal",
                          input_mean=mean)
-        post = d.postfilter
-        assert np.any(post.l_coeffs[:, 0, 1])
+        parts = causal_parts(d, Pu)
+        assert np.any(parts.l_coeffs[:, 0, 1])
         v = np.random.default_rng(6).normal(size=(3000, 2))
-        assert rel_gap(post.apply(v), iir_apply_reference(post, v)) <= 1e-11
+        assert rel_gap(d.postfilter.apply(v),
+                       iir_apply_reference(parts, v)) <= 1e-11
 
 
 @pytest.fixture(scope="module")
 def bank_causal_factor():
-    """Canonical factor and causal part of the bank_lms_causal postfilter
-    (the design of TestCausalTaps)."""
+    """The causal_parts of the bank_lms_causal postfilter (the design of
+    TestCausalTaps)."""
     from dpfilt import occupancy_filter_bank
     rates = np.array([1.4, 1.836, 1.641, 0.76, 0.88, 1.798, 0.408, 1.714,
                       1.675, 1.149, 0.885, 0.845, 0.808, 1.112, 1.207])
     n = 1024
     Pu = np.repeat(np.diag(rates).astype(complex)[None], n + 1, axis=0)
     pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05, k=(4.0,) * 15)
-    return assemble_lms(occupancy_filter_bank(), Pu, pk, mode="causal",
-                        order=40, input_mean=rates).postfilter
+    return causal_parts(assemble_lms(occupancy_filter_bank(), Pu, pk,
+                                     mode="causal", order=40,
+                                     input_mean=rates), Pu)
 
 
 class TestBatchedMonicRecursion:
@@ -750,8 +772,9 @@ class TestBatchedMonicRecursion:
         Pu, mean = chain_spectrum(src, N)
         d = assemble_lms(demo_filter(6), Pu, priv((1.0, 1.0)), mode="causal",
                          input_mean=mean)
-        assert np.any(d.postfilter.l_coeffs[:, 0, 1])
-        self.check(*self.causal_rows(d.postfilter, 800))
+        parts = causal_parts(d, Pu)
+        assert np.any(parts.l_coeffs[:, 0, 1])
+        self.check(*self.causal_rows(parts, 800))
 
     def test_feedback_impulse_columns(self):
         from dpfilt import design_df
@@ -760,15 +783,14 @@ class TestBatchedMonicRecursion:
         Pu = Pu + 1e-4 * np.max(np.abs(Pu)) * np.eye(2)[None]
         f = RationalFilter([0.6, 0.3, 0.1])
         F = TransferMatrix.diagonal([f, f])
-        fb = design_df(F, Pu, priv((1.0, 1.0)), TransferMatrix.identity(2),
-                       sigma=1.0, input_mean=mean).postfilter.feedback
-        P = fb.p_coeffs
+        P = design_df(F, Pu, priv((1.0, 1.0)), TransferMatrix.identity(2),
+                      sigma=1.0, input_mean=mean).postfilter.p_coeffs
         assert np.any(P[1:, 0, 1])
         delta = np.zeros((300, 2, 2))
         delta[0] = np.eye(2)
         want = np.stack([monic_inverse_reference(P, delta[:, :, c])
                          for c in range(2)], axis=2)
-        assert rel_gap(fb.impulse(300), want) <= 1e-13
+        assert rel_gap(feedback_impulse(P, 300), want) <= 1e-13
 
 
 def smoother_reference(H, tail_tol=1e-10):

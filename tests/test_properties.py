@@ -52,8 +52,8 @@ def test_bound_ordering_random_fir(p, m, seed):
     k = rng.uniform(0.5, 2.0, m)
     priv = PrivacySpec(epsilon=1.0, delta=0.1, k=tuple(k))
     Fg = freq_response(F, 64)
-    nuclear = zfe_general_lower_bound(Fg, k, priv)
-    diag = zfe_mse_diag_bound(Fg, k, priv)
+    nuclear = zfe_general_lower_bound(Fg, priv)
+    diag = zfe_mse_diag_bound(Fg, priv)
     assert nuclear <= diag * (1 + 1e-10)
     lower, upper = mimo_bounds(F, k)
     assert lower <= upper * (1 + 1e-12)

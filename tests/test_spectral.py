@@ -181,7 +181,8 @@ class TestMatrixFactor:
         pe0 = np.array([[1.5, 0.2], [0.2, 0.8]])
         coeffs0 = np.stack([np.eye(2), theta])
         P = spectrum_from_factor(coeffs0, pe0, OMEGA)
-        S, T = conjugate_factorization(P)
+        S = conjugate_factorization(P)
+        T = S.pe
         Sg = S.eval_grid(N)
         recon = np.einsum("qji,jk,qkl->qil", np.conj(Sg), T, Sg)
         err = np.max(np.abs(recon - P)) / np.max(np.abs(P))
@@ -363,3 +364,47 @@ class TestBauerBudget:
                             8 * (n * m) ** 2 - 1)
         with pytest.raises(FactorizationStalled, match="budget"):
             matrix_canonical_factor(samples)
+
+
+class TestBauerDoubling:
+    """Bauer's block count doubles only while each doubling at least
+    halves the grid error, on the server chain spectrum (alpha 0.3,
+    beta 0.6) plus a white floor."""
+
+    @staticmethod
+    def spectrum(floor):
+        from dpfilt import chain_spectrum, server_example
+        P, _ = chain_spectrum(server_example(0.3, 0.6), N)
+        return P + floor * np.eye(2)[None]
+
+    @staticmethod
+    def count_choleskys(monkeypatch) -> list:
+        """The block count of each Cholesky factorization from here on."""
+        blocks = []
+        cholesky = np.linalg.cholesky
+
+        def counted(T):
+            blocks.append(T.shape[0] // 2)
+            return cholesky(T)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return blocks
+
+    def test_converging_doublings_continue(self, monkeypatch):
+        # grid errors 1.81e-5, 2.30e-6 and 6.78e-8: each doubling cuts the
+        # error by 4x or more, so the iteration runs on to its tolerance
+        blocks = self.count_choleskys(monkeypatch)
+        fact = matrix_canonical_factor(self.spectrum(1e-6))
+        assert blocks == [228, 456, 912]
+        assert fact.meta["blocks"] == 912 and fact.grid_error <= 1e-6
+
+    def test_stalled_doubling_raises(self, monkeypatch):
+        # regression: at tol 1e-12 the grid error stays at 1.43e-10 from
+        # 220 to 1760 blocks, and only the byte budget stopped the
+        # doubling, after 4 Cholesky factorizations and at 3520 blocks
+        from dpfilt.errors import FactorizationStalled
+        blocks = self.count_choleskys(monkeypatch)
+        with pytest.raises(FactorizationStalled) as info:
+            matrix_canonical_factor(self.spectrum(1e-2), tol=1e-12)
+        assert blocks == [220, 440]
+        assert "1.43e-10 at 220, 1.43e-10 at 440 blocks" in str(info.value)

@@ -88,7 +88,7 @@ class TestDiagDesign:
 class TestDiagBound:
     def test_scalar_identity(self):
         F = TransferMatrix.identity(1)
-        assert zfe_mse_diag_bound(freq_response(F, N), (1.0,), PRIV1) \
+        assert zfe_mse_diag_bound(freq_response(F, N), PRIV1) \
             == pytest.approx(kappa(PRIV1) ** 2, rel=1e-12)
 
     def test_constant_diagonal(self):
@@ -96,7 +96,7 @@ class TestDiagBound:
                                      RationalFilter([3.0])])
         p2 = priv((1.5, 0.5))
         want = kappa(p2) ** 2 * (1.5 * 2.0 + 0.5 * 3.0) ** 2
-        assert zfe_mse_diag_bound(freq_response(F, N), (1.5, 0.5), p2) \
+        assert zfe_mse_diag_bound(freq_response(F, N), p2) \
             == pytest.approx(want, rel=1e-12)
 
     def test_cauchy_schwarz_direction(self, rng):
@@ -105,7 +105,7 @@ class TestDiagBound:
         k = np.array([1.0, 2.0])
         p2 = priv(k)
         Fg = freq_response(F, N)
-        bound = zfe_mse_diag_bound(Fg, k, p2)
+        bound = zfe_mse_diag_bound(Fg, p2)
         omega = grid_omega(N)
         cn2 = np.linalg.norm(Fg, axis=1) ** 2
         from dpfilt import trapezoid_mean
@@ -125,16 +125,16 @@ class TestNuclearBound:
     def test_single_input_coincides(self, rng):
         F = random_fir_matrix(rng, 3, 1, max_lag=3)
         Fg = freq_response(F, N)
-        a = zfe_mse_diag_bound(Fg, (2.0,), priv((2.0,)))
-        b = zfe_general_lower_bound(Fg, (2.0,), priv((2.0,)))
+        a = zfe_mse_diag_bound(Fg, priv((2.0,)))
+        b = zfe_general_lower_bound(Fg, priv((2.0,)))
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_identity_orthogonal_columns(self):
         F = TransferMatrix.identity(3)
         p3 = priv((1.0,) * 3)
         Fg = freq_response(F, N)
-        a = zfe_mse_diag_bound(Fg, np.ones(3), p3)
-        b = zfe_general_lower_bound(Fg, np.ones(3), p3)
+        a = zfe_mse_diag_bound(Fg, p3)
+        b = zfe_general_lower_bound(Fg, p3)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_never_exceeds_diag_bound(self, rng):
@@ -143,8 +143,8 @@ class TestNuclearBound:
             k = rng.uniform(0.5, 2.0, 3)
             pk = priv(k)
             Fg = freq_response(F, N)
-            assert zfe_general_lower_bound(Fg, k, pk) <= \
-                zfe_mse_diag_bound(Fg, k, pk) * (1 + 1e-10)
+            assert zfe_general_lower_bound(Fg, pk) <= \
+                zfe_mse_diag_bound(Fg, pk) * (1 + 1e-10)
 
 
 class TestAssemble:
