@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
-from .lms import (TAP_CUT, FirBank, _bracket_inverse_times, _tilde,
-                  wiener_smoother, wiener_spectra)
+from .lms import (TAP_CUT, CausalWienerFilter, _bracket_inverse_times,
+                  _tilde, wiener_smoother, wiener_spectra)
 from .lti import (Postfilter, TransferMatrix, as_signal, freq_response,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
@@ -20,22 +20,25 @@ from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        matrix_canonical_factor)
 from .zfe import MechanismDesign, stored_taps
 
+# The decision device when neither the config nor the design names one.
+DEFAULT_DECISION_DOMAIN = "nonneg_integers"
+
 
 @dataclass
 class DfDesign(Postfilter):
-    """The DF postfilter: forward filter taps (with lookahead), the monic
-    feedback polynomial P of the feedback B = P^-1, and the decision
-    device of the input domain. It has no `apply`: run_df_mechanism runs
-    its closed loop and applies the target F to the decisions.
+    """The DF postfilter: the forward filter (its taps run at the
+    lookahead d), the monic feedback polynomial P of the feedback
+    B = P^-1, and the decision device of the input domain. It has no
+    `apply`: run_df_mechanism runs its closed loop and applies the target
+    F to the decisions.
 
-    Running B means solving P y = u by the monic recursion, so the
+    closed_loop runs B by solving P y = u one step at a time, so the
     strictly causal feedback B - I never touches the current sample.
     """
 
-    h1_taps: np.ndarray         # (T1, m, m); tap j acts on v_{t + d - j}
-    lookahead: int              # d >= 0
-    p_coeffs: np.ndarray        # (K+1, m, m), p_coeffs[0] = I
-    decision_domain: str = "nonneg_integers"
+    forward: CausalWienerFilter     # taps (T1, m, m) at lookahead d >= 0
+    p_coeffs: np.ndarray            # (K+1, m, m), p_coeffs[0] = I
+    decision_domain: str
     batched = True
 
     def closed_loop(self, v, mu, fed_back=None):
@@ -47,14 +50,12 @@ class DfDesign(Postfilter):
         decide = decision_op(self.decision_domain)
         B = len(v)
         T, m = v[0].shape
-        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j},
-        # one FirBank for all trials; u_tilde is built in place on top of
-        # it. Per-step arrays are time-major, so row t of every trial is
-        # one contiguous view.
-        bank = FirBank(self.h1_taps)
+        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
+        # u_tilde is built in place on top of it. Per-step arrays are
+        # time-major, so row t of every trial is one contiguous view.
         u_tilde = np.empty((T, B, m))
         for b in range(B):
-            u_tilde[:, b] = bank.run(v[b], self.lookahead)
+            u_tilde[:, b] = self.forward.apply(v[b])
         # feedback term: one (B, K m) @ (K m, m) product per step against
         # the flattened windows of the last K rows of r = fed_back -
         # fb_term (zero-padded), one window row per trial. Every per-step
@@ -85,10 +86,10 @@ class DfDesign(Postfilter):
         return u_tilde, u_hat
 
     def margins(self) -> tuple[int, int]:
-        return self.h1_taps.shape[0], self.lookahead
+        return self.forward.taps.shape[0], self.forward.lookahead
 
     def to_doc(self) -> dict:
-        return {"h1_taps": self.h1_taps.tolist(),
+        return {"h1_taps": self.forward.taps.tolist(),
                 "p_coeffs": self.p_coeffs.tolist()}
 
     @classmethod
@@ -101,13 +102,13 @@ class DfDesign(Postfilter):
             raise ConfigError("postfilter p_coeffs[0] must be the identity "
                               "(the feedback polynomial is monic)")
         domain = doc.get("info", {}).get("decision_domain",
-                                         "nonneg_integers")
+                                         DEFAULT_DECISION_DOMAIN)
         if domain not in DECISION_DOMAINS:
             raise ConfigError(f"info.decision_domain is {domain!r}; expected"
                               f" one of {DECISION_DOMAINS}")
-        return cls(h1_taps=stored_taps(doc, "h1_taps", m, m),
-                   lookahead=int(doc.get("lookahead", 0)), p_coeffs=p,
-                   decision_domain=domain)
+        forward = CausalWienerFilter(stored_taps(doc, "h1_taps", m, m),
+                                     int(doc.get("lookahead", 0)))
+        return cls(forward=forward, p_coeffs=p, decision_domain=domain)
 
 
 def df_factorizations(Fg, P_u: np.ndarray, Gg, privacy: PrivacySpec
@@ -196,7 +197,7 @@ def decision_op(domain: str):
 
 def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
               G: TransferMatrix, sigma: float, lookahead: int = 2,
-              decision_domain: str = "nonneg_integers",
+              decision_domain: str = DEFAULT_DECISION_DOMAIN,
               input_mean=None) -> MechanismDesign:
     """Assemble a DF mechanism around an existing (LMS-designed) prefilter,
     on the grid of P_u.
@@ -225,7 +226,7 @@ def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
     return MechanismDesign(
         kind="decision_feedback", target=F, prefilter=G,
         noise_sigma=float(sigma), privacy=privacy,
-        postfilter=DfDesign(h1_taps=taps, lookahead=d, p_coeffs=P,
+        postfilter=DfDesign(forward=CausalWienerFilter(taps, d), p_coeffs=P,
                             decision_domain=decision_domain),
         theory_mse=theory, lookahead=d,
         input_mean=None if input_mean is None
@@ -280,7 +281,7 @@ def run_df_mechanism(design: MechanismDesign, u, seed,
         # decide(x) - mu equals u - mu bit for bit when the decision is u
         wrong = np.any(u_hat[:, b] != data[b] - mu, axis=1)
         out.append((y_hat[b], {
-            "lookahead": df.lookahead, "u_tilde": u_tilde[:, b],
+            "lookahead": df.forward.lookahead, "u_tilde": u_tilde[:, b],
             "u_hat": u_hat[:, b],
             "decision_error_rate": float(np.mean(wrong))}))
     u_tilde += mu                 # the diagnostics report uncentered values

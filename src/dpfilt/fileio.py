@@ -260,15 +260,16 @@ def _design_lms(mode: str):
 def _design_df(cfg, F, privacy, order):
     """Decision feedback around the LMS prefilter."""
     Pu, mean = spectrum_from_spec(cfg.spectrum, cfg.grid_n, F.shape[1])
-    lookahead = as_number(cfg.mechanism.get("lookahead", 2), "lookahead",
-                          integer=True)
+    # design_df owns the defaults of the keys the config leaves out
+    opts = {key: cfg.mechanism[key] for key in ("lookahead", "decision_domain")
+            if key in cfg.mechanism}
+    if "lookahead" in opts:
+        opts["lookahead"] = as_number(opts["lookahead"], "lookahead",
+                                      integer=True)
     G, sigma, info = lms_prefilter(freq_response(F, cfg.grid_n), Pu, privacy,
                                    order)
-    design = design_df(
-        F, Pu, privacy, G, sigma=sigma, lookahead=lookahead,
-        decision_domain=cfg.mechanism.get("decision_domain",
-                                          "nonneg_integers"),
-        input_mean=mean)
+    design = design_df(F, Pu, privacy, G, sigma=sigma, input_mean=mean,
+                       **opts)
     for key in ("optimal_objective", "achieved_objective",
                 "prefilter_fit_errors"):
         design.info[key] = info[key]

@@ -349,7 +349,8 @@ class CausalWienerFilter(Postfilter):
 
     At lookahead 0 it is the causal filter [P_yv L^-*]_+ Pe^-1 L^-1 of
     causal_wiener, over the full taps of causal_taps; from_grid makes the
-    smoother, over lags -half..half at lookahead half.
+    smoother, over lags -half..half at lookahead half. The DF forward
+    filter is one at the design lookahead.
     """
 
     taps: np.ndarray            # (n, p, m)

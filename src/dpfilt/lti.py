@@ -232,13 +232,6 @@ class TransferMatrix(Postfilter):
     def is_fir(self) -> bool:
         return all(e.is_fir for row in self.entries for e in row)
 
-    def eval(self, z) -> np.ndarray:
-        out = np.empty((self.p, self.m), dtype=complex)
-        for i in range(self.p):
-            for j in range(self.m):
-                out[i, j] = self.entries[i][j].eval(z)
-        return out
-
     def freq(self, omega) -> np.ndarray:
         """RationalFilter.freq of every entry, with z^-1 computed once;
         zero entries stay 0."""
@@ -255,7 +248,8 @@ class TransferMatrix(Postfilter):
     def dc_gain(self) -> np.ndarray:
         """F(1), kept read-only after the first call, as bank() is."""
         if "_dc_gain" not in self.__dict__:
-            self._dc_gain = self.eval(1.0).real
+            self._dc_gain = np.array([[e.eval(1.0) for e in row]
+                                      for row in self.entries]).real
             self._dc_gain.setflags(write=False)
         return self._dc_gain
 

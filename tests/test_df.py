@@ -343,7 +343,7 @@ def run_df_reference(design, u, seed, oracle_feedback=False):
     if design.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         v = v + rng.normal(0.0, design.noise_sigma, size=v.shape)
-    taps = df.h1_taps
+    taps = df.forward.taps
     fwd = np.zeros((T, m))
     for i in range(m):
         for j in range(m):
@@ -512,7 +512,7 @@ def h1_taps_reference(design, P_u, N):
     h = np.fft.ifft(full, axis=0).real
     causal = h[:N]
     anti = h[N:][::-1]           # lags -1, -2, ...
-    d = df.lookahead
+    d = df.forward.lookahead
     taps = np.concatenate([anti[:d][::-1], causal], axis=0)
     mags = np.abs(taps).reshape(taps.shape[0], -1).max(axis=1)
     peak = max(float(mags.max()), 1e-300)
@@ -531,7 +531,7 @@ class TestForwardFilterReference:
     @staticmethod
     def check(design, P_u, N):
         want = h1_taps_reference(design, P_u, N)
-        got = design.postfilter.h1_taps
+        got = design.postfilter.forward.taps
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -589,7 +589,7 @@ class TestServerFeedbackPrecision:
         v = design.release(uc + mu, 2)
         u_tilde, _ = df.closed_loop([v], mu, uc[:, None])
 
-        fwd = FirBank(df.h1_taps).run(v, df.lookahead).astype(
+        fwd = FirBank(df.forward.taps).run(v, df.forward.lookahead).astype(
             np.longdouble)
         Pl = P.astype(np.longdouble)
         r = np.zeros((T, m), dtype=np.longdouble)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     server_example, simulate, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother, wiener_spectra)
 from dpfilt.errors import ConfigError, DegenerateObjective, NotDiagonal
+from dpfilt.lms import monic_inverse_filter
+from dpfilt.lti import taps_grid
 from dpfilt.sensitivity import diagonal_sensitivity
+from dpfilt.spectral import _truncate_tail, grid_lags
 
 from conftest import feedback_impulse
 
@@ -714,6 +719,7 @@ class TestCausalTaps:
         # cut by the 1e-12-of-peak rule, like mc
         mags = np.abs(post.taps).reshape(post.taps.shape[0], -1).max(axis=1)
         assert mags[-1] > 1e-12 * mags.max()
+        assert post.taps.shape == (522, 3, 15)
 
     def test_coupled_factor_matches_iir_apply(self):
         src = server_example(0.3, 0.6)
@@ -726,6 +732,36 @@ class TestCausalTaps:
         v = np.random.default_rng(6).normal(size=(3000, 2))
         assert rel_gap(d.postfilter.apply(v),
                        iir_apply_reference(parts, v)) <= 1e-11
+
+
+class TestCausalTapsDoubling:
+    """A causal filter longer than three quarters of the 2N lags of its
+    design grid: F = 1, white P_u, G = 1 - 0.99 z^-1, sigma = 0.01; at
+    n = 64 and 256 the taps outrun the first horizon of causal_taps, which
+    doubles. The taps match the monic recursion run on the rows of mc Pe^-1 over 2^15
+    steps, and the lags of its exact response Mc Pe^-1 L^-1 on a grid of
+    2^14 + 1 points, within 1e-13 of the peak over the common length, and
+    are within one tap as long as either."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_recursion_and_grid_lags(self, n):
+        F = TransferMatrix([[RationalFilter([1.0])]])
+        G = TransferMatrix([[RationalFilter([1.0, -0.99])]])
+        Pu = white_spectrum(1, n)
+        got = causal_wiener(*spectra(F, Pu, G, 0.01))[0].taps
+        parts = causal_parts(SimpleNamespace(target=F, prefilter=G,
+                                             noise_sigma=0.01), Pu)
+        recursion = _truncate_tail(monic_inverse_filter(
+            *TestBatchedMonicRecursion.causal_rows(parts, 1 << 15)), 1e-12)
+        M = 1 << 14
+        lags = _truncate_tail(grid_lags(
+            taps_grid(parts.mc, M) @ np.linalg.inv(parts.pe)
+            @ np.linalg.inv(taps_grid(parts.l_coeffs, M))), 1e-12)
+        assert recursion.shape[0] > 3 * n // 2
+        for want in (recursion, lags):
+            assert abs(got.shape[0] - want.shape[0]) <= 1
+            L = min(got.shape[0], want.shape[0])
+            assert rel_gap(got[:L], want[:L]) <= 1e-13
 
 
 @pytest.fixture(scope="module")
