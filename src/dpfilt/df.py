@@ -12,25 +12,25 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnstableInverse
 from .lms import (TAP_CUT, CausalWienerFilter, _bracket_inverse_times,
                   _tilde, wiener_smoother, wiener_spectra)
-from .lti import (Postfilter, TransferMatrix, as_signal, freq_response,
+from .lti import (TransferMatrix, as_signal, freq_response,
                   simulate as lti_simulate, taps_grid, trapezoid_mean)
 from .privacy import PrivacySpec, kappa
 from .spectral import (FLOOR_HINT, MatrixFactorization, _truncate_tail,
                        conjugate_factorization, grid_lags,
                        matrix_canonical_factor)
-from .zfe import MechanismDesign, stored_taps
+from .zfe import MechanismDesign
 
 # The decision device when neither the config nor the design names one.
 DEFAULT_DECISION_DOMAIN = "nonneg_integers"
 
 
 @dataclass
-class DfDesign(Postfilter):
+class DfDesign:
     """The DF postfilter: the forward filter (its taps run at the
     lookahead d), the monic feedback polynomial P of the feedback
     B = P^-1, and the decision device of the input domain. It has no
-    `apply`: run_df_mechanism runs its closed loop and applies the target
-    F to the decisions.
+    `apply`: run_df_mechanism runs its closed loop over a sequence of
+    releases and applies the target F to the decisions.
 
     closed_loop runs B by solving P y = u one step at a time, so the
     strictly causal feedback B - I never touches the current sample.
@@ -39,7 +39,6 @@ class DfDesign(Postfilter):
     forward: CausalWienerFilter     # taps (T1, m, m) at lookahead d >= 0
     p_coeffs: np.ndarray            # (K+1, m, m), p_coeffs[0] = I
     decision_domain: str
-    batched = True
 
     def closed_loop(self, v, mu, fed_back=None):
         """Pre-decision estimates and decisions (u_tilde, u_hat), centered
@@ -87,28 +86,6 @@ class DfDesign(Postfilter):
 
     def margins(self) -> tuple[int, int]:
         return self.forward.taps.shape[0], self.forward.lookahead
-
-    def to_doc(self) -> dict:
-        return {"h1_taps": self.forward.taps.tolist(),
-                "p_coeffs": self.p_coeffs.tolist()}
-
-    @classmethod
-    def from_doc(cls, doc, target, prefilter) -> "DfDesign":
-        """The decision domain comes from info.decision_domain, which
-        `dpfilt simulate --domain` overrides."""
-        m = target.shape[1]
-        p = stored_taps(doc, "p_coeffs", m, m)
-        if not np.array_equal(p[0], np.eye(m)):
-            raise ConfigError("postfilter p_coeffs[0] must be the identity "
-                              "(the feedback polynomial is monic)")
-        domain = doc.get("info", {}).get("decision_domain",
-                                         DEFAULT_DECISION_DOMAIN)
-        if domain not in DECISION_DOMAINS:
-            raise ConfigError(f"info.decision_domain is {domain!r}; expected"
-                              f" one of {DECISION_DOMAINS}")
-        forward = CausalWienerFilter(stored_taps(doc, "h1_taps", m, m),
-                                     int(doc.get("lookahead", 0)))
-        return cls(forward=forward, p_coeffs=p, decision_domain=domain)
 
 
 def df_factorizations(Fg, P_u: np.ndarray, Gg, privacy: PrivacySpec
@@ -228,7 +205,7 @@ def design_df(F: TransferMatrix, P_u: np.ndarray, privacy: PrivacySpec,
         noise_sigma=float(sigma), privacy=privacy,
         postfilter=DfDesign(forward=CausalWienerFilter(taps, d), p_coeffs=P,
                             decision_domain=decision_domain),
-        theory_mse=theory, lookahead=d,
+        theory_mse=theory,
         input_mean=None if input_mean is None
         else np.asarray(input_mean, dtype=float),
         info={"grid_n": N, "decision_domain": decision_domain,

@@ -4,7 +4,6 @@ and (de)serialization of mechanism designs to JSON documents."""
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from typing import Callable, NamedTuple
 
@@ -12,7 +11,8 @@ import numpy as np
 import yaml
 
 from .config import as_number, load_yaml
-from .df import DfDesign, design_df
+from .df import (DECISION_DOMAINS, DEFAULT_DECISION_DOMAIN, DfDesign,
+                 design_df)
 from .errors import ConfigError, InsufficientNoise
 from .lms import CausalWienerFilter, assemble_lms, lms_prefilter
 from .lti import (RationalFilter, TransferMatrix, freq_response, h2_norm,
@@ -229,13 +229,11 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
         "noise_sigma": design.noise_sigma,
         "privacy": design.privacy.to_dict(),
         "theory_mse": design.theory_mse,
-        "lookahead": design.lookahead,
+        "lookahead": 0,
         "input_mean": _mean_to_list(design.input_mean),
         "info": info,
     }
-    block = design.postfilter.to_doc()
-    if block is not None:
-        doc["postfilter"] = block
+    doc.update(_BY_DOCUMENT_KIND[design.kind].dump(design.postfilter))
     if config_echo is not None:
         doc["config"] = config_echo
     if config_hash is not None:
@@ -280,18 +278,86 @@ def _prefilter_sensitivity(F, G, k) -> float:
     return diagonal_sensitivity(G, k)
 
 
+def stored_taps(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
+    """Array `key` of a design document's postfilter block as finite
+    floats of shape (n, rows, cols), n >= 1; ConfigError otherwise."""
+    if "postfilter" not in doc:
+        raise ConfigError(
+            f"this {doc.get('kind')} design document has no 'postfilter' "
+            "block (it predates stored postfilters); re-run `dpfilt "
+            "design` to write one")
+    try:
+        arr = np.asarray(doc["postfilter"][key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"postfilter {key} is missing or not a numeric "
+                          f"array: {exc!r}") from exc
+    if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (rows, cols):
+        raise ConfigError(f"postfilter {key} has shape {arr.shape}, "
+                          f"expected (n, {rows}, {cols})")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"postfilter {key} has non-finite values")
+    return arr
+
+
+def _dump_wiener(post: CausalWienerFilter) -> dict:
+    """The taps, and a smoother's lookahead as its half-width `half`."""
+    block = {"taps": post.taps.tolist()}
+    if post.lookahead:
+        block["half"] = post.lookahead
+    return {"postfilter": block}
+
+
+def _load_smoother(doc, F, G) -> CausalWienerFilter:
+    """A smoother block also holds `half`, matching its 2 half + 1 taps."""
+    taps = stored_taps(doc, "taps", *F.shape)
+    half = int(doc["postfilter"].get("half", -1))
+    if taps.shape[0] != 2 * half + 1:
+        raise ConfigError(f"postfilter half {half} does not match "
+                          f"{taps.shape[0]} smoother taps")
+    return CausalWienerFilter(taps, half)
+
+
+def _dump_df(post: DfDesign) -> dict:
+    return {"lookahead": post.forward.lookahead,
+            "postfilter": {"h1_taps": post.forward.taps.tolist(),
+                           "p_coeffs": post.p_coeffs.tolist()}}
+
+
+def _load_df(doc, F, G) -> DfDesign:
+    """The decision domain comes from info.decision_domain, which
+    `dpfilt simulate --domain` overrides."""
+    m = F.shape[1]
+    p = stored_taps(doc, "p_coeffs", m, m)
+    if not np.array_equal(p[0], np.eye(m)):
+        raise ConfigError("postfilter p_coeffs[0] must be the identity "
+                          "(the feedback polynomial is monic)")
+    domain = doc.get("info", {}).get("decision_domain",
+                                     DEFAULT_DECISION_DOMAIN)
+    if domain not in DECISION_DOMAINS:
+        raise ConfigError(f"info.decision_domain is {domain!r}; expected"
+                          f" one of {DECISION_DOMAINS}")
+    forward = CausalWienerFilter(stored_taps(doc, "h1_taps", m, m),
+                                 int(doc.get("lookahead", 0)))
+    return DfDesign(forward=forward, p_coeffs=p, decision_domain=domain)
+
+
 class Mechanism(NamedTuple):
     """One mechanism kind. `kind` names it in design documents;
     build(cfg, F, privacy, factor_order) designs it from a config;
-    load(doc, F, G) is the postfilter of its document (see
-    lti.Postfilter); sensitivity(F, G, k) is what its noise covers, which
+    load(doc, F, G) is the postfilter of its document, and dump(post)
+    the document keys that store it (none where load derives it exactly
+    from F and G); sensitivity(F, G, k) is what its noise covers, which
     the load check recomputes from the stored filters; exact_fit_mse is
     the info key of the theory_mse an exact prefilter fit reaches, or
-    None where no such value is computed."""
+    None where no such value is computed.
+
+    A postfilter only post-processes the release, so a stored one is
+    trusted on load: tampering can cost accuracy, never privacy."""
 
     kind: str
     build: Callable
     load: Callable
+    dump: Callable
     sensitivity: Callable
     exact_fit_mse: str | None
 
@@ -299,17 +365,18 @@ class Mechanism(NamedTuple):
 # Every mechanism kind, keyed by its config name: a new kind is one row.
 MECHANISMS = {
     "zfe": Mechanism("zero_forcing", _design_zfe,
-                     lambda doc, F, G: zfe_postfilter(F, G),
+                     lambda doc, F, G: zfe_postfilter(F, G), lambda post: {},
                      _prefilter_sensitivity, "diag_bound"),
-    "lms_smoother": Mechanism(
-        "wiener_smoother", _design_lms("smoother"),
-        functools.partial(CausalWienerFilter.from_doc, smoother=True),
-        _prefilter_sensitivity, "optimal_objective"),
+    "lms_smoother": Mechanism("wiener_smoother", _design_lms("smoother"),
+                              _load_smoother, _dump_wiener,
+                              _prefilter_sensitivity, "optimal_objective"),
     # the allocation is optimal for the smoother, not for these two
-    "lms_causal": Mechanism("wiener_causal", _design_lms("causal"),
-                            CausalWienerFilter.from_doc,
-                            _prefilter_sensitivity, None),
-    "df": Mechanism("decision_feedback", _design_df, DfDesign.from_doc,
+    "lms_causal": Mechanism(
+        "wiener_causal", _design_lms("causal"),
+        lambda doc, F, G: CausalWienerFilter(
+            stored_taps(doc, "taps", *F.shape)),
+        _dump_wiener, _prefilter_sensitivity, None),
+    "df": Mechanism("decision_feedback", _design_df, _load_df, _dump_df,
                     _prefilter_sensitivity, None),
     # publish F u + w: the noise covers |k|_2 ||F||_2 on every output
     "output_perturbation": Mechanism(
@@ -317,6 +384,7 @@ MECHANISMS = {
         lambda cfg, F, privacy, order: assemble_output_perturbation(
             F, privacy, cfg.grid_n),
         lambda doc, F, G: TransferMatrix.identity(F.shape[0]),
+        lambda post: {},
         lambda F, G, k: float(np.linalg.norm(k)) * h2_norm(F), None),
 }
 _BY_DOCUMENT_KIND = {row.kind: row for row in MECHANISMS.values()}
@@ -370,8 +438,7 @@ def design_from_dict(doc: dict) -> MechanismDesign:
     design = MechanismDesign(
         kind=kind, target=F, prefilter=G, noise_sigma=sigma, privacy=priv,
         postfilter=row.load(doc, F, G), theory_mse=theory,
-        input_mean=mean, lookahead=int(doc.get("lookahead", 0)),
-        info=dict(doc.get("info", {})))
+        input_mean=mean, info=dict(doc.get("info", {})))
     need = noise_sigma(row.sensitivity(F, G, priv.k_vector()), priv)
     # a NaN need (a non-finite filter coefficient) fails this too
     if not sigma >= need * (1.0 - NOISE_SLACK):

@@ -16,14 +16,13 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateObjective, DimensionMismatch,
                      NotDiagonal, NotPositiveDefinite, OptimizerStalled)
-from .lti import (Postfilter, RationalFilter, TransferMatrix, freq_response,
-                  grid_omega, next_fast_len, taps_grid, trapezoid_mean,
-                  trapezoid_weights)
+from .lti import (RationalFilter, TransferMatrix, freq_response, grid_omega,
+                  next_fast_len, taps_grid, trapezoid_mean, trapezoid_weights)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import (FLOOR_HINT, _truncate_tail, grid_lags,
                        matrix_canonical_factor, scalar_spectral_factor)
-from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign, stored_taps
+from .zfe import DEFAULT_FACTOR_ORDER, MechanismDesign
 
 _ZERO_CHANNEL_TOL = 1e-12
 # Causal postfilter and DF forward taps are cut after the last one above
@@ -342,7 +341,7 @@ def causal_taps(mc: np.ndarray, pe: np.ndarray, l_coeffs: np.ndarray
 
 
 @dataclass
-class CausalWienerFilter(Postfilter):
+class CausalWienerFilter:
     """A Wiener postfilter as one FIR run `lookahead` samples ahead: tap j
     acts on v_{t + lookahead - j} (Kailath, Sayed and Hassibi, "Linear
     Estimation", 2000, on fixed-lag smoothing).
@@ -383,27 +382,6 @@ class CausalWienerFilter(Postfilter):
 
     def margins(self) -> tuple[int, int]:
         return self.taps.shape[0] - self.lookahead, self.lookahead
-
-    def to_doc(self) -> dict:
-        """The taps, and a smoother's lookahead as its half-width `half`."""
-        doc = {"taps": self.taps.tolist()}
-        if self.lookahead:
-            doc["half"] = self.lookahead
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc, target, prefilter, smoother: bool = False
-                 ) -> "CausalWienerFilter":
-        """A causal block holds taps; a smoother block also holds `half`,
-        which must match its 2 half + 1 taps."""
-        taps = stored_taps(doc, "taps", *target.shape)
-        if not smoother:
-            return cls(taps=taps)
-        half = int(doc["postfilter"].get("half", -1))
-        if taps.shape[0] != 2 * half + 1:
-            raise ConfigError(f"postfilter half {half} does not match "
-                              f"{taps.shape[0]} smoother taps")
-        return cls(taps=taps, lookahead=half)
 
 
 def causal_wiener(P_yv: np.ndarray, P_v: np.ndarray

@@ -157,31 +157,8 @@ class RationalFilter:
 ZERO_FILTER = RationalFilter([0.0])
 
 
-class Postfilter:
-    """What a mechanism runs on its release v = G (u - mu) + noise.
-
-    apply(v) maps v (T, m) to the centered estimate (T, p). A `batched`
-    postfilter (DF) has no apply: df.run_df_mechanism runs its closed
-    loop over a sequence of releases and applies the target itself.
-    margins() is (lead, tail): the filter memory behind the Monte Carlo
-    burn-in, and the final samples that need inputs past the run. to_doc()
-    is the design document's `postfilter` block, None when the filter is
-    derived exactly from F and G, and from_doc(doc, target, prefilter)
-    loads it. A postfilter only post-processes the release, so a stored
-    one is trusted on load: tampering can cost accuracy, never privacy.
-    """
-
-    batched = False
-
-    def to_doc(self) -> dict | None:
-        return None
-
-
-class TransferMatrix(Postfilter):
-    """A p-by-m grid of RationalFilter entries sharing the z^-1 convention.
-
-    As a postfilter it runs linearly; ZFE and output perturbation use it,
-    derived exactly from F and G, so it writes no document block."""
+class TransferMatrix:
+    """A p-by-m grid of RationalFilter entries sharing the z^-1 convention."""
 
     def __init__(self, entries):
         if isinstance(entries, RationalFilter):
@@ -440,7 +417,9 @@ class IirBank:
     M and Z are built once. A run is one matmul per member over all
     blocks at once (the Toeplitz matmul), a loop over blocks that chains
     their last P outputs (the P-state carry), and one matmul per group
-    adding Z y_prev.
+    adding Z y_prev. That float64 carry is ill-conditioned on clustered
+    high-gain poles: on (1 - 0.9 z^-1)^5 a run is up to 1.3e-10 of its
+    peak from a long-double recursion, where lfilter is up to 2.1e-11.
     """
 
     def __init__(self, groups, n_out: int):

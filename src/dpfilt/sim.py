@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from .config import as_number
-from .df import run_df_mechanism
+from .df import DfDesign, run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length,
                   freq_response, simulate)
@@ -146,11 +146,11 @@ def run_mechanism(design: MechanismDesign, u: np.ndarray,
     v = G (u - mu) + noise, the postfilter, then F(1) mu added back.
     Returns the (T, p) output.
 
-    A batched postfilter (DF) runs in `run_df_mechanism`, which also
-    takes a list of inputs with a list of seeds and returns the list of
-    outputs, run in one closed loop over all trials.
+    A DF postfilter runs in `run_df_mechanism`, which also takes a list
+    of inputs with a list of seeds and returns the list of outputs, run
+    in one closed loop over all trials.
     """
-    if design.postfilter.batched:
+    if isinstance(design.postfilter, DfDesign):
         run = run_df_mechanism(design, u, seed)
         return [out for out, _ in run] if isinstance(run, list) else run[0]
     y = design.postfilter.apply(design.release(u, seed))
@@ -197,7 +197,7 @@ def empirical_mse(design: MechanismDesign, source,
         err = y[burn: T - tail] - yhat[burn: T - tail]
         return float(np.mean(np.sum(err ** 2, axis=1)))
 
-    if design.postfilter.batched:
+    if isinstance(design.postfilter, DfDesign):
         # DF steps every trial in one closed loop; linear kinds run one
         # trial at a time, so only one input is alive at once
         inputs = [source.sample(T, child[0]) for child in children]

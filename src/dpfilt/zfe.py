@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, NotFactorizable,
-                     UnstableInverse)
+from .errors import DimensionMismatch, NotFactorizable, UnstableInverse
 from .lti import (DEFAULT_GRID, TransferMatrix, freq_response, grid_omega,
                   h2_norm, simulate, trapezoid_mean)
 from .privacy import PrivacySpec, kappa, noise_sigma
@@ -25,10 +24,13 @@ class MechanismDesign:
     """A complete privacy mechanism: prefilter, noise scale, postfilter.
 
     kind is its document kind, that of a row of fileio.MECHANISMS. The
-    postfilter is an lti.Postfilter; `target` keeps the desired filter F
-    for simulation and MSE evaluation. `input_mean` holds the public mean
-    subtracted before the prefilter (its F(1)-image is added back on the
-    output).
+    postfilter maps the release v (T, m) to the centered estimate (T, p)
+    by apply(v), except a df.DfDesign, whose closed loop
+    df.run_df_mechanism runs. Its margins() are the (lead, tail) of the
+    Monte Carlo burn-in and of the last samples, which need inputs past
+    the run. `target` keeps the desired filter F for simulation and MSE
+    evaluation. `input_mean` holds the public mean subtracted before the
+    prefilter (its F(1)-image is added back on the output).
     """
 
     kind: str
@@ -39,7 +41,6 @@ class MechanismDesign:
     postfilter: object = None
     theory_mse: float | None = None
     input_mean: np.ndarray | None = None
-    lookahead: int = 0
     info: dict = field(default_factory=dict)
 
     @property
@@ -62,27 +63,6 @@ class MechanismDesign:
             v = v + np.random.default_rng(seed).normal(
                 0.0, self.noise_sigma, size=v.shape)
         return v
-
-
-def stored_taps(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
-    """Array `key` of a design document's postfilter block as finite
-    floats of shape (n, rows, cols), n >= 1; ConfigError otherwise."""
-    if "postfilter" not in doc:
-        raise ConfigError(
-            f"this {doc.get('kind')} design document has no 'postfilter' "
-            "block (it predates stored postfilters); re-run `dpfilt "
-            "design` to write one")
-    try:
-        arr = np.asarray(doc["postfilter"][key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"postfilter {key} is missing or not a numeric "
-                          f"array: {exc!r}") from exc
-    if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (rows, cols):
-        raise ConfigError(f"postfilter {key} has shape {arr.shape}, "
-                          f"expected (n, {rows}, {cols})")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"postfilter {key} has non-finite values")
-    return arr
 
 
 def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:

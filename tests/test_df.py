@@ -335,7 +335,7 @@ def run_df_reference(design, u, seed, oracle_feedback=False):
     run_df_mechanism. Returns (u_hat, u_tilde) without the mean."""
     from scipy.signal import fftconvolve
     df = design.postfilter
-    d = design.lookahead
+    d = df.forward.lookahead
     T, m = u.shape
     mu = design.input_mean if design.input_mean is not None else np.zeros(m)
     uc = u - mu[None, :]

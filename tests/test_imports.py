@@ -215,6 +215,57 @@ def test_mechanism_kinds_dispatched_by_the_table(path):
         assert kind_comparisons(fh.read(), mechanism_kinds()) == []
 
 
+# The keys of a design document's postfilter block and of the lookahead
+# that DF stores beside it; fileio alone reads and writes them
+DOCUMENT_KEYS = {"postfilter", "taps", "half", "h1_taps", "p_coeffs",
+                 "lookahead"}
+
+
+def document_key_uses(source: str) -> list:
+    """Subscripts (read or written) and .get() calls with a key in
+    DOCUMENT_KEYS, as 'line N: key'. A key read off _load_data(...), a
+    data file packaged with dpfilt, is no design-document read."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args \
+                and getattr(node.func, "attr", None) == "get":
+            owner, key = node.func.value, node.args[0]
+        else:
+            continue
+        if isinstance(owner, ast.Call) \
+                and getattr(owner.func, "id", None) == "_load_data":
+            continue
+        if isinstance(key, ast.Constant) and key.value in DOCUMENT_KEYS:
+            out.append(f"line {node.lineno}: {key.value}")
+    return sorted(out)
+
+
+def test_document_key_use_flagged():
+    # the smoother load and dump, the DF lookahead read of the postfilter
+    # classes before fileio held them, a packaged data file, and reads of
+    # other keys
+    source = ('half = int(doc["postfilter"].get("half", -1))\n'
+              'block["taps"] = taps.tolist()\n'
+              'd = int(doc.get("lookahead", 0))\n'
+              'f = _load_data("gaussian_fir.json")["taps"]\n'
+              'kind = doc.get("kind")\n'
+              'arr = doc["postfilter"][key]\n')
+    assert document_key_uses(source) == [
+        "line 1: half", "line 1: postfilter", "line 2: taps",
+        "line 3: lookahead", "line 6: postfilter"]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if os.path.basename(path) != "fileio.py"],
+                         ids=os.path.basename)
+def test_design_document_read_only_in_fileio(path):
+    # a postfilter is a runtime filter; how a design stores it is fileio's
+    with open(path) as fh:
+        assert document_key_uses(fh.read()) == []
+
+
 def test_unreferenced_private_flagged():
     sources = {"a.py": ("_LIMIT = 3\n"
                         "def _helper():\n"

@@ -496,7 +496,6 @@ def rel_gap(got, want):
 
 class TestSequentialKernelAgreement:
     def test_monic_inverse_diagonal_bank_shape(self, rng):
-        from dpfilt.lms import monic_inverse_filter
         K, m, T = 40, 15, 3000
         coeffs = np.zeros((K + 1, m, m))
         for i in range(m):
@@ -506,7 +505,6 @@ class TestSequentialKernelAgreement:
         assert rel_gap(got, monic_inverse_reference(coeffs, v)) <= 1e-12
 
     def test_monic_inverse_coupled(self, rng):
-        from dpfilt.lms import monic_inverse_filter
         K, m, T = 5, 3, 3000
         coeffs = np.zeros((K + 1, m, m))
         coeffs[0] = np.eye(m)
@@ -519,7 +517,6 @@ class TestSequentialKernelAgreement:
         assert rel_gap(got, monic_inverse_reference(coeffs, v)) <= 1e-12
 
     def test_monic_inverse_order_zero(self, rng):
-        from dpfilt.lms import monic_inverse_filter
         v = rng.normal(size=(50, 4))
         got = monic_inverse_filter(np.eye(4)[None], v)
         assert np.array_equal(got, monic_inverse_reference(np.eye(4)[None],
@@ -663,8 +660,6 @@ def causal_parts(design, P_u):
     as causal_wiener forms them from the design's spectra: l_coeffs, the
     monic canonical factor L of the release spectrum; its pe; and mc, the
     causal part of P_yv L^-* cut like the causal taps."""
-    from types import SimpleNamespace
-    from dpfilt.spectral import _truncate_tail, grid_lags
     n = P_u.shape[0] - 1
     P_yv, P_v = wiener_spectra(freq_response(design.target, n), P_u,
                                freq_response(design.prefilter, n),
@@ -785,7 +780,6 @@ class TestBatchedMonicRecursion:
 
     @staticmethod
     def check(coeffs, v):
-        from dpfilt.lms import monic_inverse_filter
         got = monic_inverse_filter(coeffs, v)
         want = np.stack([monic_inverse_reference(coeffs, v[:, b])
                          for b in range(v.shape[1])], axis=1)
@@ -860,7 +854,6 @@ class TestSmootherFromGrid:
 
     def test_tail_on_the_negative_side_only(self):
         # lags -30..2: every tap beyond lag 2 is anticausal
-        from dpfilt.lti import taps_grid
         taps = np.zeros((33, 2, 2))
         taps[:, 0, 0] = 0.8 ** np.arange(33)[::-1]
         taps[:, 1, 0] = 0.5 * taps[:, 0, 0]
@@ -868,7 +861,6 @@ class TestSmootherFromGrid:
 
     def test_all_small_tail(self):
         # nothing beyond lag 0 reaches 1e-10 of the peak: half stays 1
-        from dpfilt.lti import taps_grid
         taps = np.full((5, 1, 1), 1e-12)
         taps[2] = 1.0
         self.check(taps_grid(taps, N, -2), half=1)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dpfilt import (RationalFilter, TransferMatrix, column_energies,
-                    freq_response, h2_norm, observability_gramian, simulate,
-                    trapezoid_mean)
+                    effective_length, freq_response, h2_norm,
+                    observability_gramian, simulate, trapezoid_mean)
 from dpfilt.errors import (DimensionMismatch, ImproperTransferFunction,
                            UnstableSystem)
-from dpfilt.lti import ZERO_FILTER
+from dpfilt.lti import EFFECTIVE_LENGTH_CAP, EFFECTIVE_TAIL_TOL, ZERO_FILTER
 
 from conftest import (gramian_series_oracle, h2_impulse_oracle,
                       random_fir_matrix, random_poly_from_roots,
@@ -210,6 +210,36 @@ class TestSimulate:
             assert np.max(np.abs(y - h_freq[:8, :, j])) < 1e-6
 
 
+class TestEffectiveLength:
+    """effective_length, which sets every Monte Carlo burn-in."""
+
+    @pytest.mark.parametrize("a,want", [(0.9, 88), (0.99, 917),
+                                        (0.999, 9206)])
+    def test_first_order_pole(self, a, want):
+        # the taps of 1 / (1 - a z^-1) past the first n hold a^(2n) of the
+        # energy, so the length is ceil(ln tol / ln a^2)
+        assert want == int(np.ceil(np.log(EFFECTIVE_TAIL_TOL)
+                                   / np.log(a * a)))
+        assert effective_length(RationalFilter([1.0], [1.0, -a])) == want
+
+    def test_cap(self):
+        # 0.9999 would need 92099 taps
+        assert effective_length(RationalFilter([1.0], [1.0, -0.9999])) \
+            == EFFECTIVE_LENGTH_CAP
+
+    @pytest.mark.parametrize("f", [ZERO_FILTER,
+                                   RationalFilter([0.0], [1.0, -0.5])],
+                             ids=["fir", "recursive"])
+    def test_zero_system(self, f):
+        assert effective_length(f) == 1
+
+    def test_fir_is_its_numerator_length(self):
+        assert effective_length(RationalFilter([1.0, 0.5, 0.25])) == 3
+        tm = TransferMatrix([[RationalFilter([1.0, 2.0]),
+                              RationalFilter([0.1, 0.0, 0.0, 0.0, 0.3])]])
+        assert effective_length(tm) == 5
+
+
 def test_trapezoid_mean_constant():
     assert trapezoid_mean(np.ones(65)) == pytest.approx(1.0)
 
@@ -306,6 +336,17 @@ class TestIirKernelAgreement:
                 if rel_gap(got, want) > 1e-13:
                     exact = long_double_filter(num, den, x)
                     assert rel_gap(got, exact) <= rel_gap(want, exact)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clustered_poles(self, seed):
+        # (1 - 0.9 z^-1)^5, where the float64 carry between blocks is
+        # ill-conditioned: 5.8e-11 to 1.3e-10 of the peak from the
+        # long-double recursion over seeds 0-2, lfilter 0.9e-11 to 2.1e-11
+        rng = np.random.default_rng(seed)
+        num, den = rng.normal(size=7), np.poly(np.full(5, 0.9))
+        x = rng.normal(size=3001)
+        got = RationalFilter(num, den).filt(x)
+        assert rel_gap(got, long_double_filter(num, den, x)) <= 1e-9
 
     def test_impulse_responses(self, bank_zfe_filters):
         # lfilter itself is 1.4e-15 from the long-double recursion on the
