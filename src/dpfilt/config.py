@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
@@ -126,16 +126,7 @@ class Config:
         return cls.from_dict(load_yaml(path, "config") or {})
 
     def to_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "seed": self.seed,
-            "privacy": self.privacy,
-            "filter": self.filter,
-            "mechanism": self.mechanism,
-            "spectrum": self.spectrum,
-            "source": self.source,
-            "simulate": self.simulate,
-        }
+        return asdict(self)
 
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True,

@@ -85,8 +85,8 @@ def markov_from_spec(block: dict) -> MarkovSource:
     """The chain of a `markov_server` (alpha/beta example) or `markov`
     (explicit Pi + selectors) block; ConfigError naming a missing key."""
     if block.get("kind") == "markov_server":
-        return server_example(float(block.get("alpha", 0.3)),
-                              float(block.get("beta", 0.6)))
+        return server_example(as_number(block.get("alpha", 0.3), "alpha"),
+                              as_number(block.get("beta", 0.6), "beta"))
     try:
         return MarkovSource(np.asarray(block["Pi"], dtype=float),
                             tuple(block["selectors"]))
@@ -102,13 +102,20 @@ def spectrum_from_spec(block: dict, N: int, m: int
     kinds: 'white' (scale * I), 'markov_server' (alpha/beta example),
     'markov' (explicit Pi + selectors), 'autocovariance' (matrix lags,
     lag 0 first). An optional `floor` adds a white diagonal to keep the
-    spectrum positive definite on the grid.
+    spectrum positive definite on the grid; it must be finite and
+    nonnegative, and a white `scale` finite and positive.
     """
     kind = block.get("kind", "white")
-    floor = float(block.get("floor", 0.0))
+    floor = as_number(block.get("floor", 0.0), "spectrum.floor")
+    if not 0.0 <= floor < np.inf:
+        raise ConfigError(f"spectrum.floor must be a finite nonnegative "
+                          f"number, got {floor!r}")
     declared_mean = block.get("mean")
     if kind == "white":
-        scale = float(block.get("scale", 1.0))
+        scale = as_number(block.get("scale", 1.0), "spectrum.scale")
+        if not 0.0 < scale < np.inf:
+            raise ConfigError(f"spectrum.scale must be a finite positive "
+                              f"number, got {scale!r}")
         samples = np.repeat((scale * np.eye(m, dtype=complex))[None],
                             N + 1, axis=0)
         mean = np.zeros(m)

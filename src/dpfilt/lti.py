@@ -80,8 +80,10 @@ class RationalFilter:
         return bool(p.size == 0 or np.max(np.abs(p)) < 1.0 - STABILITY_TOL)
 
     def is_minimum_phase(self) -> bool:
+        """Zeros strictly inside the unit circle and a nonzero lag-0 tap:
+        a leading z^-1 is a zero at infinity, whose inverse is acausal."""
         z = self.zeros()
-        return (not self.is_zero()) and bool(
+        return bool(self.num[:1].any()) and bool(
             z.size == 0 or np.max(np.abs(z)) < 1.0 - STABILITY_TOL)
 
     def eval(self, z):
@@ -93,21 +95,6 @@ class RationalFilter:
 
     def freq(self, omega):
         return self.eval(np.exp(1j * np.asarray(omega, dtype=float)))
-
-    def impulse(self, n: int) -> np.ndarray:
-        x = np.zeros(n)
-        x[:1] = 1.0
-        return self.filt(x)
-
-    def filt(self, x: np.ndarray) -> np.ndarray:
-        """Run the filter over a 1-D signal from zero initial state."""
-        x = np.asarray(x, dtype=float)
-        return IirBank([(0, self.den, [(0, self.num)])], 1).run(
-            x[:, None])[:, 0]
-
-    def cascade(self, other: "RationalFilter") -> "RationalFilter":
-        return RationalFilter(np.convolve(self.num, other.num),
-                              np.convolve(self.den, other.den))
 
     def tail_energy(self, lag: int = 0) -> tuple[float, float]:
         """Impulse-response energy from `lag` on, sum_{t >= lag} h(t)^2,
@@ -140,13 +127,6 @@ class RationalFilter:
             energy += d * d
         return energy, GRAMIAN_TOL * max(1.0, float(c @ c)) * float(x @ x)
 
-    def inverse(self) -> "RationalFilter":
-        num = _trim(self.num)
-        if num[0] == 0.0:
-            raise ImproperTransferFunction(
-                "inverse of a filter with zero lag-0 coefficient is acausal")
-        return RationalFilter(self.den, num)
-
     @staticmethod
     def delay(k: int) -> "RationalFilter":
         num = np.zeros(k + 1)
@@ -161,8 +141,6 @@ class TransferMatrix:
     """A p-by-m grid of RationalFilter entries sharing the z^-1 convention."""
 
     def __init__(self, entries):
-        if isinstance(entries, RationalFilter):
-            entries = [[entries]]
         self.entries = [list(row) for row in entries]
         self.p = len(self.entries)
         self.m = len(self.entries[0]) if self.p else 0
@@ -183,9 +161,7 @@ class TransferMatrix:
 
     @staticmethod
     def identity(m: int) -> "TransferMatrix":
-        one = RationalFilter([1.0])
-        return TransferMatrix([[one if i == j else ZERO_FILTER
-                                for j in range(m)] for i in range(m)])
+        return TransferMatrix.diagonal([RationalFilter([1.0])] * m)
 
     @staticmethod
     def diagonal(filters) -> "TransferMatrix":
@@ -261,23 +237,6 @@ class TransferMatrix:
             self._bank = IirBank(list(groups.values()), self.p)
         return self._bank
 
-    def cascade_diag_inverse(self, g: "TransferMatrix") -> "TransferMatrix":
-        """Entrywise right-division by a diagonal g: returns self * g^-1."""
-        if not g.is_diagonal():
-            raise NotImplementedError("only diagonal right-division supported")
-        rows = []
-        for i in range(self.p):
-            row = []
-            for j in range(self.m):
-                e = self.entries[i][j]
-                gj = g.entries[j][j]
-                if e.is_zero():
-                    row.append(ZERO_FILTER)
-                else:
-                    row.append(e.cascade(gj.inverse()))
-            rows.append(row)
-        return TransferMatrix(rows)
-
 
 def grid_omega(N: int) -> np.ndarray:
     return np.arange(N + 1) * np.pi / N
@@ -341,7 +300,7 @@ def _require_stable(sys) -> None:
 
 def as_matrix(sys):
     """A RationalFilter as a 1x1 TransferMatrix; a TransferMatrix as is."""
-    return TransferMatrix(sys) if isinstance(sys, RationalFilter) else sys
+    return TransferMatrix([[sys]]) if isinstance(sys, RationalFilter) else sys
 
 
 def freq_response(sys, N: int = DEFAULT_GRID) -> np.ndarray:
@@ -520,7 +479,7 @@ class IirBank:
 
 
 def as_signal(u) -> np.ndarray:
-    """Input as (T, m) floats; 1-D is T samples of one channel, as in filt."""
+    """Input as (T, m) floats; 1-D is T samples of one channel."""
     u = np.asarray(u, dtype=float)
     return u.reshape(-1, 1) if u.ndim < 2 else u
 

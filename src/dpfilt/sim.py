@@ -40,18 +40,16 @@ def default_forecast_model() -> dict:
     return _load_data("forecast_default.json")
 
 
-def occupancy_filter_bank(m: int = 15, forecast: dict | None = None
-                          ) -> TransferMatrix:
+def occupancy_filter_bank(forecast: dict | None = None) -> TransferMatrix:
     """The 3-output monitoring bank: a 20-step moving-average row over
     zones 1-5, a Gaussian low-pass row over zones 5-12, and a forecast
     row driven by a shared AR(4) model with inputs at lags 0 and 2.
 
     The forecast coefficients default to the shipped toolkit-fitted
     values (see data/forecast_default.json); pass a dict with keys
-    'a' (4), 'b0' (m) and 'b1' (m) to supply an identified model.
+    'a' (4), 'b0' (15) and 'b1' (15) to supply an identified model.
     """
-    if m != 15:
-        raise ConfigError("the occupancy bank is defined for m = 15 zones")
+    m = 15
     if forecast is None:
         forecast = default_forecast_model()
     try:
@@ -237,7 +235,7 @@ def compare_mechanisms(F: TransferMatrix, source,
         mean, stderr = empirical_mse(design, source, trials, T,
                                      seed + 1000 * idx)
         elapsed = time.monotonic() - t0
-        report["mechanisms"][name] = {
+        row = report["mechanisms"][name] = {
             "kind": design.kind,
             "theory_mse": design.theory_mse,
             "empirical_mse": mean,
@@ -245,6 +243,9 @@ def compare_mechanisms(F: TransferMatrix, source,
             "noise_sigma": design.noise_sigma,
             "runtime_s": round(elapsed, 3) if timing else None,
         }
+        if isinstance(design.postfilter, DfDesign):
+            # the domain this run decided in, --domain override included
+            row["decision_domain"] = design.postfilter.decision_domain
         if plots_dir is not None:
             _write_plot_csv(design, source, T, seed, plots_dir, name)
     return report

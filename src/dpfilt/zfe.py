@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotFactorizable, UnstableInverse
-from .lti import (DEFAULT_GRID, TransferMatrix, freq_response, grid_omega,
-                  h2_norm, simulate, trapezoid_mean)
+from .lti import (DEFAULT_GRID, ZERO_FILTER, RationalFilter, TransferMatrix,
+                  freq_response, grid_omega, h2_norm, simulate,
+                  trapezoid_mean)
 from .privacy import PrivacySpec, kappa, noise_sigma
 from .sensitivity import diagonal_sensitivity
 from .spectral import factor_grid_error, scalar_spectral_factor
@@ -66,18 +67,23 @@ class MechanismDesign:
 
 
 def zfe_postfilter(F: TransferMatrix, G: TransferMatrix) -> TransferMatrix:
-    """The exact zero-forcing postfilter H = F G^-1 by per-column rational
-    division; UnstableInverse unless G is diagonal with stable
-    minimum-phase entries."""
+    """The exact zero-forcing postfilter H = F G^-1: entry (i, j) is
+    F_ij / g_j, for G diagonal with stable minimum-phase entries g_j;
+    UnstableInverse otherwise."""
     for i, gii in enumerate(G.diagonal_entries()):
         if not (gii.is_stable() and gii.is_minimum_phase()):
             raise UnstableInverse(
                 f"prefilter entry {i + 1} is not stable minimum phase; "
                 "refusing to invert")
-    try:
-        return F.cascade_diag_inverse(G)
-    except NotImplementedError:
-        raise UnstableInverse("ZFE prefilter must be diagonal") from None
+    if not G.is_diagonal():
+        raise UnstableInverse("ZFE prefilter must be diagonal")
+    # 1 / g_j, then its product with F_ij, each normalized by its lag-0
+    # denominator tap: one combined division would round differently
+    inv = [RationalFilter(g.den, g.num) for g in G.diagonal_entries()]
+    return TransferMatrix([
+        [ZERO_FILTER if e.is_zero() else RationalFilter(
+            np.convolve(e.num, v.num), np.convolve(e.den, v.den))
+         for e, v in zip(row, inv, strict=True)] for row in F.entries])
 
 
 def design_diag_prefilter(Fg, k, order: int = DEFAULT_FACTOR_ORDER

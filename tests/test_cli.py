@@ -452,6 +452,19 @@ class TestSimulateDomain:
         assert "bogus" in err and "nonneg_integers" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_report_states_the_domain(self, tmp_path):
+        # regression: the default and --domain reals gave reports that
+        # differed only in their Monte Carlo numbers
+        design_path = self.design(tmp_path, "df")
+        assert main(["simulate", "--design", str(design_path), "--trials",
+                     "2", "--steps", "2000", "--report",
+                     str(tmp_path / "default.json")]) == 0
+        assert self.simulate(tmp_path, design_path, "reals") == 0
+        rows = [load_json(tmp_path / name)["mechanisms"]["decision_feedback"]
+                for name in ("default.json", "report.json")]
+        assert [row["decision_domain"] for row in rows] == \
+            ["nonneg_integers", "reals"]
+
     def test_non_df_design_rejected(self, tmp_path, capsys):
         design_path = self.design(tmp_path, "zfe")
         capsys.readouterr()
@@ -956,6 +969,44 @@ class TestConfigErrorsExitTwo:
                   "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
         assert "--dt-label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad,key", [
+        ({"kind": "markov_server", "floor": "x"}, "spectrum.floor"),
+        ({"kind": "markov_server", "floor": -1e-4}, "spectrum.floor"),
+        ({"kind": "markov_server", "floor": float("nan")}, "spectrum.floor"),
+        ({"kind": "markov_server", "floor": float("inf")}, "spectrum.floor"),
+        ({"kind": "white", "scale": "s"}, "spectrum.scale"),
+        ({"kind": "white", "scale": 0.0}, "spectrum.scale"),
+        ({"kind": "white", "scale": -1.0}, "spectrum.scale"),
+        ({"kind": "white", "scale": float("nan")}, "spectrum.scale"),
+        ({"kind": "white", "scale": float("inf")}, "spectrum.scale"),
+        ({"kind": "markov_server", "alpha": "a"}, "alpha"),
+        ({"kind": "markov_server", "beta": "b"}, "beta")],
+        ids=["text_floor", "negative_floor", "nan_floor", "inf_floor",
+             "text_scale", "zero_scale", "negative_scale", "nan_scale",
+             "inf_scale", "text_alpha", "text_beta"])
+    def test_bad_spectrum_number(self, tmp_path, capsys, bad, key):
+        # regression: text failed naming no key, and a negative or NaN
+        # floor was dropped silently
+        cfg_path, _ = base_config(tmp_path, mech="lms_smoother", spectrum=bad)
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+        assert not out.exists()
+
+    def test_bad_markov_source_number(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path, source={"kind": "markov_server",
+                                                    "beta": "b"})
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "beta must be a number" in err
 
     def test_markov_spectrum_without_selectors(self, tmp_path, capsys):
         cfg_path, _ = base_config(

@@ -65,10 +65,6 @@ class TestOccupancyBank:
         F = occupancy_filter_bank(forecast=model)
         assert F[2, 0].eval(1.0).real == pytest.approx(0.1 / 0.8, rel=1e-12)
 
-    def test_wrong_zone_count(self):
-        with pytest.raises(ConfigError):
-            occupancy_filter_bank(m=10)
-
 
 class TestOccupancySource:
     def test_zero_rate(self):

@@ -7,8 +7,9 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     grid_omega, kappa, occupancy_filter_bank,
                     zfe_general_lower_bound, zfe_mse_diag_bound)
 from dpfilt.errors import DimensionMismatch, UnstableInverse
+from dpfilt.zfe import zfe_postfilter
 
-from conftest import random_fir_matrix
+from conftest import random_fir_matrix, random_poly_from_roots
 
 N = 512
 PRIV1 = PrivacySpec(epsilon=1.0, delta=0.1, k=(1.0,))
@@ -195,6 +196,49 @@ class TestAssemble:
         F = random_fir_matrix(rng, 2, 2)
         with pytest.raises(UnstableInverse):
             assemble_zfe(F, random_fir_matrix(rng, 2, 2), priv((1.0, 1.0)), N)
+
+
+class TestZfePostfilter:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_times_prefilter_is_target_on_grid(self, seed):
+        # G diagonal, minimum phase of orders 1-6 with a positive lag-0
+        # tap; F of FIR entries, IIR entries of order <= 2 and a zero
+        rng = np.random.default_rng(seed)
+        G = TransferMatrix.diagonal([RationalFilter(
+            rng.uniform(0.5, 2.0) * random_poly_from_roots(
+                rng, int(rng.integers(1, 7)), 0.8),
+            random_poly_from_roots(rng, int(rng.integers(0, 3)), 0.8))
+            for _ in range(3)])
+        F = TransferMatrix([[RationalFilter(
+            rng.normal(size=int(rng.integers(1, 6))),
+            random_poly_from_roots(rng, int(rng.integers(0, 3)), 0.9))
+            for _ in range(3)] for _ in range(2)])
+        F.entries[1][2] = RationalFilter([0.0])
+        H = zfe_postfilter(F, G)
+        assert H.shape == (2, 3) and H[1, 2].is_zero()
+        Fg = freq_response(F, N)
+        Gg = np.stack([g.freq(grid_omega(N)) for g in G.diagonal_entries()],
+                      axis=1)
+        err = np.max(np.abs(freq_response(H, N) * Gg[:, None, :] - Fg))
+        assert err <= 1e-12 * np.max(np.abs(Fg))
+
+    def test_delayed_prefilter_rejected(self):
+        # a leading z^-1 is a zero at infinity, whose inverse is acausal
+        G = TransferMatrix.diagonal([RationalFilter([1.0]),
+                                     RationalFilter.delay(1)])
+        with pytest.raises(UnstableInverse, match="prefilter entry 2 is not "
+                           "stable minimum phase; refusing to invert"):
+            zfe_postfilter(TransferMatrix.identity(2), G)
+
+    def test_minimum_phase_checked_before_diagonal(self):
+        G = TransferMatrix([[RationalFilter([1.0, 2.0]), RationalFilter([1.0])],
+                            [RationalFilter([0.0]), RationalFilter([1.0])]])
+        with pytest.raises(UnstableInverse, match="prefilter entry 1"):
+            zfe_postfilter(TransferMatrix.identity(2), G)
+        G.entries[0][0] = RationalFilter([1.0, 0.5])
+        with pytest.raises(UnstableInverse,
+                           match="ZFE prefilter must be diagonal"):
+            zfe_postfilter(TransferMatrix.identity(2), G)
 
 
 class TestMerlBank:
