@@ -27,6 +27,9 @@ _SPECTRUM_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "lags",
 _SOURCE_KEYS = {"kind", "alpha", "beta", "Pi", "selectors", "csv", "rates",
                 "period", "amplitude"}
 _SIMULATE_KEYS = {"trials", "steps"}
+# libyaml's loader where PyYAML has it: the same safe schema, 5-10x
+# faster on the workload configs
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
@@ -42,7 +45,7 @@ def load_yaml(path, what: str):
     ConfigError naming `what` if it cannot be read or parsed."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_SAFE_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except yaml.YAMLError as exc:

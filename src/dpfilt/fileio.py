@@ -95,6 +95,18 @@ def markov_from_spec(block: dict) -> MarkovSource:
                           "(the transition matrix) and 'selectors'") from exc
 
 
+def _finite_floats(value, key: str) -> np.ndarray:
+    """A config value as an array of finite floats; ConfigError naming
+    `key` otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be finite numbers, got {value!r}")
+    return arr
+
+
 def spectrum_from_spec(block: dict, N: int, m: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Build the public input spectrum (and mean) from a config block.
@@ -103,7 +115,8 @@ def spectrum_from_spec(block: dict, N: int, m: int
     'markov' (explicit Pi + selectors), 'autocovariance' (matrix lags,
     lag 0 first). An optional `floor` adds a white diagonal to keep the
     spectrum positive definite on the grid; it must be finite and
-    nonnegative, and a white `scale` finite and positive.
+    nonnegative, a white `scale` finite and positive, and the `mean` and
+    autocovariance `lags` finite.
     """
     kind = block.get("kind", "white")
     floor = as_number(block.get("floor", 0.0), "spectrum.floor")
@@ -126,24 +139,26 @@ def spectrum_from_spec(block: dict, N: int, m: int
             raise ConfigError(
                 f"spectrum has {src.n_channels} channels, filter expects {m}")
     elif kind == "autocovariance":
-        try:
-            lags = np.asarray(block["lags"], dtype=float)
-        except KeyError as exc:
-            raise ConfigError("autocovariance spectrum needs 'lags'") from exc
+        if "lags" not in block:
+            raise ConfigError("autocovariance spectrum needs 'lags'")
+        lags = _finite_floats(block["lags"], "spectrum.lags")
         if lags.ndim == 1:
             lags = lags[:, None, None]
-        if lags.shape[1] != m:
-            raise ConfigError("autocovariance dimension mismatch")
+        if lags.ndim != 3 or lags.shape[1:] != (m, m):
+            raise ConfigError(f"spectrum.lags must be {m}x{m} matrices, "
+                              f"one per lag, got shape {lags.shape}")
         # sum_k R_k e^{-j omega k} + sum_{k >= 1} R_k^T e^{j omega k}
-        samples = taps_grid(lags, N) + np.conj(taps_grid(
-            np.swapaxes(lags[1:], 1, 2), N, first_lag=1))
+        samples = taps_grid(lags, N)
+        if lags.shape[0] > 1:
+            samples += np.conj(taps_grid(np.swapaxes(lags[1:], 1, 2), N,
+                                         first_lag=1))
         mean = np.zeros(m)
     else:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
     if floor > 0.0:
         samples = samples + floor * np.eye(m)[None, :, :]
     if declared_mean is not None:
-        mean = np.atleast_1d(np.asarray(declared_mean, dtype=float))
+        mean = np.atleast_1d(_finite_floats(declared_mean, "spectrum.mean"))
         if mean.size == 1:
             mean = np.full(m, float(mean[0]))
         if mean.size != m:

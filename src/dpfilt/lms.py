@@ -92,20 +92,39 @@ def wiener_smoother(P_yv: np.ndarray, P_v: np.ndarray) -> np.ndarray:
 
 def lms_objective(Fg, P_u: np.ndarray, privacy: PrivacySpec, x) -> float:
     """Smoother-postfilter MSE for a feasible allocation profile x on the
-    grid of Fg: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m)."""
+    grid of Fg: x[q, i] = |g~_ii(e^{j omega_q})|^2, shape (N+1, m).
+
+    When P_u is exactly diagonal (every off-diagonal entry is 0) the
+    integrand is the per-channel sum of |Ft_i|^2 pt_i / (1 + pt_i x_i),
+    exact also where pt_i = 0; any other P_u takes the dense route.
+    """
     x = np.asarray(x, dtype=float)
     N = Fg.shape[0] - 1
     if x.shape[0] != N + 1:
         raise ConfigError(f"profile grid {x.shape[0] - 1} does not match "
                           f"the spectrum grid {N}")
-    Ft, Pt = _tilde(Fg, P_u, privacy.k_vector(), kappa(privacy))
+    k = privacy.k_vector()
+    kap = kappa(privacy)
     m = x.shape[1]
-    X = np.zeros((x.shape[0], m, m))
     idx = np.arange(m)
-    X[:, idx, idx] = x
-    Y = _bracket_inverse_times(Pt, X, np.conj(np.swapaxes(Ft, 1, 2)))
-    integrand = np.einsum("qij,qji->q", Ft, Y).real
+    if _is_diagonal(P_u):
+        # negative entries clip to zero, as in the dense route's square root
+        pt = np.maximum(np.real(P_u[:, idx, idx]), 0.0) \
+            / (kap ** 2 * (k ** 2)[None, :])
+        integrand = np.sum(_column_tilde_sq(Fg, k, kap) * pt
+                           / (1.0 + pt * x), axis=1)
+    else:
+        Ft, Pt = _tilde(Fg, P_u, k, kap)
+        X = np.zeros((x.shape[0], m, m))
+        X[:, idx, idx] = x
+        Y = _bracket_inverse_times(Pt, X, np.conj(np.swapaxes(Ft, 1, 2)))
+        integrand = np.einsum("qij,qji->q", Ft, Y).real
     return float(trapezoid_mean(integrand))
+
+
+def _is_diagonal(P: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the (N+1, m, m) grid P is 0."""
+    return not np.any(P[:, ~np.eye(P.shape[1], dtype=bool)])
 
 
 def _column_tilde_sq(Fg: np.ndarray, k: np.ndarray, kap: float) -> np.ndarray:
@@ -117,15 +136,14 @@ def waterfill_diagonal(Fg, P_u: np.ndarray, privacy: PrivacySpec):
     """Closed-form allocation for uncorrelated (diagonal-spectrum) inputs.
 
     x_i(omega) = max(0, |Ft_i(omega)|_2 / sqrt(lam) - 1/pt_i(omega)), with
-    the multiplier lam bisected until the profile integrates to one.
-    Returns (x, lam).
+    the multiplier lam (an exact hinge root) that makes the profile
+    integrate to one.
+    Returns (x, lam). NotDiagonal unless every off-diagonal entry of P_u
+    is 0, NotPositiveDefinite unless its diagonal is positive on the grid.
     """
-    m = P_u.shape[1]
-    off = P_u.copy()
-    idx = np.arange(m)
-    off[:, idx, idx] = 0.0
-    if np.max(np.abs(off)) > 1e-10 * max(float(np.max(np.abs(P_u))), 1e-300):
+    if not _is_diagonal(P_u):
         raise NotDiagonal("waterfilling requires a diagonal input spectrum")
+    idx = np.arange(P_u.shape[1])
     k = privacy.k_vector()
     kap = kappa(privacy)
     Ft_sq = _column_tilde_sq(Fg, k, kap)
@@ -187,9 +205,25 @@ def optimize_prefilter_general(Fg, P_u: np.ndarray, privacy: PrivacySpec,
     """Minimize the smoother MSE over feasible diagonal allocations;
     returns (x, objective).
 
-    Projected gradient with Armijo backtracking on the discretized convex
-    objective; the closed-form gradient is the negated diagonal of
-    (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the trapezoid rule.
+    When P_u is exactly diagonal (every off-diagonal entry is 0) and its
+    diagonal is positive on the whole grid, the waterfilling profile of
+    waterfill_diagonal is the exact minimizer and is returned with its
+    objective. Any other P_u runs the projected gradient.
+    """
+    try:
+        x, _ = waterfill_diagonal(Fg, P_u, privacy)
+    except (NotDiagonal, NotPositiveDefinite):
+        return _projected_gradient(Fg, P_u, privacy, max_iter)
+    return x, lms_objective(Fg, P_u, privacy, x)
+
+
+def _projected_gradient(Fg, P_u: np.ndarray, privacy: PrivacySpec,
+                        max_iter: int = 2000):
+    """(x, objective) by projected gradient with Armijo backtracking on
+    the discretized convex objective, warm-started from waterfilling on
+    the diagonal part of P_u; the closed-form gradient is the negated
+    diagonal of (Pt^-1 + X)^-1 Ft* Ft (Pt^-1 + X)^-1 weighted by the
+    trapezoid rule.
     """
     N, m = Fg.shape[0] - 1, P_u.shape[1]
     k = privacy.k_vector()

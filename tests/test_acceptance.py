@@ -14,11 +14,12 @@ from dpfilt import (MechanismDesign, OccupancySource, PrivacySpec,
                     design_diag_prefilter, empirical_mse, freq_response,
                     grid_omega, kappa, lms_objective,
                     matrix_canonical_factor, mimo_exact,
-                    occupancy_filter_bank, optimize_prefilter_general,
-                    postfilter_mse, q_function, q_inverse, sample_chain,
+                    occupancy_filter_bank, postfilter_mse, q_function,
+                    q_inverse, sample_chain,
                     scalar_spectral_factor, server_example, server_stationary,
                     stationary_distribution, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother, wiener_spectra)
+from dpfilt.lms import _projected_gradient
 
 from conftest import random_fir_matrix, random_transfer_matrix
 
@@ -157,7 +158,7 @@ def test_criterion_5_waterfilling_vs_optimizer():
         Fg = freq_response(F, N)
         x, lam = waterfill_diagonal(Fg, Pu, pk)
         wf_objective = lms_objective(Fg, Pu, pk, x)
-        _, pg_objective = optimize_prefilter_general(Fg, Pu, pk)
+        _, pg_objective = _projected_gradient(Fg, Pu, pk)
         worst_gap = max(worst_gap, abs(pg_objective - wf_objective)
                         / wf_objective)
         kap = kappa(pk)

@@ -817,6 +817,16 @@ class TestConfigErrorsExitTwo:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "'Pi'" in err
 
+    def test_malformed_yaml(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text("grid_n: [256\nseed: 7\n")
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "malformed config" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad,key", [
         ({"rates": [-1.0, 1.0]}, "rates"),
         ({"rates": [float("nan"), 1.0]}, "rates"),
@@ -981,13 +991,26 @@ class TestConfigErrorsExitTwo:
         ({"kind": "white", "scale": float("nan")}, "spectrum.scale"),
         ({"kind": "white", "scale": float("inf")}, "spectrum.scale"),
         ({"kind": "markov_server", "alpha": "a"}, "alpha"),
-        ({"kind": "markov_server", "beta": "b"}, "beta")],
+        ({"kind": "markov_server", "beta": "b"}, "beta"),
+        ({"kind": "markov_server", "mean": float("nan")}, "spectrum.mean"),
+        ({"kind": "markov_server", "mean": [0.5, float("inf")]},
+         "spectrum.mean"),
+        ({"kind": "markov_server", "mean": "x"}, "spectrum.mean"),
+        ({"kind": "autocovariance", "lags": ["x"]}, "spectrum.lags"),
+        ({"kind": "autocovariance",
+          "lags": [[[0.2, 0.0], [0.0, 0.2]], [[float("inf"), 0.0],
+                                              [0.0, 0.0]]]},
+         "spectrum.lags"),
+        ({"kind": "autocovariance", "lags": [[0.2, 0.0], [0.0, 0.2]]},
+         "spectrum.lags")],
         ids=["text_floor", "negative_floor", "nan_floor", "inf_floor",
              "text_scale", "zero_scale", "negative_scale", "nan_scale",
-             "inf_scale", "text_alpha", "text_beta"])
+             "inf_scale", "text_alpha", "text_beta", "nan_mean", "inf_mean",
+             "text_mean", "text_lags", "inf_lags", "unstacked_lags"])
     def test_bad_spectrum_number(self, tmp_path, capsys, bad, key):
-        # regression: text failed naming no key, and a negative or NaN
-        # floor was dropped silently
+        # regression: text failed naming no key, a negative or NaN floor
+        # was dropped silently, a NaN mean was written to the design and
+        # an infinite lag gave theory_mse NaN with exit 0
         cfg_path, _ = base_config(tmp_path, mech="lms_smoother", spectrum=bad)
         out = tmp_path / "d.json"
         assert main(["design", "--config", str(cfg_path),

@@ -10,8 +10,10 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
                     optimize_prefilter_general, postfilter_mse,
                     server_example, simulate, trapezoid_mean,
                     waterfill_diagonal, wiener_smoother, wiener_spectra)
-from dpfilt.errors import ConfigError, DegenerateObjective, NotDiagonal
-from dpfilt.lms import monic_inverse_filter
+from dpfilt.errors import (ConfigError, DegenerateObjective, NotDiagonal,
+                           NotPositiveDefinite)
+from dpfilt.lms import (_bracket_inverse_times, _projected_gradient, _tilde,
+                        monic_inverse_filter)
 from dpfilt.lti import taps_grid
 from dpfilt.sensitivity import diagonal_sensitivity
 from dpfilt.spectral import _truncate_tail, grid_lags
@@ -131,6 +133,27 @@ class TestObjective:
                           priv((1.0,)), prof)
 
 
+    def test_diagonal_closed_form_matches_dense_route(self, rng):
+        # a zero channel (pt = 0) and zero profile entries included
+        m = 3
+        Pu = diag_spectrum([2.0 + np.cos(OMEGA), np.zeros(N + 1),
+                            0.5 + 0.4 * np.sin(2 * OMEGA) ** 2])
+        F = TransferMatrix([[RationalFilter(rng.normal(size=3))
+                             for _ in range(m)] for _ in range(2)])
+        pk = priv((1.0, 2.0, 0.7))
+        Fg = freq_response(F, N)
+        x = rng.uniform(0.0, 2.0, size=(N + 1, m))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[:, 2] = 0.0
+        Ft, Pt = _tilde(Fg, Pu, pk.k_vector(), kappa(pk))
+        X = np.zeros((N + 1, m, m))
+        X[:, np.arange(m), np.arange(m)] = x
+        Y = _bracket_inverse_times(Pt, X, np.conj(np.swapaxes(Ft, 1, 2)))
+        dense = trapezoid_mean(np.einsum("qij,qji->q", Ft, Y).real)
+        assert lms_objective(Fg, Pu, pk, x) == pytest.approx(dense,
+                                                             rel=1e-12)
+
+
 class TestWaterfilling:
     def test_single_channel_constant(self):
         F = TransferMatrix.diagonal([RationalFilter([1.5])])
@@ -208,7 +231,7 @@ class TestGeneralOptimizer:
             pk = priv(k)
             Fg = freq_response(F, N)
             x, _ = waterfill_diagonal(Fg, Pu, pk)
-            _, objective = optimize_prefilter_general(Fg, Pu, pk)
+            _, objective = _projected_gradient(Fg, Pu, pk)
             assert objective == pytest.approx(
                 lms_objective(Fg, Pu, pk, x), rel=1e-4)
 
@@ -218,9 +241,43 @@ class TestGeneralOptimizer:
         pk = priv((1.3,))
         Fg = freq_response(F, N)
         x, _ = waterfill_diagonal(Fg, Pu, pk)
-        _, objective = optimize_prefilter_general(Fg, Pu, pk)
+        _, objective = _projected_gradient(Fg, Pu, pk)
         assert objective == pytest.approx(
             lms_objective(Fg, Pu, pk, x), rel=1e-6)
+
+    def test_diagonal_spectrum_returns_waterfilling(self, rng):
+        # a positive diagonal P_u takes the closed form, exactly
+        Pu = diag_spectrum([2.0 + np.cos(OMEGA), 1.0 + 0.5 * np.sin(OMEGA)])
+        F = TransferMatrix([[RationalFilter([1.0, 0.4]),
+                             RationalFilter([0.3])],
+                            [RationalFilter(rng.normal(size=2)),
+                             RationalFilter([0.8, -0.2])]])
+        pk = priv((1.0, 1.7))
+        Fg = freq_response(F, N)
+        x_wf, _ = waterfill_diagonal(Fg, Pu, pk)
+        x, objective = optimize_prefilter_general(Fg, Pu, pk)
+        assert np.array_equal(x, x_wf)
+        assert objective == lms_objective(Fg, Pu, pk, x_wf)
+
+    def test_zero_channel_still_iterates(self):
+        # the bank_lms_causal problem with the fourth channel's input
+        # spectrum zeroed: waterfilling refuses it, so the projected
+        # gradient runs and reaches the objective it always reached
+        from dpfilt import occupancy_filter_bank
+        rates = np.array([1.4, 1.836, 1.641, 0.76, 0.88, 1.798, 0.408,
+                          1.714, 1.675, 1.149, 0.885, 0.845, 0.808, 1.112,
+                          1.207])
+        rates[3] = 0.0
+        n = 1024
+        Pu = np.repeat(np.diag(rates).astype(complex)[None], n + 1, axis=0)
+        pk = PrivacySpec(epsilon=float(np.log(5)), delta=0.05,
+                         k=(4.0,) * 15)
+        Fg = freq_response(occupancy_filter_bank(), n)
+        with pytest.raises(NotPositiveDefinite):
+            waterfill_diagonal(Fg, Pu, pk)
+        x, objective = optimize_prefilter_general(Fg, Pu, pk)
+        assert_feasible(x)
+        assert objective == pytest.approx(1.567668835350433, rel=1e-12)
 
     def test_correlated_spectrum_dominates_diag_approx(self):
         src = server_example(0.3, 0.6)
