@@ -29,8 +29,9 @@ class DfDesign:
     """The DF postfilter: the forward filter (its taps run at the
     lookahead d), the monic feedback polynomial P of the feedback
     B = P^-1, and the decision device of the input domain. It has no
-    `apply`: run_df_mechanism runs its closed loop over a sequence of
-    releases and applies the target F to the decisions.
+    `apply`: run_df_mechanism forward-filters each release, runs the
+    closed loop over the batch and applies the target F to the
+    decisions.
 
     closed_loop runs B by solving P y = u one step at a time, so the
     strictly causal feedback B - I never touches the current sample.
@@ -40,30 +41,25 @@ class DfDesign:
     p_coeffs: np.ndarray            # (K+1, m, m), p_coeffs[0] = I
     decision_domain: str
 
-    def closed_loop(self, v, mu, fed_back=None):
+    def closed_loop(self, u_tilde, mu, fed_back=None):
         """Pre-decision estimates and decisions (u_tilde, u_hat), centered
-        and time-major (T, B, m), for a sequence of B releases v (T, m) of
-        inputs with public mean mu (m,). fed_back (T, B, m), the centered
-        true inputs, replaces the decisions in the feedback (oracle
-        feedback)."""
+        and time-major (T, B, m), for B trials of inputs with public mean
+        mu (m,). u_tilde enters as the forward filter's estimates
+        (forward.apply of each trial's release) and takes the feedback in
+        place. fed_back (T, B, m), the centered true inputs, replaces the
+        decisions in the feedback (oracle feedback)."""
         decide = decision_op(self.decision_domain)
-        B = len(v)
-        T, m = v[0].shape
-        # forward filter with lookahead: (H1 v)_t = sum_j taps[j] v_{t+d-j};
-        # u_tilde is built in place on top of it. Per-step arrays are
-        # time-major, so row t of every trial is one contiguous view.
-        u_tilde = np.empty((T, B, m))
-        for b in range(B):
-            u_tilde[:, b] = self.forward.apply(v[b])
+        T, B, m = u_tilde.shape
         # feedback term: one (B, K m) @ (K m, m) product per step against
         # the flattened windows of the last K rows of r = fed_back -
         # fb_term (zero-padded), one window row per trial. Every per-step
-        # operand has the step's (B, m) shape, so no ufunc broadcasts.
+        # operand has the step's (B, m) shape, so no ufunc broadcasts, and
+        # every array is walked time-major, one contiguous row per step.
         P = self.p_coeffs
         K = P.shape[0] - 1
         A = np.concatenate(P[1:][::-1], axis=1).T if K else np.zeros((0, m))
         flat = np.zeros((B, (T + K) * m))
-        r = flat.reshape(B, T + K, m)[:, K:]
+        r = flat.reshape(B, T + K, m)[:, K:].swapaxes(0, 1)
         item = flat.itemsize
         windows = np.lib.stride_tricks.as_strided(
             flat, (T, B, K * m), (m * item, flat.strides[0], item),
@@ -74,14 +70,12 @@ class DfDesign:
         u_hat = np.empty((T, B, m))
         if fed_back is None:
             fed_back = u_hat
-        for t in range(T):
-            np.matmul(windows[t], A, out=fb_term)
-            x = u_tilde[t]
+        for w, x, h, f, r_t in zip(windows, u_tilde, u_hat, fed_back, r):
+            np.matmul(w, A, out=fb_term)
             x += fb_term
-            h = u_hat[t]
             np.add(x, mu, out=h)
             np.subtract(decide(h, zero), mu, out=h)
-            np.subtract(fed_back[t], fb_term, out=r[:, t])
+            np.subtract(f, fb_term, out=r_t)
         return u_tilde, u_hat
 
     def margins(self) -> tuple[int, int]:
@@ -243,10 +237,14 @@ def run_df_mechanism(design: MechanismDesign, u, seed,
     if any(x.shape != data[0].shape for x in data):
         raise DimensionMismatch("batched streams must share one shape")
     mu = design.mu
-    v = [design.release(x, s) for x, s in zip(data, seeds)]
+    # release, then forward filter, one trial at a time: the releases are
+    # never all held at once
+    u_tilde = np.empty((data[0].shape[0], len(data), data[0].shape[1]))
+    for b, (x, s) in enumerate(zip(data, seeds)):
+        u_tilde[:, b] = df.forward.apply(design.release(x, s))
     fed_back = np.stack(data, axis=1) - mu if oracle_feedback else None
-    u_tilde, u_hat = df.closed_loop(v, mu, fed_back)
-    del v, fed_back
+    u_hat = df.closed_loop(u_tilde, mu, fed_back)[1]
+    del fed_back
     # F u_hat + F(1) mu, trial by trial
     y_hat = np.empty((len(data), u_hat.shape[0], design.target.shape[0]))
     for b in range(len(data)):

@@ -24,13 +24,17 @@ from .zfe import (MechanismDesign, assemble_output_perturbation, assemble_zfe,
                   design_diag_prefilter, zfe_postfilter)
 
 
-def transfer_matrix_to_dict(tm: TransferMatrix) -> dict:
+def transfer_matrix_to_dict(tm: TransferMatrix,
+                            list_zero_rows: bool = False) -> dict:
+    """The nonzero entries of tm; with list_zero_rows, an all-zero row
+    lists its first (zero) entry, so every row lists one."""
     entries = []
     for i in range(tm.p):
-        for j in range(tm.m):
-            e = tm[i, j]
-            if e.is_zero():
-                continue
+        row = [(j, tm[i, j]) for j in range(tm.m)]
+        kept = [(j, e) for j, e in row if not e.is_zero()]
+        if not kept and list_zero_rows:
+            kept = row[:1]
+        for j, e in kept:
             entries.append({"row": i, "col": j,
                             "num": [float(v) for v in e.num],
                             "den": [float(v) for v in e.den]})
@@ -246,7 +250,8 @@ def design_to_dict(design: MechanismDesign, config_echo: dict | None = None,
     doc = {
         "tool_version": __version__,
         "kind": design.kind,
-        "target": transfer_matrix_to_dict(design.target),
+        # every output row is listed, so the entries bound target.rows
+        "target": transfer_matrix_to_dict(design.target, list_zero_rows=True),
         "prefilter": transfer_matrix_to_dict(design.prefilter),
         "noise_sigma": design.noise_sigma,
         "privacy": design.privacy.to_dict(),
@@ -435,6 +440,18 @@ def design_from_dict(doc: dict) -> MechanismDesign:
                 raise ConfigError(
                     f"{key}.cols is {doc[key]['cols']!r}, but privacy.k "
                     f"has {priv.m} entries, one per input channel")
+            # so is the row count: a prefilter has m rows, or the target's
+            # (output perturbation)
+            if key == "target":
+                bound = len(doc[key]["entries"])
+                why = ("the count of target.entries: every output row "
+                       "lists one (a zero row a zero entry)")
+            else:
+                bound = max(priv.m, filters[0].p)
+                why = "the larger of len(privacy.k) and target.rows"
+            if not doc[key]["rows"] <= bound:
+                raise ConfigError(f"{key}.rows is {doc[key]['rows']!r}, "
+                                  f"above {bound}, {why}")
             try:
                 filters.append(transfer_matrix_from_dict(doc[key]))
             except ConfigError as exc:

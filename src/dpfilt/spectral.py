@@ -3,7 +3,10 @@
 Scalar targets are factored by the cepstral (Kolmogorov) construction:
 FFT of the log spectrum, causal folding of the cepstrum, exponentiation.
 Matrix spectra use Bauer's method, reading the factor off the bottom
-block row of a Cholesky of the truncated block-Toeplitz covariance.
+block row of a Cholesky of the truncated block-Toeplitz covariance. That
+matrix is block-banded, so its factor is formed chunk by chunk (the
+banded block-Toeplitz Cholesky of Kailath and Sayed, "Fast Reliable
+Algorithms for Matrices with Structure", 1999) and never held whole.
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ BAUER_TAIL_TOL = 1e-10
 # The truncated scalar factor is re-factored from its magnitude sampled on
 # this many times the spectrum's grid; 2x moves the bench designs by 1e-10.
 REFACTOR_OVERSAMPLE = 4
-# Largest block-Toeplitz matrix Bauer's method may allocate, in bytes; the
-# Cholesky factor is a second matrix of the same size.
+# Largest problem Bauer's method takes on, as the bytes of its dense
+# block-Toeplitz matrix ((blocks * m)^2 floats). The banded kernel never
+# allocates that matrix; the bound caps its time, which grows with it.
 BAUER_MAX_BYTES = 256 * 2 ** 20
+# Least rows of one chunk of Bauer's banded Cholesky (a chunk also spans
+# at least the bandwidth). Narrow bands gain at most 1.5 ms from smaller
+# chunks, and a problem of up to 64 rows is one chunk: the dense Cholesky.
+BAUER_CHUNK_ROWS = 64
 # Remedy for a spectrum that inherits a singular input spectrum.
 FLOOR_HINT = "; add a white `spectrum.floor` to the input spectrum"
 
@@ -177,6 +185,59 @@ def _diagonal_factor(P: np.ndarray, off_peak: float,
     return fact
 
 
+def _toeplitz_chunk(R: np.ndarray, band: int, c: int,
+                    offset: int) -> np.ndarray:
+    """The c x c block chunk of the block-Toeplitz matrix whose block
+    (i, j) is R[i - j] on and below the diagonal and R[j - i]^T above it,
+    starting offset blocks below the diagonal (lags up to band)."""
+    m = R.shape[1]
+    chunk = np.zeros((c * m, c * m))
+    C4 = chunk.reshape(c, m, c, m)      # C4[a, :, b, :] is block (a, b)
+    for d in range(max(offset - c + 1, -band), min(offset + c, band + 1)):
+        a = np.arange(max(0, d - offset), min(c, c + d - offset))
+        C4[a, :, a + offset - d, :] = R[d] if d >= 0 else R[-d].T
+    return chunk
+
+
+def _bauer_rows(R: np.ndarray, band: int, n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Block rows n-1 and n-2 of the lower Cholesky factor of the n-block
+    Toeplitz matrix of the autocovariance lags R (lags above band are
+    zero), from the diagonal block outward: (depth, m, m) and
+    (min(depth, n - 1), m, m), depth = min(band + 1, n).
+
+    In chunks of c >= max(band, 2) blocks the matrix is block tridiagonal,
+    with the same diagonal chunk D and sub-diagonal chunk E throughout.
+    Its factor is formed chunk by chunk, the first chunk taking the
+    remainder r of n blocks: L = chol(D[:r, :r]), then M = E L^-T and
+    L = chol(D - M M^T) per chunk (E cut to the previous chunk's
+    columns). Only the last pair [M, L] is held; with c >= 2 it holds
+    both rows. LinAlgError when a chunk is not positive definite.
+    """
+    m = R.shape[1]
+    c = min(n, max(band, 2, -(-BAUER_CHUNK_ROWS // m)))
+    r = n - (-(-n // c) - 1) * c
+    D = _toeplitz_chunk(R, band, c, 0)
+    E = _toeplitz_chunk(R, band, c, c)
+    L = np.linalg.cholesky(D[: r * m, : r * m])
+    below = E[:, (c - r) * m:]
+    M = None
+    for _ in range(r, n, c):
+        M = np.linalg.solve(L, below.T).T
+        L = np.linalg.cholesky(D - M @ M.T)
+        below = E
+    # the last chunk's rows of the factor over its columns and the
+    # previous chunk's
+    W4 = (L if M is None else np.concatenate([M, L], axis=1)).reshape(
+        c, m, -1, m)
+    w = W4.shape[2]
+    depth = min(band + 1, n)
+    row = np.stack([W4[c - 1, :, w - 1 - k] for k in range(depth)])
+    prev = np.stack([W4[c - 2, :, w - 2 - k]
+                     for k in range(min(depth, n - 1))])
+    return row, prev
+
+
 def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
                             max_blocks: int = 4096, name: str = "spectrum",
                             hint: str = "") -> MatrixFactorization:
@@ -185,13 +246,16 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
 
     Diagonal spectra are dispatched to the scalar cepstral kernel; the
     general case runs Bauer's block-Toeplitz Cholesky with the bandwidth
-    chosen so the discarded autocovariance tail is below BAUER_TAIL_TOL.
+    chosen so the discarded autocovariance tail is below BAUER_TAIL_TOL,
+    factoring the band chunk by chunk and keeping only the factor's last
+    two block rows (_bauer_rows).
     A singular sample raises NotPositiveDefinite naming the spectrum
     (name), the worst frequency and its eigenvalue ratio, then the hint.
     The block count doubles until the grid error is within tol (and the
     factor's last rows agree); FactorizationStalled names the block counts
     and grid errors tried once a doubling fails to halve the grid error,
-    or before a (blocks * m)^2 matrix above BAUER_MAX_BYTES is allocated.
+    or before a block count whose dense (blocks * m)^2 matrix would exceed
+    BAUER_MAX_BYTES is factored.
     """
     samples = np.asarray(P, dtype=complex)
     N, m = samples.shape[0] - 1, samples.shape[1]
@@ -226,32 +290,19 @@ def matrix_canonical_factor(P: np.ndarray, tol: float = 1e-6,
         if 8 * (n * m) ** 2 > BAUER_MAX_BYTES:
             raise FactorizationStalled(
                 f"{name} needs Bauer's method at {n} blocks (autocovariance "
-                f"bandwidth {band} lags, {m} channels): a "
-                f"{8 * (n * m) ** 2 / 2 ** 20:.0f} MB matrix exceeds the "
-                f"{BAUER_MAX_BYTES / 2 ** 20:.0f} MB budget"
+                f"bandwidth {band} lags, {m} channels): its dense "
+                f"{8 * (n * m) ** 2 / 2 ** 20:.0f} MB block-Toeplitz matrix "
+                f"exceeds the {BAUER_MAX_BYTES / 2 ** 20:.0f} MB budget"
                 + ("" if not tried else f" (grid error {tried[-1][1]:.2e} "
                    f"at {tried[-1][0]} blocks)")
                 + "; shorten the spectrum's memory with a white "
                 "`spectrum.floor` or a lower `mechanism.factor_order`")
-        T = np.zeros((n * m, n * m))
-        T4 = T.reshape(n, m, n, m)      # T4[i, :, j, :] is block (i, j)
-        for d in range(min(band + 1, n)):
-            i = np.arange(d, n)
-            T4[i, :, i - d, :] = R[d]
-            if d:
-                T4[i - d, :, i, :] = R[d].T
         try:
-            Lc = np.linalg.cholesky(T)
+            row, prev = _bauer_rows(R, band, n)
         except np.linalg.LinAlgError as exc:
             raise FactorizationStalled(
                 f"block-Toeplitz Cholesky failed at {n} blocks: {exc}"
             ) from exc
-        depth = min(band + 1, n)
-        row = np.stack([Lc[(n - 1) * m: n * m, (n - 1 - k) * m:(n - k) * m]
-                        for k in range(depth)])
-        prev = np.stack([Lc[(n - 2) * m:(n - 1) * m,
-                            (n - 2 - k) * m:(n - 1 - k) * m]
-                         for k in range(min(depth, n - 1))])
         drift = float(np.max(np.abs(row[: prev.shape[0]] - prev)))
         W0 = row[0]
         coeffs = np.einsum("kij,jl->kil", row, np.linalg.inv(W0))

@@ -702,6 +702,56 @@ class TestTamperedDesign:
                              "--report", str(tmp_path / "r.json")]) == 2
                 assert f"{key}.cols" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mech", ["zfe", "df"])
+    def test_output_rows_bounded_by_entries(self, tmp_path, capsys, mech):
+        # regression: target.rows 10**6 ran for over a minute and 1e308
+        # exited 1 with a MemoryError, building the matrix; every output
+        # row lists an entry, so the entries bound the rows
+        fpath = tmp_path / "target.yaml"
+        write_yaml(fpath, transfer_matrix_to_dict(
+            TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1])] * 2)))
+        cfg_path, _ = base_config(
+            tmp_path, mech=mech, filter_block={"file": str(fpath)},
+            spectrum={"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                      "floor": 1e-4})
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        for key in ("target", "prefilter"):
+            for rows in (10 ** 6, 1e308):
+                doc = load_json(design_path)
+                doc[key]["rows"] = rows
+                with open(tmp_path / "tampered.json", "w") as fh:
+                    json.dump(doc, fh)
+                capsys.readouterr()
+                assert main(["simulate", "--design",
+                             str(tmp_path / "tampered.json"),
+                             "--report", str(tmp_path / "r.json")]) == 2
+                err = capsys.readouterr().err
+                assert "ConfigError" in err and f"{key}.rows" in err
+
+    def test_zero_output_row_round_trips(self, tmp_path):
+        # a zero output row is legal: the design document lists it as a
+        # zero entry, so the document still loads and runs
+        row = [RationalFilter([0.6, 0.3, 0.1]), RationalFilter([0.2, 0.1])]
+        zero = RationalFilter([0.0])
+        F = TransferMatrix([row, [zero, zero]])
+        fpath = tmp_path / "target.yaml"
+        write_yaml(fpath, transfer_matrix_to_dict(F))
+        cfg_path, _ = base_config(tmp_path, filter_block={"file": str(fpath)})
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = load_json(design_path)
+        assert doc["target"]["rows"] == 2 and doc["target"]["entries"] == [
+            {"row": 0, "col": 0, "num": [0.6, 0.3, 0.1], "den": [1.0]},
+            {"row": 0, "col": 1, "num": [0.2, 0.1], "den": [1.0]},
+            {"row": 1, "col": 0, "num": [0.0], "den": [1.0]}]
+        assert design_from_dict(doc).target.shape == (2, 2)
+        assert main(["simulate", "--design", str(design_path),
+                     "--trials", "1", "--steps", "500",
+                     "--report", str(tmp_path / "r.json")]) == 0
+
     def test_schema_invalid_design_names_its_path(self, tmp_path, capsys):
         # regression: a jsonschema error escaped main with exit 1 and a
         # traceback

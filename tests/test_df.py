@@ -587,7 +587,8 @@ class TestServerFeedbackPrecision:
         mu = design.mu
         uc = source_from_spec(cfg.source, m).sample(T, 1) - mu
         v = design.release(uc + mu, 2)
-        u_tilde, _ = df.closed_loop([v], mu, uc[:, None])
+        u_tilde, _ = df.closed_loop(df.forward.apply(v)[:, None], mu,
+                                    uc[:, None])
 
         fwd = FirBank(df.forward.taps).run(v, df.forward.lookahead).astype(
             np.longdouble)
@@ -602,3 +603,27 @@ class TestServerFeedbackPrecision:
         want = want.astype(float)
         assert np.max(np.abs(u_tilde[:, 0] - want)) \
             <= 1e-12 * np.max(np.abs(want))
+
+
+def test_server_trials_peak_memory(monkeypatch):
+    # regression: the 10 releases (3.2 MB) were all held while the
+    # closed loop ran, a traced peak of 12.24 MB; released and forward
+    # filtered one trial at a time, the peak is 9.93 MB
+    import os
+    import tracemalloc
+    from dpfilt.cli import _make_design
+    from dpfilt.config import Config
+    from dpfilt.fileio import source_from_spec
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    cfg = Config.load("benchmark/workloads/server_df.yaml")
+    design = _make_design(cfg)
+    source = source_from_spec(cfg.source, 2)
+    data = [source.sample(20000, seed) for seed in range(10)]
+    tracemalloc.start()
+    try:
+        run_df_mechanism(design, data, list(range(10)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20

@@ -379,15 +379,16 @@ class TestBauerDoubling:
 
     @staticmethod
     def count_choleskys(monkeypatch) -> list:
-        """The block count of each Cholesky factorization from here on."""
+        """The block count of each block-Toeplitz Cholesky from here on."""
+        import dpfilt.spectral
         blocks = []
-        cholesky = np.linalg.cholesky
+        rows = dpfilt.spectral._bauer_rows
 
-        def counted(T):
-            blocks.append(T.shape[0] // 2)
-            return cholesky(T)
+        def counted(R, band, n):
+            blocks.append(n)
+            return rows(R, band, n)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(dpfilt.spectral, "_bauer_rows", counted)
         return blocks
 
     def test_converging_doublings_continue(self, monkeypatch):
@@ -408,3 +409,109 @@ class TestBauerDoubling:
             matrix_canonical_factor(self.spectrum(1e-2), tol=1e-12)
         assert blocks == [220, 440]
         assert "1.43e-10 at 220, 1.43e-10 at 440 blocks" in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def server_input_spectrum():
+    """The input-side spectrum K (Pt^-1 + Gt* Gt)^-1 K that the DF design
+    of the server_df workload factors: 2 channels, 480 blocks, bandwidth
+    116."""
+    import os
+    import dpfilt.df
+    from dpfilt.cli import _make_design
+    from dpfilt.config import Config
+    factored = []
+    factor = dpfilt.df.matrix_canonical_factor
+
+    def kept(P, **kwargs):
+        factored.append(P)
+        return factor(P, **kwargs)
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpfilt.df, "matrix_canonical_factor", kept)
+        _make_design(Config.load(
+            os.path.join(root, "benchmark/workloads/server_df.yaml")))
+    return factored[0]
+
+
+class TestBandedBauer:
+    """Bauer's chunked band Cholesky against the dense Cholesky of the
+    whole block-Toeplitz matrix (bauer_loop_reference), with more than
+    one chunk."""
+
+    @staticmethod
+    def chunk_sizes(monkeypatch) -> list:
+        """The size of each Cholesky factorization from here on."""
+        sizes = []
+        cholesky = np.linalg.cholesky
+
+        def counted(T):
+            sizes.append(T.shape[0])
+            return cholesky(T)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return sizes
+
+    @staticmethod
+    def coupled_3_channel(rng, order=29):
+        # a monic FIR factor of the given order: the autocovariance has
+        # order + 1 lags, so the bandwidth is order + 1
+        coeffs = np.zeros((order + 1, 3, 3))
+        coeffs[0] = np.eye(3)
+        coeffs[1:] = rng.normal(scale=0.3, size=(order, 3, 3)) \
+            * 0.9 ** np.arange(1, order + 1)[:, None, None]
+        A = rng.normal(size=(3, 3))
+        return spectrum_from_factor(coeffs, A @ A.T + np.eye(3), OMEGA)
+
+    @staticmethod
+    def agreement(fact, samples):
+        coeffs, pe = bauer_loop_reference(samples, fact.meta["blocks"],
+                                          fact.meta["bandwidth"])
+        assert fact.coeffs.shape == coeffs.shape
+        return (float(np.max(np.abs(fact.coeffs - coeffs))
+                      / np.max(np.abs(coeffs))),
+                float(np.max(np.abs(fact.pe - pe)) / np.max(np.abs(pe))))
+
+    def test_server_spectrum(self, monkeypatch, server_input_spectrum):
+        # 480 blocks in chunks of 116: a first chunk of 16 blocks, then
+        # 4 full ones. Measured: coeffs 5.6e-16, pe 2.8e-16 of their
+        # peaks; the bound leaves a factor of 18
+        sizes = self.chunk_sizes(monkeypatch)
+        fact = matrix_canonical_factor(server_input_spectrum)
+        assert fact.meta == {"blocks": 480, "bandwidth": 116}
+        assert sizes == [32] + [232] * 4
+        err_coeffs, err_pe = self.agreement(fact, server_input_spectrum)
+        assert err_coeffs <= 1e-14 and err_pe <= 1e-14
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_last_rows_straddling_chunks(self, rng, monkeypatch, extra):
+        # n mod c = 0 (full chunks only) and = 1 (a first chunk of one
+        # block); both last rows then lie in the last chunk, over its
+        # columns and the previous chunk's. Measured: coeffs 6.7e-16 and
+        # 1.1e-15, pe 2.8e-16 and 2.8e-16 of their peaks; the bound leaves
+        # a factor of 9
+        from dpfilt.spectral import BAUER_CHUNK_ROWS
+        samples = self.coupled_3_channel(rng)
+        band = 30
+        c = max(band, -(-BAUER_CHUNK_ROWS // 3))
+        n = 3 * c + extra
+        sizes = self.chunk_sizes(monkeypatch)
+        # a loose tol stops at the first block count, max_blocks
+        fact = matrix_canonical_factor(samples, tol=1.0, max_blocks=n)
+        assert fact.meta == {"blocks": n, "bandwidth": band}
+        assert sizes == [3 * extra] * extra + [3 * c] * 3
+        err_coeffs, err_pe = self.agreement(fact, samples)
+        assert err_coeffs <= 1e-14 and err_pe <= 1e-14
+
+    def test_server_spectrum_peak_memory(self, server_input_spectrum):
+        # regression: the dense (960, 960) matrix and its Cholesky factor
+        # peaked at 14.6 MB under tracemalloc; the chunks peak at 2.8 MB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            matrix_canonical_factor(server_input_spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
