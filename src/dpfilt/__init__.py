@@ -12,14 +12,14 @@ from .lti import (DEFAULT_GRID, RationalFilter, TransferMatrix,
                   grid_omega, h2_norm, observability_gramian, simulate,
                   trapezoid_mean)
 from .markov import (MarkovSource, autocovariance, chain_spectrum,
-                     demo_filter, sample_chain, server_example,
-                     server_stationary, stationary_distribution)
+                     sample_chain, server_example, server_stationary,
+                     stationary_distribution)
 from .privacy import (PrivacySpec, gaussian_delta, kappa, noise_sigma,
                       q_function, q_inverse)
 from .sensitivity import (SensitivityReport, brute_force_sensitivity,
                           diagonal_sensitivity, mimo_bounds, mimo_exact)
 from .sim import (FixedStreamSource, OccupancySource, compare_mechanisms,
-                  empirical_mse, gaussian_fir, moving_average,
+                  demo_filter, empirical_mse, gaussian_fir, moving_average,
                   occupancy_filter_bank, run_mechanism)
 from .spectral import (MatrixFactorization, factor_grid_error,
                        matrix_canonical_factor, paley_wiener_check,

@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
     block = {"kind": "csv", "csv": args.source} if args.source \
         else cfg.source
     source = source_from_spec(block, design.target.shape[1])
-    out = compare_mechanisms(design.target, source, design.privacy,
-                             {design.kind: design}, trials=trials, T=steps,
+    out = compare_mechanisms(design, source, trials=trials, T=steps,
                              seed=cfg.seed, plots_dir=args.plots,
                              timing=args.timing)
     out["tool_version"] = __version__

@@ -119,7 +119,7 @@ class Config:
                               f"{cfg.simulate['trials']}")
         from .fileio import MECHANISMS      # fileio imports this module
         kind = cfg.mechanism["kind"]
-        if kind not in MECHANISMS:
+        if not isinstance(kind, str) or kind not in MECHANISMS:
             raise ConfigError(f"unknown mechanism kind {kind!r}; "
                               f"expected one of {tuple(MECHANISMS)}")
         return cfg

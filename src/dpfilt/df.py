@@ -256,8 +256,7 @@ def run_df_mechanism(design: MechanismDesign, u, seed,
         # decide(x) - mu equals u - mu bit for bit when the decision is u
         wrong = np.any(u_hat[:, b] != data[b] - mu, axis=1)
         out.append((y_hat[b], {
-            "lookahead": df.forward.lookahead, "u_tilde": u_tilde[:, b],
-            "u_hat": u_hat[:, b],
+            "u_tilde": u_tilde[:, b], "u_hat": u_hat[:, b],
             "decision_error_rate": float(np.mean(wrong))}))
     u_tilde += mu                 # the diagnostics report uncentered values
     u_hat += mu

@@ -8,7 +8,6 @@ import json
 from typing import Callable, NamedTuple
 
 import numpy as np
-import yaml
 
 from .config import as_number, load_yaml
 from .df import (DECISION_DOMAINS, DEFAULT_DECISION_DOMAIN, DfDesign,
@@ -62,15 +61,9 @@ def load_filter_file(path) -> TransferMatrix:
     return transfer_matrix_from_dict(load_yaml(path, "filter file") or {})
 
 
-def save_filter_file(tm: TransferMatrix, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(transfer_matrix_to_dict(tm), fh, sort_keys=True)
-
-
 def build_filter(block: dict):
     """Construct the target filter from a config `filter` block."""
-    from .markov import demo_filter
-    from .sim import occupancy_filter_bank
+    from .sim import demo_filter, occupancy_filter_bank
     if "file" in block and block["file"]:
         return load_filter_file(block["file"])
     preset = block.get("preset", "occupancy_bank")
@@ -363,9 +356,13 @@ def _load_df(doc, F, G) -> DfDesign:
     if domain not in DECISION_DOMAINS:
         raise ConfigError(f"info.decision_domain is {domain!r}; expected"
                           f" one of {DECISION_DOMAINS}")
-    forward = CausalWienerFilter(stored_taps(doc, "h1_taps", m, m),
-                                 int(doc.get("lookahead", 0)))
-    return DfDesign(forward=forward, p_coeffs=p, decision_domain=domain)
+    taps = stored_taps(doc, "h1_taps", m, m)
+    d = as_number(doc.get("lookahead", 0), "lookahead", integer=True)
+    if not 0 <= d < len(taps):      # the taps hold lags -d..n-1-d
+        raise ConfigError(f"lookahead {d} must lie in [0, {len(taps)}), "
+                          "below the count of h1_taps")
+    return DfDesign(forward=CausalWienerFilter(taps, d), p_coeffs=p,
+                    decision_domain=domain)
 
 
 class Mechanism(NamedTuple):

@@ -127,12 +127,6 @@ class RationalFilter:
             energy += d * d
         return energy, GRAMIAN_TOL * max(1.0, float(c @ c)) * float(x @ x)
 
-    @staticmethod
-    def delay(k: int) -> "RationalFilter":
-        num = np.zeros(k + 1)
-        num[k] = 1.0
-        return RationalFilter(num)
-
 
 ZERO_FILTER = RationalFilter([0.0])
 

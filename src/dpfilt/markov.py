@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotErgodic
-from .lti import RationalFilter, TransferMatrix, grid_omega
+from .lti import grid_omega
 
 ERGODIC_TOL = 1e-9
 
@@ -153,6 +153,9 @@ def server_example(alpha: float, beta: float) -> MarkovSource:
     entering s2 marks channel 2. Stationary probabilities are
     (beta, alpha*beta, alpha, alpha*beta)/(alpha + beta + 2*alpha*beta).
     """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ConfigError("server chain alpha and beta are probabilities, "
+                          f"got alpha {alpha!r} and beta {beta!r}")
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise NotErgodic("server chain requires alpha, beta in (0, 1)")
     Pi = np.array([
@@ -167,12 +170,3 @@ def server_example(alpha: float, beta: float) -> MarkovSource:
 def server_stationary(alpha: float, beta: float) -> np.ndarray:
     q = alpha + beta + 2.0 * alpha * beta
     return np.array([beta, alpha * beta, alpha, alpha * beta]) / q
-
-
-def demo_filter(length: int = 8) -> TransferMatrix:
-    """Toolkit-chosen 2x2 demonstration target for the server example:
-    per-channel moving averages (not part of any published design)."""
-    taps = np.zeros(length + 1)
-    taps[1:] = 1.0 / length
-    ma = RationalFilter(taps)
-    return TransferMatrix.diagonal([ma, ma])

@@ -15,7 +15,6 @@ from .df import DfDesign, run_df_mechanism
 from .errors import ConfigError, MissingForecastModel
 from .lti import (RationalFilter, TransferMatrix, effective_length,
                   freq_response, simulate)
-from .privacy import PrivacySpec
 from .zfe import MechanismDesign
 
 
@@ -70,6 +69,12 @@ def occupancy_filter_bank(forecast: dict | None = None) -> TransferMatrix:
     row2 = [f2 if 4 <= j <= 11 else zero for j in range(m)]
     row3 = [RationalFilter([b0[j], 0.0, b1[j]], den3) for j in range(m)]
     return TransferMatrix([row1, row2, row3])
+
+
+def demo_filter(length: int = 8) -> TransferMatrix:
+    """Toolkit-chosen 2x2 demonstration target for the server example:
+    per-channel moving averages (not part of any published design)."""
+    return TransferMatrix.diagonal([moving_average(length)] * 2)
 
 
 class OccupancySource:
@@ -212,59 +217,53 @@ def empirical_mse(design: MechanismDesign, source,
     return float(vals.mean()), stderr
 
 
-def compare_mechanisms(F: TransferMatrix, source,
-                       privacy: PrivacySpec, designs: dict,
-                       trials: int = 5, T: int = 10000, seed: int = 0,
-                       plots_dir=None, timing: bool = False) -> dict:
-    """Run every design on the common source (a `name` and sample(T,
-    seed), a (T, m) array) and collect theory vs Monte Carlo MSE into the
-    report document. `designs` maps name -> MechanismDesign; an empty
-    dict yields a bounds-only report."""
+def compare_mechanisms(design: MechanismDesign, source, trials: int = 5,
+                       T: int = 10000, seed: int = 0, plots_dir=None,
+                       timing: bool = False) -> dict:
+    """Run a design on a source (a `name` and sample(T, seed), a (T, m)
+    array) and collect its theory vs Monte Carlo MSE, and the ZFE bounds
+    of its target and privacy, into the report document."""
     from .zfe import zfe_general_lower_bound, zfe_mse_diag_bound
+    F, privacy = design.target, design.privacy
     Fg = freq_response(F)
     bounds = {"zfe_diag_bound": zfe_mse_diag_bound(Fg, privacy),
               "zfe_nuclear_bound": zfe_general_lower_bound(Fg, privacy)}
     del Fg      # not held through the trials (peak memory)
-    report = {
-        "target_shape": list(F.shape), "privacy": privacy.to_dict(),
-        "bounds": bounds, "mechanisms": {},
-        "config": {"trials": trials, "steps": T, "seed": seed,
-                   "source": source.name}}
-    for idx, (name, design) in enumerate(designs.items()):
-        t0 = time.monotonic()
-        mean, stderr = empirical_mse(design, source, trials, T,
-                                     seed + 1000 * idx)
-        elapsed = time.monotonic() - t0
-        row = report["mechanisms"][name] = {
-            "kind": design.kind,
-            "theory_mse": design.theory_mse,
-            "empirical_mse": mean,
-            "stderr": stderr,
-            "noise_sigma": design.noise_sigma,
-            "runtime_s": round(elapsed, 3) if timing else None,
-        }
-        if isinstance(design.postfilter, DfDesign):
-            # the domain this run decided in, --domain override included
-            row["decision_domain"] = design.postfilter.decision_domain
-        if plots_dir is not None:
-            _write_plot_csv(design, source, T, seed, plots_dir, name)
-    return report
+    t0 = time.monotonic()
+    mean, stderr = empirical_mse(design, source, trials, T, seed)
+    row = {"kind": design.kind, "theory_mse": design.theory_mse,
+           "empirical_mse": mean, "stderr": stderr,
+           "noise_sigma": design.noise_sigma,
+           "runtime_s": round(time.monotonic() - t0, 3) if timing else None}
+    # finite stored numbers can still overflow float64 in the run
+    values = dict(bounds, empirical_mse=mean, stderr=stderr)
+    if not np.all(np.isfinite(list(values.values()))):
+        raise ConfigError(f"the {design.kind} report is not finite "
+                          f"({values}): the stored noise_sigma, input_mean "
+                          "or coefficients overflow float64")
+    if isinstance(design.postfilter, DfDesign):
+        # the domain this run decided in, --domain override included
+        row["decision_domain"] = design.postfilter.decision_domain
+    if plots_dir is not None:
+        _write_plot_csv(design, source, T, seed, plots_dir)
+    return {"target_shape": list(F.shape), "privacy": privacy.to_dict(),
+            "bounds": bounds, "mechanisms": {design.kind: row},
+            "config": {"trials": trials, "steps": T, "seed": seed,
+                       "source": source.name}}
 
 
 def _write_plot_csv(design: MechanismDesign, source, T: int,
-                    seed: int, plots_dir, name: str) -> None:
+                    seed: int, plots_dir) -> None:
+    """The target output and its estimate over the first 2000 steps."""
     import os
     os.makedirs(plots_dir, exist_ok=True)
     u = source.sample(min(T, 2000), np.random.SeedSequence(seed))
     y = simulate(design.target, u)
-    yhat = run_mechanism(design, u, seed + 1)
-    path = os.path.join(plots_dir, f"{name}_paths.csv")
-    p = y.shape[1]
-    header = ["t"] + [f"y{i+1}" for i in range(p)] \
-        + [f"yhat{i+1}" for i in range(p)]
-    with open(path, "w") as fh:
+    paths = np.hstack([y, run_mechanism(design, u, seed + 1)]).tolist()
+    header = ["t"] + [f"{name}{i + 1}" for name in ("y", "yhat")
+                      for i in range(y.shape[1])]
+    with open(os.path.join(plots_dir, f"{design.kind}_paths.csv"),
+              "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(y.shape[0]):
-            row = [str(t)] + [repr(float(v)) for v in y[t]] \
-                + [repr(float(v)) for v in yhat[t]]
-            fh.write(",".join(row) + "\n")
+        for t, row in enumerate(paths):
+            fh.write(",".join([str(t)] + [repr(v) for v in row]) + "\n")

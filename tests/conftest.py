@@ -20,6 +20,11 @@ def random_poly_from_roots(rng, n_roots, radius):
     return np.real(np.poly(roots)) if roots else np.array([1.0])
 
 
+def delay(k):
+    """The pure delay z^-k."""
+    return RationalFilter(np.eye(k + 1)[k])
+
+
 def random_rational(rng, max_order=3, radius=0.85):
     n_poles = int(rng.integers(0, max_order + 1))
     n_zeros = int(rng.integers(0, max_order + 1))

@@ -21,7 +21,7 @@ from dpfilt import (MechanismDesign, OccupancySource, PrivacySpec,
                     waterfill_diagonal, wiener_smoother, wiener_spectra)
 from dpfilt.lms import _projected_gradient
 
-from conftest import random_fir_matrix, random_transfer_matrix
+from conftest import delay, random_fir_matrix, random_transfer_matrix
 
 
 def report(n, ok, detail):
@@ -91,7 +91,7 @@ def test_criterion_3_sensitivity_sandwich_and_oracle():
         exact = mimo_exact(G, k).exact
         oracle = brute_force_sensitivity(G, k, T=8)
         worst = max(worst, abs(exact - oracle))
-    delays = TransferMatrix([[RationalFilter.delay(t) for t in range(3)]])
+    delays = TransferMatrix([[delay(t) for t in range(3)]])
     rep = mimo_exact(delays, np.ones(3))
     ex1 = abs(rep.exact - 3.0) < 1e-10 and abs(rep.upper - 3.0) < 1e-10
     elapsed = time.monotonic() - t0

@@ -10,7 +10,7 @@ from dpfilt.cli import main, validate_document
 from dpfilt.config import Config, load_yaml
 from dpfilt.errors import ConfigError, InsufficientNoise
 from dpfilt.fileio import (design_from_dict, load_json, read_csv,
-                           save_json, spectrum_from_spec,
+                           save_json, source_from_spec, spectrum_from_spec,
                            transfer_matrix_from_dict, transfer_matrix_to_dict)
 from dpfilt import RationalFilter, TransferMatrix
 
@@ -344,6 +344,33 @@ class TestPipeline:
               "--report", str(report_path)])
         assert load_json(report_path) == r1   # reproducible
 
+    @pytest.mark.parametrize("mech", ["zfe", "df"])
+    def test_simulate_runs_compare_mechanisms(self, tmp_path, mech):
+        # the command's report is the library's on the loaded design, but
+        # for the two fields the command stamps on it
+        from dpfilt.sim import compare_mechanisms
+        fpath = tmp_path / "target.yaml"
+        write_yaml(fpath, transfer_matrix_to_dict(
+            TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1])] * 2)))
+        cfg_path, cfg = base_config(
+            tmp_path, mech=mech, filter_block={"file": str(fpath)},
+            spectrum={"kind": "markov_server", "alpha": 0.3, "beta": 0.6,
+                      "floor": 1e-4})
+        design_path = tmp_path / "design.json"
+        report_path = tmp_path / "report.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        assert main(["simulate", "--design", str(design_path),
+                     "--trials", "2", "--steps", "3000", "--seed", "11",
+                     "--report", str(report_path)]) == 0
+        got = load_json(report_path)
+        assert got.pop("tool_version") and got.pop("config_hash")
+        doc = load_json(design_path)
+        want = compare_mechanisms(
+            design_from_dict(doc), source_from_spec(cfg["source"], 2),
+            trials=2, T=3000, seed=11)
+        assert got == json.loads(json.dumps(want))
+
     def test_report_merges(self, tmp_path):
         cfg_path, _ = base_config(tmp_path)
         design_path = tmp_path / "design.json"
@@ -516,10 +543,10 @@ class TestCausalRoundTrip:
 
 class TestFilterFileRoundTrip:
     def test_save_and_load(self, tmp_path):
-        from dpfilt.fileio import load_filter_file, save_filter_file
+        from dpfilt.fileio import load_filter_file
         tm = TransferMatrix([[RationalFilter([1.0, 0.25], [1.0, -0.5])]])
         path = tmp_path / "f.yaml"
-        save_filter_file(tm, path)
+        path.write_text(yaml.safe_dump(transfer_matrix_to_dict(tm)))
         tm2 = load_filter_file(path)
         assert np.allclose(tm2[0, 0].num, tm[0, 0].num)
         assert np.allclose(tm2[0, 0].den, tm[0, 0].den)
@@ -647,9 +674,19 @@ class TestTamperedDesign:
          "target: entries[0].num"),
         ("zfe", ("target", "entries", 0, "den"), [1.0, float("inf")],
          "target: entries[0].den"),
-        ("zfe", ("theory_mse",), float("nan"), "theory_mse")],
+        ("zfe", ("theory_mse",), float("nan"), "theory_mse"),
+        ("zfe", ("config", "mechanism", "kind"), ["zfe"], "mechanism kind"),
+        ("zfe", ("config", "source", "alpha"), 10 ** 6, "alpha"),
+        ("zfe", ("config", "source", "beta"), float("nan"), "beta"),
+        ("df", ("lookahead",), 1e308, "lookahead"),
+        ("zfe", ("noise_sigma",), 1e308, "not finite"),
+        ("lms_causal", ("input_mean", 0), 1e308, "not finite"),
+        ("df", ("postfilter", "p_coeffs", -1, 0, 0), 1e308, "not finite")],
         ids=["infinite_mean", "short_mean", "list_domain", "unknown_domain",
-             "nan_target_num", "infinite_target_den", "nan_theory_mse"])
+             "nan_target_num", "infinite_target_den", "nan_theory_mse",
+             "list_mechanism_kind", "source_alpha_above_one",
+             "nan_source_beta", "huge_lookahead", "huge_noise_sigma",
+             "huge_input_mean", "huge_feedback_tap"])
     def test_bad_stored_field_exits_two(self, tmp_path, capsys, mech, path,
                                         value, needle):
         # regression: an infinite input_mean ran to empirical_mse=nan with
@@ -657,7 +694,11 @@ class TestTamperedDesign:
         # NaN target coefficient exited 2 only through "SVD did not
         # converge" in the report bounds, an infinite target denominator
         # through "Array must not contain infs or NaNs", and a NaN
-        # theory_mse exited 0 and printed theory=nan
+        # theory_mse exited 0 and printed theory=nan. Found by
+        # tests/test_fuzz.py: a list mechanism kind in the config echo and
+        # a lookahead of 1e308 exited 1 with a TypeError and an
+        # OverflowError, a source alpha or beta outside [0, 1] exited 4,
+        # and a stored 1e308 overflowed to a non-finite report, exit 0
         fpath = tmp_path / "target.yaml"
         write_yaml(fpath, transfer_matrix_to_dict(
             TransferMatrix.diagonal([RationalFilter([0.6, 0.3, 0.1])] * 2)))
@@ -1042,6 +1083,7 @@ class TestConfigErrorsExitTwo:
         ({"kind": "white", "scale": float("inf")}, "spectrum.scale"),
         ({"kind": "markov_server", "alpha": "a"}, "alpha"),
         ({"kind": "markov_server", "beta": "b"}, "beta"),
+        ({"kind": "markov_server", "alpha": 1.5}, "alpha 1.5"),
         ({"kind": "markov_server", "mean": float("nan")}, "spectrum.mean"),
         ({"kind": "markov_server", "mean": [0.5, float("inf")]},
          "spectrum.mean"),
@@ -1055,7 +1097,8 @@ class TestConfigErrorsExitTwo:
          "spectrum.lags")],
         ids=["text_floor", "negative_floor", "nan_floor", "inf_floor",
              "text_scale", "zero_scale", "negative_scale", "nan_scale",
-             "inf_scale", "text_alpha", "text_beta", "nan_mean", "inf_mean",
+             "inf_scale", "text_alpha", "text_beta", "alpha_above_one",
+             "nan_mean", "inf_mean",
              "text_mean", "text_lags", "inf_lags", "unstacked_lags"])
     def test_bad_spectrum_number(self, tmp_path, capsys, bad, key):
         # regression: text failed naming no key, a negative or NaN floor

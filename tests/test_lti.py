@@ -8,7 +8,7 @@ from dpfilt.errors import (DimensionMismatch, ImproperTransferFunction,
                            UnstableSystem)
 from dpfilt.lti import EFFECTIVE_LENGTH_CAP, EFFECTIVE_TAIL_TOL, ZERO_FILTER
 
-from conftest import (gramian_series_oracle, h2_impulse_oracle,
+from conftest import (delay, gramian_series_oracle, h2_impulse_oracle,
                       random_fir_matrix, random_poly_from_roots,
                       random_state_space, random_transfer_matrix)
 
@@ -48,7 +48,7 @@ class TestFreqResponse:
         assert np.allclose(grid[:, 0, 0], 1.0)
 
     def test_pure_delay_at_pi(self):
-        grid = freq_response(TransferMatrix([[RationalFilter.delay(1)]]), 16)
+        grid = freq_response(TransferMatrix([[delay(1)]]), 16)
         assert grid[-1, 0, 0] == pytest.approx(-1.0)
 
     def test_moving_average_dc(self):
@@ -170,7 +170,7 @@ class TestSimulate:
     def test_delay_impulse(self):
         u = np.zeros((5, 1))
         u[0, 0] = 1.0
-        y = simulate(TransferMatrix([[RationalFilter.delay(1)]]), u)
+        y = simulate(TransferMatrix([[delay(1)]]), u)
         assert np.allclose(y[:, 0], [0, 1, 0, 0, 0])
 
     def test_moving_average_steady_state(self):

@@ -163,6 +163,15 @@ class TestServerExample:
             with pytest.raises(NotErgodic):
                 server_example(a, b)
 
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 0.5), (0.5, -0.1),
+                                            (float("nan"), 0.5),
+                                            (0.5, float("inf"))])
+    def test_non_probability_rejected(self, alpha, beta):
+        # regression: these exited 4 as a non-ergodic chain; they are no
+        # probabilities, a bad input (exit 2)
+        with pytest.raises(ConfigError, match="are probabilities"):
+            server_example(alpha, beta)
+
     def test_selector_validation(self):
         with pytest.raises(ConfigError):
             MarkovSource(np.eye(2), (5,))

@@ -7,7 +7,7 @@ from dpfilt.errors import (DimensionMismatch, HorizonExceeded, NotDiagonal,
                            OracleTooLarge, UnstableSystem)
 from dpfilt.fileio import build_filter
 
-from conftest import (random_fir_matrix, random_rational,
+from conftest import (delay, random_fir_matrix, random_rational,
                       random_transfer_matrix)
 
 # mimo_exact on the 3x15 occupancy bank with k = 4, from the lag-stepping
@@ -27,7 +27,7 @@ def moving_average_20():
 
 def aligned_delay_bank(taus):
     """Single-output system [z^-tau_1, ..., z^-tau_m]."""
-    return TransferMatrix([[RationalFilter.delay(t) for t in taus]])
+    return TransferMatrix([[delay(t) for t in taus]])
 
 
 def correlate_oracle(G, k, tol=1e-14):
@@ -83,7 +83,7 @@ class TestDiagonal:
 
     def test_three_four_five(self):
         G = TransferMatrix.diagonal([RationalFilter([1.0]),
-                                     RationalFilter.delay(1)])
+                                     delay(1)])
         assert diagonal_sensitivity(G, (3.0, 4.0)) == pytest.approx(5.0)
 
     def test_matches_brute_force(self, rng):

@@ -277,42 +277,37 @@ class TestCompare:
         self.pk = priv(self.k)
         self.src = server_example(0.3, 0.6)
 
-    def test_zfe_dominates_output_perturbation(self):
+    def zfe(self):
         G = design_diag_prefilter(freq_response(self.F, N), self.k)
-        designs = {
-            "zfe": assemble_zfe(self.F, G, self.pk, N),
-            "output_perturbation": assemble_output_perturbation(
-                self.F, self.pk, N),
-        }
-        report = compare_mechanisms(self.F, self.src, self.pk, designs,
-                                    trials=3, T=6000, seed=1)
-        zfe_row = report["mechanisms"]["zfe"]
-        op_row = report["mechanisms"]["output_perturbation"]
+        return assemble_zfe(self.F, G, self.pk, N)
+
+    def test_zfe_dominates_output_perturbation(self):
+        # one report per design, at seeds 1 and 1001
+        zfe_row = compare_mechanisms(self.zfe(), self.src, trials=3, T=6000,
+                                     seed=1)["mechanisms"]["zero_forcing"]
+        op_row = compare_mechanisms(
+            assemble_output_perturbation(self.F, self.pk, N), self.src,
+            trials=3, T=6000, seed=1001)["mechanisms"]["output_perturbation"]
         assert zfe_row["theory_mse"] <= op_row["theory_mse"]
         assert zfe_row["empirical_mse"] <= op_row["empirical_mse"]
 
-    def test_empty_mechanism_list(self):
-        report = compare_mechanisms(self.F, self.src, self.pk, {}, trials=2,
-                                    T=4000, seed=1)
-        assert report["mechanisms"] == {}
+    def test_one_design_bounds_ordered(self):
+        report = compare_mechanisms(self.zfe(), self.src, trials=2, T=4000,
+                                    seed=1)
+        assert list(report["mechanisms"]) == ["zero_forcing"]
         assert report["bounds"]["zfe_nuclear_bound"] <= \
             report["bounds"]["zfe_diag_bound"] * (1 + 1e-12)
 
     def test_deterministic_report(self):
-        G = design_diag_prefilter(freq_response(self.F, N), self.k)
-        designs = {"zfe": assemble_zfe(self.F, G, self.pk, N)}
-        r1 = compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
-                                T=5000, seed=3)
-        r2 = compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
-                                T=5000, seed=3)
+        design = self.zfe()
+        r1 = compare_mechanisms(design, self.src, trials=2, T=5000, seed=3)
+        r2 = compare_mechanisms(design, self.src, trials=2, T=5000, seed=3)
         assert r1 == r2
 
     def test_plot_csv_written(self, tmp_path):
-        G = design_diag_prefilter(freq_response(self.F, N), self.k)
-        designs = {"zfe": assemble_zfe(self.F, G, self.pk, N)}
-        compare_mechanisms(self.F, self.src, self.pk, designs, trials=2,
-                           T=5000, seed=3, plots_dir=tmp_path)
-        path = tmp_path / "zfe_paths.csv"
+        compare_mechanisms(self.zfe(), self.src, trials=2, T=5000, seed=3,
+                           plots_dir=tmp_path)
+        path = tmp_path / "zero_forcing_paths.csv"
         assert path.exists()
         header = path.read_text().splitlines()[0].split(",")
         assert header[0] == "t"

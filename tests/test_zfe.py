@@ -9,7 +9,7 @@ from dpfilt import (PrivacySpec, RationalFilter, TransferMatrix,
 from dpfilt.errors import DimensionMismatch, UnstableInverse
 from dpfilt.zfe import zfe_postfilter
 
-from conftest import random_fir_matrix, random_poly_from_roots
+from conftest import delay, random_fir_matrix, random_poly_from_roots
 
 N = 512
 PRIV1 = PrivacySpec(epsilon=1.0, delta=0.1, k=(1.0,))
@@ -225,7 +225,7 @@ class TestZfePostfilter:
     def test_delayed_prefilter_rejected(self):
         # a leading z^-1 is a zero at infinity, whose inverse is acausal
         G = TransferMatrix.diagonal([RationalFilter([1.0]),
-                                     RationalFilter.delay(1)])
+                                     delay(1)])
         with pytest.raises(UnstableInverse, match="prefilter entry 2 is not "
                            "stable minimum phase; refusing to invert"):
             zfe_postfilter(TransferMatrix.identity(2), G)
