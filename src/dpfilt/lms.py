@@ -291,8 +291,11 @@ class FirBank:
 
     Blocks are N = next_fast_len(8 L) samples long and each yields its
     last N - L + 1 outputs. A run takes the block rffts of one input
-    channel at a time, sums the frequency-domain products over input
-    channels, and takes one batched irfft per output.
+    channel at a time, adds that channel's frequency-domain products
+    into one accumulator per output, and takes one batched irfft per
+    output. So a run holds the output, the p accumulators of
+    (blocks, N / 2 + 1) complex values, and one input channel's spectra
+    and product.
     """
 
     def __init__(self, taps: np.ndarray):
@@ -317,17 +320,20 @@ class FirBank:
         lo, hi = max(start, 0), min(T, start + z.size)
         blocks = np.lib.stride_tricks.as_strided(
             z, (nb, n), (step * z.itemsize, z.itemsize), writeable=False)
-        X = np.empty((m, nb, n // 2 + 1), dtype=complex)
+        Y = np.zeros((p, nb, n // 2 + 1), dtype=complex)
         for j in range(m):
             if hi > lo:
                 z[lo - start:hi - start] = v[lo:hi, j]
-            X[j] = np.fft.rfft(blocks, axis=-1)
-        y = np.empty((T, p))
+            X = np.fft.rfft(blocks, axis=-1)
+            for i in range(p):
+                Y[i] += self.spectra[i, j] * X
+        # every block's outputs, written in place; the run is the first T
+        y = np.empty((nb * step, p))
         for i in range(p):
-            Y = np.einsum("jf,jbf->bf", self.spectra[i], X)
-            y[:, i] = np.fft.irfft(Y, n, axis=-1)[:, L - 1:].ravel()[:T]
+            y.reshape(nb, step, p)[:, :, i] = \
+                np.fft.irfft(Y[i], n, axis=-1)[:, L - 1:]
         y[max(T + L - 1 - offset, 0):] = 0.0
-        return y
+        return y[:T]
 
 
 def monic_inverse_filter(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:

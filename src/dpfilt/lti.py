@@ -367,10 +367,16 @@ class IirBank:
 
         y_block = M w + Z y_prev,  [M | Z] = Ta^-1 [Bt | -Ay].
 
-    M and Z are built once. A run is one matmul per member over all
-    blocks at once (the Toeplitz matmul), a loop over blocks that chains
-    their last P outputs (the P-state carry), and one matmul per group
-    adding Z y_prev. That float64 carry is ill-conditioned on clustered
+    M and Z are built once. A run visits the live input columns one at a
+    time and, for each member on the column, adds its matmul over all
+    blocks at once (the Toeplitz matmul) into the member's output row
+    and the product's last P samples into its group's tails. A loop over
+    blocks then chains the tails into the carried y_prev (the P-state
+    carry), and one matmul per group adds Z y_prev. So a run holds its
+    output, the (groups, blocks, P) tails, one padded input column and
+    one block product. A row fed by one group sums its members in the
+    order of a per-group run; a row fed by several sums their products
+    interleaved. The float64 carry is ill-conditioned on clustered
     high-gain poles: on (1 - 0.9 z^-1)^5 a run is up to 1.3e-10 of its
     peak from a long-double recursion, where lfilter is up to 2.1e-11.
     """
@@ -412,64 +418,62 @@ class IirBank:
         self.Zt = -np.swapaxes(ta_inv @ ay, 1, 2).copy()     # (G, P, B)
         self.zt_tail = self.Zt[:, :, B - P:].copy()
         # per member M transposed, (B + q - 1, B), so that a run multiplies
-        # the (n_blocks, B + q - 1) window matrix from the right
-        self.Mt = []
+        # the (n_blocks, B + q - 1) window matrix from the right; listed
+        # by input column, then group, then member
+        by_col = {}
         for g, (_, _, members) in enumerate(groups):
             q = self.q[g]
             lb = r + q - 1 - np.arange(B + q - 1)[None, :]
             band = (lb >= 0) & (lb < q)
-            mts = []
-            for _, b in members:
+            for j, b in members:
                 bp = np.zeros(q)
                 bp[:b.size] = b
                 bt = np.where(band, bp[np.clip(lb, 0, q - 1)], 0.0)
-                mts.append((ta_inv[g] @ bt).T.copy())
-            self.Mt.append(mts)
-        self.one_to_one = self.out == list(range(n_out))
+                by_col.setdefault(j, []).append(
+                    (g, q, (ta_inv[g] @ bt).T.copy()))
+        self.by_col = sorted(by_col.items())
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Outputs (T, n_out) for an input signal x of shape (T, m)."""
         x = np.asarray(x, dtype=float)
-        T, m = x.shape
+        T = x.shape[0]
         B, P, Q = self.B, self.P, self.Q
         nb = -(-T // B)
-        xp = np.zeros((m, Q - 1 + nb * B))
-        xp[:, Q - 1:Q - 1 + T] = x.T
-        cur = xp[:, Q - 1:].reshape(m, nb, B)
-        s = xp.strides[1]
-        # members on all-zero columns add nothing; groups without a live
-        # member output zeros
-        live = set(np.flatnonzero(xp.any(axis=1)).tolist())
-        active = [g for g, cols in enumerate(self.cols)
-                  if not live.isdisjoint(cols)]
-        y = np.zeros((len(self.out), nb, B))
-        for g in active:
-            q = self.q[g]
-            for j, mt in zip(self.cols[g], self.Mt[g]):
-                if j not in live:
-                    continue
-                y[g] += cur[j] @ mt[q - 1:]
-                if q > 1:   # the q - 1 samples before each block
-                    past = np.lib.stride_tricks.as_strided(
-                        xp[j, Q - q:], shape=(nb, q - 1), strides=(s * B, s),
-                        writeable=False)
-                    y[g] += past @ mt[:q - 1]
-        if self.recursive and nb > 1:
-            # carry[k] = y_prev of block k: the last P outputs of block k - 1
-            tail = y[:, :, B - P:]
-            carry = np.zeros((len(self.out), nb, P))
-            for k in range(1, nb):
-                np.matmul(carry[:, k - 1:k], self.zt_tail,
-                          out=carry[:, k:k + 1])
-                carry[:, k] += tail[:, k - 1]
-            for g in active:
-                y[g] += carry[g] @ self.Zt[g]
-        if self.one_to_one:
-            return y.reshape(self.n_out, nb * B)[:, :T].T
-        out = np.zeros((self.n_out, nb * B))
-        for g, o in enumerate(self.out):
-            out[o] += y[g].reshape(-1)
-        return out[:, :T].T
+        out = np.zeros((self.n_out, nb, B))
+        # tails[g, k]: the last P outputs of block k from group g's members
+        tails = np.zeros((len(self.out), nb, P))
+        carried = self.recursive and nb > 1
+        xj = np.zeros(Q - 1 + nb * B)
+        cur = xj[Q - 1:].reshape(nb, B)
+        # for a numerator of q taps, the q - 1 samples before each block
+        s = xj.strides[0]
+        past = {q: np.lib.stride_tricks.as_strided(
+            xj[Q - q:], shape=(nb, q - 1), strides=(s * B, s),
+            writeable=False) for q in set(self.q) if q > 1}
+        # members on all-zero columns add nothing
+        for j, members in self.by_col:
+            xj[Q - 1:Q - 1 + T] = x[:, j]
+            if not cur.any():
+                continue
+            for g, q, mt in members:
+                row = out[self.out[g]]
+                prod = cur @ mt[q - 1:]
+                row += prod
+                if carried:
+                    tails[g] += prod[:, B - P:]
+                if q > 1:
+                    prod = past[q] @ mt[:q - 1]
+                    row += prod
+                    if carried:
+                        tails[g] += prod[:, B - P:]
+        if carried:
+            # tails[:, k - 1] becomes y_prev of block k, the carry
+            # tails[:, k - 1] + y_prev(k - 1) Zt_tail; block 0 has none
+            for k in range(2, nb):
+                tails[:, k - 1:k] += tails[:, k - 2:k - 1] @ self.zt_tail
+            for g, o in enumerate(self.out):
+                out[o, 1:] += tails[g, :nb - 1] @ self.Zt[g]
+        return out.reshape(self.n_out, nb * B)[:, :T].T
 
 
 def as_signal(u) -> np.ndarray:

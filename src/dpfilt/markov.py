@@ -59,17 +59,21 @@ class MarkovSource:
 
 
 def stationary_distribution(src: MarkovSource) -> np.ndarray:
-    """Unique probability vector with Pi p = p, via the eigenproblem."""
+    """Unique probability vector with Pi p = p, via the eigenproblem.
+
+    The eigenvalue nearest 1 is the unit one; every other must lie inside
+    the unit circle, which a periodic chain's roots of unity do not."""
     vals, vecs = np.linalg.eig(src.Pi)
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    if abs(vals[0] - 1.0) > 1e-9:
+    unit = int(np.argmin(np.abs(vals - 1.0)))
+    if abs(vals[unit] - 1.0) > 1e-9:
         raise NotErgodic("no unit eigenvalue: not a stochastic matrix?")
-    if len(vals) > 1 and abs(vals[1]) >= 1.0 - ERGODIC_TOL:
+    rest = np.delete(vals, unit)
+    if rest.size and np.max(np.abs(rest)) >= 1.0 - ERGODIC_TOL:
+        second = rest[np.argmax(np.abs(rest))]
         raise NotErgodic(
-            f"second eigenvalue {vals[1]:.6g} too close to the unit circle; "
+            f"second eigenvalue {second:.6g} too close to the unit circle; "
             "chain is reducible or periodic")
-    p = np.real(vecs[:, 0])
+    p = np.real(vecs[:, unit])
     p = p / p.sum()
     if np.any(p < -1e-12):
         raise NotErgodic("stationary vector has negative entries")
@@ -152,19 +156,24 @@ def server_example(alpha: float, beta: float) -> MarkovSource:
     State order (idle, s1, busy, s2); entering s1 marks channel 1 and
     entering s2 marks channel 2. Stationary probabilities are
     (beta, alpha*beta, alpha, alpha*beta)/(alpha + beta + 2*alpha*beta).
+    The chain is ergodic for alpha, beta in (0, 1] except alpha = beta = 1,
+    where it cycles through the four states.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ConfigError("server chain alpha and beta are probabilities, "
                           f"got alpha {alpha!r} and beta {beta!r}")
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise NotErgodic("server chain requires alpha, beta in (0, 1)")
+    if alpha == 0.0 or beta == 0.0:
+        raise NotErgodic("server chain requires alpha, beta > 0: at 0 the "
+                         "idle or the busy state is absorbing")
     Pi = np.array([
         [1.0 - alpha, 0.0, 0.0,        1.0],
         [alpha,       0.0, 0.0,        0.0],
         [0.0,         1.0, 1.0 - beta, 0.0],
         [0.0,         0.0, beta,       0.0],
     ])
-    return MarkovSource(Pi=Pi, selectors=(1, 3))
+    src = MarkovSource(Pi=Pi, selectors=(1, 3))
+    stationary_distribution(src)    # refuses the periodic alpha = beta = 1
+    return src
 
 
 def server_stationary(alpha: float, beta: float) -> np.ndarray:

@@ -217,6 +217,13 @@ def empirical_mse(design: MechanismDesign, source,
     return float(vals.mean()), stderr
 
 
+def _require_finite(kind: str, values: dict) -> None:
+    if not np.all(np.isfinite(list(values.values()))):
+        raise ConfigError(f"the {kind} report is not finite "
+                          f"({values}): the stored noise_sigma, input_mean "
+                          "or coefficients overflow float64")
+
+
 def compare_mechanisms(design: MechanismDesign, source, trials: int = 5,
                        T: int = 10000, seed: int = 0, plots_dir=None,
                        timing: bool = False) -> dict:
@@ -229,18 +236,18 @@ def compare_mechanisms(design: MechanismDesign, source, trials: int = 5,
     bounds = {"zfe_diag_bound": zfe_mse_diag_bound(Fg, privacy),
               "zfe_nuclear_bound": zfe_general_lower_bound(Fg, privacy)}
     del Fg      # not held through the trials (peak memory)
+    # finite stored numbers can still overflow float64: the noise variance
+    # and the bounds before the run, the Monte Carlo values after it
+    sigma = float(design.noise_sigma)
+    _require_finite(design.kind, dict(bounds, noise_variance=sigma * sigma))
     t0 = time.monotonic()
     mean, stderr = empirical_mse(design, source, trials, T, seed)
     row = {"kind": design.kind, "theory_mse": design.theory_mse,
            "empirical_mse": mean, "stderr": stderr,
            "noise_sigma": design.noise_sigma,
            "runtime_s": round(time.monotonic() - t0, 3) if timing else None}
-    # finite stored numbers can still overflow float64 in the run
-    values = dict(bounds, empirical_mse=mean, stderr=stderr)
-    if not np.all(np.isfinite(list(values.values()))):
-        raise ConfigError(f"the {design.kind} report is not finite "
-                          f"({values}): the stored noise_sigma, input_mean "
-                          "or coefficients overflow float64")
+    _require_finite(design.kind, dict(bounds, empirical_mse=mean,
+                                      stderr=stderr))
     if isinstance(design.postfilter, DfDesign):
         # the domain this run decided in, --domain override included
         row["decision_domain"] = design.postfilter.decision_domain

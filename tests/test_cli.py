@@ -724,6 +724,36 @@ class TestTamperedDesign:
         err = capsys.readouterr().err
         assert "ConfigError" in err and needle in err
 
+    def test_overflowing_noise_refused_before_the_trials(
+            self, tmp_path, capsys, monkeypatch):
+        # regression: a noise_sigma of 1e308 ran every trial, printing
+        # numpy overflow warnings, before the report check exited 2; its
+        # square is known to overflow before the first trial
+        import warnings
+        import dpfilt.sim
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        cfg_path, _ = base_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg_path),
+                     "--out", str(design_path)]) == 0
+        doc = load_json(design_path)
+        doc["noise_sigma"] = 1e308
+        with open(design_path, "w") as fh:
+            json.dump(doc, fh)
+        monkeypatch.setattr(dpfilt.sim, "run_mechanism", no_trial)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--design", str(design_path),
+                         "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "not finite" in err
+        assert "noise_variance" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_input_count_checked_before_allocating(self, tmp_path, capsys):
         # regression: target.cols 10**6 exited 1 with an IndexError and
         # 1e308 with a MemoryError, after building the matrix

@@ -534,6 +534,33 @@ def mimo_fir_reference(taps, v, offset):
     return y
 
 
+def fir_bank_reference(bank, v, offset=0):
+    """The earlier FirBank.run, which held every input channel's block
+    spectra at once and summed them per output by einsum; kept as the
+    agreement reference for the per-output accumulators."""
+    T, m = v.shape
+    L, p, _ = bank.taps.shape
+    n = bank.n
+    step = n - L + 1
+    nb = max(-(-T // step), 1)
+    start = offset - L + 1
+    z = np.zeros(nb * step + L - 1)
+    lo, hi = max(start, 0), min(T, start + z.size)
+    blocks = np.lib.stride_tricks.as_strided(
+        z, (nb, n), (step * z.itemsize, z.itemsize), writeable=False)
+    X = np.empty((m, nb, n // 2 + 1), dtype=complex)
+    for j in range(m):
+        if hi > lo:
+            z[lo - start:hi - start] = v[lo:hi, j]
+        X[j] = np.fft.rfft(blocks, axis=-1)
+    y = np.empty((T, p))
+    for i in range(p):
+        Y = np.einsum("jf,jbf->bf", bank.spectra[i], X)
+        y[:, i] = np.fft.irfft(Y, n, axis=-1)[:, L - 1:].ravel()[:T]
+    y[max(T + L - 1 - offset, 0):] = 0.0
+    return y
+
+
 def stable_monic_poly(rng, K, radius=0.9):
     """Coefficients 1, a_1..a_K of a real polynomial in z^-1 whose roots
     lie inside `radius`."""
@@ -614,6 +641,41 @@ class TestSequentialKernelAgreement:
         assert not np.any(bank.run(v, 44))
         got = bank.run(v, 40)
         assert np.all(got[4:] == 0.0) and np.all(got[:4] != 0.0)
+
+
+class TestFirBankAccumulators:
+    """FirBank.run, adding each input channel's products into one
+    accumulator per output, against the earlier run that held every
+    channel's spectra (the bank_lms_causal postfilter shape)."""
+
+    def test_agrees_with_all_channel_spectra(self, rng):
+        from dpfilt.lms import FirBank
+        bank = FirBank(rng.normal(size=(522, 3, 15)))
+        v = rng.normal(size=(20000, 15))
+        for offset in (0, 2):
+            assert rel_gap(bank.run(v, offset),
+                           fir_bank_reference(bank, v, offset)) <= 1e-15
+
+    def test_peak_memory(self, rng):
+        # regression: the run held all 15 channels' (6, 2161) complex
+        # block spectra (3.1 MB), a traced peak of 4.4 MB
+        import tracemalloc
+        from dpfilt.lms import FirBank
+        bank = FirBank(rng.normal(size=(522, 3, 15)))
+        T, p = 20000, 3
+        v = rng.normal(size=(T, 15))
+        nb = -(-T // (bank.n - 521))
+        channel = nb * (bank.n // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            bank.run(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the accumulators, the output and four channel-sized arrays: the
+        # padded input, one channel's spectra, its product and one
+        # output's irfft
+        assert peak < p * channel + T * p * 8 + 4 * channel
 
 
 def psd_sqrt_reference(P):

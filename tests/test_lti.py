@@ -285,6 +285,112 @@ def bank_zfe_filters():
     return {"pre": G, "post": zfe_postfilter(F, G), "target": F}
 
 
+@pytest.fixture(scope="module")
+def server_filters():
+    """Prefilter and target of the server_df design."""
+    import os
+    from dpfilt.cli import _make_design
+    from dpfilt.config import Config
+    with pytest.MonkeyPatch.context() as mp:
+        # the workload config names its target file from the repository
+        mp.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        design = _make_design(Config.load(
+            "benchmark/workloads/server_df.yaml"))
+    return {"pre": design.prefilter, "target": design.target}
+
+
+def iir_bank_reference(bank, x):
+    """The earlier IirBank.run, which summed each group's members into a
+    (groups, blocks, B) buffer over a transposed, padded copy of the whole
+    input, chained the carry in its own (groups, blocks, P) array and then
+    added the groups into their rows; kept as the agreement reference for
+    the column-at-a-time run."""
+    x = np.asarray(x, dtype=float)
+    T, m = x.shape
+    B, P, Q, G = bank.B, bank.P, bank.Q, len(bank.out)
+    members = [[] for _ in range(G)]
+    for j, col in bank.by_col:
+        for g, q, mt in col:
+            members[g].append((j, q, mt))
+    nb = -(-T // B)
+    xp = np.zeros((m, Q - 1 + nb * B))
+    xp[:, Q - 1:Q - 1 + T] = x.T
+    cur = xp[:, Q - 1:].reshape(m, nb, B)
+    s = xp.strides[1]
+    live = set(np.flatnonzero(xp.any(axis=1)).tolist())
+    active = [g for g in range(G) if any(j in live for j, _, _ in members[g])]
+    y = np.zeros((G, nb, B))
+    for g in active:
+        for j, q, mt in members[g]:
+            if j not in live:
+                continue
+            y[g] += cur[j] @ mt[q - 1:]
+            if q > 1:
+                past = np.lib.stride_tricks.as_strided(
+                    xp[j, Q - q:], shape=(nb, q - 1), strides=(s * B, s),
+                    writeable=False)
+                y[g] += past @ mt[:q - 1]
+    if bank.recursive and nb > 1:
+        tail = y[:, :, B - P:]
+        carry = np.zeros((G, nb, P))
+        for k in range(1, nb):
+            np.matmul(carry[:, k - 1:k], bank.zt_tail, out=carry[:, k:k + 1])
+            carry[:, k] += tail[:, k - 1]
+        for g in active:
+            y[g] += carry[g] @ bank.Zt[g]
+    out = np.zeros((bank.n_out, nb * B))
+    for g, o in enumerate(bank.out):
+        out[o] += y[g].reshape(-1)
+    return out[:, :T].T
+
+
+class TestIirBankColumnRun:
+    """IirBank.run, one input column at a time, against the earlier run
+    that held a per-group buffer and a copy of the whole input."""
+
+    @pytest.mark.parametrize("filters,name", [
+        ("bank_zfe_filters", "pre"), ("bank_zfe_filters", "target"),
+        ("server_filters", "pre"), ("server_filters", "target")])
+    def test_single_group_rows_bitwise(self, request, filters, name):
+        # a row fed by one group adds its members in the earlier order
+        tm = request.getfixturevalue(filters)[name]
+        bank = tm.bank()
+        assert sorted(bank.out) == list(range(tm.p))
+        u = np.random.default_rng(3).poisson(
+            1.2, size=(20000, tm.m)).astype(float)
+        assert np.array_equal(bank.run(u), iir_bank_reference(bank, u))
+
+    def test_zfe_postfilter_agrees(self, bank_zfe_filters):
+        # 28 groups on 3 rows: the groups' products are summed interleaved
+        rng = np.random.default_rng(7)
+        u = rng.poisson(1.2, size=(20000, 15)).astype(float)
+        v = simulate(bank_zfe_filters["pre"], u) \
+            + rng.normal(0.0, 3.7, size=u.shape)
+        bank = bank_zfe_filters["post"].bank()
+        assert len(bank.out) == 28
+        assert rel_gap(bank.run(v), iir_bank_reference(bank, v)) <= 1e-15
+
+    def test_zfe_postfilter_peak_memory(self, bank_zfe_filters):
+        # regression: the run held a (28, 157, 128) group buffer (4.5 MB),
+        # a padded copy of the input (2.4 MB) and a (28, 157, 44) carry,
+        # a traced peak of 8.9 MB for a 3-row output
+        import tracemalloc
+        bank = bank_zfe_filters["post"].bank()
+        T = 20000
+        v = np.random.default_rng(5).normal(size=(T, 15))
+        nb = -(-T // bank.B)
+        out = bank.n_out * nb * bank.B * 8
+        tails = len(bank.out) * nb * bank.P * 8
+        column = (bank.Q - 1 + nb * bank.B) * 8
+        tracemalloc.start()
+        try:
+            bank.run(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out + tails + 4 * column
+
+
 class TestTransferMatrixCaches:
     @pytest.mark.parametrize("name", ["pre", "target"])
     def test_freq_equals_entrywise_bitwise(self, bank_zfe_filters, name):

@@ -43,6 +43,14 @@ class TestStationary:
         with pytest.raises(NotErgodic):
             stationary_distribution(src)
 
+    def test_four_cycle_named_periodic(self):
+        # regression: the server chain at alpha = beta = 1 has four unit
+        # modulus eigenvalues; taking the largest modulus first reported
+        # "no unit eigenvalue: not a stochastic matrix?"
+        src = MarkovSource(np.roll(np.eye(4), 1, axis=0), (1, 3))
+        with pytest.raises(NotErgodic, match="reducible or periodic"):
+            stationary_distribution(src)
+
 
 class TestSpectrum:
     def test_iid_chain_constant(self):
@@ -159,9 +167,20 @@ class TestServerExample:
         assert np.all(src.Pi >= 0)
 
     def test_boundary_rejected(self):
-        for a, b in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
+        # at 0 the idle or the busy state is absorbing; at alpha = beta = 1
+        # the chain is a 4-cycle
+        for a, b in ((0.0, 0.5), (0.5, 0.0), (1.0, 1.0)):
             with pytest.raises(NotErgodic):
                 server_example(a, b)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.5, 1.0)])
+    def test_one_boundary_is_ergodic(self, alpha, beta):
+        # regression: alpha = 1 or beta = 1 was refused as not ergodic,
+        # though the other eigenvalue moduli are 0.823, 0.823 and 0.739
+        p = stationary_distribution(server_example(alpha, beta))
+        assert np.max(np.abs(p - server_stationary(alpha, beta))) < 1e-12
+        if alpha == 1.0:
+            assert np.allclose(p, [0.2, 0.2, 0.4, 0.2], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", [(1.5, 0.5), (0.5, -0.1),
                                             (float("nan"), 0.5),
